@@ -28,8 +28,9 @@ use fabric_common::{
     ChannelId, ClientId, Digest, Key, Transaction, TxId, ValidationCode, Value, Version,
 };
 use fabric_ledger::Block;
-use fabric_peer::validator::{mvcc_validate_into, MvccScratch};
+use fabric_peer::validator::{mvcc_validate_traced, MvccScratch};
 use fabric_statedb::{CommitWrite, MemStateDb, StateStore, WriteBatch, WriteRef};
+use fabric_trace::TraceSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -170,12 +171,13 @@ fn run_batched(store: &MemStateDb, blocks: &[Block]) -> (Duration, Vec<Vec<Valid
     let mut all_codes = Vec::with_capacity(blocks.len());
     for block in blocks {
         let mut codes = Vec::with_capacity(block.txs.len());
-        mvcc_validate_into(
+        mvcc_validate_traced(
             block,
             store,
             &endorsement_ok[..block.txs.len()],
             &mut scratch,
             &mut codes,
+            &TraceSink::disabled(),
         )
         .unwrap();
         let mut batch = WriteBatch::new(block.header.number);

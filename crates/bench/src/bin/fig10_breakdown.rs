@@ -13,10 +13,6 @@
 //!   any failure. This is the CI trace gate.
 //! - `--trace <prefix>`: enables the flight recorder and writes
 //!   `<prefix>.<mode>.jsonl` + `<prefix>.<mode>.chrome.json` per mode.
-//! - `--lanes <n>`: overrides `PipelineConfig::commit_lanes` for every
-//!   mode (default: the host's available parallelism), so the
-//!   `mvcc_lanes`/`apply_lanes` sub-phase rows and lane-occupancy
-//!   counters can be recorded even on hosts where the default is 1.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -37,7 +33,6 @@ const TRACE_CAPACITY: usize = 1 << 20;
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let trace_prefix = arg_value("--trace").map(PathBuf::from);
-    let lanes: Option<usize> = arg_value("--lanes").and_then(|v| v.parse().ok());
     let duration = if smoke { Duration::from_millis(600) } else { point_duration() };
     let mut header = false;
     let mut phase_tables = Vec::new();
@@ -49,13 +44,9 @@ fn main() {
         ("earlyabort", "fabric++(only early abort)", PipelineConfig::early_abort_only()),
         ("fabricpp", "fabric++(reordering & early abort)", PipelineConfig::fabric_pp()),
     ] {
-        let mut pipeline = pipeline.with_block_size(1024);
-        if let Some(n) = lanes {
-            pipeline.commit_lanes = n;
-        }
         let mut spec = RunSpec::paper_default(
             mode,
-            pipeline,
+            pipeline.with_block_size(1024),
             WorkloadKind::Custom(CustomConfig::default()),
             duration,
         );

@@ -136,7 +136,7 @@ pub fn run_to_json(label: &str, report: &RunReport, fire_duration: Duration) -> 
          \"blocks_applied\":{},\"shard_lock_acquisitions\":{},\"wal_records\":{},\
          \"wal_fsyncs\":{},\"commit_ticket_acquisitions\":{},\"snapshot_pins\":{},\
          \"snapshot_read_batches\":{},\"snapshot_read_keys\":{},\
-         \"gc_trimmed_versions\":{},\"lanes_used\":{},\"chain_serializations\":{}}},",
+         \"gc_trimmed_versions\":{}}},",
         st.multi_get_batches,
         st.multi_get_keys,
         st.point_gets,
@@ -149,8 +149,6 @@ pub fn run_to_json(label: &str, report: &RunReport, fire_duration: Duration) -> 
         st.snapshot_read_batches,
         st.snapshot_read_keys,
         st.gc_trimmed_versions,
-        st.lanes_used,
-        st.chain_serializations,
     ));
     match &report.trace {
         Some(t) => out.push_str(&format!(

@@ -233,8 +233,7 @@ pub fn print_store_stats(label: &str, s: &fabric_common::StoreStats) {
     let blocks = s.blocks_applied.max(1) as f64;
     println!(
         "# store[{label}]: blocks={} multi_get_batches={} multi_get_keys={} point_gets={} \
-         shard_locks={} wal_records={} wal_fsyncs={} avg_probed_keys_per_block={:.1} \
-         lanes_used={} chain_serializations={}",
+         shard_locks={} wal_records={} wal_fsyncs={} avg_probed_keys_per_block={:.1}",
         s.blocks_applied,
         s.multi_get_batches,
         s.multi_get_keys,
@@ -243,8 +242,6 @@ pub fn print_store_stats(label: &str, s: &fabric_common::StoreStats) {
         s.wal_records,
         s.wal_fsyncs,
         s.multi_get_keys as f64 / blocks,
-        s.lanes_used,
-        s.chain_serializations,
     );
 }
 

@@ -324,9 +324,7 @@ impl ChaosNet {
                     config.early_abort_simulation,
                     CostModel::raw(),
                 );
-                peer = peer
-                    .with_validation_pool(Arc::clone(&pool))
-                    .with_commit_lanes(config.commit_lanes);
+                peer = peer.with_validation_pool(Arc::clone(&pool));
                 if slots.is_empty() {
                     peer = peer
                         .with_reporting(counters.clone(), latency.clone())
@@ -774,9 +772,7 @@ impl ChaosNet {
             self.config.early_abort_simulation,
             CostModel::raw(),
         );
-        peer = peer
-            .with_validation_pool(Arc::clone(&self.pool))
-            .with_commit_lanes(self.config.commit_lanes);
+        peer = peer.with_validation_pool(Arc::clone(&self.pool));
         if idx == 0 {
             peer = peer
                 .with_reporting(self.counters.clone(), self.latency.clone())

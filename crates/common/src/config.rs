@@ -170,16 +170,6 @@ pub struct PipelineConfig {
     /// thread), and schedule digests are unchanged at any setting — the
     /// conformance harness asserts this byte-for-byte.
     pub reorder_workers: usize,
-    /// Worker lanes in the peers' MVCC-validate/commit lane scheduler:
-    /// transactions whose declared read/write sets are disjoint validate
-    /// and apply concurrently on this many lanes, while dependency chains
-    /// execute in block order within a lane. Defaults to the host's
-    /// available parallelism; with `<= 1` the peer runs the sequential
-    /// path unchanged. A non-semantic knob: validation codes, post-state,
-    /// watermark, and block stream are byte-identical at any setting —
-    /// the conformance matrix and the lane differential proptests assert
-    /// this on both state engines.
-    pub commit_lanes: usize,
 }
 
 /// The host's available parallelism (1 if it cannot be determined) — the
@@ -191,12 +181,6 @@ pub fn default_validation_workers() -> usize {
 /// The host's available parallelism (1 if it cannot be determined) — the
 /// default for [`PipelineConfig::reorder_workers`].
 pub fn default_reorder_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// The host's available parallelism (1 if it cannot be determined) — the
-/// default for [`PipelineConfig::commit_lanes`].
-pub fn default_commit_lanes() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
@@ -218,7 +202,6 @@ impl PipelineConfig {
             max_scc_for_enumeration: DEFAULT_MAX_SCC_FOR_ENUMERATION,
             validation_workers: default_validation_workers(),
             reorder_workers: default_reorder_workers(),
-            commit_lanes: default_commit_lanes(),
         }
     }
 
@@ -234,7 +217,6 @@ impl PipelineConfig {
             max_scc_for_enumeration: DEFAULT_MAX_SCC_FOR_ENUMERATION,
             validation_workers: default_validation_workers(),
             reorder_workers: default_reorder_workers(),
-            commit_lanes: default_commit_lanes(),
         }
     }
 
@@ -250,7 +232,6 @@ impl PipelineConfig {
             max_scc_for_enumeration: DEFAULT_MAX_SCC_FOR_ENUMERATION,
             validation_workers: default_validation_workers(),
             reorder_workers: default_reorder_workers(),
-            commit_lanes: default_commit_lanes(),
         }
     }
 
@@ -266,7 +247,6 @@ impl PipelineConfig {
             max_scc_for_enumeration: DEFAULT_MAX_SCC_FOR_ENUMERATION,
             validation_workers: default_validation_workers(),
             reorder_workers: default_reorder_workers(),
-            commit_lanes: default_commit_lanes(),
         }
     }
 
@@ -294,12 +274,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Sets the commit lane-scheduler width and returns `self`.
-    pub fn with_commit_lanes(mut self, lanes: usize) -> Self {
-        self.commit_lanes = lanes;
-        self
-    }
-
     /// Validates the configuration.
     pub fn validate(&self) -> Result<()> {
         self.cutting.validate()?;
@@ -321,9 +295,6 @@ impl PipelineConfig {
         }
         if self.reorder_workers == 0 {
             return Err(Error::Config("reorder_workers must be at least 1".into()));
-        }
-        if self.commit_lanes == 0 {
-            return Err(Error::Config("commit_lanes must be at least 1".into()));
         }
         Ok(())
     }
@@ -437,18 +408,6 @@ mod tests {
         let zero = PipelineConfig::vanilla().with_reorder_workers(0);
         assert!(zero.validate().is_err());
         let zero = PipelineConfig::vanilla().with_max_scc_for_enumeration(0);
-        assert!(zero.validate().is_err());
-    }
-
-    #[test]
-    fn commit_lanes_default_and_knob() {
-        let c = PipelineConfig::fabric_pp();
-        assert_eq!(c.commit_lanes, default_commit_lanes());
-        assert!(c.commit_lanes >= 1);
-        let c = c.with_commit_lanes(4);
-        assert_eq!(c.commit_lanes, 4);
-        assert!(c.validate().is_ok());
-        let zero = PipelineConfig::vanilla().with_commit_lanes(0);
         assert!(zero.validate().is_err());
     }
 

@@ -39,26 +39,22 @@ pub mod crypto;
 pub mod error;
 pub mod gauges;
 pub mod hash;
-pub mod hints;
 pub mod ids;
 pub mod intern;
-pub mod lanes;
 pub mod metrics;
 pub mod rwset;
 pub mod tx;
 
 pub use bitset::BitSet;
 pub use config::{
-    default_commit_lanes, default_reorder_workers, default_validation_workers, BlockCuttingConfig,
+    default_reorder_workers, default_validation_workers, BlockCuttingConfig,
     ConcurrencyMode, CostModel, OrderingPolicy, PipelineConfig, DEFAULT_MAX_SCC_FOR_ENUMERATION,
 };
 pub use crypto::{Signature, SignerRegistry, SigningKey};
 pub use error::{Error, Result};
 pub use hash::{sha256, Digest};
-pub use hints::{DependencyHints, DependencyHintsBuilder};
 pub use ids::{BlockNum, ChannelId, ClientId, Key, OrgId, PeerId, TxId, TxNum, Value, Version};
 pub use intern::KeyTable;
-pub use lanes::{LaneJob, LanePool};
 pub use gauges::{GaugeStats, SubsystemGauges};
 pub use metrics::{
     LatencyBaseline, LatencyRecorder, LatencySummary, Phase, PhaseSummary, PhaseTimers,

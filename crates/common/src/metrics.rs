@@ -460,8 +460,6 @@ struct StoreCountersInner {
     snapshot_read_batches: AtomicU64,
     snapshot_read_keys: AtomicU64,
     gc_trimmed_versions: AtomicU64,
-    lanes_used: AtomicU64,
-    chain_serializations: AtomicU64,
     // Instantaneous engine gauges, refreshed by the engines at block
     // apply; kept out of `StoreStats` so `since`/`merge` stay pure
     // counter arithmetic. The telemetry layer samples these at window
@@ -531,15 +529,6 @@ impl StoreCounters {
         self.inner.gc_trimmed_versions.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Counts one lane-scheduled block commit: `lanes` lanes actually
-    /// occupied (at most the configured width, at most the number of
-    /// dependency components) and `chains` dependency chains of two or
-    /// more transactions that had to serialize within their lane.
-    pub fn record_lane_commit(&self, lanes: u64, chains: u64) {
-        self.inner.lanes_used.fetch_add(lanes, Ordering::Relaxed);
-        self.inner.chain_serializations.fetch_add(chains, Ordering::Relaxed);
-    }
-
     /// Refreshes the instantaneous memtable-size gauge (LSM engine; bytes
     /// buffered and not yet flushed).
     pub fn set_memtable_bytes(&self, bytes: u64) {
@@ -593,8 +582,6 @@ impl StoreCounters {
             snapshot_read_batches: self.inner.snapshot_read_batches.load(Ordering::Relaxed),
             snapshot_read_keys: self.inner.snapshot_read_keys.load(Ordering::Relaxed),
             gc_trimmed_versions: self.inner.gc_trimmed_versions.load(Ordering::Relaxed),
-            lanes_used: self.inner.lanes_used.load(Ordering::Relaxed),
-            chain_serializations: self.inner.chain_serializations.load(Ordering::Relaxed),
         }
     }
 }
@@ -628,12 +615,6 @@ pub struct StoreStats {
     pub snapshot_read_keys: u64,
     /// Superseded versions trimmed from chains by the epoch GC.
     pub gc_trimmed_versions: u64,
-    /// Lanes occupied across all lane-scheduled block commits (bounded by
-    /// the configured `commit_lanes` per block; `0` on sequential paths).
-    pub lanes_used: u64,
-    /// Dependency chains of two or more transactions that serialized
-    /// within a lane, across all lane-scheduled block commits.
-    pub chain_serializations: u64,
 }
 
 impl StoreStats {
@@ -655,8 +636,6 @@ impl StoreStats {
             snapshot_read_batches: self.snapshot_read_batches + other.snapshot_read_batches,
             snapshot_read_keys: self.snapshot_read_keys + other.snapshot_read_keys,
             gc_trimmed_versions: self.gc_trimmed_versions + other.gc_trimmed_versions,
-            lanes_used: self.lanes_used + other.lanes_used,
-            chain_serializations: self.chain_serializations + other.chain_serializations,
         }
     }
 
@@ -687,10 +666,6 @@ impl StoreStats {
             gc_trimmed_versions: self
                 .gc_trimmed_versions
                 .saturating_sub(earlier.gc_trimmed_versions),
-            lanes_used: self.lanes_used.saturating_sub(earlier.lanes_used),
-            chain_serializations: self
-                .chain_serializations
-                .saturating_sub(earlier.chain_serializations),
         }
     }
 }
@@ -716,17 +691,8 @@ pub enum Phase {
     ValidateVscc,
     /// MVCC serializability check of one block (under the state gate).
     ValidateMvcc,
-    /// The parallel-lane portion of the MVCC check alone — from handing
-    /// the partitioned block to the lane workers to the last lane joining
-    /// — a sub-phase of [`Phase::ValidateMvcc`], recorded only when the
-    /// lane scheduler is engaged (`commit_lanes > 1`).
-    MvccLanes,
     /// Batch-applying one block's writes + ledger append.
     Commit,
-    /// The parallel-lane portion of write application alone — a
-    /// sub-phase of [`Phase::Commit`], recorded only when the lane
-    /// scheduler drives the store's lane-aware apply path.
-    ApplyLanes,
 }
 
 /// Per-phase latency histograms for the whole pipeline: one
@@ -743,9 +709,7 @@ pub struct PhaseTimers {
     reorder: LatencyRecorder,
     validate_vscc: LatencyRecorder,
     validate_mvcc: LatencyRecorder,
-    mvcc_lanes: LatencyRecorder,
     commit: LatencyRecorder,
-    apply_lanes: LatencyRecorder,
 }
 
 impl PhaseTimers {
@@ -767,9 +731,7 @@ impl PhaseTimers {
             Phase::Reorder => &self.reorder,
             Phase::ValidateVscc => &self.validate_vscc,
             Phase::ValidateMvcc => &self.validate_mvcc,
-            Phase::MvccLanes => &self.mvcc_lanes,
             Phase::Commit => &self.commit,
-            Phase::ApplyLanes => &self.apply_lanes,
         }
     }
 
@@ -783,9 +745,7 @@ impl PhaseTimers {
             Phase::Reorder,
             Phase::ValidateVscc,
             Phase::ValidateMvcc,
-            Phase::MvccLanes,
             Phase::Commit,
-            Phase::ApplyLanes,
         ] {
             self.recorder(phase).merge(other.recorder(phase));
         }
@@ -799,9 +759,7 @@ impl PhaseTimers {
             reorder: self.reorder.summary(),
             validate_vscc: self.validate_vscc.summary(),
             validate_mvcc: self.validate_mvcc.summary(),
-            mvcc_lanes: self.mvcc_lanes.summary(),
             commit: self.commit.summary(),
-            apply_lanes: self.apply_lanes.summary(),
         }
     }
 }
@@ -819,28 +777,20 @@ pub struct PhaseSummary {
     pub validate_vscc: LatencySummary,
     /// Per-block MVCC check.
     pub validate_mvcc: LatencySummary,
-    /// Per-block parallel-lane MVCC portion (sub-phase of
-    /// `validate_mvcc`; empty on sequential paths).
-    pub mvcc_lanes: LatencySummary,
     /// Per-block write application + ledger append.
     pub commit: LatencySummary,
-    /// Per-block parallel-lane apply portion (sub-phase of `commit`;
-    /// empty on sequential paths).
-    pub apply_lanes: LatencySummary,
 }
 
 impl PhaseSummary {
     /// `(label, summary)` rows in pipeline order, for table printing.
-    pub fn rows(&self) -> [(&'static str, LatencySummary); 8] {
+    pub fn rows(&self) -> [(&'static str, LatencySummary); 6] {
         [
             ("endorse", self.endorse),
             ("order", self.order),
             ("order-reorder", self.reorder),
             ("validate-vscc", self.validate_vscc),
             ("validate-mvcc", self.validate_mvcc),
-            ("validate-mvcc-lanes", self.mvcc_lanes),
             ("commit", self.commit),
-            ("commit-apply-lanes", self.apply_lanes),
         ]
     }
 }
@@ -926,39 +876,6 @@ mod tests {
         assert_eq!(d.shard_lock_acquisitions, 2);
         assert_eq!(d.multi_get_batches, 1);
         assert_eq!(d.multi_get_keys, 5);
-    }
-
-    #[test]
-    fn store_counters_track_lane_commits() {
-        let c = StoreCounters::new();
-        c.record_lane_commit(4, 2);
-        c.record_lane_commit(1, 0);
-        let a = c.snapshot();
-        assert_eq!(a.lanes_used, 5);
-        assert_eq!(a.chain_serializations, 2);
-        c.record_lane_commit(3, 1);
-        let d = c.snapshot().since(&a);
-        assert_eq!(d.lanes_used, 3);
-        assert_eq!(d.chain_serializations, 1);
-        let m = a.merge(&d);
-        assert_eq!(m.lanes_used, 8);
-        assert_eq!(m.chain_serializations, 3);
-    }
-
-    #[test]
-    fn phase_timers_cover_lane_subphases() {
-        let t = PhaseTimers::new();
-        t.record(Phase::MvccLanes, Duration::from_millis(1));
-        t.record(Phase::ApplyLanes, Duration::from_millis(2));
-        let u = PhaseTimers::new();
-        u.merge(&t);
-        let s = u.summary();
-        assert_eq!(s.mvcc_lanes.count, 1);
-        assert_eq!(s.apply_lanes.count, 1);
-        let rows = s.rows();
-        assert_eq!(rows.len(), 8);
-        assert!(rows.iter().any(|(l, _)| *l == "validate-mvcc-lanes"));
-        assert!(rows.iter().any(|(l, _)| *l == "commit-apply-lanes"));
     }
 
     #[test]

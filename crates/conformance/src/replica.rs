@@ -47,11 +47,6 @@ pub struct ReplicaSpec {
     /// per key (multi-version snapshot depth); `None`: engine default.
     /// Retention is non-semantic, so any two settings must replicate.
     pub retained_versions: Option<usize>,
-    /// Commit-lane count (`PipelineConfig::commit_lanes`): the
-    /// dependency-aware parallel validation + commit path when > 1.
-    /// The lane count is non-semantic — every cell must produce the same
-    /// byte stream as the sequential baseline.
-    pub commit_lanes: usize,
     /// Whether the windowed time-series telemetry hub is attached.
     /// Telemetry is observation only, so a telemetry-on cell must
     /// replicate the baseline byte-for-byte — this is the proof obligation
@@ -71,7 +66,6 @@ impl ReplicaSpec {
             engine: EngineKind::Memory,
             consensus_replicas: None,
             retained_versions: None,
-            commit_lanes: 1,
             telemetry: false,
         }
     }
@@ -106,17 +100,6 @@ impl ReplicaSpec {
         ReplicaSpec { label, retained_versions: Some(n), ..Self::baseline() }
     }
 
-    /// Baseline validating + committing on `n` commit lanes.
-    pub fn lanes(label: &'static str, n: usize) -> Self {
-        ReplicaSpec { label, commit_lanes: n, ..Self::baseline() }
-    }
-
-    /// Commit lanes with the flight recorder attached: proves the lane
-    /// path replays conflict provenance events byte-for-byte too.
-    pub fn lanes_traced(label: &'static str, n: usize) -> Self {
-        ReplicaSpec { label, commit_lanes: n, traced: true, ..Self::baseline() }
-    }
-
     /// Baseline with the windowed telemetry hub attached: proves telemetry
     /// is observation only (byte-identical artifacts to the baseline).
     pub fn telemetry() -> Self {
@@ -141,7 +124,6 @@ pub fn run_replica(fixture: &Fixture, spec: &ReplicaSpec) -> Result<ReplicaArtif
     let mut config = fixture.config();
     config.validation_workers = spec.validation_workers;
     config.reorder_workers = spec.reorder_workers;
-    config.commit_lanes = spec.commit_lanes;
 
     let sink = if spec.traced { TraceSink::bounded(1 << 16) } else { TraceSink::disabled() };
     let tmp = match spec.engine {

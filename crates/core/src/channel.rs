@@ -59,9 +59,6 @@ pub struct PeerContext {
     pub concurrency: ConcurrencyMode,
     /// Whether simulations early-abort on stale reads.
     pub early_abort_simulation: bool,
-    /// Commit-lane count (`commit_lanes` pipeline knob); restarted peers
-    /// keep the same lane configuration as the peers they replace.
-    pub commit_lanes: usize,
     /// Cryptographic cost model.
     pub cost: CostModel,
     /// Seed the deterministic per-peer signing keys were derived from.
@@ -384,9 +381,7 @@ impl ChannelRuntime {
             self.ctx.early_abort_simulation,
             self.ctx.cost,
         );
-        peer = peer
-            .with_validation_pool(Arc::clone(&self.ctx.pool))
-            .with_commit_lanes(self.ctx.commit_lanes);
+        peer = peer.with_validation_pool(Arc::clone(&self.ctx.pool));
         if let Some((counters, latency, timers)) = reporting {
             peer = peer
                 .with_reporting(counters, latency)

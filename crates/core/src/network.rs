@@ -244,9 +244,7 @@ impl NetworkBuilder {
                         self.pipeline.early_abort_simulation,
                         self.cost,
                     );
-                    peer = peer
-                        .with_validation_pool(Arc::clone(&pool))
-                        .with_commit_lanes(self.pipeline.commit_lanes);
+                    peer = peer.with_validation_pool(Arc::clone(&pool));
                     // First peer of each channel reports outcomes/latency.
                     if peers.is_empty() {
                         peer = peer
@@ -268,7 +266,6 @@ impl NetworkBuilder {
                 policy: policy.clone(),
                 concurrency: self.pipeline.concurrency,
                 early_abort_simulation: self.pipeline.early_abort_simulation,
-                commit_lanes: self.pipeline.commit_lanes,
                 cost: self.cost,
                 key_seed: self.seed,
                 pool: Arc::clone(&pool),

@@ -128,8 +128,7 @@ impl SyncNet {
                     config.concurrency,
                     config.early_abort_simulation,
                     CostModel::raw(),
-                )
-                .with_commit_lanes(config.commit_lanes);
+                );
                 if peers.is_empty() {
                     peer = peer
                         .with_reporting(counters.clone(), latency.clone())
@@ -255,8 +254,7 @@ impl SyncNet {
             self.config.concurrency,
             self.config.early_abort_simulation,
             CostModel::raw(),
-        )
-        .with_commit_lanes(self.config.commit_lanes);
+        );
         if idx == 0 {
             // Blocks missed while down were never counted, so replaying
             // them through the restored reporting peer keeps totals exact.
@@ -378,12 +376,7 @@ impl SyncNet {
             if self.down[i] {
                 continue; // crashed peers miss the block entirely
             }
-            // Immediate delivery: the sealer's dependency hints ride along
-            // so lane-configured peers reuse the conflict analysis instead
-            // of re-interning the block. (Archive catch-up after a restart
-            // passes no hints — the scheduler rebuilds them, identically.)
-            let committed =
-                peer.process_block_with_hints(ordered.block.clone(), ordered.hints.clone())?;
+            let committed = peer.process_block(ordered.block.clone())?;
             if let Some(log) = &mut self.block_logs[i] {
                 log.append(&committed)?;
                 log.sync()?;

@@ -21,13 +21,11 @@
 //! which is what the deterministic harnesses (sync/chaos) keep calling —
 //! their block streams and schedule digests are untouched by the pipeline.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fabric_common::rwset::ReadWriteSet;
 use fabric_common::{
-    DependencyHints, DependencyHintsBuilder, Digest, OrderingPolicy, PipelineConfig, Transaction,
-    TxCounters, ValidationCode,
+    Digest, OrderingPolicy, PipelineConfig, Transaction, TxCounters, ValidationCode,
 };
 use fabric_ledger::Block;
 use fabric_reorder::{reorder_with, ReorderConfig, ReorderOutput, ReorderScratch, ReorderStats};
@@ -45,12 +43,6 @@ pub struct OrderedBlock {
     pub early_aborted: Vec<(Transaction, ValidationCode)>,
     /// Reordering diagnostics (zeros under the arrival policy).
     pub reorder_stats: ReorderStats,
-    /// The reorderer's conflict analysis carried forward for the peer's
-    /// lane scheduler (see [`fabric_common::hints`]). Process-local and
-    /// advisory: `None` under the arrival policy and on every rebuild
-    /// path (recovery, delayed delivery), and never serialized — the
-    /// block's byte format is identical with or without it.
-    pub hints: Option<Arc<DependencyHints>>,
 }
 
 /// Reusable per-worker scratch for [`BatchPrep::prepare_with`]: the early
@@ -60,10 +52,6 @@ pub struct PrepScratch {
     early: EarlyAbortScratch,
     reorder: ReorderScratch,
     out: ReorderOutput,
-    /// Original batch index → block position of the latest schedule.
-    pos_of: Vec<u32>,
-    /// Survivor-graph edges in original indices, before remapping.
-    edges: Vec<(u32, u32)>,
 }
 
 /// The outcome of the per-batch stage, ready to be sealed into a block.
@@ -79,10 +67,6 @@ pub struct BatchPlan {
     pub reorder_elapsed: Duration,
     /// Time spent in the rest of the stage (early abort, partitioning).
     pub prepare_elapsed: Duration,
-    /// Conflict analysis for the lane scheduler; see
-    /// [`OrderedBlock::hints`]. Built exactly once per prepared batch and
-    /// shared by reference from seal to commit.
-    pub hints: Option<Arc<DependencyHints>>,
 }
 
 /// The stateless per-batch stage of the ordering service: early abort and
@@ -167,7 +151,6 @@ impl BatchPrep {
 
         let mut stats = ReorderStats::default();
         let mut reorder_elapsed = Duration::ZERO;
-        let mut hints = None;
         let ordered = match self.policy {
             OrderingPolicy::Arrival => survivors,
             OrderingPolicy::Reorder => {
@@ -176,7 +159,6 @@ impl BatchPrep {
                 reorder_with(&sets, &self.reorder_cfg, &mut scratch.reorder, &mut scratch.out);
                 reorder_elapsed = t_reorder.elapsed();
                 stats = scratch.out.stats;
-                hints = Some(build_hints(scratch));
                 // Partition: move aborted out, arrange the rest by schedule.
                 let mut slots: Vec<Option<Transaction>> =
                     survivors.into_iter().map(Some).collect();
@@ -207,35 +189,8 @@ impl BatchPrep {
             stats,
             reorder_elapsed,
             prepare_elapsed: t_start.elapsed().saturating_sub(reorder_elapsed),
-            hints,
         }
     }
-}
-
-/// Packages the reorderer's conflict analysis — the interned read/write
-/// ids of every scheduled transaction (in block order) and the survivor
-/// graph's dependency edges (remapped to block positions) — as the
-/// [`DependencyHints`] the lane scheduler consumes at commit. Called once
-/// per prepared batch, immediately after [`reorder_with`], while the
-/// arena still holds that batch.
-fn build_hints(scratch: &mut PrepScratch) -> Arc<DependencyHints> {
-    let PrepScratch { reorder, out, pos_of, edges, .. } = scratch;
-    let interned = reorder.interned();
-    let mut b = DependencyHintsBuilder::with_capacity(out.schedule.len());
-    for &i in &out.schedule {
-        b.push_tx(interned.reads(i), interned.writes(i));
-    }
-    pos_of.clear();
-    pos_of.resize(interned.len(), u32::MAX);
-    for (pos, &i) in out.schedule.iter().enumerate() {
-        pos_of[i] = pos as u32;
-    }
-    edges.clear();
-    reorder.survivor_edges_into(out, edges);
-    for &(w, r) in edges.iter() {
-        b.push_edge(pos_of[w as usize], pos_of[r as usize]);
-    }
-    b.finish(interned.n_keys() as u32)
 }
 
 /// Stateful ordering service for one channel: consumes batches, emits
@@ -311,7 +266,7 @@ impl OrderingService {
     /// plan is a pure function of the batch, and numbering/chaining happen
     /// only here.
     pub fn seal(&mut self, plan: BatchPlan) -> Option<OrderedBlock> {
-        let BatchPlan { ordered, early_aborted, stats, reorder_elapsed, hints, .. } = plan;
+        let BatchPlan { ordered, early_aborted, stats, reorder_elapsed, .. } = plan;
         if let Some(c) = &self.counters {
             for (_, code) in &early_aborted {
                 c.record_outcome(*code);
@@ -334,7 +289,7 @@ impl OrderingService {
                 reorder_us: reorder_elapsed.as_micros() as u64,
             });
         }
-        Some(OrderedBlock { block, early_aborted, reorder_stats: stats, hints })
+        Some(OrderedBlock { block, early_aborted, reorder_stats: stats })
     }
 
     /// Orders one cut batch into a block: [`BatchPrep::prepare`] +
@@ -428,8 +383,12 @@ mod tests {
         let t0 = mk_tx(&[(0, g())], &[1]);
         let t1 = mk_tx(&[(1, g())], &[0]);
         let t0_id = t0.id;
-        let ob = svc.order_batch(vec![t0, t1]).expect("one survivor forms a block");
-        assert_eq!(ob.block.txs.len(), 1);
+        // Plus a dependent writer/reader pair off the cycle: both survive.
+        let writer = mk_tx(&[], &[5]);
+        let reader = mk_tx(&[(5, g())], &[6]);
+        let ob =
+            svc.order_batch(vec![t0, t1, writer, reader]).expect("survivors form a block");
+        assert_eq!(ob.block.txs.len(), 3);
         assert_eq!(ob.early_aborted.len(), 1);
         assert_eq!(ob.early_aborted[0].0.id, t0_id);
         assert_eq!(ob.early_aborted[0].1, ValidationCode::EarlyAbortCycle);
@@ -535,71 +494,6 @@ mod tests {
             a.early_aborted.iter().map(|(t, c)| (t.id, *c)).collect::<Vec<_>>(),
             b.early_aborted.iter().map(|(t, c)| (t.id, *c)).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn arrival_policy_carries_no_hints() {
-        let mut svc = OrderingService::new(&PipelineConfig::vanilla());
-        let ob = svc.order_batch(vec![mk_tx(&[(0, g())], &[1])]).expect("block");
-        assert!(ob.hints.is_none());
-    }
-
-    #[test]
-    fn reorder_policy_attaches_aligned_dependency_hints() {
-        // Table 1 scenario plus a 2-cycle: the sealed block carries hints
-        // whose CSR rows align 1:1 with the block's transactions and whose
-        // edges name real write→read conflicts in block positions.
-        let mut svc = OrderingService::new(&PipelineConfig::fabric_pp());
-        let mut batch = vec![mk_tx(&[], &[1])];
-        batch.extend((0..3).map(|i| mk_tx(&[(1, g())], &[10 + i])));
-        batch.push(mk_tx(&[(20, g())], &[21]));
-        batch.push(mk_tx(&[(21, g())], &[20]));
-        let ob = svc.order_batch(batch).expect("block");
-        let hints = ob.hints.as_ref().expect("reorder policy carries hints");
-        assert_eq!(hints.len(), ob.block.txs.len());
-        for (p, tx) in ob.block.txs.iter().enumerate() {
-            assert_eq!(hints.reads(p).len(), tx.rwset.reads.len());
-            assert_eq!(hints.writes(p).len(), tx.rwset.writes.len());
-            // Same row ↔ same rwset: equal keys must intern to equal ids.
-            for (id, key) in hints.reads(p).iter().zip(tx.rwset.reads.keys()) {
-                for (id2, key2) in hints.writes(p).iter().zip(tx.rwset.writes.keys()) {
-                    assert_eq!(id == id2, key == key2);
-                }
-            }
-        }
-        assert!(!hints.edges().is_empty(), "writer→reader conflicts exist");
-        for &(w, r) in hints.edges() {
-            let wset = &ob.block.txs[w as usize].rwset.writes;
-            let rset = &ob.block.txs[r as usize].rwset.reads;
-            assert!(
-                wset.keys().any(|k| rset.reads(k)),
-                "edge ({w},{r}) must name a real write→read conflict"
-            );
-        }
-    }
-
-    #[test]
-    fn hints_survive_cycle_aborts_with_block_positions() {
-        // One 2-cycle (one abort) plus a dependent pair: edge endpoints
-        // must be positions in the *sealed block*, not batch indices.
-        let mut svc = OrderingService::new(&PipelineConfig::fabric_pp());
-        let batch = vec![
-            mk_tx(&[(0, g())], &[1]), // cycle member (aborted)
-            mk_tx(&[(1, g())], &[0]), // cycle member (survives)
-            mk_tx(&[], &[5]),         // writer
-            mk_tx(&[(5, g())], &[6]), // reader of the writer
-        ];
-        let ob = svc.order_batch(batch).expect("block");
-        assert_eq!(ob.early_aborted.len(), 1);
-        let hints = ob.hints.as_ref().expect("hints");
-        assert_eq!(hints.len(), ob.block.txs.len());
-        let n = hints.len() as u32;
-        for &(w, r) in hints.edges() {
-            assert!(w < n && r < n);
-            let wset = &ob.block.txs[w as usize].rwset.writes;
-            let rset = &ob.block.txs[r as usize].rwset.reads;
-            assert!(wset.keys().any(|k| rset.reads(k)));
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use fabric_common::{Phase, PhaseTimers, Result, TxNum, ValidationCode};
+use fabric_common::{Result, TxNum, ValidationCode};
 use fabric_ledger::{CommittedBlock, Ledger};
 use fabric_statedb::{StateStore, WriteBatch, WriteRef};
 use fabric_trace::{EventKind, TraceSink};
@@ -40,42 +40,6 @@ pub fn commit_block_traced(
     ledger: &Ledger,
     sink: &TraceSink,
 ) -> Result<Arc<CommittedBlock>> {
-    commit_block_inner(block, codes, ledger, sink, |batch| store.apply_write_batch(batch))
-}
-
-/// [`commit_block_traced`] with the state-database apply running on the
-/// caller's [`fabric_common::LanePool`] via
-/// [`StateStore::apply_write_batch_lanes`] —
-/// same observable result (the lane count is never semantic), shard
-/// installs spread over the persistent commit lanes for engines that
-/// support it. When `timers` is attached, the state-apply portion is
-/// recorded under the [`Phase::ApplyLanes`] sub-phase.
-pub fn commit_block_traced_lanes(
-    block: fabric_ledger::Block,
-    codes: Vec<ValidationCode>,
-    store: &dyn StateStore,
-    ledger: &Ledger,
-    sink: &TraceSink,
-    pool: &fabric_common::LanePool,
-    timers: Option<&PhaseTimers>,
-) -> Result<Arc<CommittedBlock>> {
-    commit_block_inner(block, codes, ledger, sink, |batch| {
-        let t0 = Instant::now();
-        let applied = store.apply_write_batch_lanes(batch, pool);
-        if let Some(t) = timers {
-            t.record(Phase::ApplyLanes, t0.elapsed());
-        }
-        applied
-    })
-}
-
-fn commit_block_inner(
-    block: fabric_ledger::Block,
-    codes: Vec<ValidationCode>,
-    ledger: &Ledger,
-    sink: &TraceSink,
-    apply: impl FnOnce(&WriteBatch<'_>) -> Result<()>,
-) -> Result<Arc<CommittedBlock>> {
     let t_start = Instant::now();
     let committed = CommittedBlock::new(block, codes)?;
 
@@ -89,7 +53,7 @@ fn commit_block_inner(
         }
     }
     let writes = batch.len() as u32;
-    apply(&batch)?;
+    store.apply_write_batch(&batch)?;
     drop(batch);
     let handle = ledger.append(committed)?;
     if sink.is_enabled() {

@@ -32,7 +32,6 @@
 pub mod chaincode;
 pub mod committer;
 pub mod endorser;
-pub mod lanes;
 pub mod peer;
 pub mod recovery;
 pub mod validation_pool;
@@ -40,7 +39,6 @@ pub mod validator;
 
 pub use chaincode::{Chaincode, ChaincodeRegistry, SimulationError, TxContext};
 pub use endorser::{EndorsementResponse, Endorser};
-pub use lanes::{LaneOccupancy, LaneScheduler};
 pub use peer::{PendingBlock, Peer};
 pub use validation_pool::{PendingChecks, ValidationPool};
 pub use validator::{validate_block, EndorsementPolicy, PolicyExpr};

@@ -6,9 +6,8 @@ use std::time::Instant;
 use parking_lot::{Mutex, RwLock};
 
 use fabric_common::{
-    ConcurrencyMode, CostModel, DependencyHints, LatencyRecorder, OrgId, PeerId, Phase,
-    PhaseTimers, Result, SignerRegistry, SigningKey, SubsystemGauges, TransactionProposal,
-    TxCounters, ValidationCode,
+    ConcurrencyMode, CostModel, LatencyRecorder, OrgId, PeerId, Phase, PhaseTimers, Result,
+    SignerRegistry, SigningKey, SubsystemGauges, TransactionProposal, TxCounters, ValidationCode,
 };
 use fabric_telemetry::TelemetryHub;
 use fabric_ledger::{Block, CommittedBlock, Ledger};
@@ -16,9 +15,8 @@ use fabric_statedb::{CommitWrite, StateStore};
 use fabric_trace::{EventKind, TraceSink};
 
 use crate::chaincode::{ChaincodeRegistry, SimulationError};
-use crate::committer::{commit_block_traced, commit_block_traced_lanes};
+use crate::committer::commit_block_traced;
 use crate::endorser::{EndorsementResponse, Endorser};
-use crate::lanes::LaneScheduler;
 use crate::validation_pool::{PendingChecks, ValidationPool};
 use crate::validator::{EndorsementPolicy, MvccScratch};
 
@@ -58,11 +56,6 @@ pub struct Peer {
     /// reporting peer should carry an enabled sink, so network-wide event
     /// streams are not multiplied by the peer count.
     sink: TraceSink,
-    /// Dependency-aware lane scheduler for the MVCC + commit phases;
-    /// `None` (sequential) unless `commit_lanes > 1` was configured. The
-    /// lane count is never semantic: both paths produce byte-identical
-    /// validation codes, post-state, and traced events.
-    lanes: Option<LaneScheduler>,
     /// Shared subsystem gauges; disabled (`None`) by default. Endorsements
     /// bump the endorsement counter the telemetry layer windows over.
     gauges: Option<SubsystemGauges>,
@@ -118,7 +111,6 @@ impl Peer {
             timers: None,
             mvcc_scratch: Mutex::new(MvccScratch::new()),
             sink: TraceSink::disabled(),
-            lanes: None,
             gauges: None,
             telemetry: TelemetryHub::disabled(),
         }
@@ -204,14 +196,6 @@ impl Peer {
     /// to per-replica duplicates of it.
     pub fn with_telemetry(mut self, hub: TelemetryHub) -> Self {
         self.telemetry = hub;
-        self
-    }
-
-    /// Configures dependency-aware parallel validation + commit on `lanes`
-    /// worker lanes (the `commit_lanes` pipeline knob). `lanes <= 1` keeps
-    /// the sequential path; the result is byte-identical either way.
-    pub fn with_commit_lanes(mut self, lanes: usize) -> Self {
-        self.lanes = (lanes > 1).then(|| LaneScheduler::new(lanes));
         self
     }
 
@@ -310,20 +294,6 @@ impl Peer {
         self.commit_validated(self.begin_block_validation(block))
     }
 
-    /// [`Peer::process_block`] with the sealer's [`DependencyHints`]
-    /// attached: when the peer runs commit lanes, the hints let it reuse
-    /// the ordering service's conflict analysis instead of re-interning
-    /// the block. Pass `None` where no hints survive (archive catch-up,
-    /// recovery) — the scheduler rebuilds them and the result is
-    /// identical.
-    pub fn process_block_with_hints(
-        &self,
-        block: Block,
-        hints: Option<Arc<DependencyHints>>,
-    ) -> Result<Arc<CommittedBlock>> {
-        self.commit_validated_with_hints(self.begin_block_validation(block), hints)
-    }
-
     /// Starts phase-1 validation (endorsement signatures) of `block` on the
     /// peer's validation pool and returns without waiting.
     ///
@@ -340,17 +310,6 @@ impl Peer {
     /// [`Peer::begin_block_validation`]: join the signature checks, run the
     /// MVCC check under the state gate, commit.
     pub fn commit_validated(&self, pending: PendingBlock) -> Result<Arc<CommittedBlock>> {
-        self.commit_validated_with_hints(pending, None)
-    }
-
-    /// [`Peer::commit_validated`] with optional sealer [`DependencyHints`]
-    /// for the lane scheduler (ignored on the sequential path, where the
-    /// block-order scan needs no partition).
-    pub fn commit_validated_with_hints(
-        &self,
-        pending: PendingBlock,
-        hints: Option<Arc<DependencyHints>>,
-    ) -> Result<Arc<CommittedBlock>> {
         let PendingBlock { block, checks, begun } = pending;
         let endorsement_ok = checks.wait();
         if let Some(t) = &self.timers {
@@ -374,31 +333,14 @@ impl Peer {
 
         let t0 = Instant::now();
         let mut codes = Vec::with_capacity(block.txs.len());
-        if let Some(sched) = &self.lanes {
-            let occ = sched.validate(
-                &block,
-                self.store.as_ref(),
-                &endorsement_ok,
-                hints.as_deref(),
-                &mut codes,
-                &self.sink,
-            )?;
-            self.store.counters().record_lane_commit(occ.lanes_used, occ.chain_serializations);
-            if let Some(t) = &self.timers {
-                // The whole MVCC phase ran on the lanes: the sub-phase and
-                // the parent total coincide by construction.
-                t.record(Phase::MvccLanes, t0.elapsed());
-            }
-        } else {
-            crate::validator::mvcc_validate_traced(
-                &block,
-                self.store.as_ref(),
-                &endorsement_ok,
-                &mut self.mvcc_scratch.lock(),
-                &mut codes,
-                &self.sink,
-            )?;
-        }
+        crate::validator::mvcc_validate_traced(
+            &block,
+            self.store.as_ref(),
+            &endorsement_ok,
+            &mut self.mvcc_scratch.lock(),
+            &mut codes,
+            &self.sink,
+        )?;
         if let Some(t) = &self.timers {
             t.record(Phase::ValidateMvcc, t0.elapsed());
         }
@@ -414,20 +356,8 @@ impl Peer {
 
         let block = Arc::try_unwrap(block).unwrap_or_else(|b| (*b).clone());
         let t0 = Instant::now();
-        let committed = match &self.lanes {
-            Some(sched) => commit_block_traced_lanes(
-                block,
-                codes,
-                self.store.as_ref(),
-                &self.ledger,
-                &self.sink,
-                sched.pool(),
-                self.timers.as_ref(),
-            )?,
-            None => {
-                commit_block_traced(block, codes, self.store.as_ref(), &self.ledger, &self.sink)?
-            }
-        };
+        let committed =
+            commit_block_traced(block, codes, self.store.as_ref(), &self.ledger, &self.sink)?;
         if let Some(t) = &self.timers {
             t.record(Phase::Commit, t0.elapsed());
         }
@@ -773,9 +703,18 @@ mod tests {
             &[Key::from("balB")],
             &Value::from_i64(80),
         ));
-        let block1 = Block::build(1, seq_peer.ledger().tip_hash(), vec![tx1]);
+        // Intra-block conflict: tx3 reads balA at the stale genesis version
+        // after tx1 wrote it earlier in the same block.
+        let tx3 = mk_tx(fabric_common::rwset::rwset_from_keys(
+            &[Key::from("balA")],
+            fabric_common::Version::GENESIS,
+            &[Key::from("balB")],
+            &Value::from_i64(99),
+        ));
+        let block1 = Block::build(1, seq_peer.ledger().tip_hash(), vec![tx1, tx3]);
         let c1 = seq_peer.process_block(block1.clone()).unwrap();
-        assert_eq!(c1.validity, vec![ValidationCode::Valid]);
+        let codes1 = vec![ValidationCode::Valid, ValidationCode::MvccConflict];
+        assert_eq!(c1.validity, codes1);
         let block2 = Block::build(2, seq_peer.ledger().tip_hash(), vec![tx2]);
         seq_peer.process_block(block2.clone()).unwrap();
 
@@ -786,87 +725,15 @@ mod tests {
         assert_eq!(p2.block().header.number, 2);
         let c1 = pipe_peer.commit_validated(p1).unwrap();
         let c2 = pipe_peer.commit_validated(p2).unwrap();
-        assert_eq!(c1.validity, vec![ValidationCode::Valid]);
+        assert_eq!(c1.validity, codes1);
         assert_eq!(c2.validity, vec![ValidationCode::Valid]);
         assert_eq!(pipe_peer.ledger().tip_hash(), seq_peer.ledger().tip_hash());
-        assert_eq!(
-            pipe_peer.store().get(&Key::from("balA")).unwrap().unwrap().value,
-            seq_peer.store().get(&Key::from("balA")).unwrap().unwrap().value,
-        );
-    }
-
-    /// A lane-configured peer processes the same block stream as a
-    /// sequential peer and ends byte-identical: same validity codes, same
-    /// chain tip, same state — the `commit_lanes` knob is non-semantic.
-    #[test]
-    fn lane_peer_matches_sequential_peer() {
-        let registry = SignerRegistry::new();
-        let seq_peer = mk_peer(1, 1, &registry);
-        let lane_peer = mk_peer(2, 2, &registry).with_commit_lanes(4);
-        seq_peer.install_genesis(&genesis()).unwrap();
-        lane_peer.install_genesis(&genesis()).unwrap();
-
-        let mk_tx = |rwset: fabric_common::rwset::ReadWriteSet| {
-            let id = TxId::next();
-            let payload = Transaction::signing_payload(id, ChannelId(0), "transfer", &rwset);
-            let endorsements = [(PeerId(1), OrgId(1)), (PeerId(2), OrgId(2))]
-                .iter()
-                .map(|&(p, org)| Endorsement {
-                    peer: p,
-                    org,
-                    signature: SigningKey::for_peer(p, 11).sign_iterated(&[&payload], 1),
-                })
-                .collect();
-            Transaction {
-                id,
-                channel: ChannelId(0),
-                client: ClientId(0),
-                chaincode: "transfer".into(),
-                rwset,
-                endorsements,
-                created_at: Instant::now(),
-            }
-        };
-        // Two independent writers plus an intra-block conflict: tx3 reads
-        // balA at the stale genesis version after tx1 wrote it.
-        let tx1 = mk_tx(fabric_common::rwset::rwset_from_keys(
-            &[Key::from("balA")],
-            fabric_common::Version::GENESIS,
-            &[Key::from("balA")],
-            &Value::from_i64(70),
-        ));
-        let tx2 = mk_tx(fabric_common::rwset::rwset_from_keys(
-            &[],
-            fabric_common::Version::GENESIS,
-            &[Key::from("balB")],
-            &Value::from_i64(80),
-        ));
-        let tx3 = mk_tx(fabric_common::rwset::rwset_from_keys(
-            &[Key::from("balA")],
-            fabric_common::Version::GENESIS,
-            &[Key::from("balB")],
-            &Value::from_i64(99),
-        ));
-        let block = Block::build(1, seq_peer.ledger().tip_hash(), vec![tx1, tx2, tx3]);
-        let c_seq = seq_peer.process_block(block.clone()).unwrap();
-        let c_lane = lane_peer.process_block_with_hints(block, None).unwrap();
-        assert_eq!(c_seq.validity, c_lane.validity);
-        assert_eq!(
-            c_seq.validity,
-            vec![ValidationCode::Valid, ValidationCode::Valid, ValidationCode::MvccConflict]
-        );
-        assert_eq!(seq_peer.ledger().tip_hash(), lane_peer.ledger().tip_hash());
         for key in ["balA", "balB"] {
             assert_eq!(
+                pipe_peer.store().get(&Key::from(key)).unwrap(),
                 seq_peer.store().get(&Key::from(key)).unwrap(),
-                lane_peer.store().get(&Key::from(key)).unwrap(),
             );
         }
-        let stats = lane_peer.store().counters().snapshot();
-        assert!(stats.lanes_used >= 1);
-        // One chain: tx3 reads tx1's balA write, and tx2/tx3 co-write
-        // balB — 3 txs in 1 chain → two serializations.
-        assert_eq!(stats.chain_serializations, 2);
     }
 
     #[test]

@@ -131,7 +131,7 @@ pub fn check_endorsement(
     policy.satisfied_by(tx) && verify_signatures(tx, registry, cost)
 }
 
-/// Reusable working state for [`mvcc_validate_into`]: the key interner,
+/// Reusable working state for [`mvcc_validate_traced`]: the key interner,
 /// the deduped probe list, the prefetched version table, and the in-block
 /// write bitset. All four retain their capacity across blocks, so a warm
 /// validator runs the whole MVCC phase without allocating
@@ -183,17 +183,8 @@ impl MvccScratch {
 /// it), and pass 2 — the sequential in-block dependency scan — runs
 /// entirely against the cached table, tracking in-block writes in a dense
 /// bitset keyed by interned id.
-pub fn mvcc_validate_into(
-    block: &Block,
-    store: &dyn StateStore,
-    endorsement_ok: &[bool],
-    scratch: &mut MvccScratch,
-    codes: &mut Vec<ValidationCode>,
-) -> Result<()> {
-    mvcc_validate_traced(block, store, endorsement_ok, scratch, codes, &TraceSink::disabled())
-}
-
-/// [`mvcc_validate_into`] with abort provenance: every transaction marked
+///
+/// Abort provenance goes to `sink`: every transaction marked
 /// [`ValidationCode::MvccConflict`] emits one
 /// [`EventKind::TxMvccConflict`] naming the first offending read. A
 /// conflict against an earlier valid transaction *in the same block*
@@ -202,8 +193,7 @@ pub fn mvcc_validate_into(
 /// carries the store's current version as `expected` and `writer: None`.
 /// Endorsement failures emit [`EventKind::TxEndorsementFailed`].
 ///
-/// A disabled `sink` makes this exactly [`mvcc_validate_into`]: same
-/// codes, no witness bookkeeping.
+/// A disabled `sink` yields the same codes with no witness bookkeeping.
 pub fn mvcc_validate_traced(
     block: &Block,
     store: &dyn StateStore,
@@ -311,9 +301,9 @@ pub fn mvcc_validate_traced(
     Ok(())
 }
 
-/// Convenience wrapper over [`mvcc_validate_into`] with fresh scratch
-/// state; pipeline callers that validate block after block hold a
-/// long-lived [`MvccScratch`] instead.
+/// Convenience wrapper over [`mvcc_validate_traced`] with fresh scratch
+/// state and a disabled sink; pipeline callers that validate block after
+/// block hold a long-lived [`MvccScratch`] instead.
 pub fn mvcc_validate(
     block: &Block,
     store: &dyn StateStore,
@@ -321,7 +311,14 @@ pub fn mvcc_validate(
 ) -> Result<Vec<ValidationCode>> {
     let mut scratch = MvccScratch::new();
     let mut codes = Vec::with_capacity(block.txs.len());
-    mvcc_validate_into(block, store, endorsement_ok, &mut scratch, &mut codes)?;
+    mvcc_validate_traced(
+        block,
+        store,
+        endorsement_ok,
+        &mut scratch,
+        &mut codes,
+        &TraceSink::disabled(),
+    )?;
     Ok(codes)
 }
 

@@ -15,8 +15,9 @@ use fabric_common::{
     ChannelId, ClientId, Digest, Key, Transaction, TxId, Value, Version,
 };
 use fabric_ledger::Block;
-use fabric_peer::validator::{mvcc_validate_into, MvccScratch};
+use fabric_peer::validator::{mvcc_validate_traced, MvccScratch};
 use fabric_statedb::{CommitWrite, MemStateDb, StateStore};
+use fabric_trace::TraceSink;
 
 struct CountingAlloc;
 
@@ -90,18 +91,21 @@ fn steady_state_mvcc_validation_does_not_allocate() {
     let endorsement_ok = vec![true; block.txs.len()];
     let mut scratch = MvccScratch::new();
     let mut codes = Vec::new();
+    let sink = TraceSink::disabled();
 
     // Warm-up: interner, probe list, version table, bitset, codes vec all
     // reach steady capacity.
     for _ in 0..4 {
-        mvcc_validate_into(&block, &store, &endorsement_ok, &mut scratch, &mut codes).unwrap();
+        mvcc_validate_traced(&block, &store, &endorsement_ok, &mut scratch, &mut codes, &sink)
+            .unwrap();
     }
     let mix_before: usize = codes.iter().filter(|c| c.is_valid()).count();
     assert!(mix_before > 0 && mix_before < block.txs.len(), "both outcomes exercised");
 
     let before = allocations();
     for _ in 0..8 {
-        mvcc_validate_into(&block, &store, &endorsement_ok, &mut scratch, &mut codes).unwrap();
+        mvcc_validate_traced(&block, &store, &endorsement_ok, &mut scratch, &mut codes, &sink)
+            .unwrap();
     }
     let allocated = allocations() - before;
 

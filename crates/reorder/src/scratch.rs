@@ -292,44 +292,6 @@ impl ReorderScratch {
         Self::default()
     }
 
-    /// The interned batch of the most recent [`crate::reorder_with`]
-    /// call on this arena: every key of the batch replaced by its dense
-    /// `u32` id. This is the id space the seal path carries forward as
-    /// [`fabric_common::DependencyHints`] instead of re-hashing keys.
-    pub fn interned(&self) -> &InternedBatch {
-        &self.batch
-    }
-
-    /// Appends the dependency edges of the most recent
-    /// [`crate::reorder_with`] call's **survivor** conflict graph to
-    /// `edges`, as `(writer, reader)` pairs in *original input indices*.
-    ///
-    /// Must be called with the [`ReorderOutput`] of that same call (it
-    /// selects which pooled graph is current): with no aborts the full
-    /// graph is the survivor graph; with aborts the filtered rebuild over
-    /// the survivors is, and its local node ids are mapped back through
-    /// the survivor list. Appends nothing when the batch was empty or
-    /// conflict-free — consumers must treat absent edges as "derive from
-    /// the interned read/write sets instead", not as independence.
-    pub fn survivor_edges_into(&self, out: &ReorderOutput, edges: &mut Vec<(u32, u32)>) {
-        if out.schedule.is_empty() || out.stats.edges == 0 {
-            return;
-        }
-        if out.aborted.is_empty() {
-            for w in 0..self.graph.len() {
-                for &r in self.graph.children(w) {
-                    edges.push((w as u32, r as u32));
-                }
-            }
-        } else {
-            for lw in 0..self.graph2.len() {
-                for &lr in self.graph2.children(lw) {
-                    edges.push((self.survivors[lw] as u32, self.survivors[lr] as u32));
-                }
-            }
-        }
-    }
-
     /// Total reserved capacity across every pooled buffer, in elements.
     ///
     /// Diagnostics for the scratch-reuse contract: after warm-up on a
@@ -459,69 +421,6 @@ mod tests {
         assert_eq!(b.n_keys(), 2);
         assert_eq!(b.reads(0), &[0], "ids restart from zero per batch");
         assert_eq!(b.writes(0), &[1]);
-    }
-
-    #[test]
-    fn survivor_edges_match_a_fresh_survivor_graph() {
-        // The paper's §5.1.1 example aborts {T0, T2}; the extracted edges
-        // must be exactly the conflict graph over the four survivors,
-        // expressed in original indices.
-        let sets = [
-            tx(&[0, 1], &[2]),
-            tx(&[3, 4, 5], &[0]),
-            tx(&[6, 7], &[3, 9]),
-            tx(&[2, 8], &[1, 4]),
-            tx(&[9], &[5, 6, 8]),
-            tx(&[], &[7]),
-        ];
-        let refs: Vec<&ReadWriteSet> = sets.iter().collect();
-        let mut scratch = ReorderScratch::new();
-        let mut out = ReorderOutput::new();
-        crate::reorder_with(&refs, &crate::ReorderConfig::default(), &mut scratch, &mut out);
-        assert_eq!(out.aborted, vec![0, 2]);
-        let mut edges = Vec::new();
-        scratch.survivor_edges_into(&out, &mut edges);
-        assert!(!edges.is_empty());
-        let survivors: Vec<usize> = vec![1, 3, 4, 5];
-        let survivor_sets: Vec<&ReadWriteSet> = survivors.iter().map(|&i| refs[i]).collect();
-        let fresh = crate::ConflictGraph::build(&survivor_sets);
-        let mut expected: Vec<(u32, u32)> = fresh
-            .edges()
-            .into_iter()
-            .map(|(w, r)| (survivors[w] as u32, survivors[r] as u32))
-            .collect();
-        expected.sort_unstable();
-        edges.sort_unstable();
-        assert_eq!(edges, expected);
-    }
-
-    #[test]
-    fn survivor_edges_empty_on_conflict_free_batch() {
-        let sets: Vec<ReadWriteSet> = (0..6).map(|i| tx(&[2 * i], &[2 * i + 1])).collect();
-        let refs: Vec<&ReadWriteSet> = sets.iter().collect();
-        let mut scratch = ReorderScratch::new();
-        let mut out = ReorderOutput::new();
-        crate::reorder_with(&refs, &crate::ReorderConfig::default(), &mut scratch, &mut out);
-        assert_eq!(out.schedule.len(), 6);
-        let mut edges = Vec::new();
-        scratch.survivor_edges_into(&out, &mut edges);
-        assert!(edges.is_empty());
-    }
-
-    #[test]
-    fn survivor_edges_cover_the_full_graph_when_nothing_aborts() {
-        // Acyclic but conflicting: writer T0 → readers T1, T2. No aborts,
-        // so the full graph is the survivor graph.
-        let sets = [tx(&[], &[0]), tx(&[0], &[1]), tx(&[0], &[2])];
-        let refs: Vec<&ReadWriteSet> = sets.iter().collect();
-        let mut scratch = ReorderScratch::new();
-        let mut out = ReorderOutput::new();
-        crate::reorder_with(&refs, &crate::ReorderConfig::default(), &mut scratch, &mut out);
-        assert!(out.aborted.is_empty());
-        let mut edges = Vec::new();
-        scratch.survivor_edges_into(&out, &mut edges);
-        edges.sort_unstable();
-        assert_eq!(edges, vec![(0, 1), (0, 2)]);
     }
 
     #[test]

@@ -20,11 +20,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use std::sync::OnceLock;
-
-use fabric_common::{
-    BlockNum, Error, Key, LaneJob, LanePool, Result, StoreCounters, Value, Version,
-};
+use fabric_common::{BlockNum, Error, Key, Result, StoreCounters, Value, Version};
 
 use crate::pin::{PinRegistry, StateSnapshot};
 use crate::store::{CommitWrite, SnapshotGet, StateStore, VersionedValue, WriteBatch};
@@ -59,7 +55,7 @@ type Chain = Vec<ChainEntry>;
 
 /// Sharded in-memory versioned key-value store with per-key version chains.
 pub struct MemStateDb {
-    shards: Arc<Vec<RwLock<HashMap<Key, Chain>>>>,
+    shards: Vec<RwLock<HashMap<Key, Chain>>>,
     /// Highest fully-visible block; `u64::MAX` encodes "nothing committed".
     last_block: AtomicU64,
     /// Serializes committers (one block at a time), independent of readers.
@@ -73,59 +69,6 @@ pub struct MemStateDb {
     /// Versions retained per key beyond what live pins require (≥ 1).
     retained: usize,
     counters: StoreCounters,
-    /// Lazily-built shared state for [`StateStore::apply_write_batch_lanes`]:
-    /// one persistent job reused block after block so a warm lane commit
-    /// does not allocate.
-    lane_apply: OnceLock<LaneApplyShared>,
-}
-
-/// The lane-apply job plus its one-time `dyn` coercion (so dispatch never
-/// re-allocates the fat-pointer `Arc`).
-struct LaneApplyShared {
-    job: Arc<ApplyLaneJob>,
-    shared: Arc<dyn LaneJob>,
-}
-
-/// Shared state the commit lanes operate on: an owned copy of the batch
-/// (key/value clones are reference-count bumps, not byte copies) grouped
-/// by shard. Lane `i` installs shards `i, i+lanes, …` — distinct lanes
-/// touch disjoint shards, so the only cross-lane cell is the trim tally.
-struct ApplyLaneJob {
-    shards: Arc<Vec<RwLock<HashMap<Key, Chain>>>>,
-    retained: usize,
-    state: RwLock<ApplyLaneState>,
-}
-
-#[derive(Default)]
-struct ApplyLaneState {
-    /// Owned writes in batch order (chain entries carry the final version).
-    writes: Vec<(Key, ChainEntry)>,
-    /// Per-shard index lists into `writes`.
-    groups: Vec<Vec<u32>>,
-    floor: BlockNum,
-    lanes: usize,
-    trimmed: AtomicU64,
-}
-
-impl LaneJob for ApplyLaneJob {
-    fn run(&self, lane: usize) {
-        let st = self.state.read();
-        let mut trimmed = 0u64;
-        for si in (lane..self.shards.len()).step_by(st.lanes.max(1)) {
-            let group = &st.groups[si];
-            if group.is_empty() {
-                continue;
-            }
-            let mut shard = self.shards[si].write();
-            for &i in group {
-                let (key, entry) = &st.writes[i as usize];
-                trimmed += install_entry(&mut shard, key, entry.clone(), st.floor, self.retained);
-            }
-        }
-        if trimmed > 0 {
-            st.trimmed.fetch_add(trimmed, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Installs one write into a shard map: push the entry at the head of the
@@ -241,14 +184,13 @@ impl MemStateDb {
     pub fn with_config(shards: usize, retained: usize) -> Self {
         let shards = shards.next_power_of_two().max(1);
         MemStateDb {
-            shards: Arc::new((0..shards).map(|_| RwLock::new(HashMap::new())).collect()),
+            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
             last_block: AtomicU64::new(NO_BLOCK),
             commit_lock: parking_lot::Mutex::new(ShardGroups::default()),
             read_scratch: parking_lot::Mutex::new(ShardGroups::default()),
             pins: Arc::new(PinRegistry::new()),
             retained: retained.max(1),
             counters: StoreCounters::new(),
-            lane_apply: OnceLock::new(),
         }
     }
 
@@ -420,74 +362,6 @@ impl StateStore for MemStateDb {
 
         // Publish only after every write is visible (release pairs with the
         // acquire in last_committed_block / snapshot pinning).
-        self.last_block.store(batch.block, Ordering::Release);
-        self.refresh_gauges();
-        Ok(())
-    }
-
-    fn apply_write_batch_lanes(&self, batch: &WriteBatch<'_>, pool: &LanePool) -> Result<()> {
-        if pool.lanes() <= 1 {
-            return self.apply_write_batch(batch);
-        }
-        // Same commit protocol as `apply_write_batch` — ticket, order
-        // check, pre-publication trim floor — but the shard installs run
-        // on the caller's persistent lanes instead of ad-hoc scoped
-        // threads, and the owned batch copy lives in a reusable job so the
-        // warm path does not allocate.
-        let _ticket = self.commit_lock.lock();
-        self.counters.record_commit_ticket();
-        let last = self.last_block.load(Ordering::Acquire);
-        let expected = if last == NO_BLOCK { 0 } else { last + 1 };
-        if batch.block != expected {
-            return Err(Error::InvalidState(format!(
-                "apply_block({}) out of order: expected block {expected}",
-                batch.block
-            )));
-        }
-        let floor = self.gc_floor();
-
-        let entry = self.lane_apply.get_or_init(|| {
-            let job = Arc::new(ApplyLaneJob {
-                shards: Arc::clone(&self.shards),
-                retained: self.retained,
-                state: RwLock::new(ApplyLaneState::default()),
-            });
-            let shared: Arc<dyn LaneJob> = Arc::clone(&job) as Arc<dyn LaneJob>;
-            LaneApplyShared { job, shared }
-        });
-
-        let nshards = self.shards.len();
-        let nonempty;
-        {
-            let mut st = entry.job.state.write();
-            st.floor = floor;
-            st.lanes = pool.lanes();
-            st.trimmed.store(0, Ordering::Relaxed);
-            st.writes.clear();
-            if st.groups.len() < nshards {
-                st.groups.resize_with(nshards, Vec::new);
-            }
-            for g in &mut st.groups {
-                g.clear();
-            }
-            for (i, w) in batch.writes.iter().enumerate() {
-                st.groups[self.shard_index(w.key)].push(i as u32);
-                st.writes.push((
-                    w.key.clone(),
-                    ChainEntry {
-                        value: w.value.cloned(),
-                        version: Version::new(batch.block, w.tx),
-                    },
-                ));
-            }
-            nonempty = st.groups.iter().filter(|g| !g.is_empty()).count();
-        }
-        pool.run(&entry.shared);
-        let trimmed = entry.job.state.read().trimmed.load(Ordering::Relaxed);
-        self.counters.record_block_applied(nonempty as u64);
-        if trimmed > 0 {
-            self.counters.record_gc_trimmed(trimmed);
-        }
         self.last_block.store(batch.block, Ordering::Release);
         self.refresh_gauges();
         Ok(())
@@ -935,50 +809,6 @@ mod tests {
         // ...and the whole chain disappears once no pin can see it.
         assert_eq!(db.version_chain_len(&k("a")), 0);
         assert_eq!(db.approximate_len(), 0);
-    }
-
-    #[test]
-    fn lane_apply_matches_sequential_byte_for_byte() {
-        // Same block stream through the sequential and the lane-parallel
-        // commit path: identical digests, watermarks, and chain shapes at
-        // every lane count (lane count must never be semantic).
-        for lanes in [1, 2, 4, 8] {
-            let pool = LanePool::new(lanes);
-            let seq = MemStateDb::with_genesis([(k("a"), v(1)), (k("b"), v(2))]);
-            let lan = MemStateDb::with_genesis([(k("a"), v(1)), (k("b"), v(2))]);
-            for block in 1..=6u64 {
-                let writes: Vec<CommitWrite> = (0..16)
-                    .map(|i| {
-                        let key = Key::composite("k", (block * 7 + i) % 11);
-                        if (block + i) % 5 == 0 {
-                            CommitWrite::delete(key, i as u32)
-                        } else {
-                            CommitWrite::put(key, v((block * 100 + i) as i64), i as u32)
-                        }
-                    })
-                    .collect();
-                seq.apply_write_batch(&WriteBatch::from_writes(block, &writes)).unwrap();
-                lan.apply_write_batch_lanes(&WriteBatch::from_writes(block, &writes), &pool)
-                    .unwrap();
-            }
-            assert_eq!(seq.state_digest().unwrap(), lan.state_digest().unwrap());
-            assert_eq!(seq.last_committed_block(), lan.last_committed_block());
-            assert_eq!(seq.approximate_len(), lan.approximate_len());
-            for i in 0..11 {
-                let key = Key::composite("k", i);
-                assert_eq!(seq.version_chain_len(&key), lan.version_chain_len(&key));
-            }
-        }
-    }
-
-    #[test]
-    fn lane_apply_rejects_out_of_order_blocks() {
-        let pool = LanePool::new(4);
-        let db = MemStateDb::with_genesis([(k("a"), v(1))]);
-        let writes = [CommitWrite::put(k("a"), v(9), 0)];
-        assert!(db.apply_write_batch_lanes(&WriteBatch::from_writes(3, &writes), &pool).is_err());
-        db.apply_write_batch_lanes(&WriteBatch::from_writes(1, &writes), &pool).unwrap();
-        assert_eq!(db.get(&k("a")).unwrap().unwrap().value, v(9));
     }
 
     #[test]

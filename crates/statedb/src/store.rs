@@ -3,9 +3,7 @@
 
 use fabric_common::codec::Encoder;
 use fabric_common::hash::Sha256;
-use fabric_common::{
-    BlockNum, Digest, Key, LanePool, Result, StoreCounters, TxNum, Value, Version,
-};
+use fabric_common::{BlockNum, Digest, Key, Result, StoreCounters, TxNum, Value, Version};
 
 use crate::pin::StateSnapshot;
 
@@ -186,17 +184,6 @@ pub trait StateStore: Send + Sync {
     /// contract as [`StateStore::apply_write_batch`].
     fn apply_block(&self, block: BlockNum, writes: &[CommitWrite]) -> Result<()> {
         self.apply_write_batch(&WriteBatch::from_writes(block, writes))
-    }
-
-    /// Lane-parallel form of [`StateStore::apply_write_batch`]: engines
-    /// that shard their state may install the batch concurrently on the
-    /// caller-owned [`LanePool`]'s lanes. Same commit contract, same
-    /// observable result — the lane count must never be semantic. The
-    /// default falls back to the sequential path; engines whose durability
-    /// pipeline is inherently serial (e.g. a group-commit WAL) keep it.
-    fn apply_write_batch_lanes(&self, batch: &WriteBatch<'_>, pool: &LanePool) -> Result<()> {
-        let _ = pool;
-        self.apply_write_batch(batch)
     }
 
     /// Batched version lookup: the current [`Version`] of every key in

@@ -13,7 +13,7 @@
 //! and the `SnapshotView` classification layer on top.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use fabric_common::{Key, Value};
@@ -23,11 +23,17 @@ use fabric_statedb::{
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+// Per-thread counter (const-initialized TLS never allocates, so it is safe
+// to touch from inside the allocator): each test measures only its own
+// thread, so the other tests of this binary and libtest's bookkeeping
+// cannot leak allocations into a measured window.
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|c| c.set(c.get() + 1));
         System.alloc(layout)
     }
 
@@ -36,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|c| c.set(c.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -45,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 fn assert_steady_state(allocated: u64, what: &str) {

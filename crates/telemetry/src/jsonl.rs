@@ -43,14 +43,11 @@ pub fn window_to_line(w: &WindowRecord) -> String {
     );
     let _ = write!(
         s,
-        ",\"wal_records\":{},\"wal_fsyncs\":{},\"snapshot_pins\":{},\"gc_trimmed\":{}\
-         ,\"lanes_used\":{},\"chain_serializations\":{}",
+        ",\"wal_records\":{},\"wal_fsyncs\":{},\"snapshot_pins\":{},\"gc_trimmed\":{}",
         w.store.wal_records,
         w.store.wal_fsyncs,
         w.store.snapshot_pins,
         w.store.gc_trimmed_versions,
-        w.store.lanes_used,
-        w.store.chain_serializations,
     );
     let _ = write!(
         s,

@@ -20,10 +20,10 @@
 //! Per window the hub records goodput, submit rate, the full abort
 //! breakdown, p50/p90/p99 commit latency (via
 //! [`LatencyRecorder::window_since`] bucket diffs), per-window store
-//! deltas (WAL frames/fsyncs, snapshot pins, GC trims, lane occupancy),
-//! and the subsystem gauges sampled at close (cutter queue depth,
-//! VSCC batches in flight, consensus messages/view-changes/heights,
-//! memtable bytes, GC floor, live pins).
+//! deltas (WAL frames/fsyncs, snapshot pins, GC trims), and the
+//! subsystem gauges sampled at close (cutter queue depth, VSCC batches
+//! in flight, consensus messages/view-changes/heights, memtable bytes,
+//! GC floor, live pins).
 //!
 //! Hot-path cost: [`TelemetryHub::on_block_committed`] is one mutex
 //! acquisition per *block* (never per transaction) and performs **zero
@@ -91,7 +91,7 @@ pub struct WindowRecord {
     /// Commit-latency quantiles over exactly this window's samples.
     pub latency: WindowLatency,
     /// Store-counter deltas (WAL records/fsyncs, snapshot pins, GC
-    /// trims, lane occupancy) summed over the reporting stores.
+    /// trims) summed over the reporting stores.
     pub store: StoreStats,
     /// Subsystem gauges: counter cells as window deltas, instantaneous
     /// cells (cutter queue, workers) as sampled at close.

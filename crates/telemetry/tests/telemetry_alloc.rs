@@ -11,7 +11,7 @@
 //! touches the allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::time::Duration;
 
 use fabric_common::{
@@ -21,11 +21,17 @@ use fabric_telemetry::{TelemetryConfig, TelemetryHub};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+// Per-thread counter (const-initialized TLS never allocates, so it is safe
+// to touch from inside the allocator): each test measures only its own
+// thread, so the other tests of this binary and libtest's bookkeeping
+// cannot leak allocations into a measured window.
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|c| c.set(c.get() + 1));
         System.alloc(layout)
     }
 
@@ -34,7 +40,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|c| c.set(c.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -43,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 fn assert_steady_state(allocated: u64, what: &str) {

@@ -94,3 +94,73 @@ fn injected_truncation_is_caught_with_length_hint() {
     assert_eq!(d.len_a, d.len_b + 9);
     assert_eq!(d.byte_offset, d.len_b, "divergence sits at the end of the common prefix");
 }
+
+/// Golden digests: SHA-256 of each of the `baseline` replica's five
+/// artifacts (block stream, state digest, chain fingerprint, schedule
+/// digest, tx stats), per fixture in `Fixture::all()` order. The matrix
+/// test above only compares replicas of one build against each other;
+/// this pins the bytes across commits, so a refactor that claims an
+/// unchanged conformance matrix has to reproduce them. A change that
+/// alters replicated bytes on purpose re-records them and says why.
+const GOLDEN: [(&str, [&str; 5]); 4] = [
+    (
+        "small",
+        [
+            "8de3998dfd6664125f07d4e94818cc2ae2134c561007b98607686d2df2b2aaf6",
+            "1c6edd13dc307f3ac8c4e8eeddb81cf1a1ed1b88aadf21a829f665ab3ba398c2",
+            "7bb6de4091767d01acfaca1929d372f04128b214e34d87652e4812bbefc9b2c9",
+            "5df6e0e2761359d30a8275058e299fcc0381534545f55cf43e41983f5d4c9456",
+            "5e98a7317ff55a33dc252e3943b617d257cc54b7c894a3b473258f60350e4421",
+        ],
+    ),
+    (
+        "medium",
+        [
+            "e25c8a530604e3646a1d5a9096f7d9230cf7fb74e1191946f959ec6c78d40f06",
+            "0ca4f8585bc2011ccf72e886568e6e9a0706884c2e9022ddba0c15ca42407942",
+            "f39689699a197e39ca282742f232d35fed65ea7863befc91e2e76e95a80d72bc",
+            "5df6e0e2761359d30a8275058e299fcc0381534545f55cf43e41983f5d4c9456",
+            "711c3fd750dbf973a11f99616338c9f64de63efc2a31bb524597057f206e242f",
+        ],
+    ),
+    (
+        "adversarial-conflict",
+        [
+            "58e2de4456e38091559fbb91fdea4263b4975fd4c04753fb21fbdfecd3de2e01",
+            "021581b2d536e2bd929631f57dbd8fc488fe1776611902b5cad102eae041b514",
+            "ad30e9745ee04a89128d48125d5d23923a222dcccac7b871c985ac14de12b590",
+            "5df6e0e2761359d30a8275058e299fcc0381534545f55cf43e41983f5d4c9456",
+            "23ef6956e85bb414396727f7b5e24e4691a6754f7b803172a9be676dfe356471",
+        ],
+    ),
+    (
+        "chaos-faulted",
+        [
+            "77d0eccd0460f3a074b8de6d49c9592976fe75f0dec8c1916f3448660d2f1bae",
+            "8db5ab7b60b3fec24addb73b8b9cd4495266c8e39b32f808e9633f91007d2ee8",
+            "d24cd1be854a1a263e7f536b006dc2811c15a94b26a00cbec552a99a02c48862",
+            "0297d3fa6ef104059e3e468eff18ca771dd573ba1d97aad93b9926e4f570641b",
+            "eef26977ce3369474a4a3fb7242512c03c9f27a72f9ccf688fa9d1fd21783785",
+        ],
+    ),
+];
+
+#[test]
+fn baseline_artifacts_match_golden_digests() {
+    let fixtures = Fixture::all();
+    assert_eq!(fixtures.len(), GOLDEN.len());
+    for (fixture, (name, want)) in fixtures.iter().zip(GOLDEN) {
+        assert_eq!(fixture.name, name);
+        let got = run_replica(fixture, &ReplicaSpec::baseline()).unwrap();
+        assert_eq!(got.artifacts.len(), want.len());
+        for (artifact, want_hex) in got.artifacts.iter().zip(want) {
+            assert_eq!(
+                fabric_common::hash::sha256(&artifact.bytes).to_hex(),
+                want_hex,
+                "fixture {name}: artifact {} ({} bytes) changed",
+                artifact.name,
+                artifact.bytes.len()
+            );
+        }
+    }
+}
