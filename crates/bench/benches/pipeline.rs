@@ -1,27 +1,28 @@
-//! Criterion benchmarks over whole pipeline phases, using the synchronous
-//! harness: endorsement (simulation + signing), block ordering (arrival vs.
-//! reordered), and block validation + commit. These decompose where time
-//! goes in an end-to-end transaction, the simulator-level analogue of the
-//! paper's Figure 1 observation.
+//! Criterion benchmarks over whole pipeline phases, using the deterministic
+//! single-threaded driver (a fault-free `ChaosNet`): endorsement
+//! (simulation + signing), block ordering (arrival vs. reordered), and
+//! block validation + commit. These decompose where time goes in an
+//! end-to-end transaction, the simulator-level analogue of the paper's
+//! Figure 1 observation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+use fabric_chaos::{ChaosNet, FaultPlan, ProposeOutcome};
 use fabric_common::{CostModel, Key, PipelineConfig, Value};
 use fabric_workloads::custom::CustomChaincode;
 use fabric_workloads::{CustomConfig, CustomWorkload, WorkloadGen};
-use fabricpp::sync::ProposeOutcome;
-use fabricpp::SyncNet;
 
-fn net(cfg: &PipelineConfig) -> (SyncNet, CustomWorkload) {
+fn net(cfg: &PipelineConfig) -> (ChaosNet, CustomWorkload) {
     let wl_cfg = CustomConfig { accounts: 10_000, ..Default::default() };
     let genesis: Vec<(Key, Value)> = CustomWorkload::new(wl_cfg.clone()).genesis();
-    let net = SyncNet::new(cfg, 2, 2, vec![CustomChaincode::deployable()], &genesis).unwrap();
+    let cc = vec![CustomChaincode::deployable()];
+    let net = ChaosNet::new(cfg, 2, 2, cc, &genesis, FaultPlan::quiescent(0)).unwrap();
     (net, CustomWorkload::new(wl_cfg))
 }
 
 fn bench_endorsement(c: &mut Criterion) {
-    // CostModel::raw() is used by SyncNet: this measures the real pipeline
+    // CostModel::raw() is used by ChaosNet: this measures the real pipeline
     // work (simulation + one HMAC per endorser), not the ECDSA stand-in.
     let (net, mut wl) = net(&PipelineConfig::fabric_pp());
     c.bench_function("endorse_custom_rw8", |b| {

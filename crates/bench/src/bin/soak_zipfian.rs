@@ -7,8 +7,9 @@
 //! chain reaches `--blocks` committed blocks. The run's telemetry series
 //! (window = `--window` blocks) lands in `results/soak_timeseries.jsonl`
 //! (plus a Prometheus text rendering next to it), and the run's
-//! trajectory record — goodput, p99, per-window counts, and the verdict
-//! of a baseline-comparison regression gate — in `results/BENCH_soak.json`.
+//! trajectory record — goodput, p99, per-window counts — in
+//! `results/BENCH_soak.json`. Performance regressions are gated by the
+//! `benchmark/` package (`--compare`), not here.
 //!
 //! Usage: `soak_zipfian [flags]`
 //!   --blocks N       committed blocks to soak for (default 200)
@@ -16,16 +17,11 @@
 //!   --users U        Smallbank accounts (default 1000)
 //!   --skew S         Zipfian s-value (default 0.9)
 //!   --out PATH       timeseries JSONL path (default results/soak_timeseries.jsonl)
-//!   --baseline PATH  baseline trajectory record (default results/BENCH_soak.baseline.json)
 //!   --json[=PATH]    also write the full RunReport document (uniform flag)
-//!   --smoke          small run; assert window invariants and exercise both
-//!                    regression-gate paths; record gates to $SMOKE_SUMMARY
-//!
-//! Regression gate: if the baseline file exists and records a goodput more
-//! than 20% above this run's, the gate fails loudly (non-zero exit). With
-//! no baseline it skips with a note — first runs must not fail CI.
+//!   --smoke          small run; assert the window invariants and record the
+//!                    gate to $SMOKE_SUMMARY
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -41,9 +37,6 @@ use fabricpp::{NetworkBuilder, RunReport};
 
 const BIN: &str = "soak_zipfian";
 const CLIENTS: usize = 4;
-/// Regression threshold: fail when goodput drops by more than this
-/// fraction below the recorded baseline.
-const MAX_GOODPUT_DROP: f64 = 0.20;
 
 struct SoakArgs {
     blocks: u64,
@@ -51,7 +44,6 @@ struct SoakArgs {
     users: u64,
     skew: f64,
     out: PathBuf,
-    baseline: PathBuf,
     record: PathBuf,
     smoke: bool,
 }
@@ -73,9 +65,6 @@ impl SoakArgs {
             out: arg_value("--out")
                 .map(PathBuf::from)
                 .unwrap_or_else(|| PathBuf::from("results/soak_timeseries.jsonl")),
-            baseline: arg_value("--baseline")
-                .map(PathBuf::from)
-                .unwrap_or_else(|| PathBuf::from("results/BENCH_soak.baseline.json")),
             record: PathBuf::from("results/BENCH_soak.json"),
             smoke,
         }
@@ -146,65 +135,20 @@ fn soak(args: &SoakArgs) -> (RunReport, Duration) {
     (net.finish(), fire_duration)
 }
 
-/// Reads `"goodput_tps": <f64>` out of a previously written trajectory
-/// record (the only shape this binary writes).
-fn baseline_goodput(path: &Path) -> Option<f64> {
-    let doc = std::fs::read_to_string(path).ok()?;
-    let tag = "\"goodput_tps\":";
-    let start = doc.find(tag)? + tag.len();
-    let rest = doc[start..].trim_start();
-    let end = rest.find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())?;
-    rest[..end].parse().ok()
-}
-
-enum GateVerdict {
-    /// No baseline recorded: first run, nothing to compare against.
-    Skipped,
-    /// Goodput within the allowed envelope of the baseline.
-    Pass { baseline: f64, delta_pct: f64 },
-    /// Goodput dropped more than [`MAX_GOODPUT_DROP`] below the baseline.
-    Fail { baseline: f64, delta_pct: f64 },
-}
-
-/// The perf-trajectory regression gate: compares this run's goodput to the
-/// recorded baseline.
-fn regression_gate(goodput: f64, baseline_path: &Path) -> GateVerdict {
-    let Some(base) = baseline_goodput(baseline_path) else {
-        return GateVerdict::Skipped;
-    };
-    let delta_pct = if base > 0.0 { (goodput - base) / base * 100.0 } else { 0.0 };
-    if base > 0.0 && goodput < base * (1.0 - MAX_GOODPUT_DROP) {
-        GateVerdict::Fail { baseline: base, delta_pct }
-    } else {
-        GateVerdict::Pass { baseline: base, delta_pct }
-    }
-}
-
-/// Writes the `BENCH_soak.json` trajectory record: the headline numbers,
-/// the gate verdict, and the full embedded run report.
+/// Writes the `BENCH_soak.json` trajectory record: the headline numbers
+/// and the full embedded run report.
 fn write_record(
     args: &SoakArgs,
     report: &RunReport,
     fire_duration: Duration,
     goodput: f64,
-    verdict: &GateVerdict,
 ) -> std::io::Result<()> {
     let series = report.timeseries.as_ref().expect("soak always records telemetry");
-    let (verdict_str, baseline_field) = match verdict {
-        GateVerdict::Skipped => ("skip", "null".to_owned()),
-        GateVerdict::Pass { baseline, delta_pct } => {
-            ("pass", format!("{{\"goodput_tps\":{baseline:.2},\"delta_pct\":{delta_pct:.1}}}"))
-        }
-        GateVerdict::Fail { baseline, delta_pct } => {
-            ("FAIL", format!("{{\"goodput_tps\":{baseline:.2},\"delta_pct\":{delta_pct:.1}}}"))
-        }
-    };
     let doc = format!(
         "{{\n  \"bin\": \"{BIN}\",\n  \"blocks\": {},\n  \"window\": {},\n  \"users\": {},\n  \
          \"skew\": {},\n  \"fire_duration_s\": {:.3},\n  \"goodput_tps\": {goodput:.2},\n  \
          \"p99_us\": {},\n  \"windows\": {},\n  \"dropped_windows\": {},\n  \
-         \"regression_gate\": {{\"verdict\": \"{verdict_str}\", \"threshold_drop_pct\": {}, \
-         \"baseline\": {baseline_field}}},\n  \"run\": {}\n}}\n",
+         \"run\": {}\n}}\n",
         args.blocks,
         args.window,
         args.users,
@@ -213,7 +157,6 @@ fn write_record(
         report.latency.p99.as_micros(),
         series.len(),
         series.dropped_windows,
-        (MAX_GOODPUT_DROP * 100.0) as u64,
         run_to_json("soak", report, fire_duration),
     );
     if let Some(dir) = args.record.parent() {
@@ -241,31 +184,6 @@ fn print_windows(series: &TelemetrySeries) {
             w.live_pins,
         );
     }
-}
-
-/// The `--smoke` extra: exercise the regression gate's baseline-present
-/// and baseline-absent paths against scratch files, so CI proves both
-/// verdicts without depending on repository state.
-fn smoke_gate_paths(goodput: f64) -> bool {
-    let dir = std::env::temp_dir().join(format!("fabric-soak-smoke-{}", std::process::id()));
-    let _ = std::fs::create_dir_all(&dir);
-    let missing = dir.join("no_baseline.json");
-    let absent_ok = matches!(regression_gate(goodput, &missing), GateVerdict::Skipped);
-    smoke::record(BIN, "regression-baseline-absent", absent_ok, "missing baseline skips");
-
-    let present = dir.join("baseline.json");
-    let _ = std::fs::write(&present, format!("{{\"goodput_tps\": {goodput:.2}}}"));
-    let same_ok = matches!(regression_gate(goodput, &present), GateVerdict::Pass { .. });
-    smoke::record(BIN, "regression-baseline-present", same_ok, "equal baseline passes");
-
-    // A baseline far above this run must trip the gate — the detection
-    // path itself is under test, not the repo's perf.
-    let _ = std::fs::write(&present, format!("{{\"goodput_tps\": {:.2}}}", goodput * 10.0 + 10.0));
-    let detects = matches!(regression_gate(goodput, &present), GateVerdict::Fail { .. });
-    smoke::record(BIN, "regression-detects-drop", detects, ">20% drop vs inflated baseline fails");
-
-    let _ = std::fs::remove_dir_all(&dir);
-    absent_ok && same_ok && detects
 }
 
 fn main() {
@@ -316,45 +234,12 @@ fn main() {
             },
         );
         failed |= invariants.is_err();
-        failed |= !smoke_gate_paths(goodput);
     } else if let Err(e) = invariants {
         eprintln!("soak_zipfian FAILED: window invariants violated: {e}");
         failed = true;
     }
 
-    // The real regression gate against the recorded baseline.
-    let verdict = regression_gate(goodput, &args.baseline);
-    match &verdict {
-        GateVerdict::Skipped => println!(
-            "# regression gate: no baseline at {} — skipped (record one by copying \
-             {} there)",
-            args.baseline.display(),
-            args.record.display()
-        ),
-        GateVerdict::Pass { baseline, delta_pct } => println!(
-            "# regression gate: goodput {goodput:.1} vs baseline {baseline:.1} \
-             ({delta_pct:+.1}%) — pass"
-        ),
-        GateVerdict::Fail { baseline, delta_pct } => {
-            eprintln!(
-                "soak_zipfian FAILED: goodput {goodput:.1} dropped {delta_pct:.1}% vs \
-                 baseline {baseline:.1} (limit -{}%)",
-                (MAX_GOODPUT_DROP * 100.0) as u64
-            );
-            failed = true;
-        }
-    }
-    if args.smoke {
-        let gate_ok = !matches!(verdict, GateVerdict::Fail { .. });
-        smoke::record(
-            BIN,
-            "goodput-regression",
-            gate_ok,
-            &format!("goodput {goodput:.1} tps vs {}", args.baseline.display()),
-        );
-    }
-
-    write_record(&args, &report, fire_duration, goodput, &verdict).expect("write BENCH_soak.json");
+    write_record(&args, &report, fire_duration, goodput).expect("write BENCH_soak.json");
     println!("# trajectory record -> {}", args.record.display());
 
     // Uniform --json flag on top (full report document).

@@ -1,19 +1,29 @@
-//! `ChaosNet`: a single-threaded, fully deterministic chaos harness.
+//! `ChaosNet`: the single-threaded, fully deterministic pipeline driver.
 //!
-//! Structurally a sibling of [`fabricpp::SyncNet`], but block delivery
-//! runs through a [`FaultInjector`]: each cut block is offered to every
-//! peer individually and the injector's verdict decides whether that copy
-//! is delivered, dropped, duplicated, deferred one round (a logical
-//! latency spike), or absorbed into a reorder burst and released in
-//! reverse order. Peers heal duplicates and gaps exactly like the
-//! threaded runtime: a block below the chain height is ignored, a block
-//! above it triggers catch-up from the orderer's block archive.
+//! Every phase is an explicit method call — [`ChaosNet::propose`]
+//! (simulation), [`ChaosNet::submit`] (hand to the orderer's buffer),
+//! [`ChaosNet::cut_block`] (ordering, delivery, validation and commit on
+//! every peer) — so tests can script exact interleavings, e.g. "commit a
+//! block between these two simulations", which the threaded runtime cannot
+//! guarantee. Under [`FaultPlan::quiescent`] nothing is injected; the
+//! paper's scripted scenarios (Appendix A, Tables 1 and 2, the §5.1 and
+//! §5.2.2 early aborts) run that way.
+//!
+//! Under any other plan block delivery runs through a [`FaultInjector`]:
+//! each cut block is offered to every peer individually and the injector's
+//! verdict decides whether that copy is delivered, dropped, duplicated,
+//! deferred one round (a logical latency spike), or absorbed into a
+//! reorder burst and released in reverse order. Peers heal duplicates and
+//! gaps exactly like the threaded runtime: a block below the chain height
+//! is ignored, a block above it triggers catch-up from the orderer's block
+//! archive.
 //!
 //! Scheduled faults from the plan are orchestrated here too: crash points
 //! kill a peer right before their block is cut (optionally tearing its
 //! on-disk block log mid-append) and restart it — through
 //! [`fabric_peer::recovery`] plus archive catch-up — a configured number
-//! of blocks later.
+//! of blocks later. Peers are built and rebuilt through the same
+//! [`PeerContext`] as the threaded runtime's.
 //!
 //! Because every step is driven by a plain method call on one thread, a
 //! (plan, seed, workload) triple determines the entire run: the fault
@@ -29,29 +39,40 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use fabric_common::{
-    ChannelId, ClientId, CostModel, Error, Key, LatencyRecorder, OrgId, PeerId,
-    PipelineConfig, Result, SignerRegistry, SigningKey, SubsystemGauges, Transaction,
-    TransactionProposal, TxCounters, TxId, TxStats, ValidationCode, Value,
+    ChannelId, ClientId, CostModel, Error, Key, LatencyRecorder, OrgId, PeerId, PhaseTimers,
+    PipelineConfig, Result, SignerRegistry, SubsystemGauges, Transaction, TransactionProposal,
+    TxCounters, TxId, TxStats, ValidationCode, Value,
 };
-use fabric_telemetry::{TelemetryConfig, TelemetryHub, TelemetrySeries};
 use fabric_consensus::{GroupConfig, OrdererGroup};
 use fabric_ledger::{Block, FileBlockStore};
 use fabric_net::{FaultHook, LinkId, SendFault};
 use fabric_ordering::{CutReason, OrderingService, ReorderPipeline};
 use fabric_peer::chaincode::{Chaincode, ChaincodeRegistry, SimulationError};
 use fabric_peer::peer::Peer;
-use fabric_peer::recovery;
 use fabric_peer::validation_pool::ValidationPool;
 use fabric_peer::validator::EndorsementPolicy;
 use fabric_statedb::{LsmConfig, LsmStateDb, MemStateDb, StateStore};
-use fabric_trace::TraceSink;
+use fabric_telemetry::{TelemetryConfig, TelemetryHub, TelemetrySeries};
+use fabric_trace::{EventKind, TraceSink};
+use fabricpp::channel::PeerContext;
 use fabricpp::client::assemble_transaction;
-use fabricpp::sync::ProposeOutcome;
 use fabricpp::StateEngine;
 
 use crate::injector::FaultInjector;
 use crate::invariants::{check_invariants, InvariantReport};
 use crate::plan::FaultPlan;
+
+/// Outcome of a proposal ([`ChaosNet::propose`]).
+#[derive(Debug)]
+pub enum ProposeOutcome {
+    /// All endorsers agreed; the transaction is ready to submit.
+    Endorsed(Box<Transaction>),
+    /// Fabric++ simulation-phase early abort (stale read observed).
+    EarlyAborted(TxId),
+    /// Chaincode rejection, endorser disagreement, or an organization
+    /// with no live endorser.
+    Rejected(String),
+}
 
 struct Slot {
     peer: Arc<Peer>,
@@ -94,15 +115,22 @@ enum OrdererBackend {
 /// varying exactly these.
 #[derive(Debug, Clone)]
 pub struct ChaosOptions {
-    /// `Some(n)`: replace the single ordering process with an `n`-replica
-    /// consensus group (see [`ChaosNet::new_replicated`]). `None`: classic
-    /// single orderer. Note that consensus replicas consume fault-injector
-    /// dice rolls, so schedule digests are only comparable across replica
-    /// counts under a quiescent plan.
+    /// `Some(n)`: replace the single ordering process with a group of `n`
+    /// consensus replicas — each cut batch is decided by
+    /// propose/vote/commit before it is sealed, every inter-replica
+    /// message runs through this run's fault injector (under
+    /// [`LinkId::between_replicas`] link ids), and the plan's
+    /// `orderer_crashes` / `equivocations` fire inside the group. `None`:
+    /// classic single orderer. Note that consensus replicas consume
+    /// fault-injector dice rolls, so schedule digests are only comparable
+    /// across replica counts under a quiescent plan.
     pub replicas: Option<usize>,
-    /// Flight-recorder sink; observation only (attached strictly after
-    /// verdicts are decided), so a traced run is byte-identical to an
-    /// untraced one.
+    /// Flight-recorder sink, attached to the fault injector (every fault
+    /// verdict mirrors into the trace), the orderer (cut, seal and
+    /// order-phase abort provenance), every replica's consensus lifecycle,
+    /// proposals, and the reporting peer's validate/commit pipeline.
+    /// Observation only (consulted strictly after verdicts are decided),
+    /// so a traced run is byte-identical to an untraced one.
     pub sink: TraceSink,
     /// State-database engine backing every peer. `Lsm(dir)` opens one
     /// store per peer under `dir/peer-<id>`. Restarted peers always
@@ -133,7 +161,7 @@ impl Default for ChaosOptions {
     }
 }
 
-/// Deterministic fault-injecting Fabric/Fabric++ instance.
+/// Deterministic (optionally fault-injecting) Fabric/Fabric++ instance.
 pub struct ChaosNet {
     slots: Vec<Slot>,
     orderer: OrdererBackend,
@@ -141,31 +169,22 @@ pub struct ChaosNet {
     /// Every ordered block, in order (block `n` at index `n - 1`).
     archive: Vec<Block>,
     injector: Arc<FaultInjector>,
-    counters: TxCounters,
-    latency: LatencyRecorder,
-    /// Flight-recorder sink; re-attached to the reporting peer on restart.
-    sink: TraceSink,
+    /// Peer wiring shared with the threaded runtime: chaincodes, keys,
+    /// policy, the signature-check pool (sized by
+    /// `PipelineConfig::validation_workers`), and the reporting peer's
+    /// counters, sink, gauges and telemetry hub, all re-attached on
+    /// restart.
+    ctx: PeerContext,
     channel: ChannelId,
     orgs: usize,
-    config: PipelineConfig,
-    chaincodes: ChaincodeRegistry,
-    registry: SignerRegistry,
-    policy: EndorsementPolicy,
-    /// Signature-check pool shared by every peer (and re-attached on
-    /// restart), sized by `PipelineConfig::validation_workers`.
-    pool: Arc<ValidationPool>,
     block_log_dir: Option<PathBuf>,
-    /// Shared telemetry gauge cells (cutter queue, VSCC batches,
-    /// consensus wire); re-attached to the reporting peer on restart.
-    gauges: SubsystemGauges,
-    /// Telemetry hub (disabled unless [`ChaosOptions::telemetry`]).
-    hub: TelemetryHub,
 }
 
 impl ChaosNet {
     /// Builds a network of `orgs` × `peers_per_org` peers executing
     /// `plan`. Peer ids are assigned 1, 2, … in construction order, so a
-    /// plan's crash points and partitions can name them directly.
+    /// plan's crash points and partitions can name them directly; slot 0
+    /// is the reporting peer.
     pub fn new(
         config: &PipelineConfig,
         orgs: usize,
@@ -174,83 +193,15 @@ impl ChaosNet {
         genesis: &[(Key, Value)],
         plan: FaultPlan,
     ) -> Result<Self> {
-        Self::build(config, orgs, peers_per_org, chaincodes, genesis, plan, ChaosOptions::default())
+        let opts = ChaosOptions::default();
+        Self::with_options(config, orgs, peers_per_org, chaincodes, genesis, plan, opts)
     }
 
     /// [`ChaosNet::new`] with explicit non-semantic knobs (storage
-    /// engine, trace sink, consensus replication) — the constructor the
-    /// determinism-conformance harness varies its replica matrix over.
+    /// engine, trace sink, telemetry, consensus replication) — the
+    /// constructor the determinism-conformance harness varies its replica
+    /// matrix over.
     pub fn with_options(
-        config: &PipelineConfig,
-        orgs: usize,
-        peers_per_org: usize,
-        chaincodes: Vec<Arc<dyn Chaincode>>,
-        genesis: &[(Key, Value)],
-        plan: FaultPlan,
-        opts: ChaosOptions,
-    ) -> Result<Self> {
-        Self::build(config, orgs, peers_per_org, chaincodes, genesis, plan, opts)
-    }
-
-    /// [`ChaosNet::new`] with a flight-recorder sink attached to the fault
-    /// injector (every fault verdict mirrors into the trace) and to the
-    /// reporting peer's validate/commit pipeline. Tracing is observation
-    /// only: the sink is consulted strictly after each verdict is decided,
-    /// so a traced run's schedule digest is identical to an untraced one.
-    pub fn new_traced(
-        config: &PipelineConfig,
-        orgs: usize,
-        peers_per_org: usize,
-        chaincodes: Vec<Arc<dyn Chaincode>>,
-        genesis: &[(Key, Value)],
-        plan: FaultPlan,
-        sink: TraceSink,
-    ) -> Result<Self> {
-        let opts = ChaosOptions { sink, ..ChaosOptions::default() };
-        Self::build(config, orgs, peers_per_org, chaincodes, genesis, plan, opts)
-    }
-
-    /// [`ChaosNet::new`] with the single ordering process replaced by a
-    /// group of `replicas` consensus replicas: each cut batch is decided
-    /// by propose/vote/commit before it is sealed, every inter-replica
-    /// message runs through this run's fault injector (under
-    /// [`LinkId::between_replicas`] link ids), and the plan's
-    /// `orderer_crashes` / `equivocations` fire inside the group.
-    pub fn new_replicated(
-        config: &PipelineConfig,
-        orgs: usize,
-        peers_per_org: usize,
-        chaincodes: Vec<Arc<dyn Chaincode>>,
-        genesis: &[(Key, Value)],
-        plan: FaultPlan,
-        replicas: usize,
-    ) -> Result<Self> {
-        let opts = ChaosOptions { replicas: Some(replicas), ..ChaosOptions::default() };
-        Self::build(config, orgs, peers_per_org, chaincodes, genesis, plan, opts)
-    }
-
-    /// [`ChaosNet::new_replicated`] with a flight-recorder sink: fault
-    /// verdicts, the reporting peer's pipeline, and every replica's
-    /// consensus lifecycle (proposals, vote tallies, view changes,
-    /// decides) mirror into the trace.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_replicated_traced(
-        config: &PipelineConfig,
-        orgs: usize,
-        peers_per_org: usize,
-        chaincodes: Vec<Arc<dyn Chaincode>>,
-        genesis: &[(Key, Value)],
-        plan: FaultPlan,
-        replicas: usize,
-        sink: TraceSink,
-    ) -> Result<Self> {
-        let opts =
-            ChaosOptions { replicas: Some(replicas), sink, ..ChaosOptions::default() };
-        Self::build(config, orgs, peers_per_org, chaincodes, genesis, plan, opts)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build(
         config: &PipelineConfig,
         orgs: usize,
         peers_per_org: usize,
@@ -265,37 +216,45 @@ impl ChaosNet {
             return Err(Error::Config("need at least one org and one peer".into()));
         }
         let injector = FaultInjector::new_traced(plan, sink.clone())?;
-        let registry = SignerRegistry::new();
-        let counters = TxCounters::new();
-        let latency = LatencyRecorder::new();
         let mut cc_registry = ChaincodeRegistry::new();
         for cc in &chaincodes {
             cc_registry.deploy(cc.name().to_owned(), Arc::clone(cc));
         }
-        let policy = EndorsementPolicy::require_orgs((1..=orgs as u64).map(OrgId).collect());
         // One signature-check pool shared across all peers (checking is
         // stateless); worker count is a non-semantic knob — validation
         // outcomes are identical at any setting.
         let gauges = SubsystemGauges::new();
-        let hub = match &telemetry {
-            Some(cfg) => TelemetryHub::with_config(*cfg),
-            None => TelemetryHub::disabled(),
-        };
         let pool = if config.validation_workers > 1 {
-            Arc::new(ValidationPool::threaded(config.validation_workers).with_gauges(gauges.clone()))
+            ValidationPool::threaded(config.validation_workers)
         } else {
-            Arc::new(ValidationPool::sequential().with_gauges(gauges.clone()))
+            ValidationPool::sequential()
         };
+        let pool = Arc::new(pool.with_gauges(gauges.clone()));
         gauges.set_validation_workers(pool.workers() as u64);
+        let ctx = PeerContext {
+            chaincodes: cc_registry,
+            registry: SignerRegistry::new(),
+            policy: EndorsementPolicy::require_orgs((1..=orgs as u64).map(OrgId).collect()),
+            concurrency: config.concurrency,
+            early_abort_simulation: config.early_abort_simulation,
+            cost: CostModel::raw(),
+            key_seed: 1,
+            pool,
+            counters: TxCounters::new(),
+            latency: LatencyRecorder::new(),
+            phase_timers: PhaseTimers::new(),
+            sink,
+            gauges,
+            telemetry: match &telemetry {
+                Some(cfg) => TelemetryHub::with_config(*cfg),
+                None => TelemetryHub::disabled(),
+            },
+        };
 
         let mut slots = Vec::new();
-        let mut pid = 1u64;
         for org in 1..=orgs as u64 {
             for _ in 0..peers_per_org {
-                let peer_id = PeerId(pid);
-                pid += 1;
-                let key = SigningKey::for_peer(peer_id, 1);
-                registry.register(peer_id, key.clone());
+                let peer_id = PeerId(slots.len() as u64 + 1);
                 let store: Arc<dyn StateStore> = match &engine {
                     StateEngine::Memory => match retained_versions {
                         Some(n) => Arc::new(MemStateDb::with_retained_versions(n)),
@@ -312,26 +271,7 @@ impl ChaosNet {
                         Arc::new(LsmStateDb::open(peer_dir, cfg)?)
                     }
                 };
-                let mut peer = Peer::new(
-                    peer_id,
-                    OrgId(org),
-                    key,
-                    store,
-                    cc_registry.clone(),
-                    registry.clone(),
-                    policy.clone(),
-                    config.concurrency,
-                    config.early_abort_simulation,
-                    CostModel::raw(),
-                );
-                peer = peer.with_validation_pool(Arc::clone(&pool));
-                if slots.is_empty() {
-                    peer = peer
-                        .with_reporting(counters.clone(), latency.clone())
-                        .with_trace(sink.clone())
-                        .with_gauges(gauges.clone())
-                        .with_telemetry(hub.clone());
-                }
+                let peer = ctx.new_peer(slots.len(), peer_id, OrgId(org), store);
                 peer.install_genesis(genesis)?;
                 slots.push(Slot {
                     peer: Arc::new(peer),
@@ -346,8 +286,12 @@ impl ChaosNet {
         let genesis_hash = slots[0].peer.ledger().tip_hash();
         let orderer = match replicas {
             None => {
+                // The sink goes on before `batch_prep()` so the pipeline's
+                // copy of the per-batch stage emits order-phase abort
+                // provenance too.
                 let orderer = OrderingService::new(config)
-                    .with_counters(counters.clone())
+                    .with_counters(ctx.counters.clone())
+                    .with_trace(ctx.sink.clone())
                     .resume_at(1, genesis_hash);
                 let pipeline =
                     ReorderPipeline::new(orderer.batch_prep(), config.reorder_workers);
@@ -364,18 +308,18 @@ impl ChaosNet {
                     1,
                     genesis_hash,
                     hook,
-                    Some(counters.clone()),
-                    sink.clone(),
+                    Some(ctx.counters.clone()),
+                    ctx.sink.clone(),
                 )?;
-                group.set_gauges(gauges.clone());
+                group.set_gauges(ctx.gauges.clone());
                 OrdererBackend::Replicated(Box::new(group))
             }
         };
-        hub.connect(
-            counters.clone(),
-            latency.clone(),
+        ctx.telemetry.connect(
+            ctx.counters.clone(),
+            ctx.latency.clone(),
             vec![slots[0].peer.store().counters()],
-            gauges.clone(),
+            ctx.gauges.clone(),
         );
         Ok(ChaosNet {
             slots,
@@ -383,19 +327,10 @@ impl ChaosNet {
             pending: Vec::new(),
             archive: Vec::new(),
             injector,
-            counters,
-            latency,
-            sink,
+            ctx,
             channel: ChannelId(0),
             orgs,
-            config: config.clone(),
-            chaincodes: cc_registry,
-            registry,
-            policy,
-            pool,
             block_log_dir: None,
-            gauges,
-            hub,
         })
     }
 
@@ -403,7 +338,7 @@ impl ChaosNet {
     /// (`None` when telemetry was not enabled in [`ChaosOptions`]).
     /// Idempotent; call after the last block has been driven.
     pub fn telemetry_series(&self) -> Option<TelemetrySeries> {
-        self.hub.finish()
+        self.ctx.telemetry.finish()
     }
 
     /// The injector executing this run's plan (for event-log and
@@ -422,7 +357,9 @@ impl ChaosNet {
     }
 
     /// Enables on-disk block logs under `dir` (required for torn-crash
-    /// points): current chains are written out, future commits appended.
+    /// points): current chains are written out, future commits appended
+    /// and synced. Restarting a peer then recovers from its file instead
+    /// of its in-memory ledger.
     pub fn persist_blocks(&mut self, dir: impl Into<PathBuf>) -> Result<()> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
@@ -473,7 +410,14 @@ impl ChaosNet {
     }
 
     fn propose_proposal(&self, proposal: TransactionProposal) -> ProposeOutcome {
-        self.counters.record_submitted();
+        self.ctx.counters.record_submitted();
+        if self.ctx.sink.is_enabled() {
+            self.ctx.sink.emit(EventKind::TxSubmitted {
+                tx: proposal.id,
+                channel: self.channel,
+                client: proposal.client,
+            });
+        }
         let per_org = self.slots.len() / self.orgs;
         let mut responses = Vec::new();
         for o in 0..self.orgs {
@@ -486,7 +430,7 @@ impl ChaosNet {
             match endorser.endorse(&proposal) {
                 Ok(r) => responses.push(r),
                 Err(SimulationError::StaleRead { .. }) => {
-                    self.counters.record_outcome(ValidationCode::EarlyAbortSimulation);
+                    self.ctx.counters.record_outcome(ValidationCode::EarlyAbortSimulation);
                     return ProposeOutcome::EarlyAborted(proposal.id);
                 }
                 Err(e) => return ProposeOutcome::Rejected(e.to_string()),
@@ -503,21 +447,16 @@ impl ChaosNet {
         self.pending.push(tx);
     }
 
-    /// Propose and, if endorsed, submit.
+    /// Propose and, if endorsed, submit. Returns the tx id if it entered
+    /// the pipeline.
     pub fn propose_and_submit(
         &mut self,
         client: u64,
         chaincode: &str,
         args: Vec<u8>,
     ) -> Option<TxId> {
-        match self.propose(client, chaincode, args) {
-            ProposeOutcome::Endorsed(tx) => {
-                let id = tx.id;
-                self.submit(*tx);
-                Some(id)
-            }
-            _ => None,
-        }
+        let outcome = self.propose(client, chaincode, args);
+        self.submit_endorsed(outcome)
     }
 
     /// [`ChaosNet::propose_and_submit`] with a caller-chosen transaction
@@ -529,28 +468,41 @@ impl ChaosNet {
         chaincode: &str,
         args: Vec<u8>,
     ) -> Option<TxId> {
-        match self.propose_with_id(id, client, chaincode, args) {
-            ProposeOutcome::Endorsed(tx) => {
-                let id = tx.id;
-                self.submit(*tx);
-                Some(id)
-            }
-            _ => None,
-        }
+        let outcome = self.propose_with_id(id, client, chaincode, args);
+        self.submit_endorsed(outcome)
     }
 
-    /// Ordering + faulty delivery: cuts everything pending into one block,
+    fn submit_endorsed(&mut self, outcome: ProposeOutcome) -> Option<TxId> {
+        let ProposeOutcome::Endorsed(tx) = outcome else {
+            return None;
+        };
+        let id = tx.id;
+        self.submit(*tx);
+        Some(id)
+    }
+
+    /// Ordering + delivery: cuts everything pending into one block,
     /// archives it, fires any crash points scheduled for it, offers it to
     /// every peer through the injector, and finally fires due restarts.
-    /// Returns the cut block's number, or `Ok(None)` when the cut was
-    /// suppressed (empty pending buffer or fully early-aborted batch): no
-    /// block is delivered, no crash/restart points fire, and the fault
-    /// schedule stays deterministic per seed.
+    /// Returns the cut block's number — read the committed block from a
+    /// peer's ledger (`reporting_peer().ledger().get(n)`) — or `Ok(None)`
+    /// when the cut was suppressed (empty pending buffer or fully
+    /// early-aborted batch): no block is delivered, no block number is
+    /// consumed, no crash/restart points fire, and the fault schedule
+    /// stays deterministic per seed.
     pub fn cut_block(&mut self) -> Result<Option<u64>> {
         // Queue depth at the cut: the deterministic harness's analogue of
         // the threaded runtime's cutter queue (observation only).
-        self.gauges.set_cutter_queue(self.pending.len() as u64);
+        self.ctx.gauges.set_cutter_queue(self.pending.len() as u64);
         let batch = std::mem::take(&mut self.pending);
+        if self.ctx.sink.is_enabled() && !batch.is_empty() {
+            // The harness cuts on demand, which maps to the explicit
+            // flush condition rather than a threshold.
+            self.ctx.sink.emit(EventKind::BlockCut {
+                reason: CutReason::Flush.trace_kind(),
+                txs: batch.len() as u32,
+            });
+        }
         let ordered = match &mut self.orderer {
             // One submit, one drained plan, one seal. With
             // `reorder_workers <= 1` the pipeline runs the prepare stage
@@ -670,8 +622,7 @@ impl ChaosNet {
     /// Commits `block` on peer `idx`, healing duplicates (already on the
     /// chain → ignored) and gaps (future block → archive catch-up).
     fn apply(&mut self, idx: usize, block: Block) -> Result<()> {
-        let peer = Arc::clone(&self.slots[idx].peer);
-        let height = peer.ledger().height();
+        let height = self.slots[idx].peer.ledger().height();
         let num = block.header.number;
         if num < height {
             return Ok(()); // duplicate of a committed block
@@ -682,7 +633,13 @@ impl ChaosNet {
             self.catch_up(idx)?;
             return Ok(());
         }
-        let committed = peer.process_block(block)?;
+        self.commit(idx, block)
+    }
+
+    /// Processes `block` on peer `idx` and appends it to the peer's block
+    /// log, if it keeps one.
+    fn commit(&mut self, idx: usize, block: Block) -> Result<()> {
+        let committed = self.slots[idx].peer.process_block(block)?;
         if let Some(log) = &mut self.slots[idx].log {
             log.append(&committed)?;
             log.sync()?;
@@ -692,22 +649,21 @@ impl ChaosNet {
 
     /// Replays archived blocks until peer `idx` is level with the orderer.
     fn catch_up(&mut self, idx: usize) -> Result<u64> {
-        let peer = Arc::clone(&self.slots[idx].peer);
         let mut applied = 0;
-        while (peer.ledger().height() as usize) <= self.archive.len() {
-            let block = self.archive[peer.ledger().height() as usize - 1].clone();
-            let committed = peer.process_block(block)?;
-            if let Some(log) = &mut self.slots[idx].log {
-                log.append(&committed)?;
-                log.sync()?;
-            }
+        loop {
+            let next = self.slots[idx].peer.ledger().height() as usize;
+            let Some(block) = self.archive.get(next - 1).cloned() else {
+                return Ok(applied);
+            };
+            self.commit(idx, block)?;
             applied += 1;
         }
-        Ok(applied)
     }
 
-    /// Crashes peer `idx`: in-flight deliveries (delayed blocks, open
-    /// bursts) are lost with the process, and its log handle is dropped.
+    /// Crashes peer `idx`: it stops receiving blocks, in-flight
+    /// deliveries (delayed blocks, open bursts) are lost with the process,
+    /// and its log handle is dropped (the file itself survives, like a
+    /// disk).
     pub fn crash(&mut self, idx: usize) -> Result<()> {
         let slot = &mut self.slots[idx];
         if slot.down {
@@ -721,8 +677,9 @@ impl ChaosNet {
         Ok(())
     }
 
-    /// Tears `bytes` off the tail of a crashed peer's on-disk block log
-    /// (requires [`ChaosNet::persist_blocks`]).
+    /// Tears `bytes` off the tail of a crashed peer's on-disk block log,
+    /// simulating a crash that tore the last append mid-write (requires
+    /// [`ChaosNet::persist_blocks`]).
     pub fn tear_block_log(&mut self, idx: usize, bytes: u64) -> Result<()> {
         if !self.slots[idx].down {
             return Err(Error::Config("tear_block_log requires a crashed peer".into()));
@@ -739,50 +696,20 @@ impl ChaosNet {
         Ok(())
     }
 
-    /// Restarts a crashed peer through recovery (on-disk log if persisted,
-    /// tolerating torn tails; in-memory ledger otherwise) plus archive
-    /// catch-up. Returns the number of blocks caught up.
+    /// Restarts a crashed peer through [`PeerContext::restore_peer`] (its
+    /// on-disk log if persisted, tolerating torn tails; its in-memory
+    /// ledger otherwise) plus archive catch-up. Returns the number of
+    /// blocks caught up.
     pub fn restart(&mut self, idx: usize) -> Result<u64> {
         if !self.slots[idx].down {
             return Err(Error::Config("restart requires a crashed peer".into()));
         }
         let old = Arc::clone(&self.slots[idx].peer);
-        let rec = match &self.block_log_dir {
-            Some(dir) => {
-                let path = Self::log_path(dir, old.id());
-                recovery::recover_from_crashed_log(&path, true)?.0
-            }
-            None => {
-                let mut blocks = Vec::new();
-                old.ledger().for_each(|cb| blocks.push(cb.clone()));
-                recovery::rebuild(blocks, true)?
-            }
-        };
-        let key = SigningKey::for_peer(old.id(), 1);
-        let mut peer = Peer::restore(
-            old.id(),
-            old.org(),
-            key,
-            Arc::clone(&rec.state) as Arc<dyn StateStore>,
-            rec.ledger,
-            self.chaincodes.clone(),
-            self.registry.clone(),
-            self.policy.clone(),
-            self.config.concurrency,
-            self.config.early_abort_simulation,
-            CostModel::raw(),
-        );
-        peer = peer.with_validation_pool(Arc::clone(&self.pool));
-        if idx == 0 {
-            peer = peer
-                .with_reporting(self.counters.clone(), self.latency.clone())
-                .with_trace(self.sink.clone())
-                .with_gauges(self.gauges.clone())
-                .with_telemetry(self.hub.clone());
-        }
-        self.slots[idx].peer = Arc::new(peer);
-        if let Some(dir) = &self.block_log_dir {
-            let path = Self::log_path(dir, old.id());
+        let log = self.block_log_dir.as_ref().map(|dir| Self::log_path(dir, old.id()));
+        self.slots[idx].peer = Arc::new(self.ctx.restore_peer(idx, &old, log.as_deref())?);
+        if let Some(path) = log {
+            // Recovery truncated any torn tail, so the file is clean up to
+            // the recovered height and safe to append to.
             self.slots[idx].log = Some(FileBlockStore::open(&path)?);
         }
         self.slots[idx].down = false;
@@ -824,6 +751,12 @@ impl ChaosNet {
         self.slots.iter().map(|s| Arc::clone(&s.peer)).collect()
     }
 
+    /// The reporting peer (slot 0): the one whose commits feed the outcome
+    /// counters and the flight recorder.
+    pub fn reporting_peer(&self) -> &Arc<Peer> {
+        &self.slots[0].peer
+    }
+
     /// Peers currently up.
     pub fn live_peers(&self) -> Vec<Arc<Peer>> {
         self.slots
@@ -838,6 +771,11 @@ impl ChaosNet {
         self.slots[idx].down
     }
 
+    /// Number of transactions waiting for the next block.
+    pub fn pending_count(&self) -> usize {
+        self.pending.len()
+    }
+
     /// Blocks ordered so far (excluding genesis).
     pub fn blocks_cut(&self) -> u64 {
         self.archive.len() as u64
@@ -845,17 +783,19 @@ impl ChaosNet {
 
     /// Outcome counters snapshot.
     pub fn stats(&self) -> TxStats {
-        self.counters.snapshot()
+        self.ctx.counters.snapshot()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fabric_ledger::CommittedBlock;
     use fabricpp::chaincode_fn;
 
     fn transfer_chaincode() -> Arc<dyn Chaincode> {
         chaincode_fn("transfer", |ctx, args| {
+            // args: 8 bytes from-account, 8 bytes to-account, 8 bytes amount
             if args.len() != 24 {
                 return Err("bad args".into());
             }
@@ -884,6 +824,47 @@ mod tests {
         (0..n).map(|i| (Key::composite("acct", i), Value::from_i64(100))).collect()
     }
 
+    /// A fault-free net of `orgs` × `per_org` peers over `accounts`
+    /// accounts, running the transfer chaincode.
+    fn quiet(cfg: PipelineConfig, orgs: usize, per_org: usize, accounts: u64) -> ChaosNet {
+        let cc = vec![transfer_chaincode()];
+        ChaosNet::new(&cfg, orgs, per_org, cc, &genesis(accounts), FaultPlan::quiescent(0))
+            .unwrap()
+    }
+
+    /// Cuts a block and reads it back from the ledger of peer slot `idx`.
+    fn cut_on(net: &mut ChaosNet, idx: usize) -> Arc<CommittedBlock> {
+        let n = net.cut_block().unwrap().expect("block");
+        net.peers()[idx].ledger().get(n).expect("committed")
+    }
+
+    fn cut(net: &mut ChaosNet) -> Arc<CommittedBlock> {
+        cut_on(net, 0)
+    }
+
+    fn balance(peer: &Peer, acct: u64) -> i64 {
+        let vv = peer.store().get(&Key::composite("acct", acct)).unwrap().unwrap();
+        vv.value.as_i64().unwrap()
+    }
+
+    fn endorsed(outcome: ProposeOutcome) -> Transaction {
+        match outcome {
+            ProposeOutcome::Endorsed(tx) => *tx,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// Peer `idx` matches the reporting peer: height, tip, and balances.
+    fn assert_level(net: &ChaosNet, idx: usize, accounts: u64) {
+        let (reference, peer) = (net.reporting_peer(), &net.peers()[idx]);
+        assert_eq!(peer.ledger().height(), reference.ledger().height());
+        assert_eq!(peer.ledger().tip_hash(), reference.ledger().tip_hash());
+        peer.ledger().verify_chain().unwrap();
+        for acct in 0..accounts {
+            assert_eq!(balance(peer, acct), balance(reference, acct));
+        }
+    }
+
     fn run_workload(net: &mut ChaosNet, blocks: u64, accounts: u64) {
         let mut c = 0u64;
         for b in 0..blocks {
@@ -898,34 +879,212 @@ mod tests {
     }
 
     #[test]
+    fn happy_path_transfer() {
+        let mut net = quiet(PipelineConfig::fabric_pp(), 2, 2, 4);
+        net.propose_and_submit(0, "transfer", args(0, 1, 30)).unwrap();
+        assert_eq!(cut(&mut net).validity, vec![ValidationCode::Valid]);
+        assert_eq!(balance(net.reporting_peer(), 0), 70);
+        assert_eq!(balance(net.reporting_peer(), 1), 130);
+        // All peers agree.
+        for peer in net.peers() {
+            assert_eq!(peer.ledger().height(), 2);
+            peer.ledger().verify_chain().unwrap();
+        }
+    }
+
+    #[test]
+    fn vanilla_conflicting_batch_loses_transactions() {
+        // Two transfers touching account 0, simulated against the same
+        // state, in one block: under vanilla arrival order the second dies.
+        let mut net = quiet(PipelineConfig::vanilla(), 2, 1, 4);
+        net.propose_and_submit(0, "transfer", args(0, 1, 10)).unwrap();
+        net.propose_and_submit(1, "transfer", args(0, 2, 10)).unwrap();
+        let block = cut(&mut net);
+        assert_eq!(block.validity, vec![ValidationCode::Valid, ValidationCode::MvccConflict]);
+        let s = net.stats();
+        assert_eq!((s.valid, s.mvcc_conflict), (1, 1));
+    }
+
+    #[test]
+    fn fabricpp_reorders_conflicting_batch() {
+        // Both transfers read and write acct0: conflict edges both ways
+        // form a 2-cycle, so Fabric++ aborts one at ORDER time and commits
+        // the other; nothing reaches validation as a conflict.
+        let mut net = quiet(PipelineConfig::fabric_pp(), 2, 1, 4);
+        net.propose_and_submit(0, "transfer", args(0, 1, 10)).unwrap();
+        net.propose_and_submit(1, "transfer", args(0, 2, 10)).unwrap();
+        assert_eq!(cut(&mut net).validity, vec![ValidationCode::Valid]);
+        let s = net.stats();
+        assert_eq!((s.valid, s.early_abort_cycle, s.mvcc_conflict), (1, 1, 0));
+    }
+
+    #[test]
+    fn fabricpp_reorders_read_after_write_to_success() {
+        // A pure reader of acct0 and a writer of acct0 (no cycle): vanilla
+        // arrival order (writer first) kills the reader; Fabric++ schedules
+        // the reader first and both commit.
+        let reader_cc = chaincode_fn("audit", |ctx, args| {
+            let k = Key::composite("acct", u64::from_le_bytes(args.try_into().map_err(|_| "bad")?));
+            let v = ctx.get_i64(&k).map_err(|e| e.to_string())?.ok_or("missing")?;
+            ctx.put_i64(Key::from("audit-log"), v);
+            Ok(())
+        });
+        let writer_cc = chaincode_fn("deposit", |ctx, args| {
+            let k = Key::composite("acct", u64::from_le_bytes(args.try_into().map_err(|_| "bad")?));
+            ctx.put_i64(k, 999);
+            Ok(())
+        });
+        for (cfg, expect_valid) in
+            [(PipelineConfig::vanilla(), 1usize), (PipelineConfig::fabric_pp(), 2usize)]
+        {
+            let ccs = vec![reader_cc.clone(), writer_cc.clone()];
+            let plan = FaultPlan::quiescent(0);
+            let mut net = ChaosNet::new(&cfg, 2, 1, ccs, &genesis(4), plan).unwrap();
+            // Writer submitted FIRST (arrival order dooms the reader).
+            net.propose_and_submit(0, "deposit", 0u64.to_le_bytes().to_vec()).unwrap();
+            net.propose_and_submit(1, "audit", 0u64.to_le_bytes().to_vec()).unwrap();
+            assert_eq!(cut(&mut net).valid_count(), expect_valid, "mode {}", cfg.mode_label());
+        }
+    }
+
+    #[test]
+    fn cross_block_stale_read_aborts_in_validation() {
+        // Simulate tx A, commit a conflicting block, then submit A: its
+        // read version is stale by commit time → MVCC abort (vanilla path).
+        let mut net = quiet(PipelineConfig::vanilla(), 2, 1, 4);
+        let stale_tx = endorsed(net.propose(0, "transfer", args(0, 1, 5)));
+        net.propose_and_submit(1, "transfer", args(0, 2, 7)).unwrap();
+        net.cut_block().unwrap();
+        net.submit(stale_tx);
+        assert_eq!(cut(&mut net).validity, vec![ValidationCode::MvccConflict]);
+        assert_eq!(balance(net.reporting_peer(), 1), 100, "stale write discarded");
+    }
+
+    #[test]
+    fn fabricpp_early_aborts_stale_simulation() {
+        // Two endorsements of the same transfer straddling a commit land
+        // in one batch: the orderer's version-mismatch check must drop the
+        // older reader and keep the fresh one.
+        let mut net = quiet(PipelineConfig::fabric_pp(), 2, 1, 4);
+        let t_old = endorsed(net.propose(0, "transfer", args(0, 1, 5)));
+        net.propose_and_submit(1, "transfer", args(0, 2, 7)).unwrap();
+        net.cut_block().unwrap();
+        let t_new = endorsed(net.propose(2, "transfer", args(0, 1, 5)));
+        let (old_id, new_id) = (t_old.id, t_new.id);
+        net.submit(t_old);
+        net.submit(t_new);
+        let block = cut(&mut net);
+        assert_eq!(block.block.txs.len(), 1);
+        assert_eq!(block.block.txs[0].id, new_id);
+        assert_eq!(block.validity, vec![ValidationCode::Valid]);
+        assert_eq!(net.stats().early_abort_version_mismatch, 1);
+        assert!(net.reporting_peer().ledger().find_tx(old_id).is_none());
+    }
+
+    #[test]
+    fn stats_account_every_submission() {
+        let mut net = quiet(PipelineConfig::fabric_pp(), 2, 1, 10);
+        for i in 0..5 {
+            net.propose_and_submit(i, "transfer", args(i, i + 5, 1)).unwrap();
+        }
+        net.cut_block().unwrap();
+        let s = net.stats();
+        assert_eq!((s.submitted, s.finished()), (5, 5));
+        assert_eq!(s.valid, 5, "disjoint transfers all commit");
+    }
+
+    #[test]
+    fn crash_and_restart_converges_in_memory() {
+        let mut net = quiet(PipelineConfig::fabric_pp(), 2, 2, 6);
+        net.propose_and_submit(0, "transfer", args(0, 1, 10)).unwrap();
+        net.cut_block().unwrap();
+
+        // Crash a non-endorsing peer, commit two blocks it never sees.
+        net.crash(1).unwrap();
+        assert!(net.crash(1).is_err(), "already down");
+        net.propose_and_submit(1, "transfer", args(2, 3, 5)).unwrap();
+        net.cut_block().unwrap();
+        net.propose_and_submit(2, "transfer", args(4, 5, 7)).unwrap();
+        net.cut_block().unwrap();
+        assert_eq!(net.peers()[1].ledger().height(), 2, "crashed peer misses blocks");
+
+        assert_eq!(net.restart(1).unwrap(), 2, "both missed blocks caught up");
+        assert!(net.restart(1).is_err(), "restarting a live peer is refused");
+        assert_level(&net, 1, 6);
+    }
+
+    #[test]
+    fn crash_with_torn_block_log_recovers_and_converges() {
+        let dir = std::env::temp_dir()
+            .join(format!("fabric-chaosnet-manual-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut net = quiet(PipelineConfig::vanilla(), 2, 2, 6);
+        net.persist_blocks(&dir).unwrap();
+        net.propose_and_submit(0, "transfer", args(0, 1, 10)).unwrap();
+        net.cut_block().unwrap();
+        net.propose_and_submit(1, "transfer", args(2, 3, 5)).unwrap();
+        net.cut_block().unwrap();
+
+        // Crash peer 3 and tear the tail of its block log, as if the
+        // process died mid-append of block 2.
+        assert!(net.tear_block_log(3, 9).is_err(), "only a crashed peer's log tears");
+        net.crash(3).unwrap();
+        net.tear_block_log(3, 9).unwrap();
+        net.propose_and_submit(2, "transfer", args(4, 5, 7)).unwrap();
+        net.cut_block().unwrap();
+
+        // Restart: torn tail discarded, prefix replayed, archive catch-up
+        // re-commits both the torn block and the missed one.
+        assert_eq!(net.restart(3).unwrap(), 2);
+        assert_level(&net, 3, 6);
+
+        // The re-synced on-disk log now loads cleanly at full height.
+        net.crash(3).unwrap();
+        assert_eq!(net.restart(3).unwrap(), 0, "no catch-up needed after a clean crash");
+        assert_level(&net, 3, 6);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn endorsers_skip_crashed_peers() {
+        let mut net = quiet(PipelineConfig::fabric_pp(), 2, 2, 4);
+        // Peer 1 (org 1's first peer, the reporting slot) crashes; peer 2
+        // of the same org takes over endorsement duty.
+        net.crash(0).unwrap();
+        net.propose_and_submit(0, "transfer", args(0, 1, 10)).unwrap();
+        assert_eq!(cut_on(&mut net, 1).validity, vec![ValidationCode::Valid]);
+        // Crash the whole org: proposals are rejected.
+        net.crash(1).unwrap();
+        match net.propose(1, "transfer", args(0, 1, 1)) {
+            ProposeOutcome::Rejected(e) => assert!(e.contains("no live endorser"), "{e}"),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn empty_cut_produces_no_block() {
+        let mut net = quiet(PipelineConfig::fabric_pp(), 1, 1, 1);
+        let heights: Vec<u64> = net.peers().iter().map(|p| p.ledger().height()).collect();
+        assert!(net.cut_block().unwrap().is_none(), "no empty block delivered");
+        assert_eq!((net.pending_count(), net.blocks_cut()), (0, 0));
+        for (peer, h) in net.peers().iter().zip(heights) {
+            assert_eq!(peer.ledger().height(), h, "chain untouched by empty cut");
+        }
+        // The next real cut picks up block numbering with no gap.
+        net.propose_and_submit(0, "transfer", args(0, 0, 0)).unwrap();
+        assert_eq!(cut(&mut net).block.header.number, 1);
+    }
+
+    #[test]
     fn quiescent_run_is_clean_and_conserves_money() {
-        let mut net = ChaosNet::new(
-            &PipelineConfig::fabric_pp(),
-            2,
-            2,
-            vec![transfer_chaincode()],
-            &genesis(8),
-            FaultPlan::quiescent(1),
-        )
-        .unwrap();
+        let mut net = quiet(PipelineConfig::fabric_pp(), 2, 2, 8);
         run_workload(&mut net, 6, 8);
         let report = net.check().unwrap();
         report.assert_ok();
         assert_eq!(report.peers_checked, 4);
         assert_eq!(net.injector().fault_count(), 0);
         // Transfers conserve the total balance.
-        let total: i64 = (0..8)
-            .map(|i| {
-                net.peers()[0]
-                    .store()
-                    .get(&Key::composite("acct", i))
-                    .unwrap()
-                    .unwrap()
-                    .value
-                    .as_i64()
-                    .unwrap()
-            })
-            .sum();
+        let total: i64 = (0..8).map(|i| balance(net.reporting_peer(), i)).sum();
         assert_eq!(total, 800);
     }
 
@@ -1008,21 +1167,19 @@ mod tests {
         report.assert_ok();
     }
 
+    fn replicated(plan: FaultPlan, replicas: usize) -> ChaosNet {
+        let opts = ChaosOptions { replicas: Some(replicas), ..ChaosOptions::default() };
+        let cc = vec![transfer_chaincode()];
+        let cfg = PipelineConfig::fabric_pp();
+        ChaosNet::with_options(&cfg, 2, 2, cc, &genesis(8), plan, opts).unwrap()
+    }
+
     #[test]
     fn replicated_orderer_converges_through_leader_crash() {
         // Three consensus replicas; the height-2 leader (replica (2+0)%3
         // = 2) dies right after proposing and restarts one height later.
         let plan = FaultPlan::quiescent(9).with_orderer_crash(2, 2, 1, true);
-        let mut net = ChaosNet::new_replicated(
-            &PipelineConfig::fabric_pp(),
-            2,
-            2,
-            vec![transfer_chaincode()],
-            &genesis(8),
-            plan,
-            3,
-        )
-        .unwrap();
+        let mut net = replicated(plan, 3);
         run_workload(&mut net, 5, 8);
         let report = net.check().unwrap();
         report.assert_ok();
@@ -1044,29 +1201,18 @@ mod tests {
         // The 1-replica group sends no messages and consults the injector
         // zero times, so a lossy plan produces the same schedule digest
         // and the same peer-visible outcome as the classic single path.
-        let run = |replicated: bool| {
+        let run = |replicas: bool| {
             let plan = FaultPlan::lossy(21);
-            let cfg = PipelineConfig::fabric_pp();
-            let cc = vec![transfer_chaincode()];
-            let mut net = if replicated {
-                ChaosNet::new_replicated(&cfg, 2, 2, cc, &genesis(8), plan, 1).unwrap()
+            let mut net = if replicas {
+                replicated(plan, 1)
             } else {
-                ChaosNet::new(&cfg, 2, 2, cc, &genesis(8), plan).unwrap()
+                let cfg = PipelineConfig::fabric_pp();
+                ChaosNet::new(&cfg, 2, 2, vec![transfer_chaincode()], &genesis(8), plan)
+                    .unwrap()
             };
             run_workload(&mut net, 8, 8);
             net.check().unwrap().assert_ok();
-            let state: Vec<_> = (0..8)
-                .map(|i| {
-                    net.peers()[0]
-                        .store()
-                        .get(&Key::composite("acct", i))
-                        .unwrap()
-                        .unwrap()
-                        .value
-                        .as_i64()
-                        .unwrap()
-                })
-                .collect();
+            let state: Vec<_> = (0..8).map(|i| balance(net.reporting_peer(), i)).collect();
             (net.injector().schedule_digest(), net.blocks_cut(), state)
         };
         let single = run(false);
@@ -1094,22 +1240,11 @@ mod tests {
                 .unwrap();
                 run_workload(&mut net, 10, 8);
                 net.check().unwrap().assert_ok();
-                let state: Vec<_> = (0..8)
-                    .map(|i| {
-                        net.peers()[0]
-                            .store()
-                            .get(&Key::composite("acct", i))
-                            .unwrap()
-                            .unwrap()
-                            .value
-                            .as_i64()
-                            .unwrap()
-                    })
-                    .collect();
+                let state: Vec<_> = (0..8).map(|i| balance(net.reporting_peer(), i)).collect();
                 (
                     net.injector().schedule_digest(),
                     net.injector().events(),
-                    net.peers()[0].ledger().height(),
+                    net.reporting_peer().ledger().height(),
                     state,
                 )
             })

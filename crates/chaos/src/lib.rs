@@ -14,11 +14,14 @@
 //! * [`invariants`] — post-run checks: state convergence across live
 //!   peers, ledger hash-chain verification, and no-committed-tx-loss
 //!   across crash/restart;
-//! * [`harness`] — [`harness::ChaosNet`], a deterministic single-threaded
-//!   network of peers with optional durable block logs, driven
-//!   block-by-block under a fault plan, with crash/restart orchestration
-//!   through `fabric_peer::recovery` and archive catch-up. Built with
-//!   [`harness::ChaosNet::new_replicated`], the single ordering process
+//! * [`harness`] — [`harness::ChaosNet`], the repository's one
+//!   deterministic single-threaded pipeline driver: a network of peers
+//!   with optional durable block logs, driven block-by-block under a
+//!   fault plan, with crash/restart orchestration through
+//!   `fabric_peer::recovery` and archive catch-up. Under
+//!   [`plan::FaultPlan::quiescent`] it is the scripted-scenario harness
+//!   the paper's worked examples run on. With
+//!   [`harness::ChaosOptions::replicas`] set, the single ordering process
 //!   becomes a [`fabric_consensus::OrdererGroup`] whose propose/vote/
 //!   commit traffic runs through the same injector, so leader crashes,
 //!   consensus partitions, and equivocation are chaos-testable with the
@@ -36,7 +39,7 @@ pub mod plan;
 pub mod rng;
 
 pub use fabric_consensus::{Equivocation, OrdererCrash};
-pub use harness::{ChaosNet, ChaosOptions};
+pub use harness::{ChaosNet, ChaosOptions, ProposeOutcome};
 pub use injector::{FaultEvent, FaultInjector};
 pub use invariants::{check_invariants, state_digest, InvariantReport};
 pub use plan::{CrashPoint, FaultPlan, Partition, WalFault};

@@ -97,7 +97,9 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// No faults at all — the control arm of every chaos matrix.
+    /// No faults at all — the control arm of every chaos matrix, and the
+    /// plan scripted deterministic scenarios run [`crate::ChaosNet`] under:
+    /// it logs no verdicts and emits no fault events.
     pub fn quiescent(seed: u64) -> Self {
         FaultPlan {
             seed,

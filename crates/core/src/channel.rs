@@ -20,6 +20,7 @@
 //! packets); a restart rebuilds its state from its ledger through
 //! [`fabric_peer::recovery`] and catches up from the archive.
 
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -29,8 +30,9 @@ use crossbeam::channel::RecvTimeoutError;
 use parking_lot::RwLock;
 
 use fabric_common::{
-    ChannelId, ConcurrencyMode, CostModel, Digest, LatencyRecorder, Phase, PhaseTimers,
-    PipelineConfig, Result, SignerRegistry, SigningKey, SubsystemGauges, Transaction, TxCounters,
+    ChannelId, ConcurrencyMode, CostModel, Digest, Error, LatencyRecorder, OrgId, PeerId, Phase,
+    PhaseTimers, PipelineConfig, Result, SignerRegistry, SigningKey, SubsystemGauges, Transaction,
+    TxCounters,
 };
 use fabric_telemetry::TelemetryHub;
 use fabric_ledger::Block;
@@ -40,13 +42,18 @@ use fabric_net::{
 use fabric_ordering::{BatchCutter, OrderingService, OrdererStats, PreparedBatch, ReorderPipeline};
 use fabric_peer::chaincode::ChaincodeRegistry;
 use fabric_peer::peer::{PendingBlock, Peer};
+use fabric_peer::recovery;
 use fabric_peer::validation_pool::ValidationPool;
 use fabric_peer::validator::EndorsementPolicy;
 use fabric_statedb::StateStore;
 use fabric_trace::{EventKind, TraceSink};
 
-/// Everything needed to rebuild a peer object after a crash: the pieces of
-/// [`Peer::new`]'s signature that are channel-wide rather than per-peer.
+/// The channel-wide half of every peer's wiring: the pieces of
+/// [`Peer::new`]'s signature that are not per-peer, the shared validation
+/// pool, and the observers the reporting peer (slot 0) carries. Every
+/// driver — the threaded runtime and the deterministic chaos harness —
+/// builds and rebuilds its peers through [`PeerContext::new_peer`] and
+/// [`PeerContext::restore_peer`].
 #[derive(Clone)]
 pub struct PeerContext {
     /// Deployed chaincodes.
@@ -66,18 +73,100 @@ pub struct PeerContext {
     /// Shared endorsement-signature validation pool (one per network;
     /// signature checking is stateless, so all peers use the same workers).
     pub pool: Arc<ValidationPool>,
-    /// Flight-recorder sink (disabled unless the builder enabled tracing);
-    /// the orderer emits cut/seal events and a restarted reporting peer is
+    /// Outcome counters the reporting peer records final verdicts on
+    /// (blocks missed while it was down were never counted, so replaying
+    /// them through its restored incarnation keeps the totals exact).
+    pub counters: TxCounters,
+    /// End-to-end latency of valid transactions, recorded by the
+    /// reporting peer.
+    pub latency: LatencyRecorder,
+    /// Per-phase timers of the reporting peer (and the orderer).
+    pub phase_timers: PhaseTimers,
+    /// Flight-recorder sink (disabled unless tracing was enabled); the
+    /// orderer emits cut/seal events and a restarted reporting peer is
     /// re-attached to it.
     pub sink: TraceSink,
-    /// Shared telemetry gauge cells: the orderer thread refreshes the
-    /// cutter queue depth through them, and restarted peers are re-attached
-    /// so their endorsements keep counting.
+    /// Shared telemetry gauge cells: the orderer refreshes the cutter
+    /// queue depth through them, and restarted peers are re-attached so
+    /// their endorsements keep counting.
     pub gauges: SubsystemGauges,
-    /// Telemetry hub (disabled unless the builder enabled telemetry); a
-    /// restarted reporting peer is re-attached so logical time keeps
-    /// advancing across the restart.
+    /// Telemetry hub (disabled unless telemetry was enabled); a restarted
+    /// reporting peer is re-attached so logical time keeps advancing
+    /// across the restart.
     pub telemetry: TelemetryHub,
+}
+
+impl PeerContext {
+    /// Builds the peer for channel slot `slot` around a fresh `store`:
+    /// derives and registers its signing key, shares the validation pool,
+    /// and — on slot 0, the reporting peer — attaches the counters, phase
+    /// timers, sink, gauges and telemetry hub. Genesis is not installed.
+    pub fn new_peer(
+        &self,
+        slot: usize,
+        id: PeerId,
+        org: OrgId,
+        store: Arc<dyn StateStore>,
+    ) -> Peer {
+        let key = SigningKey::for_peer(id, self.key_seed);
+        self.registry.register(id, key.clone());
+        let peer = Peer::new(
+            id,
+            org,
+            key,
+            store,
+            self.chaincodes.clone(),
+            self.registry.clone(),
+            self.policy.clone(),
+            self.concurrency,
+            self.early_abort_simulation,
+            self.cost,
+        );
+        self.attach(slot, peer)
+    }
+
+    /// Rebuilds the crashed peer `old` of slot `slot` through
+    /// [`fabric_peer::recovery`] with full flag re-checking — from its
+    /// on-disk block log when `log` is given (a torn tail is truncated
+    /// off, so the file can be appended to again), from the dead
+    /// incarnation's in-memory ledger otherwise — and wires it exactly like
+    /// [`PeerContext::new_peer`]. The caller catches it up.
+    pub fn restore_peer(&self, slot: usize, old: &Peer, log: Option<&Path>) -> Result<Peer> {
+        let rec = match log {
+            Some(path) => recovery::recover_from_crashed_log(path, true)?.0,
+            None => {
+                let mut blocks = Vec::new();
+                old.ledger().for_each(|cb| blocks.push(cb.clone()));
+                recovery::rebuild(blocks, true)?
+            }
+        };
+        let peer = Peer::restore(
+            old.id(),
+            old.org(),
+            SigningKey::for_peer(old.id(), self.key_seed),
+            rec.state as Arc<dyn StateStore>,
+            rec.ledger,
+            self.chaincodes.clone(),
+            self.registry.clone(),
+            self.policy.clone(),
+            self.concurrency,
+            self.early_abort_simulation,
+            self.cost,
+        );
+        Ok(self.attach(slot, peer))
+    }
+
+    fn attach(&self, slot: usize, peer: Peer) -> Peer {
+        let peer = peer.with_validation_pool(Arc::clone(&self.pool));
+        if slot != 0 {
+            return peer;
+        }
+        peer.with_reporting(self.counters.clone(), self.latency.clone())
+            .with_phase_timers(self.phase_timers.clone())
+            .with_trace(self.sink.clone())
+            .with_gauges(self.gauges.clone())
+            .with_telemetry(self.telemetry.clone())
+    }
 }
 
 /// A running channel: handles to its threads and its client-facing sender.
@@ -136,9 +225,7 @@ impl ChannelRuntime {
         genesis_hash: Digest,
         latency: LatencyModel,
         net_stats: NetStats,
-        counters: TxCounters,
         orderer_stats: OrdererStats,
-        phase_timers: PhaseTimers,
         fault_hook: Option<Arc<dyn FaultHook>>,
         ctx: PeerContext,
     ) -> Self {
@@ -219,13 +306,14 @@ impl ChannelRuntime {
             FaultyBroadcaster::wrap(direct, gossip, hook, move |i| link_ids[i]);
 
         let mut service = OrderingService::new(config)
-            .with_counters(counters)
+            .with_counters(ctx.counters.clone())
             .with_trace(ctx.sink.clone())
             .resume_at(1, genesis_hash);
         let mut cutter = BatchCutter::new(config.cutting.clone());
         let reorder_workers = config.reorder_workers;
         let cut_sink = ctx.sink.clone();
         let cut_gauges = ctx.gauges.clone();
+        let phase_timers = ctx.phase_timers.clone();
 
         let orderer_archive = Arc::clone(&archive);
         let orderer_thread = std::thread::spawn(move || {
@@ -347,50 +435,19 @@ impl ChannelRuntime {
         self.down[idx].store(true, Ordering::Release);
     }
 
-    /// Restarts a crashed peer: rebuilds its state from its ledger (its
-    /// simulated on-disk block log) through [`fabric_peer::recovery`] with
-    /// full flag re-checking, swaps the new incarnation into the peer's
-    /// slot, and catches it up from the block archive.
-    ///
-    /// `reporting` re-attaches outcome counters when the restarted peer is
-    /// the channel's reporting peer (blocks missed while down were never
-    /// counted, so replaying them through the restored peer keeps the
-    /// totals exact).
+    /// Restarts a crashed peer: rebuilds it from its ledger (its simulated
+    /// on-disk block log) through [`PeerContext::restore_peer`], swaps the
+    /// new incarnation into the peer's slot, and catches it up from the
+    /// block archive. Restarting a live peer is an error: its thread may
+    /// still be committing on the current incarnation.
     ///
     /// Returns the number of blocks caught up.
-    pub fn restart_peer(
-        &self,
-        idx: usize,
-        reporting: Option<(TxCounters, LatencyRecorder, PhaseTimers)>,
-    ) -> Result<u64> {
-        let old = Arc::clone(&self.slots[idx].read());
-        let mut blocks = Vec::new();
-        old.ledger().for_each(|cb| blocks.push(cb.clone()));
-        let rec = fabric_peer::recovery::rebuild(blocks, true)?;
-        let key = SigningKey::for_peer(old.id(), self.ctx.key_seed);
-        let mut peer = Peer::restore(
-            old.id(),
-            old.org(),
-            key,
-            Arc::clone(&rec.state) as Arc<dyn StateStore>,
-            rec.ledger,
-            self.ctx.chaincodes.clone(),
-            self.ctx.registry.clone(),
-            self.ctx.policy.clone(),
-            self.ctx.concurrency,
-            self.ctx.early_abort_simulation,
-            self.ctx.cost,
-        );
-        peer = peer.with_validation_pool(Arc::clone(&self.ctx.pool));
-        if let Some((counters, latency, timers)) = reporting {
-            peer = peer
-                .with_reporting(counters, latency)
-                .with_phase_timers(timers)
-                .with_trace(self.ctx.sink.clone())
-                .with_gauges(self.ctx.gauges.clone())
-                .with_telemetry(self.ctx.telemetry.clone());
+    pub fn restart_peer(&self, idx: usize) -> Result<u64> {
+        if !self.is_down(idx) {
+            return Err(Error::Config("restart_peer requires a crashed peer".into()));
         }
-        let peer = Arc::new(peer);
+        let old = Arc::clone(&self.slots[idx].read());
+        let peer = Arc::new(self.ctx.restore_peer(idx, &old, None)?);
         *self.slots[idx].write() = Arc::clone(&peer);
         let applied = catch_up_from_archive(&peer, &self.archive)?;
         self.down[idx].store(false, Ordering::Release);

@@ -45,12 +45,16 @@
 //! * [`client`] — the client side of the protocol: proposal →
 //!   endorsement collection → read/write-set comparison → submission.
 //! * [`channel`] — one channel's runtime: an ordering-service thread plus
-//!   one validation thread per peer, wired over the simulated network.
+//!   one validation thread per peer, wired over the simulated network;
+//!   and [`channel::PeerContext`], the one place a peer is built or
+//!   rebuilt after a crash.
 //! * [`network`] — [`NetworkBuilder`] / [`FabricNetwork`]: organizations,
 //!   peers, channels, chaincode deployment, genesis state, reporting.
-//! * [`sync`] — a single-threaded, fully deterministic harness over the
-//!   same components, used by integration tests to script exact scenarios
-//!   (e.g. the paper's Appendix A running example).
+//!
+//! The single-threaded, fully deterministic driver over the same
+//! components — used to script exact scenarios such as the paper's
+//! Appendix A running example — is `fabric_chaos::ChaosNet` under a
+//! quiescent fault plan.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,11 +62,9 @@
 pub mod channel;
 pub mod client;
 pub mod network;
-pub mod sync;
 
 pub use client::{ClientHandle, SubmitOutcome};
 pub use network::{FabricNetwork, NetworkBuilder, RunReport, StateEngine};
-pub use sync::SyncNet;
 
 use std::sync::Arc;
 

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use fabric_common::{
     ChannelId, ClientId, CostModel, Error, Key, LatencyRecorder, LatencySummary, OrgId, PeerId,
-    PhaseSummary, PhaseTimers, PipelineConfig, Result, SignerRegistry, SigningKey, StoreStats,
+    PhaseSummary, PhaseTimers, PipelineConfig, Result, SignerRegistry, StoreStats,
     SubsystemGauges, TxCounters, TxStats, Value,
 };
 use fabric_net::{FaultHook, LatencyModel, NetStats};
@@ -180,7 +180,6 @@ impl NetworkBuilder {
             ));
         }
 
-        let registry = SignerRegistry::new();
         let counters = TxCounters::new();
         let latency_rec = LatencyRecorder::new();
         let net_stats = NetStats::new();
@@ -203,27 +202,36 @@ impl NetworkBuilder {
         );
         gauges.set_validation_workers(pool.workers() as u64);
 
-        let mut cc_registry = ChaincodeRegistry::new();
+        let mut chaincodes = ChaincodeRegistry::new();
         for cc in &self.chaincodes {
-            cc_registry.deploy(cc.name().to_owned(), Arc::clone(cc));
+            chaincodes.deploy(cc.name().to_owned(), Arc::clone(cc));
         }
-
-        let policy =
-            EndorsementPolicy::require_orgs((1..=self.orgs as u64).map(OrgId).collect());
+        let ctx = PeerContext {
+            chaincodes,
+            registry: SignerRegistry::new(),
+            policy: EndorsementPolicy::require_orgs((1..=self.orgs as u64).map(OrgId).collect()),
+            concurrency: self.pipeline.concurrency,
+            early_abort_simulation: self.pipeline.early_abort_simulation,
+            cost: self.cost,
+            key_seed: self.seed,
+            pool,
+            counters: counters.clone(),
+            latency: latency_rec.clone(),
+            phase_timers: phase_timers.clone(),
+            sink: sink.clone(),
+            gauges: gauges.clone(),
+            telemetry: hub.clone(),
+        };
 
         let mut channels = Vec::with_capacity(self.channels);
         let mut reporting_stores = Vec::with_capacity(self.channels);
         let mut next_peer_id = 1u64;
         for ch in 0..self.channels {
-            let channel_id = ChannelId(ch as u64);
             let mut peers = Vec::new();
             for org in 1..=self.orgs as u64 {
                 for _ in 0..self.peers_per_org {
                     let pid = PeerId(next_peer_id);
                     next_peer_id += 1;
-                    let key = SigningKey::for_peer(pid, self.seed);
-                    registry.register(pid, key.clone());
-
                     let store: Arc<dyn StateStore> = match &self.engine {
                         StateEngine::Memory => Arc::new(MemStateDb::new()),
                         StateEngine::Lsm(base) => {
@@ -231,28 +239,9 @@ impl NetworkBuilder {
                             Arc::new(LsmStateDb::open(dir, LsmConfig::default())?)
                         }
                     };
-
-                    let mut peer = Peer::new(
-                        pid,
-                        OrgId(org),
-                        key,
-                        store,
-                        cc_registry.clone(),
-                        registry.clone(),
-                        policy.clone(),
-                        self.pipeline.concurrency,
-                        self.pipeline.early_abort_simulation,
-                        self.cost,
-                    );
-                    peer = peer.with_validation_pool(Arc::clone(&pool));
-                    // First peer of each channel reports outcomes/latency.
+                    // Slot 0 of each channel is its reporting peer.
+                    let peer = ctx.new_peer(peers.len(), pid, OrgId(org), store);
                     if peers.is_empty() {
-                        peer = peer
-                            .with_reporting(counters.clone(), latency_rec.clone())
-                            .with_phase_timers(phase_timers.clone())
-                            .with_trace(sink.clone())
-                            .with_gauges(gauges.clone())
-                            .with_telemetry(hub.clone());
                         reporting_stores.push(peer.store().counters());
                     }
                     peer.install_genesis(&self.genesis)?;
@@ -260,31 +249,16 @@ impl NetworkBuilder {
                 }
             }
             let genesis_hash = peers[0].ledger().tip_hash();
-            let ctx = PeerContext {
-                chaincodes: cc_registry.clone(),
-                registry: registry.clone(),
-                policy: policy.clone(),
-                concurrency: self.pipeline.concurrency,
-                early_abort_simulation: self.pipeline.early_abort_simulation,
-                cost: self.cost,
-                key_seed: self.seed,
-                pool: Arc::clone(&pool),
-                sink: sink.clone(),
-                gauges: gauges.clone(),
-                telemetry: hub.clone(),
-            };
             channels.push(ChannelRuntime::spawn(
-                channel_id,
+                ChannelId(ch as u64),
                 &self.pipeline,
                 peers,
                 genesis_hash,
                 self.latency.clone(),
                 net_stats.clone(),
-                counters.clone(),
                 orderer_stats.clone(),
-                phase_timers.clone(),
                 self.fault_hook.clone(),
-                ctx,
+                ctx.clone(),
             ));
         }
 
@@ -366,11 +340,10 @@ impl FabricNetwork {
 
     /// Restarts a crashed peer: recovery from its own ledger (state
     /// rebuild + flag recheck) followed by catch-up from the channel's
-    /// block archive. Returns the number of blocks caught up.
+    /// block archive. Returns the number of blocks caught up, or
+    /// `Error::Config` when the peer is not crashed.
     pub fn restart_peer(&self, channel_idx: usize, peer_idx: usize) -> Result<u64> {
-        let reporting = (peer_idx == 0)
-            .then(|| (self.counters.clone(), self.latency_rec.clone(), self.phase_timers.clone()));
-        self.channels[channel_idx].restart_peer(peer_idx, reporting)
+        self.channels[channel_idx].restart_peer(peer_idx)
     }
 
     /// Whether the given peer is currently crashed.

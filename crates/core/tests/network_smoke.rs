@@ -145,6 +145,23 @@ fn crash_and_restart_peer_mid_run_converges() {
 }
 
 #[test]
+fn restart_of_a_live_peer_is_refused() {
+    // A live peer's thread may be committing on its current incarnation;
+    // swapping a rebuilt one into the slot underneath it must not happen.
+    let net = fast_builder().peers_per_org(2).build().unwrap();
+    let client = net.client(0);
+    client.submit("count", b"c".to_vec());
+    drop(client);
+    for idx in [0, 1] {
+        let before = net.channel_peers(0);
+        assert!(net.restart_peer(0, idx).is_err(), "peer {idx} is live");
+        let after = net.channel_peers(0);
+        assert!(std::sync::Arc::ptr_eq(&before[idx], &after[idx]), "slot {idx} was swapped");
+    }
+    assert_eq!(net.finish().stats.valid, 1);
+}
+
+#[test]
 fn unique_keys_cutting_condition_fires() {
     // Fabric++ batch-cutting condition (d): keys per block bounded.
     let mut pipeline = PipelineConfig::fabric_pp();

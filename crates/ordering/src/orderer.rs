@@ -17,9 +17,9 @@
 //! * [`OrderingService::seal`] — the sequential step: abort counters,
 //!   empty-block suppression, block numbering and hash chaining.
 //!
-//! [`OrderingService::order_batch`] is exactly `prepare` + `seal` inline,
-//! which is what the deterministic harnesses (sync/chaos) keep calling —
-//! their block streams and schedule digests are untouched by the pipeline.
+//! [`OrderingService::order_batch`] is exactly `prepare` + `seal` inline:
+//! the sequential reference the pipeline's differential tests compare
+//! against, byte for byte.
 
 use std::time::{Duration, Instant};
 
@@ -293,8 +293,7 @@ impl OrderingService {
     }
 
     /// Orders one cut batch into a block: [`BatchPrep::prepare`] +
-    /// [`seal`](Self::seal) inline. The deterministic harnesses call this
-    /// directly, bypassing the pipeline entirely.
+    /// [`seal`](Self::seal) inline, bypassing the pipeline entirely.
     ///
     /// Under [`OrderingPolicy::Arrival`] the batch order is preserved
     /// verbatim. Under [`OrderingPolicy::Reorder`] the Fabric++ machinery

@@ -14,9 +14,11 @@
 //! The pool also enables commit/validate *pipelining*: because signature
 //! checks need no state, block N+1's checks can run while block N's writes
 //! are applied under the state gate (see `crates/core`'s peer loop). The
-//! deterministic harnesses ([`SyncNet`](../fabricpp), chaos) use
-//! [`ValidationPool::sequential`], which computes eagerly on the caller's
-//! thread so schedules and digests are unchanged.
+//! deterministic chaos harness sizes one shared pool from
+//! `validation_workers` like the threaded runtime does, falling back to
+//! [`ValidationPool::sequential`] (eager, on the caller's thread) at one
+//! worker; either way the verdicts — and so schedules and digests — are
+//! identical.
 
 use std::ops::Range;
 use std::sync::Arc;

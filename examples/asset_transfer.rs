@@ -1,15 +1,16 @@
 //! The paper's Appendix A running example, narrated step by step on the
-//! deterministic synchronous harness: organizations A and B move money
-//! between `BalA` and `BalB`; a malicious client tampers with a write set
-//! and is caught; a stale transaction fails the serializability check.
+//! deterministic single-threaded driver (a fault-free `ChaosNet`):
+//! organizations A and B move money between `BalA` and `BalB`; a malicious
+//! client tampers with a write set and is caught; a stale transaction
+//! fails the serializability check.
 //!
 //! ```bash
 //! cargo run --release --example asset_transfer
 //! ```
 
+use fabric_chaos::{ChaosNet, FaultPlan, ProposeOutcome};
 use fabric_common::{Key, PipelineConfig, ValidationCode, Value, Version};
-use fabricpp::sync::ProposeOutcome;
-use fabricpp::{chaincode_fn, SyncNet};
+use fabricpp::chaincode_fn;
 
 fn main() {
     let transfer = chaincode_fn("transfer", |ctx, args| {
@@ -25,7 +26,8 @@ fn main() {
         (Key::from("BalA"), Value::from_i64(100)),
         (Key::from("BalB"), Value::from_i64(50)),
     ];
-    let mut net = SyncNet::new(&PipelineConfig::vanilla(), 2, 2, vec![transfer], &genesis)
+    let plan = FaultPlan::quiescent(0);
+    let mut net = ChaosNet::new(&PipelineConfig::vanilla(), 2, 2, vec![transfer], &genesis, plan)
         .expect("network");
 
     println!("=== Simulation phase (paper Fig. 12) ===");
@@ -70,7 +72,8 @@ fn main() {
     net.submit(t9);
 
     println!("\n=== Validation & commit phase (paper Fig. 14) ===");
-    let block = net.cut_block().expect("commit").expect("block");
+    let n = net.cut_block().expect("commit").expect("block");
+    let block = net.reporting_peer().ledger().get(n).expect("committed block");
     for (tx, code) in block.iter() {
         let verdict = match code {
             ValidationCode::Valid => "VALID",

@@ -7,11 +7,12 @@
 //! cargo run --release --example ledger_audit
 //! ```
 
+use fabric_chaos::{ChaosNet, FaultPlan};
 use fabric_common::{Key, PipelineConfig, Value};
 use fabric_ledger::FileBlockStore;
 use fabric_peer::recovery;
 use fabric_statedb::StateStore;
-use fabricpp::{chaincode_fn, SyncNet};
+use fabricpp::chaincode_fn;
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("fabricpp-audit-{}", std::process::id()));
@@ -26,12 +27,13 @@ fn main() {
     });
 
     // Phase 1: run a Fabric++ network and persist its blocks.
-    let mut net = SyncNet::new(
+    let mut net = ChaosNet::new(
         &PipelineConfig::fabric_pp(),
         2,
         1,
         vec![bump],
         &(0..8).map(|i| (Key::composite("ctr", i), Value::from_i64(0))).collect::<Vec<_>>(),
+        FaultPlan::quiescent(0),
     )
     .expect("network");
 
@@ -44,7 +46,8 @@ fn main() {
             let target = Key::composite("ctr", (round + client) % 8);
             net.propose_and_submit(client, "bump", target.as_bytes().to_vec());
         }
-        let committed = net.cut_block().expect("cut").expect("block");
+        let n = net.cut_block().expect("cut").expect("block");
+        let committed = net.reporting_peer().ledger().get(n).expect("committed block");
         store.append(&committed).unwrap();
         println!(
             "block {}: {} txs, {} valid",

@@ -11,9 +11,9 @@
 
 use std::sync::Arc;
 
+use fabricpp_suite::chaos::{ChaosNet, ChaosOptions, FaultPlan, ProposeOutcome};
 use fabricpp_suite::common::{Key, PhaseSummary, PipelineConfig, Value};
-use fabricpp_suite::fabric::sync::ProposeOutcome;
-use fabricpp_suite::fabric::{chaincode_fn, SyncNet};
+use fabricpp_suite::fabric::chaincode_fn;
 use fabricpp_suite::trace::{chrome, jsonl, prom, TraceSink};
 
 fn transfer_chaincode() -> Arc<dyn fabricpp_suite::peer::chaincode::Chaincode> {
@@ -40,13 +40,14 @@ fn main() {
         (Key::from("BalA"), Value::from_i64(100)),
         (Key::from("BalB"), Value::from_i64(50)),
     ];
-    let mut net = SyncNet::new_traced(
+    let mut net = ChaosNet::with_options(
         &PipelineConfig::fabric_pp(),
         2,
         2,
         vec![transfer_chaincode()],
         &genesis,
-        sink.clone(),
+        FaultPlan::quiescent(0),
+        ChaosOptions { sink: sink.clone(), ..ChaosOptions::default() },
     )
     .expect("network");
 

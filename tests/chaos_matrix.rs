@@ -10,7 +10,7 @@
 
 use fabric_chaos::{ChaosNet, ChaosOptions, FaultEvent, FaultPlan, InvariantReport};
 use fabric_common::hash::Digest;
-use fabric_common::PipelineConfig;
+use fabric_common::{PipelineConfig, TxStats};
 use fabric_workloads::smallbank::SmallbankChaincode;
 use fabric_workloads::{SmallbankConfig, SmallbankWorkload, WorkloadGen};
 use fabricpp_suite::telemetry::TelemetryConfig;
@@ -26,7 +26,8 @@ struct CaseResult {
     schedule: Digest,
     events: Vec<FaultEvent>,
     faults: u64,
-    valid: u64,
+    stats: TxStats,
+    blocks_cut: u64,
 }
 
 /// Runs one matrix cell: a fresh network, a seeded Smallbank stream, and
@@ -49,14 +50,14 @@ fn run_case_traced(
         seed: 11,
     });
     let genesis = wl.genesis();
-    let mut net = ChaosNet::new_traced(
+    let mut net = ChaosNet::with_options(
         config,
         ORGS,
         PEERS_PER_ORG,
         vec![SmallbankChaincode::deployable()],
         &genesis,
         plan,
-        sink,
+        ChaosOptions { sink, ..ChaosOptions::default() },
     )
     .unwrap();
     let dir = persist.map(|tag| {
@@ -83,7 +84,8 @@ fn run_case_traced(
         schedule: net.injector().schedule_digest(),
         events: net.injector().events(),
         faults: net.injector().fault_count(),
-        valid: net.stats().valid,
+        stats: net.stats(),
+        blocks_cut: net.blocks_cut(),
     }
 }
 
@@ -94,7 +96,6 @@ struct ReplicatedResult {
     fingerprints: Vec<(u32, u64, Digest)>,
     replicas_up: usize,
     heights_decided: u64,
-    blocks_cut: u64,
 }
 
 /// Runs one matrix cell with the ordering service replaced by a
@@ -112,14 +113,14 @@ fn run_replicated_case(
         seed: 11,
     });
     let genesis = wl.genesis();
-    let mut net = ChaosNet::new_replicated(
+    let mut net = ChaosNet::with_options(
         config,
         ORGS,
         PEERS_PER_ORG,
         vec![SmallbankChaincode::deployable()],
         &genesis,
         plan,
-        replicas,
+        ChaosOptions { replicas: Some(replicas), ..ChaosOptions::default() },
     )
     .unwrap();
     let mut client = 0u64;
@@ -136,13 +137,13 @@ fn run_replicated_case(
         fingerprints: group.fingerprints(),
         replicas_up: (0..group.replicas()).filter(|&r| !group.is_down(r)).count(),
         heights_decided: group.heights_decided(),
-        blocks_cut: net.blocks_cut(),
         case: CaseResult {
             report,
             schedule: net.injector().schedule_digest(),
             events: net.injector().events(),
             faults: net.injector().fault_count(),
-            valid: net.stats().valid,
+            stats: net.stats(),
+            blocks_cut: net.blocks_cut(),
         },
     }
 }
@@ -157,7 +158,7 @@ fn assert_replicas_converged(r: &ReplicatedResult) {
         "replica block streams diverged: {:?}",
         r.fingerprints
     );
-    assert_eq!(n0, r.blocks_cut + 1, "replica chains must match delivered blocks");
+    assert_eq!(n0, r.case.blocks_cut + 1, "replica chains must match delivered blocks");
 }
 
 fn modes() -> [(&'static str, PipelineConfig); 2] {
@@ -174,7 +175,7 @@ fn quiescent_control_arm_is_clean() {
         r.report.assert_ok();
         assert_eq!(r.faults, 0, "{label}: control arm must inject nothing");
         assert_eq!(r.report.peers_checked, ORGS * PEERS_PER_ORG);
-        assert!(r.valid > 0, "{label}: workload must commit transactions");
+        assert!(r.stats.valid > 0, "{label}: workload must commit transactions");
         assert_eq!(r.report.height, BLOCKS + 1, "{label}: genesis + every cut block");
     }
 }
@@ -184,7 +185,7 @@ fn lossy_network_converges_in_both_modes() {
     for (label, config) in modes() {
         let r = run_case(&config, FaultPlan::lossy(22), None);
         r.report.assert_ok();
-        assert!(r.valid > 0, "{label}: workload must survive loss");
+        assert!(r.stats.valid > 0, "{label}: workload must survive loss");
     }
 }
 
@@ -226,7 +227,7 @@ fn crash_and_recovery_preserve_committed_txs() {
         let tag = format!("crash-{}", label.replace("++", "pp"));
         let r = run_case(&config, plan, Some(&tag));
         r.report.assert_ok();
-        assert!(r.valid > 0, "{label}: workload must commit through crashes");
+        assert!(r.stats.valid > 0, "{label}: workload must commit through crashes");
         assert_eq!(r.report.peers_checked, ORGS * PEERS_PER_ORG, "{label}: all peers restarted");
     }
 }
@@ -296,7 +297,7 @@ fn crash_with_live_snapshot_pins_recovers_version_chains() {
             baseline.schedule,
             "{label}: live pins perturbed the fault schedule"
         );
-        assert_eq!(net.stats().valid, baseline.valid, "{label}: live pins changed outcomes");
+        assert_eq!(net.stats().valid, baseline.stats.valid, "{label}: live pins changed outcomes");
 
         // The orphaned store still serves its pinned pre-crash height: the
         // pins outlived the peer, not the other way around.
@@ -340,7 +341,7 @@ fn same_seed_produces_identical_fault_schedules() {
         assert!(a.faults > 0, "{label}: schedule must be non-trivial");
         assert_eq!(a.events, b.events, "{label}: event logs diverged");
         assert_eq!(a.schedule, b.schedule, "{label}: schedule digests diverged");
-        assert_eq!(a.valid, b.valid, "{label}: outcomes diverged");
+        assert_eq!(a.stats.valid, b.stats.valid, "{label}: outcomes diverged");
         assert_eq!(
             a.report.state_digest, b.report.state_digest,
             "{label}: final states diverged"
@@ -366,7 +367,7 @@ fn tracing_does_not_perturb_the_fault_schedule() {
         assert!(plain.faults > 0, "{label}: schedule must be non-trivial");
         assert_eq!(plain.schedule, traced.schedule, "{label}: tracing changed the schedule");
         assert_eq!(plain.events, traced.events, "{label}: tracing changed the event log");
-        assert_eq!(plain.valid, traced.valid, "{label}: tracing changed outcomes");
+        assert_eq!(plain.stats.valid, traced.stats.valid, "{label}: tracing changed outcomes");
         assert_eq!(
             plain.report.state_digest, traced.report.state_digest,
             "{label}: tracing changed the final state"
@@ -384,6 +385,20 @@ fn tracing_does_not_perturb_the_fault_schedule() {
             events.iter().any(|e| e.kind.label() == "tx_committed"),
             "{label}: the reporting peer's pipeline must trace too"
         );
+
+        // Proposals and the orderer trace too: every counted submission
+        // and order-phase abort has its event, and every cut block its
+        // seal.
+        let count = |l: &str| events.iter().filter(|e| e.kind.label() == l).count() as u64;
+        let stats = &traced.stats;
+        assert_eq!(count("tx_submitted"), stats.submitted, "{label}: submissions");
+        assert_eq!(count("early_abort_cycle"), stats.early_abort_cycle, "{label}: cycle aborts");
+        assert_eq!(
+            count("early_abort_version"),
+            stats.early_abort_version_mismatch,
+            "{label}: version-mismatch aborts"
+        );
+        assert_eq!(count("block_sealed"), traced.blocks_cut, "{label}: sealed blocks");
     }
 }
 
@@ -439,7 +454,7 @@ fn telemetry_does_not_perturb_the_fault_schedule() {
             net.injector().events(),
             "{label}: telemetry changed the event log"
         );
-        assert_eq!(plain.valid, net.stats().valid, "{label}: telemetry changed outcomes");
+        assert_eq!(plain.stats.valid, net.stats().valid, "{label}: telemetry changed outcomes");
         assert_eq!(
             plain.report.state_digest, report.state_digest,
             "{label}: telemetry changed the final state"
@@ -465,7 +480,7 @@ fn replicated_leader_crash_mid_height_converges() {
         let plan = FaultPlan::quiescent(101).with_orderer_crash(0, 3, 2, true);
         let r = run_replicated_case(&config, plan, 3);
         r.case.report.assert_ok();
-        assert!(r.case.valid > 0, "{label}: workload must commit through the crash");
+        assert!(r.case.stats.valid > 0, "{label}: workload must commit through the crash");
         assert_eq!(r.heights_decided, BLOCKS, "{label}: every cut batch decided");
         assert_eq!(r.replicas_up, 3, "{label}: the crashed replica restarted");
         assert_replicas_converged(&r);
@@ -506,7 +521,7 @@ fn replicated_equivocation_cannot_fork_the_chain() {
         let plan = FaultPlan::quiescent(103).with_equivocation(2, 2, vec![0, 1]);
         let r = run_replicated_case(&config, plan, 3);
         r.case.report.assert_ok();
-        assert!(r.case.valid > 0, "{label}: workload must commit despite equivocation");
+        assert!(r.case.stats.valid > 0, "{label}: workload must commit despite equivocation");
         assert_eq!(r.heights_decided, BLOCKS, "{label}: every height still decides");
         assert_replicas_converged(&r);
     }
@@ -527,7 +542,7 @@ fn replicated_lossy_network_converges_and_replays_from_seed() {
         let b = run_replicated_case(&config, FaultPlan::lossy(104), 3);
         assert_eq!(a.case.events, b.case.events, "{label}: event logs diverged");
         assert_eq!(a.case.schedule, b.case.schedule, "{label}: schedule digests diverged");
-        assert_eq!(a.case.valid, b.case.valid, "{label}: outcomes diverged");
+        assert_eq!(a.case.stats.valid, b.case.stats.valid, "{label}: outcomes diverged");
         assert_eq!(
             a.case.report.state_digest, b.case.report.state_digest,
             "{label}: final states diverged"

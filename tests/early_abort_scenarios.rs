@@ -8,8 +8,8 @@ use fabric_common::{
     ValidationCode, Value,
 };
 use fabric_statedb::{CommitWrite, MemStateDb, StateStore};
-use fabricpp::sync::ProposeOutcome;
-use fabricpp::{chaincode_fn, SyncNet};
+use fabric_chaos::{ChaosNet, FaultPlan, ProposeOutcome};
+use fabricpp::chaincode_fn;
 use fabricpp_suite::peer::chaincode::{Chaincode, ChaincodeRegistry, SimulationError};
 use fabricpp_suite::peer::peer::Peer;
 use fabricpp_suite::peer::validator::EndorsementPolicy;
@@ -104,7 +104,7 @@ fn figure_6_simulation_phase_early_abort() {
 /// simulation — they go stale while waiting in the orderer instead.
 #[test]
 fn coarse_lock_has_no_simulation_stale_reads() {
-    let net = SyncNet::new(
+    let net = ChaosNet::new(
         &PipelineConfig::vanilla(),
         2,
         1,
@@ -113,6 +113,7 @@ fn coarse_lock_has_no_simulation_stale_reads() {
             (Key::from("balA"), Value::from_i64(70)),
             (Key::from("balB"), Value::from_i64(80)),
         ],
+        FaultPlan::quiescent(0),
     )
     .unwrap();
     for c in 0..5 {
@@ -140,12 +141,13 @@ fn ordering_phase_version_mismatch_drops_older_reader() {
         Ok(())
     });
 
-    let mut net = SyncNet::new(
+    let mut net = ChaosNet::new(
         &PipelineConfig::fabric_pp(),
         2,
         1,
         vec![bump, reader],
         &[(Key::from("hot"), Value::from_i64(0))],
+        FaultPlan::quiescent(0),
     )
     .unwrap();
 
@@ -166,7 +168,8 @@ fn ordering_phase_version_mismatch_drops_older_reader() {
     let (old_id, new_id) = (t_old.id, t_new.id);
     net.submit(t_old);
     net.submit(t_new);
-    let block = net.cut_block().unwrap().expect("block");
+    let n = net.cut_block().unwrap().expect("block");
+    let block = net.reporting_peer().ledger().get(n).unwrap();
 
     assert_eq!(block.block.txs.len(), 1, "older reader dropped before distribution");
     assert_eq!(block.block.txs[0].id, new_id);
@@ -193,20 +196,25 @@ fn cycle_abort_happens_before_distribution() {
     ];
 
     // Fabric++: one of the two cycle members dies at order time.
-    let mut pp = SyncNet::new(&PipelineConfig::fabric_pp(), 2, 1, vec![swap.clone()], &genesis)
-        .unwrap();
+    let quiet = || FaultPlan::quiescent(0);
+    let mut pp =
+        ChaosNet::new(&PipelineConfig::fabric_pp(), 2, 1, vec![swap.clone()], &genesis, quiet())
+            .unwrap();
     pp.propose_and_submit(0, "swap", vec![0]).unwrap();
     pp.propose_and_submit(1, "swap", vec![1]).unwrap();
-    let block = pp.cut_block().unwrap().expect("block");
+    let n = pp.cut_block().unwrap().expect("block");
+    let block = pp.reporting_peer().ledger().get(n).unwrap();
     assert_eq!(block.block.txs.len(), 1, "cycle member removed pre-distribution");
     assert_eq!(pp.stats().early_abort_cycle, 1);
     assert_eq!(pp.stats().valid, 1);
 
     // Vanilla: both ship; the second aborts at validation on every peer.
-    let mut v = SyncNet::new(&PipelineConfig::vanilla(), 2, 1, vec![swap], &genesis).unwrap();
+    let mut v =
+        ChaosNet::new(&PipelineConfig::vanilla(), 2, 1, vec![swap], &genesis, quiet()).unwrap();
     v.propose_and_submit(0, "swap", vec![0]).unwrap();
     v.propose_and_submit(1, "swap", vec![1]).unwrap();
-    let block = v.cut_block().unwrap().expect("block");
+    let n = v.cut_block().unwrap().expect("block");
+    let block = v.reporting_peer().ledger().get(n).unwrap();
     assert_eq!(block.block.txs.len(), 2, "vanilla ships doomed transactions");
     assert_eq!(block.valid_count(), 1);
     assert_eq!(v.stats().mvcc_conflict, 1);

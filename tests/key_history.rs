@@ -2,9 +2,9 @@
 //! is recoverable from the ledger, in commit order, including deletes —
 //! and invalid transactions leave no trace in the history.
 
+use fabric_chaos::{ChaosNet, FaultPlan, ProposeOutcome};
 use fabric_common::{Key, PipelineConfig, Value};
-use fabricpp::sync::ProposeOutcome;
-use fabricpp::{chaincode_fn, SyncNet};
+use fabricpp::chaincode_fn;
 
 #[test]
 fn key_history_tracks_the_full_lifecycle() {
@@ -20,12 +20,13 @@ fn key_history_tracks_the_full_lifecycle() {
         Ok(())
     });
 
-    let mut net = SyncNet::new(
+    let mut net = ChaosNet::new(
         &PipelineConfig::vanilla(),
         2,
         1,
         vec![set, del],
         &[(Key::from("asset"), Value::from_i64(0))],
+        FaultPlan::quiescent(0),
     )
     .unwrap();
 

@@ -5,8 +5,9 @@
 
 use std::sync::Arc;
 
+use fabric_chaos::{ChaosNet, FaultPlan};
 use fabric_common::{Key, PipelineConfig, Value};
-use fabricpp::{chaincode_fn, SyncNet};
+use fabricpp::chaincode_fn;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -45,7 +46,9 @@ fn genesis() -> Vec<(Key, Value)> {
 /// Fires `batches × per_batch` hot-key transactions through one mode and
 /// returns (valid, aborted) totals.
 fn run_mode(cfg: &PipelineConfig, seed: u64) -> (u64, u64) {
-    let mut net = SyncNet::new(cfg, 2, 1, vec![rw_chaincode()], &genesis()).unwrap();
+    let mut net =
+        ChaosNet::new(cfg, 2, 1, vec![rw_chaincode()], &genesis(), FaultPlan::quiescent(0))
+            .unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
     for _batch in 0..6 {
         for client in 0..20u64 {
@@ -97,7 +100,9 @@ fn all_modes_preserve_pipeline_invariants() {
         PipelineConfig::early_abort_only(),
         PipelineConfig::fabric_pp(),
     ] {
-        let mut net = SyncNet::new(&cfg, 2, 2, vec![rw_chaincode()], &genesis()).unwrap();
+        let mut net =
+            ChaosNet::new(&cfg, 2, 2, vec![rw_chaincode()], &genesis(), FaultPlan::quiescent(0))
+                .unwrap();
         for client in 0..10u64 {
             net.propose_and_submit(client, "rw", args(&[client % 5], &[(client + 1) % 5]));
         }
@@ -116,16 +121,23 @@ fn all_modes_preserve_pipeline_invariants() {
 #[test]
 fn deterministic_chains_across_identical_runs() {
     let run = || {
-        let mut net =
-            SyncNet::new(&PipelineConfig::fabric_pp(), 2, 1, vec![rw_chaincode()], &genesis())
-                .unwrap();
+        let mut net = ChaosNet::new(
+            &PipelineConfig::fabric_pp(),
+            2,
+            1,
+            vec![rw_chaincode()],
+            &genesis(),
+            FaultPlan::quiescent(0),
+        )
+        .unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         for client in 0..15u64 {
             let reads = [rng.random_range(0..ACCOUNTS)];
             let writes = [rng.random_range(0..ACCOUNTS)];
             net.propose_and_submit(client, "rw", args(&reads, &writes));
         }
-        let block = net.cut_block().unwrap().expect("block");
+        let n = net.cut_block().unwrap().expect("block");
+        let block = net.reporting_peer().ledger().get(n).unwrap();
         (block.block.header.data_hash, block.valid_count())
     };
     // TxIds differ between runs (global counter), so data hashes differ,

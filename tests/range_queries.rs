@@ -2,9 +2,9 @@
 //! range-scanning chaincode is endorsed, ordered, validated, and committed;
 //! a committed change to any scanned entry invalidates the reader.
 
+use fabric_chaos::{ChaosNet, FaultPlan, ProposeOutcome};
 use fabric_common::{Key, PipelineConfig, ValidationCode, Value};
-use fabricpp::sync::ProposeOutcome;
-use fabricpp::{chaincode_fn, SyncNet};
+use fabricpp::chaincode_fn;
 
 fn chaincodes() -> Vec<std::sync::Arc<dyn fabricpp_suite::peer::chaincode::Chaincode>> {
     // sum_range: writes the sum of every `acct:*` balance to `total`.
@@ -32,10 +32,18 @@ fn genesis() -> Vec<(Key, Value)> {
 
 #[test]
 fn range_scan_commits_and_reads_consistent_sum() {
-    let mut net =
-        SyncNet::new(&PipelineConfig::fabric_pp(), 2, 2, chaincodes(), &genesis()).unwrap();
+    let mut net = ChaosNet::new(
+        &PipelineConfig::fabric_pp(),
+        2,
+        2,
+        chaincodes(),
+        &genesis(),
+        FaultPlan::quiescent(0),
+    )
+    .unwrap();
     net.propose_and_submit(0, "sum_range", vec![]).unwrap();
-    let block = net.cut_block().unwrap().expect("block");
+    let n = net.cut_block().unwrap().expect("block");
+    let block = net.reporting_peer().ledger().get(n).unwrap();
     assert_eq!(block.validity, vec![ValidationCode::Valid]);
     let total = net
         .reporting_peer()
@@ -51,8 +59,15 @@ fn range_scan_commits_and_reads_consistent_sum() {
 
 #[test]
 fn committed_change_to_scanned_entry_invalidates_reader() {
-    let mut net =
-        SyncNet::new(&PipelineConfig::vanilla(), 2, 1, chaincodes(), &genesis()).unwrap();
+    let mut net = ChaosNet::new(
+        &PipelineConfig::vanilla(),
+        2,
+        1,
+        chaincodes(),
+        &genesis(),
+        FaultPlan::quiescent(0),
+    )
+    .unwrap();
 
     // Endorse the range scan against the genesis state, but hold it back.
     let scan_tx = match net.propose(0, "sum_range", vec![]) {
@@ -68,7 +83,8 @@ fn committed_change_to_scanned_entry_invalidates_reader() {
 
     // The held-back scan now fails the serializability check.
     net.submit(scan_tx);
-    let block = net.cut_block().unwrap().expect("block");
+    let n = net.cut_block().unwrap().expect("block");
+    let block = net.reporting_peer().ledger().get(n).unwrap();
     assert_eq!(block.validity, vec![ValidationCode::MvccConflict]);
     assert!(
         net.reporting_peer().store().get(&Key::from("total")).unwrap().is_none(),
@@ -78,8 +94,15 @@ fn committed_change_to_scanned_entry_invalidates_reader() {
 
 #[test]
 fn fabricpp_orderer_drops_stale_range_reader_early() {
-    let mut net =
-        SyncNet::new(&PipelineConfig::fabric_pp(), 2, 1, chaincodes(), &genesis()).unwrap();
+    let mut net = ChaosNet::new(
+        &PipelineConfig::fabric_pp(),
+        2,
+        1,
+        chaincodes(),
+        &genesis(),
+        FaultPlan::quiescent(0),
+    )
+    .unwrap();
     let stale_scan = match net.propose(0, "sum_range", vec![]) {
         ProposeOutcome::Endorsed(tx) => *tx,
         other => panic!("unexpected {other:?}"),
@@ -94,7 +117,8 @@ fn fabricpp_orderer_drops_stale_range_reader_early() {
     };
     net.submit(stale_scan);
     net.submit(fresh_scan);
-    let block = net.cut_block().unwrap().expect("block");
+    let n = net.cut_block().unwrap().expect("block");
+    let block = net.reporting_peer().ledger().get(n).unwrap();
     // The within-block version-mismatch check drops the stale scan at
     // order time; the fresh one commits.
     assert_eq!(block.block.txs.len(), 1);

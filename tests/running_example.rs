@@ -8,9 +8,9 @@
 
 use std::sync::Arc;
 
+use fabric_chaos::{ChaosNet, FaultPlan, ProposeOutcome};
 use fabric_common::{Key, PipelineConfig, ValidationCode, Value};
-use fabricpp::sync::ProposeOutcome;
-use fabricpp::{chaincode_fn, SyncNet};
+use fabricpp::chaincode_fn;
 
 fn transfer_chaincode() -> Arc<dyn fabricpp_suite::peer::chaincode::Chaincode> {
     chaincode_fn("transfer", |ctx, args| {
@@ -36,7 +36,7 @@ fn genesis() -> Vec<(Key, Value)> {
     ]
 }
 
-fn balances(net: &SyncNet) -> (i64, i64) {
+fn balances(net: &ChaosNet) -> (i64, i64) {
     let store = net.reporting_peer().store();
     (
         store.get(&Key::from("BalA")).unwrap().unwrap().value.as_i64().unwrap(),
@@ -49,12 +49,13 @@ fn balances(net: &SyncNet) -> (i64, i64) {
 #[test]
 fn appendix_a_validation_and_commit() {
     // Two orgs, two peers each — the paper's topology.
-    let mut net = SyncNet::new(
+    let mut net = ChaosNet::new(
         &PipelineConfig::vanilla(),
         2,
         2,
         vec![transfer_chaincode()],
         &genesis(),
+        FaultPlan::quiescent(0),
     )
     .unwrap();
 
@@ -95,7 +96,8 @@ fn appendix_a_validation_and_commit() {
     net.submit(t8);
     net.submit(t7);
     net.submit(t9);
-    let block = net.cut_block().unwrap().expect("block");
+    let n = net.cut_block().unwrap().expect("block");
+    let block = net.reporting_peer().ledger().get(n).unwrap();
 
     // Validation phase outcomes, exactly as in Figure 14.
     assert_eq!(
@@ -137,12 +139,13 @@ fn appendix_a_validation_and_commit() {
 /// T7 writes, so Fabric++ schedules T9 *before* T7 and both commit).
 #[test]
 fn appendix_a_under_fabricpp_reordering_rescues_t9() {
-    let mut net = SyncNet::new(
+    let mut net = ChaosNet::new(
         &PipelineConfig::fabric_pp(),
         2,
         2,
         vec![transfer_chaincode()],
         &genesis(),
+        FaultPlan::quiescent(0),
     )
     .unwrap();
 
@@ -157,7 +160,8 @@ fn appendix_a_under_fabricpp_reordering_rescues_t9() {
 
     net.submit(t7);
     net.submit(t9);
-    let block = net.cut_block().unwrap().expect("block");
+    let n = net.cut_block().unwrap().expect("block");
+    let block = net.reporting_peer().ledger().get(n).unwrap();
 
     // Both transfers read AND write {BalA, BalB}: a conflict cycle.
     // Fabric++ must abort exactly one at order time and commit the other —

@@ -9,9 +9,9 @@
 
 use std::sync::Arc;
 
+use fabric_chaos::{ChaosNet, ChaosOptions, FaultPlan, ProposeOutcome};
 use fabric_common::{Key, PipelineConfig, ValidationCode, Value, Version};
-use fabricpp::sync::ProposeOutcome;
-use fabricpp::{chaincode_fn, SyncNet};
+use fabricpp::chaincode_fn;
 use fabricpp_suite::trace::{EventKind, TraceSink};
 
 /// One chaincode per transaction shape of the running example.
@@ -50,7 +50,20 @@ fn example_genesis() -> Vec<(Key, Value)> {
     (1..=4).map(|i| (Key::from(format!("k{i}").as_str()), Value::from_i64(1))).collect()
 }
 
-fn endorse(net: &SyncNet, client: u64, cc: &str) -> fabric_common::Transaction {
+/// A fault-free two-org network (one peer each) whose orderer, proposals,
+/// and reporting peer all feed `sink`.
+fn traced_net(
+    config: &PipelineConfig,
+    chaincodes: Vec<Arc<dyn fabricpp_suite::peer::chaincode::Chaincode>>,
+    genesis: &[(Key, Value)],
+    sink: TraceSink,
+) -> ChaosNet {
+    let opts = ChaosOptions { sink, ..ChaosOptions::default() };
+    ChaosNet::with_options(config, 2, 1, chaincodes, genesis, FaultPlan::quiescent(0), opts)
+        .unwrap()
+}
+
+fn endorse(net: &ChaosNet, client: u64, cc: &str) -> fabric_common::Transaction {
     match net.propose(client, cc, vec![]) {
         ProposeOutcome::Endorsed(tx) => *tx,
         other => panic!("{cc} must endorse, got {other:?}"),
@@ -68,15 +81,12 @@ fn count(events: &[fabricpp_suite::trace::TraceEvent], label: &str) -> u64 {
 #[test]
 fn table_1_vanilla_mvcc_conflicts_carry_provenance() {
     let sink = TraceSink::bounded(1024);
-    let mut net = SyncNet::new_traced(
+    let mut net = traced_net(
         &PipelineConfig::vanilla(),
-        2,
-        1,
         example_chaincodes(),
         &example_genesis(),
         sink.clone(),
-    )
-    .unwrap();
+    );
 
     let txs: Vec<_> = (1..=4).map(|i| endorse(&net, i as u64, &format!("t{i}"))).collect();
     let t1_id = txs[0].id;
@@ -95,7 +105,8 @@ fn table_1_vanilla_mvcc_conflicts_carry_provenance() {
     for tx in txs {
         net.submit(tx);
     }
-    let block = net.cut_block().unwrap().expect("block");
+    let n = net.cut_block().unwrap().expect("block");
+    let block = net.reporting_peer().ledger().get(n).unwrap();
     assert_eq!(
         block.validity,
         vec![
@@ -157,21 +168,19 @@ fn table_1_vanilla_mvcc_conflicts_carry_provenance() {
 #[test]
 fn table_2_fabricpp_rescues_all_four() {
     let sink = TraceSink::bounded(1024);
-    let mut net = SyncNet::new_traced(
+    let mut net = traced_net(
         &PipelineConfig::fabric_pp(),
-        2,
-        1,
         example_chaincodes(),
         &example_genesis(),
         sink.clone(),
-    )
-    .unwrap();
+    );
 
     for i in 1..=4u64 {
         let tx = endorse(&net, i, &format!("t{i}"));
         net.submit(tx);
     }
-    let block = net.cut_block().unwrap().expect("block");
+    let n = net.cut_block().unwrap().expect("block");
+    let block = net.reporting_peer().ledger().get(n).unwrap();
     assert_eq!(block.block.txs.len(), 4, "nothing early-aborted");
     assert_eq!(block.validity, vec![ValidationCode::Valid; 4], "Table 2: all four valid");
 
@@ -217,15 +226,12 @@ fn version_mismatch_event_names_key_versions_and_witness() {
     });
 
     let sink = TraceSink::bounded(1024);
-    let mut net = SyncNet::new_traced(
+    let mut net = traced_net(
         &PipelineConfig::fabric_pp(),
-        2,
-        1,
         vec![bump, reader],
         &[(Key::from("hot"), Value::from_i64(0))],
         sink.clone(),
-    )
-    .unwrap();
+    );
 
     // T_old reads `hot` at genesis; a committed bump advances it to block
     // 1; T_new reads the bumped version. Both then batch together.
@@ -252,7 +258,8 @@ fn version_mismatch_event_names_key_versions_and_witness() {
     let (old_id, new_id) = (t_old.id, t_new.id);
     net.submit(t_old);
     net.submit(t_new);
-    let block = net.cut_block().unwrap().expect("block");
+    let n = net.cut_block().unwrap().expect("block");
+    let block = net.reporting_peer().ledger().get(n).unwrap();
     assert_eq!(block.block.txs.len(), 1, "older reader dropped before distribution");
 
     let stats = net.stats();
@@ -289,15 +296,12 @@ fn cycle_abort_event_names_scc_and_size() {
     });
 
     let sink = TraceSink::bounded(1024);
-    let mut net = SyncNet::new_traced(
+    let mut net = traced_net(
         &PipelineConfig::fabric_pp(),
-        2,
-        1,
         vec![swap],
         &[(Key::from("x"), Value::from_i64(1)), (Key::from("y"), Value::from_i64(2))],
         sink.clone(),
-    )
-    .unwrap();
+    );
 
     let ta = match net.propose(0, "swap", vec![0]) {
         ProposeOutcome::Endorsed(tx) => *tx,
@@ -310,7 +314,8 @@ fn cycle_abort_event_names_scc_and_size() {
     let (a_id, b_id) = (ta.id, tb.id);
     net.submit(ta);
     net.submit(tb);
-    let block = net.cut_block().unwrap().expect("block");
+    let n = net.cut_block().unwrap().expect("block");
+    let block = net.reporting_peer().ledger().get(n).unwrap();
     assert_eq!(block.block.txs.len(), 1, "one cycle member removed pre-distribution");
 
     let stats = net.stats();
