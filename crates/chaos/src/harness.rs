@@ -79,9 +79,9 @@ struct Slot {
     down: bool,
     /// Blocks hit by a `Delay` verdict: they arrive at the start of the
     /// peer's next delivery round (one logical spike).
-    delayed: Vec<Block>,
+    delayed: Vec<Arc<Block>>,
     /// Blocks absorbed into an open reorder burst.
-    burst: Vec<Block>,
+    burst: Vec<Arc<Block>>,
     /// Deliveries still to absorb before the burst flushes in reverse.
     burst_remaining: u32,
     log: Option<FileBlockStore>,
@@ -166,8 +166,10 @@ pub struct ChaosNet {
     slots: Vec<Slot>,
     orderer: OrdererBackend,
     pending: Vec<Transaction>,
-    /// Every ordered block, in order (block `n` at index `n - 1`).
-    archive: Vec<Block>,
+    /// Every ordered block, in order (block `n` at index `n - 1`). Each is
+    /// sealed into one `Arc` that every delivery, duplicate and peer
+    /// ledger shares.
+    archive: Vec<Arc<Block>>,
     injector: Arc<FaultInjector>,
     /// Peer wiring shared with the threaded runtime: chaincodes, keys,
     /// policy, the signature-check pool (sized by
@@ -529,9 +531,9 @@ impl ChaosNet {
         let Some(ordered) = ordered else {
             return Ok(None);
         };
-        let block = ordered.block;
+        let block = Arc::new(ordered.block);
         let num = block.header.number;
-        self.archive.push(block.clone());
+        self.archive.push(Arc::clone(&block));
 
         // Scheduled crashes fire before delivery: the peer misses this
         // block entirely, like a process that died between cuts.
@@ -550,7 +552,7 @@ impl ChaosNet {
         }
 
         for idx in 0..self.slots.len() {
-            self.deliver(idx, block.clone())?;
+            self.deliver(idx, Arc::clone(&block))?;
         }
 
         // Scheduled restarts fire after delivery, so a crash at block `b`
@@ -569,7 +571,7 @@ impl ChaosNet {
     }
 
     /// Offers `block` to peer `idx` through the injector.
-    fn deliver(&mut self, idx: usize, block: Block) -> Result<()> {
+    fn deliver(&mut self, idx: usize, block: Arc<Block>) -> Result<()> {
         if self.slots[idx].down {
             return Ok(()); // messages to a dead process vanish
         }
@@ -600,7 +602,7 @@ impl ChaosNet {
             SendFault::Drop => Ok(()),
             SendFault::Duplicate { extra } => {
                 for _ in 0..=extra {
-                    self.apply(idx, block.clone())?;
+                    self.apply(idx, Arc::clone(&block))?;
                 }
                 Ok(())
             }
@@ -621,7 +623,7 @@ impl ChaosNet {
 
     /// Commits `block` on peer `idx`, healing duplicates (already on the
     /// chain → ignored) and gaps (future block → archive catch-up).
-    fn apply(&mut self, idx: usize, block: Block) -> Result<()> {
+    fn apply(&mut self, idx: usize, block: Arc<Block>) -> Result<()> {
         let height = self.slots[idx].peer.ledger().height();
         let num = block.header.number;
         if num < height {
@@ -638,7 +640,7 @@ impl ChaosNet {
 
     /// Processes `block` on peer `idx` and appends it to the peer's block
     /// log, if it keeps one.
-    fn commit(&mut self, idx: usize, block: Block) -> Result<()> {
+    fn commit(&mut self, idx: usize, block: Arc<Block>) -> Result<()> {
         let committed = self.slots[idx].peer.process_block(block)?;
         if let Some(log) = &mut self.slots[idx].log {
             log.append(&committed)?;
@@ -652,7 +654,7 @@ impl ChaosNet {
         let mut applied = 0;
         loop {
             let next = self.slots[idx].peer.ledger().height() as usize;
-            let Some(block) = self.archive.get(next - 1).cloned() else {
+            let Some(block) = self.archive.get(next - 1).map(Arc::clone) else {
                 return Ok(applied);
             };
             self.commit(idx, block)?;
@@ -790,6 +792,7 @@ impl ChaosNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::injector::FaultEvent;
     use fabric_ledger::CommittedBlock;
     use fabricpp::chaincode_fn;
 
@@ -1165,6 +1168,45 @@ mod tests {
         run_workload(&mut net, 2, 8);
         let report = net.check().unwrap();
         report.assert_ok();
+    }
+
+    #[test]
+    fn every_peer_ledger_shares_one_copy_of_each_block() {
+        // Drops (gap healing), duplicates, delay spikes, reorder bursts and
+        // a crash healed by restart plus archive catch-up: every path hands
+        // a peer the archive's `Arc`, never a copy of the block.
+        let plan = FaultPlan::chaotic(13).with_crash(2, 3, 2);
+        let cfg = PipelineConfig::fabric_pp();
+        let mut net =
+            ChaosNet::new(&cfg, 2, 2, vec![transfer_chaincode()], &genesis(8), plan).unwrap();
+        run_workload(&mut net, 16, 8);
+        net.check().unwrap().assert_ok();
+        assert!(!net.is_down(1), "the crashed peer restarted");
+        let verdicts: Vec<SendFault> = net
+            .injector()
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                FaultEvent::Net { verdict, .. } => Some(verdict),
+                FaultEvent::Wal { .. } => None,
+            })
+            .collect();
+        for (kind, fired) in [
+            ("drop", verdicts.iter().any(|v| matches!(v, SendFault::Drop))),
+            ("duplicate", verdicts.iter().any(|v| matches!(v, SendFault::Duplicate { .. }))),
+            ("delay", verdicts.iter().any(|v| matches!(v, SendFault::Delay { .. }))),
+            ("reorder", verdicts.iter().any(|v| matches!(v, SendFault::ReorderBurst { .. }))),
+        ] {
+            assert!(fired, "no {kind} fault fired");
+        }
+        let peers = net.peers();
+        for n in 1..=net.blocks_cut() {
+            let first = peers[0].ledger().get(n).unwrap();
+            for peer in &peers[1..] {
+                let other = peer.ledger().get(n).unwrap();
+                assert!(Arc::ptr_eq(&first.block, &other.block), "block {n} was copied");
+            }
+        }
     }
 
     fn replicated(plan: FaultPlan, replicas: usize) -> ChaosNet {

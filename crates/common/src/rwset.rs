@@ -87,6 +87,27 @@ impl ReadSet {
 }
 
 impl WriteSet {
+    /// Builds a write set from `(key, value)` pairs in one sort: a key
+    /// written more than once keeps its *last* value, exactly as recording
+    /// the same writes one by one with [`RwSetBuilder::record_write`]
+    /// would. For bulk installs such as genesis, where the builder's
+    /// per-key scan would be quadratic.
+    pub fn from_writes(writes: impl IntoIterator<Item = (Key, Option<Value>)>) -> Self {
+        let mut entries: Vec<WriteEntry> =
+            writes.into_iter().map(|(key, value)| WriteEntry { key, value }).collect();
+        // Stable: equal keys stay in write order. `dedup_by` keeps the first
+        // entry of each run, so carry the run's last value into it.
+        entries.sort_by(|a, b| a.key.cmp(&b.key));
+        entries.dedup_by(|later, kept| {
+            let same = later.key == kept.key;
+            if same {
+                std::mem::swap(&mut kept.value, &mut later.value);
+            }
+            same
+        });
+        WriteSet { entries }
+    }
+
     /// Recorded entries, sorted by key.
     pub fn entries(&self) -> &[WriteEntry] {
         &self.entries

@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 
 use fabric_common::codec::{Decode, Decoder, Encode, Encoder};
 use fabric_common::hash::{sha256, Sha256};
-use fabric_common::rwset::{ReadWriteSet, RwSetBuilder};
+use fabric_common::rwset::{ReadWriteSet, RwSetBuilder, WriteSet};
 use fabric_common::{BitSet, Key, SigningKey, Value, Version};
 use proptest::prelude::*;
 
@@ -110,6 +110,26 @@ proptest! {
         // Canonical encoding round trips.
         let bytes = rw.encode_to_vec();
         prop_assert_eq!(ReadWriteSet::decode_exact(&bytes).unwrap(), rw);
+    }
+
+    /// The one-sort bulk write set encodes byte-for-byte like the same
+    /// writes recorded one by one, duplicate keys (last write wins) and
+    /// deletes included.
+    #[test]
+    fn bulk_write_set_matches_repeated_record_write(writes in proptest::collection::vec(
+        (0u64..16, proptest::option::of(0i64..1000)),
+        0..80,
+    )) {
+        let pairs: Vec<(Key, Option<Value>)> = writes
+            .iter()
+            .map(|(key_id, v)| (Key::composite("k", *key_id), v.map(Value::from_i64)))
+            .collect();
+        let mut b = RwSetBuilder::new();
+        for (key, value) in &pairs {
+            b.record_write(key.clone(), value.clone());
+        }
+        let bulk = ReadWriteSet { reads: Default::default(), writes: WriteSet::from_writes(pairs) };
+        prop_assert_eq!(bulk.encode_to_vec(), b.build().encode_to_vec());
     }
 
     /// Streaming SHA-256 equals one-shot for any chunking of any message.

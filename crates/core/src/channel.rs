@@ -181,14 +181,15 @@ pub struct ChannelRuntime {
     /// Per-peer crashed flags; a down peer's thread discards deliveries.
     down: Vec<Arc<AtomicBool>>,
     /// Every block the orderer has cut, in order (block `n` at index
-    /// `n - 1`); the source peers heal gaps and catch up from.
-    archive: Arc<RwLock<Vec<Block>>>,
+    /// `n - 1`); the source peers heal gaps and catch up from. Shares each
+    /// block's one allocation with the links and the peers' ledgers.
+    archive: Arc<RwLock<Vec<Arc<Block>>>>,
     ctx: PeerContext,
 }
 
 /// Replays archived blocks into `peer` until its chain is as long as the
 /// archive. Returns how many blocks were applied.
-pub fn catch_up_from_archive(peer: &Peer, archive: &RwLock<Vec<Block>>) -> Result<u64> {
+pub fn catch_up_from_archive(peer: &Peer, archive: &RwLock<Vec<Arc<Block>>>) -> Result<u64> {
     let mut applied = 0;
     loop {
         // The ledger's height is the next block number it needs (genesis
@@ -198,7 +199,7 @@ pub fn catch_up_from_archive(peer: &Peer, archive: &RwLock<Vec<Block>>) -> Resul
             let a = archive.read();
             (next as usize)
                 .checked_sub(1)
-                .and_then(|i| a.get(i).cloned())
+                .and_then(|i| a.get(i).map(Arc::clone))
         };
         match block {
             Some(b) => {
@@ -232,7 +233,7 @@ impl ChannelRuntime {
         // Client → orderer link.
         let (orderer_tx, orderer_rx) = link::<Transaction>(latency.clone(), net_stats.clone());
 
-        let archive: Arc<RwLock<Vec<Block>>> = Arc::new(RwLock::new(Vec::new()));
+        let archive: Arc<RwLock<Vec<Arc<Block>>>> = Arc::new(RwLock::new(Vec::new()));
 
         // Orderer → peer links. The first peer of each org is a "direct"
         // receiver; remaining peers get the block via gossip (second hop).
@@ -245,7 +246,7 @@ impl ChannelRuntime {
         let mut down = Vec::new();
         let mut seen_orgs = std::collections::HashSet::new();
         for peer in &peers {
-            let (btx, brx) = link::<Block>(latency.clone(), net_stats.clone());
+            let (btx, brx) = link::<Arc<Block>>(latency.clone(), net_stats.clone());
             if seen_orgs.insert(peer.org()) {
                 direct.push(btx);
                 direct_ids.push(peer.id().raw() as u32);
@@ -347,11 +348,14 @@ impl ChannelRuntime {
                 };
                 phase_timers.record(Phase::Order, prepare_elapsed + t0.elapsed());
                 orderer_stats.record_cut(reason, batch_len);
-                let size = ob.block.byte_size();
+                // Sealed once: from here on the archive, every link and
+                // every peer's ledger share this one allocation.
+                let block = Arc::new(ob.block);
+                let size = block.byte_size();
                 // Archive before broadcast so a peer that sees the block
                 // early (reordering) can always heal backwards from it.
-                orderer_archive.write().push(ob.block.clone());
-                broadcaster.broadcast(&ob.block, size);
+                orderer_archive.write().push(Arc::clone(&block));
+                broadcaster.broadcast(&block, size);
             };
             loop {
                 let wait = cutter

@@ -1,14 +1,15 @@
 //! Threaded-network smoke tests for the core crate's public API surface:
-//! builder validation, client retry plumbing, orderer telemetry, and
-//! multi-channel isolation.
+//! builder validation, client retry plumbing, orderer telemetry,
+//! multi-channel isolation, crash/restart, and block sharing.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use fabric_common::{CostModel, Key, PipelineConfig, Value};
 use fabric_net::LatencyModel;
 use fabricpp::{chaincode_fn, NetworkBuilder, SubmitOutcome};
 
-fn counter_chaincode() -> std::sync::Arc<dyn fabric_peer::chaincode::Chaincode> {
+fn counter_chaincode() -> Arc<dyn fabric_peer::chaincode::Chaincode> {
     chaincode_fn("count", |ctx, args| {
         let k = Key::new(args.to_vec());
         let v = ctx.get_i64(&k).map_err(|e| e.to_string())?.unwrap_or(0);
@@ -156,9 +157,35 @@ fn restart_of_a_live_peer_is_refused() {
         let before = net.channel_peers(0);
         assert!(net.restart_peer(0, idx).is_err(), "peer {idx} is live");
         let after = net.channel_peers(0);
-        assert!(std::sync::Arc::ptr_eq(&before[idx], &after[idx]), "slot {idx} was swapped");
+        assert!(Arc::ptr_eq(&before[idx], &after[idx]), "slot {idx} was swapped");
     }
     assert_eq!(net.finish().stats.valid, 1);
+}
+
+#[test]
+fn every_peer_ledger_shares_one_copy_of_each_block() {
+    // The orderer seals each block into one `Arc`: the archive, the direct
+    // and gossip links and every peer's ledger hold that one allocation.
+    let net = fast_builder()
+        .peers_per_org(2)
+        .pipeline(PipelineConfig::fabric_pp().with_block_size(4))
+        .build()
+        .unwrap();
+    let client = net.client(0);
+    for i in 0..12u64 {
+        client.submit("count", Key::composite("k", i).as_bytes().to_vec());
+    }
+    drop(client);
+    let peers = net.channel_peers(0);
+    let height = net.finish().block_heights[0];
+    assert!(height >= 4, "12 txs at BS=4 cut at least three blocks");
+    for n in 1..height {
+        let first = peers[0].ledger().get(n).unwrap();
+        for peer in &peers[1..] {
+            let other = peer.ledger().get(n).unwrap();
+            assert!(Arc::ptr_eq(&first.block, &other.block), "block {n} was copied");
+        }
+    }
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Blocks: ordered by the ordering service, committed (with per-transaction
 //! validity flags) by the peers.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use fabric_common::codec::{Decode, Decoder, Encode, Encoder};
@@ -80,17 +81,24 @@ impl Block {
 
 /// A block after validation: the ordered transactions plus one
 /// [`ValidationCode`] per transaction — Fabric's validity bitmap.
+///
+/// The block itself is shared, not owned: every peer appends the same
+/// ordered block, so the orderer's archive, the delivery links and every
+/// peer's ledger hold one allocation between them. Only the validity
+/// flags are per peer.
 #[derive(Debug, Clone)]
 pub struct CommittedBlock {
     /// The block as received from ordering.
-    pub block: Block,
+    pub block: Arc<Block>,
     /// Outcome per transaction, parallel to `block.txs`.
     pub validity: Vec<ValidationCode>,
 }
 
 impl CommittedBlock {
-    /// Creates a committed block, checking the flags line up.
-    pub fn new(block: Block, validity: Vec<ValidationCode>) -> Result<Self> {
+    /// Creates a committed block, checking the flags line up. Takes a
+    /// `Block` or an already shared `Arc<Block>`.
+    pub fn new(block: impl Into<Arc<Block>>, validity: Vec<ValidationCode>) -> Result<Self> {
+        let block = block.into();
         if block.txs.len() != validity.len() {
             return Err(Error::InvalidState(format!(
                 "validity flags ({}) do not match transaction count ({})",

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fabric_common::{Result, TxNum, ValidationCode};
-use fabric_ledger::{CommittedBlock, Ledger};
+use fabric_ledger::{Block, CommittedBlock, Ledger};
 use fabric_statedb::{StateStore, WriteBatch, WriteRef};
 use fabric_trace::{EventKind, TraceSink};
 
@@ -16,11 +16,12 @@ use fabric_trace::{EventKind, TraceSink};
 /// versions `(block, tx)`), the whole block into `ledger`.
 ///
 /// The write batch borrows keys and values straight out of the block's
-/// write sets — no per-entry clone — and the committed block itself is
-/// moved into the ledger exactly once; the returned handle is a
-/// reference-count bump on the ledger's copy.
+/// write sets — no per-entry clone — and the block is never copied: the
+/// ledger keeps the caller's shared `Arc<Block>` (a plain `Block` is
+/// wrapped once), and the returned handle is a reference-count bump on
+/// the ledger's entry.
 pub fn commit_block(
-    block: fabric_ledger::Block,
+    block: impl Into<Arc<Block>>,
     codes: Vec<ValidationCode>,
     store: &dyn StateStore,
     ledger: &Ledger,
@@ -34,7 +35,7 @@ pub fn commit_block(
 /// span covering the whole apply+append. A disabled `sink` makes this
 /// exactly [`commit_block`].
 pub fn commit_block_traced(
-    block: fabric_ledger::Block,
+    block: impl Into<Arc<Block>>,
     codes: Vec<ValidationCode>,
     store: &dyn StateStore,
     ledger: &Ledger,
@@ -81,7 +82,6 @@ mod tests {
     use super::*;
     use fabric_common::rwset::rwset_from_keys;
     use fabric_common::{ChannelId, ClientId, Key, Transaction, TxId, Value, Version};
-    use fabric_ledger::Block;
     use fabric_statedb::MemStateDb;
     use std::sync::Arc;
     use std::time::Instant;

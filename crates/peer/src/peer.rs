@@ -290,7 +290,10 @@ impl Peer {
     /// [`Peer::begin_block_validation`] + [`Peer::commit_validated`] back to
     /// back — the threaded peer loop uses the split form to overlap block
     /// N+1's signature checks with block N's commit.
-    pub fn process_block(&self, block: Block) -> Result<Arc<CommittedBlock>> {
+    ///
+    /// A shared `Arc<Block>` is appended to the ledger as is, so peers fed
+    /// the same handle share one copy of the block.
+    pub fn process_block(&self, block: impl Into<Arc<Block>>) -> Result<Arc<CommittedBlock>> {
         self.commit_validated(self.begin_block_validation(block))
     }
 
@@ -300,8 +303,8 @@ impl Peer {
     /// This touches no peer state — only the channel-wide signer registry
     /// and policy — so it may run for block N+1 while block N is still
     /// committing under the state gate.
-    pub fn begin_block_validation(&self, block: Block) -> PendingBlock {
-        let block = Arc::new(block);
+    pub fn begin_block_validation(&self, block: impl Into<Arc<Block>>) -> PendingBlock {
+        let block = block.into();
         let checks = self.pool.check_endorsements(&block, &self.registry, &self.policy, self.cost);
         PendingBlock { block, checks, begun: Instant::now() }
     }
@@ -354,7 +357,6 @@ impl Peer {
             });
         }
 
-        let block = Arc::try_unwrap(block).unwrap_or_else(|b| (*b).clone());
         let t0 = Instant::now();
         let committed =
             commit_block_traced(block, codes, self.store.as_ref(), &self.ledger, &self.sink)?;
@@ -409,20 +411,20 @@ impl PendingBlock {
 ///
 /// Deterministic in `initial` — every peer bootstrapped with the same
 /// key/values builds a byte-identical genesis block, so their chains agree
-/// from block 0.
+/// from block 0. The write set is built in one sort, so installing tens of
+/// thousands of keys stays cheap.
 pub fn genesis_transaction(
     initial: &[(fabric_common::Key, fabric_common::Value)],
 ) -> fabric_common::Transaction {
-    let mut b = fabric_common::rwset::RwSetBuilder::new();
-    for (k, v) in initial {
-        b.record_write(k.clone(), Some(v.clone()));
-    }
+    let writes = fabric_common::rwset::WriteSet::from_writes(
+        initial.iter().map(|(k, v)| (k.clone(), Some(v.clone()))),
+    );
     fabric_common::Transaction {
         id: fabric_common::TxId(0),
         channel: fabric_common::ChannelId(0),
         client: fabric_common::ClientId(0),
         chaincode: "genesis".into(),
-        rwset: b.build(),
+        rwset: fabric_common::rwset::ReadWriteSet { reads: Default::default(), writes },
         endorsements: vec![],
         created_at: Instant::now(),
     }

