@@ -143,11 +143,11 @@ pub struct PipelineConfig {
     /// Batch cutting thresholds.
     pub cutting: BlockCuttingConfig,
     /// Safety bound on Johnson cycle enumeration in the reorderer; beyond
-    /// this many cycles the reorderer falls back to SCC-condensation
-    /// cycle-breaking (see `fabric-reorder`).
+    /// this many cycles the reorderer falls back to its feedback-vertex-set
+    /// cycle breaker (see `fabric-reorder`).
     pub max_cycles: usize,
     /// Strongly connected components larger than this skip Johnson cycle
-    /// enumeration and go straight to the SCC-condensation fallback: a
+    /// enumeration and go straight to the feedback-vertex-set fallback: a
     /// dense component of this size holds far more elementary cycles than
     /// any budget, so enumerating first only burns orderer time.
     pub max_scc_for_enumeration: usize,

@@ -91,7 +91,8 @@ impl TxId {
 
 /// A key in the current state (Fabric: a chaincode namespace key).
 ///
-/// Keys are immutable byte strings; cloning is cheap (refcounted [`Bytes`]).
+/// Keys are immutable byte strings; cloning is cheap ([`Bytes`] holds up to
+/// 22 bytes inline and shares longer strings behind a reference count).
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Key(Bytes);
 
@@ -166,8 +167,8 @@ impl From<Vec<u8>> for Key {
     }
 }
 
-/// A value in the current state. Like [`Key`], an immutable refcounted byte
-/// string.
+/// A value in the current state. Like [`Key`], an immutable byte string
+/// with cheap clones.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Value(Bytes);
 

@@ -24,12 +24,18 @@
 //!    worker-count-dependent ordering, timestamp leakage);
 //! 4. [`corrupt`] injects *known* nondeterminism bugs into collected
 //!    artifacts so the harness can prove, in CI, that it would catch
-//!    each class with the right localization and hint.
+//!    each class with the right localization and hint;
+//! 5. [`oracle`] replays every replica's committed blocks against a
+//!    single-version state model: byte-identical replicas could still
+//!    agree on a wrong history, so each one must also be
+//!    conflict-serializable in block order with every MVCC abort
+//!    justified.
 
 pub mod artifacts;
 pub mod corrupt;
 pub mod divergence;
 pub mod fixtures;
+pub mod oracle;
 pub mod replica;
 pub mod runner;
 
@@ -40,5 +46,6 @@ pub use artifacts::{
 pub use corrupt::Corruption;
 pub use divergence::{compare_artifacts, Divergence, RootCauseHint};
 pub use fixtures::{Fixture, PlanKind};
+pub use oracle::OracleViolation;
 pub use replica::{run_replica, EngineKind, ReplicaSpec};
 pub use runner::{corruption_is_caught, run_all, run_fixture, FixtureReport};

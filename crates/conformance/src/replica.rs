@@ -16,6 +16,7 @@ use crate::artifacts::{
     TX_STATS,
 };
 use crate::fixtures::Fixture;
+use crate::oracle;
 
 /// Which storage engine backs the replica's peers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,9 +118,10 @@ fn lsm_dir(fixture: &Fixture, spec: &ReplicaSpec) -> PathBuf {
 }
 
 /// Runs `fixture` once under `spec` and collects the replicated
-/// artifacts. Also enforces two per-replica sanity gates: the invariant
-/// sweep must pass, and on traced replicas the flight recorder's commit
-/// events must reconcile with the outcome counters.
+/// artifacts. Also enforces per-replica sanity gates: the invariant sweep
+/// must pass, the committed blocks must satisfy the serializability
+/// [`oracle`], and on traced replicas the flight recorder's
+/// commit events must reconcile with the outcome counters.
 pub fn run_replica(fixture: &Fixture, spec: &ReplicaSpec) -> Result<ReplicaArtifacts> {
     let mut config = fixture.config();
     config.validation_workers = spec.validation_workers;
@@ -229,6 +231,12 @@ fn run_inner(
     let mut offsets = Vec::new();
     let mut blocks = Vec::new();
     peer.ledger().for_each(|cb| blocks.push(cb.clone()));
+    oracle::check_blocks(&blocks).map_err(|v| {
+        Error::InvalidState(format!(
+            "fixture {} replica {}: serializability oracle: {v}",
+            fixture.name, spec.label
+        ))
+    })?;
     for cb in &blocks {
         offsets.push((cb.block.header.number, stream.len()));
         stream.extend_from_slice(&cb.encode_to_vec());

@@ -11,14 +11,18 @@
 //! lightweight way to generate a serializable schedule with a small number
 //! of aborts".
 //!
-//! [`break_by_scc_condensation`] is the overflow fallback: when cycle
-//! enumeration exceeds its budget, repeatedly abort the highest-degree node
-//! of each non-trivial SCC until the graph is acyclic. More aborts, same
-//! safety guarantee.
+//! [`break_by_fvs`] is the overflow fallback, used when cycle enumeration
+//! exceeds its budget. It computes a *minimal* feedback vertex set of each
+//! non-trivial SCC without enumerating a single cycle: peel every node
+//! whose live in- or out-degree is zero (it cannot lie on a cycle), abort
+//! the live node with the largest `in × out` product, peel again, and
+//! repeat until no live node remains. Then re-admit the aborted nodes in
+//! reverse removal order, each one unless it would close a cycle among the
+//! survivors of its SCC. The survivors are acyclic, and no single aborted
+//! transaction can be put back without closing a cycle.
 
 use crate::graph::ConflictGraph;
-use crate::scratch::{GreedyScratch, SegList};
-use crate::tarjan::strongly_connected_components;
+use crate::scratch::{FvsScratch, GreedyScratch, SegList, TarjanScratch};
 
 /// Greedy max-participation cycle breaking over enumerated `cycles`
 /// (each a vertex list). Returns the aborted node indices, unsorted.
@@ -93,77 +97,195 @@ pub(crate) fn break_cycles_greedy_into(
     }
 }
 
-/// Fallback breaker: abort highest-degree nodes until no non-trivial SCC
-/// remains. Deterministic (degree desc, then index asc). Returns the
+/// Fallback breaker: a minimal feedback vertex set of every non-trivial
+/// SCC of `g` (see the module docs). Deterministic: the greedy aborts the
+/// largest `in × out` product, ties toward the smaller index. Returns the
 /// aborted node indices, unsorted.
-///
-/// To keep the orderer's per-block cost low on dense batches, each round
-/// removes the top `⌈|scc|/8⌉` highest-degree members of every non-trivial
-/// SCC before recomputing components (removing one at a time would make
-/// the number of Tarjan passes linear in the abort count).
-pub fn break_by_scc_condensation(g: &ConflictGraph) -> Vec<usize> {
-    let n = g.len();
-    let mut removed = vec![false; n];
-    let mut aborted = Vec::new();
-
-    loop {
-        // SCCs of the graph induced on the surviving nodes.
-        let sccs = induced_sccs(g, &removed);
-        let mut progressed = false;
-        for scc in sccs {
-            if scc.len() <= 1 {
-                continue;
-            }
-            // Abort the members with the largest induced degree
-            // (ties toward the smaller index).
-            let mut by_degree: Vec<(usize, usize)> = scc
-                .iter()
-                .map(|&v| (induced_degree(g, &removed, v), v))
-                .collect();
-            by_degree.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            // A component whose maximum degree is 2 is a simple cycle: one
-            // removal breaks it. Denser components take a batch.
-            let take = if by_degree[0].0 <= 2 { 1 } else { scc.len().div_ceil(8) };
-            for &(_, victim) in by_degree.iter().take(take) {
-                removed[victim] = true;
-                aborted.push(victim);
-            }
-            progressed = true;
-        }
-        if !progressed {
-            break;
+pub fn break_by_fvs(g: &ConflictGraph) -> Vec<usize> {
+    let mut sccs = SegList::default();
+    let mut order = Vec::new();
+    crate::tarjan::scc_into(g, &mut TarjanScratch::default(), &mut sccs, &mut order);
+    let mut scc_of = vec![0u32; g.len()];
+    for ci in 0..sccs.count() {
+        for &v in sccs.get(ci) {
+            scc_of[v] = ci as u32;
         }
     }
+    let mut aborted = Vec::new();
+    break_by_fvs_into(g, &sccs, &scc_of, &mut FvsScratch::default(), &mut aborted);
     aborted
 }
 
-fn induced_degree(g: &ConflictGraph, removed: &[bool], v: usize) -> usize {
-    g.children(v).iter().filter(|&&w| !removed[w]).count()
-        + g.parents(v).iter().filter(|&&w| !removed[w]).count()
-}
+/// Node states of the fallback breaker (values of `FvsScratch::state`).
+/// Nodes outside every non-trivial component stay `KEPT` throughout.
+const LIVE: u8 = 0;
+const KEPT: u8 = 1;
+const ABORTED: u8 = 2;
 
-/// SCCs of the subgraph induced on `!removed` nodes.
-fn induced_sccs(g: &ConflictGraph, removed: &[bool]) -> Vec<Vec<usize>> {
-    // Build a compacted graph over survivors and run Tarjan on it.
+/// Allocation-free core of [`break_by_fvs`] over components `g`'s caller
+/// has already computed: `sccs` holds one segment per component (members
+/// ascending) and `scc_of[v]` labels the component of node `v`. Aborted
+/// node indices are appended to `aborted` (unsorted).
+///
+/// Components are broken independently: only edges inside a component can
+/// lie on a cycle, so an abort in one never changes another's degrees.
+pub(crate) fn break_by_fvs_into(
+    g: &ConflictGraph,
+    sccs: &SegList,
+    scc_of: &[u32],
+    scratch: &mut FvsScratch,
+    aborted: &mut Vec<usize>,
+) {
     let n = g.len();
-    let survivors: Vec<usize> = (0..n).filter(|&v| !removed[v]).collect();
-    let mut local = vec![usize::MAX; n];
-    for (li, &v) in survivors.iter().enumerate() {
-        local[v] = li;
-    }
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); survivors.len()];
-    for (li, &v) in survivors.iter().enumerate() {
-        for &w in g.children(v) {
-            if !removed[w] {
-                adj[li].push(local[w]);
+    let FvsScratch { state, in_deg, out_deg, queue, live, removed, stack, mark } = scratch;
+    state.clear();
+    state.resize(n, KEPT);
+    in_deg.clear();
+    in_deg.resize(n, 0);
+    out_deg.clear();
+    out_deg.resize(n, 0);
+    mark.clear();
+    mark.resize(n, 0);
+    let mut epoch = 0u32;
+
+    for ci in 0..sccs.count() {
+        let members = sccs.get(ci);
+        if members.len() < 2 {
+            continue;
+        }
+        let comp = Component { g, scc_of, label: scc_of[members[0]] };
+        for &v in members {
+            state[v] = LIVE;
+            in_deg[v] = g.parents(v).iter().filter(|&&w| comp.contains(w)).count() as u32;
+            out_deg[v] = g.children(v).iter().filter(|&&w| comp.contains(w)).count() as u32;
+        }
+        live.clear();
+        live.extend_from_slice(members);
+        removed.clear();
+        queue.clear();
+
+        // Greedy: every member of a strongly connected component starts
+        // with in, out ≥ 1, so the first round aborts before it peels.
+        loop {
+            while let Some(v) = queue.pop() {
+                if state[v] == LIVE {
+                    state[v] = KEPT;
+                    comp.detach(v, state, in_deg, out_deg, queue);
+                }
+            }
+            // One pass drops the peeled nodes and finds the largest
+            // in × out; `live` stays ascending, so the strict `>` keeps
+            // the smaller index on ties.
+            let mut best: Option<(u64, usize)> = None;
+            live.retain(|&v| {
+                let keep = state[v] == LIVE;
+                let product = in_deg[v] as u64 * out_deg[v] as u64;
+                if keep && best.is_none_or(|(top, _)| product > top) {
+                    best = Some((product, v));
+                }
+                keep
+            });
+            let Some((_, victim)) = best else {
+                break;
+            };
+            state[victim] = ABORTED;
+            removed.push(victim);
+            comp.detach(victim, state, in_deg, out_deg, queue);
+        }
+
+        // Re-admission, last removed first: keep a node unless a path
+        // through the survivors leads from one of its children back to it.
+        for &v in removed.iter().rev() {
+            epoch += 2;
+            if comp.closes_cycle(v, state, mark, epoch, stack) {
+                aborted.push(v);
+            } else {
+                state[v] = KEPT;
             }
         }
     }
-    let compact = ConflictGraph::from_adjacency(adj);
-    strongly_connected_components(&compact)
-        .into_iter()
-        .map(|scc| scc.into_iter().map(|li| survivors[li]).collect())
-        .collect()
+}
+
+/// The component being broken: only edges between two of its members can
+/// lie on one of its cycles.
+#[derive(Clone, Copy)]
+struct Component<'a> {
+    g: &'a ConflictGraph,
+    scc_of: &'a [u32],
+    label: u32,
+}
+
+impl Component<'_> {
+    fn contains(self, w: usize) -> bool {
+        self.scc_of[w] == self.label
+    }
+
+    /// Takes `v` out of the live subgraph: its live neighbours lose one
+    /// degree each, and any that reach zero queue for peeling.
+    fn detach(
+        self,
+        v: usize,
+        state: &[u8],
+        in_deg: &mut [u32],
+        out_deg: &mut [u32],
+        queue: &mut Vec<usize>,
+    ) {
+        for &w in self.g.children(v) {
+            if self.contains(w) && state[w] == LIVE {
+                in_deg[w] -= 1;
+                if in_deg[w] == 0 {
+                    queue.push(w);
+                }
+            }
+        }
+        for &w in self.g.parents(v) {
+            if self.contains(w) && state[w] == LIVE {
+                out_deg[w] -= 1;
+                if out_deg[w] == 0 {
+                    queue.push(w);
+                }
+            }
+        }
+    }
+
+    /// Whether re-admitting `v` would close a cycle: a DFS from `v` over
+    /// kept members reaches one of `v`'s kept parents. Each call takes two
+    /// fresh `mark` values: `epoch` tags those parents, so the search stops
+    /// the moment it first sees one, and `epoch + 1` tags visited nodes.
+    fn closes_cycle(
+        self,
+        v: usize,
+        state: &[u8],
+        mark: &mut [u32],
+        epoch: u32,
+        stack: &mut Vec<usize>,
+    ) -> bool {
+        let (target, seen) = (epoch, epoch + 1);
+        let mut targets = 0;
+        for &p in self.g.parents(v) {
+            if self.contains(p) && state[p] == KEPT {
+                mark[p] = target;
+                targets += 1;
+            }
+        }
+        if targets == 0 {
+            return false;
+        }
+        stack.clear();
+        stack.push(v);
+        while let Some(u) = stack.pop() {
+            for &w in self.g.children(u) {
+                if mark[w] == target {
+                    return true;
+                }
+                if self.contains(w) && state[w] == KEPT && mark[w] != seen {
+                    mark[w] = seen;
+                    stack.push(w);
+                }
+            }
+        }
+        false
+    }
 }
 
 #[cfg(test)]
@@ -171,6 +293,7 @@ mod tests {
     use super::*;
     use fabric_common::rwset::{rwset_from_keys, ReadWriteSet};
     use fabric_common::{Key, Value, Version};
+    use proptest::prelude::*;
 
     fn tx(reads: &[usize], writes: &[usize]) -> ReadWriteSet {
         let rk: Vec<Key> = reads.iter().map(|&i| Key::composite("K", i as u64)).collect();
@@ -224,38 +347,122 @@ mod tests {
         assert_eq!(break_cycles_greedy(8, &cycles), vec![5]);
     }
 
+    /// The graph with exactly `edges`: each edge `i → j` gets its own key,
+    /// written by `i` and read by `j`.
+    fn graph_from_edges(n: usize, edges: &[(usize, usize)]) -> ConflictGraph {
+        let mut reads = vec![Vec::new(); n];
+        let mut writes = vec![Vec::new(); n];
+        for (e, &(i, j)) in edges.iter().enumerate() {
+            if i != j {
+                writes[i].push(e);
+                reads[j].push(e);
+            }
+        }
+        graph_of(&(0..n).map(|v| tx(&reads[v], &writes[v])).collect::<Vec<_>>())
+    }
+
+    /// Whether the subgraph induced on the `keep` nodes has a cycle (Kahn:
+    /// a cycle is whatever never reaches in-degree zero).
+    fn has_cycle(g: &ConflictGraph, keep: &[bool]) -> bool {
+        let n = g.len();
+        let mut indeg: Vec<usize> = (0..n)
+            .map(|v| g.parents(v).iter().filter(|&&w| keep[w]).count())
+            .collect();
+        let mut ready: Vec<usize> = (0..n).filter(|&v| keep[v] && indeg[v] == 0).collect();
+        let mut seen = 0;
+        while let Some(v) = ready.pop() {
+            seen += 1;
+            for &w in g.children(v) {
+                if keep[w] {
+                    indeg[w] -= 1;
+                    if indeg[w] == 0 {
+                        ready.push(w);
+                    }
+                }
+            }
+        }
+        seen < keep.iter().filter(|&&k| k).count()
+    }
+
+    /// The breaker's contract: the survivors are acyclic, and putting back
+    /// any single aborted node closes a cycle (the abort set is minimal).
+    fn assert_minimal_fvs(g: &ConflictGraph, aborted: &[usize]) {
+        let mut keep = vec![true; g.len()];
+        for &v in aborted {
+            keep[v] = false;
+        }
+        assert!(!has_cycle(g, &keep), "survivors of {aborted:?} must be acyclic");
+        for &v in aborted {
+            keep[v] = true;
+            assert!(has_cycle(g, &keep), "re-admitting {v} must close a cycle");
+            keep[v] = false;
+        }
+    }
+
     #[test]
-    fn scc_condensation_breaks_all_cycles() {
+    fn fvs_break_complete_digraph_keeps_one() {
         let n = 10;
         let all_keys: Vec<usize> = (0..n).collect();
         let sets: Vec<ReadWriteSet> = (0..n).map(|i| tx(&all_keys, &[i])).collect();
         let g = graph_of(&sets);
-        let aborted = break_by_scc_condensation(&g);
-        // Verify acyclicity of the survivors.
-        let mut removed = vec![false; n];
-        for &v in &aborted {
-            removed[v] = true;
-        }
-        for scc in super::induced_sccs(&g, &removed) {
-            assert_eq!(scc.len(), 1);
-        }
+        let aborted = break_by_fvs(&g);
+        assert_minimal_fvs(&g, &aborted);
         // On a complete digraph all but one node must go.
         assert_eq!(aborted.len(), n - 1);
     }
 
     #[test]
-    fn scc_condensation_on_acyclic_graph_aborts_nothing() {
+    fn fvs_break_on_acyclic_graph_aborts_nothing() {
         let sets = vec![tx(&[], &[0]), tx(&[0], &[1]), tx(&[1], &[])];
         let g = graph_of(&sets);
-        assert!(break_by_scc_condensation(&g).is_empty());
+        assert!(break_by_fvs(&g).is_empty());
     }
 
     #[test]
-    fn scc_condensation_single_long_cycle() {
+    fn fvs_break_single_long_cycle_aborts_one() {
         let n = 20;
         let sets: Vec<ReadWriteSet> = (0..n).map(|i| tx(&[i], &[(i + 1) % n])).collect();
         let g = graph_of(&sets);
-        let aborted = break_by_scc_condensation(&g);
-        assert_eq!(aborted.len(), 1, "one abort breaks a simple cycle");
+        let aborted = break_by_fvs(&g);
+        assert_eq!(aborted, vec![0], "one abort breaks a simple cycle; ties go to the smaller index");
+    }
+
+    #[test]
+    fn fvs_break_readmits_a_greedy_pick_made_redundant() {
+        // Hub 0 fans in from 1..=5 and out to 6..=10, which all funnel
+        // through 11 into 12, and 12 feeds 1..=5: every cycle through the
+        // hub also passes 12, which sits on its own 2-cycle with 13. The
+        // greedy takes the hub first (in × out = 25 against 12's 2 × 6),
+        // then 12 for the 2-cycle; 12 alone already covers every cycle, so
+        // re-admission puts the hub back.
+        let mut edges = Vec::new();
+        for p in 1..=5 {
+            edges.push((p, 0));
+            edges.push((12, p));
+        }
+        for c in 6..=10 {
+            edges.push((0, c));
+            edges.push((c, 11));
+        }
+        edges.extend([(11, 12), (12, 13), (13, 12)]);
+        let g = graph_from_edges(14, &edges);
+        let aborted = break_by_fvs(&g);
+        assert_eq!(aborted, vec![12]);
+        assert_minimal_fvs(&g, &aborted);
+    }
+
+    proptest! {
+        /// On arbitrary digraphs the abort set is a minimal feedback
+        /// vertex set: acyclic survivors, and no aborted node can return.
+        #[test]
+        fn fvs_break_is_a_minimal_feedback_vertex_set(
+            n in 2usize..14,
+            edges in proptest::collection::vec((0usize..14, 0usize..14), 0..48),
+        ) {
+            let edges: Vec<(usize, usize)> =
+                edges.into_iter().filter(|&(i, j)| i < n && j < n).collect();
+            let g = graph_from_edges(n, &edges);
+            assert_minimal_fvs(&g, &break_by_fvs(&g));
+        }
     }
 }

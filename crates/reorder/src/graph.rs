@@ -212,12 +212,6 @@ impl ConflictGraph {
         self.edge_count = edge_count;
     }
 
-    /// Builds a graph directly from adjacency lists (used by the fallback
-    /// cycle breaker's induced subgraphs).
-    pub(crate) fn from_adjacency(children: Vec<Vec<usize>>) -> Self {
-        Self::finish(children)
-    }
-
     fn finish(mut children: Vec<Vec<usize>>) -> Self {
         let n = children.len();
         let mut parents: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -265,11 +259,6 @@ impl ConflictGraph {
     /// Nodes `j` with edge `j → i` (writers into i's reads), ascending.
     pub fn parents(&self, i: usize) -> &[usize] {
         &self.parents[i]
-    }
-
-    /// Total degree of node `i` (in + out), used by the fallback breaker.
-    pub fn degree(&self, i: usize) -> usize {
-        self.children[i].len() + self.parents[i].len()
     }
 
     /// All edges as `(from, to)` pairs, ascending (tests/debugging).
@@ -374,7 +363,6 @@ mod tests {
                 assert!(cg.children(j).contains(&i));
             }
         }
-        assert_eq!(cg.degree(4), cg.children(4).len() + cg.parents(4).len());
     }
 
     #[test]

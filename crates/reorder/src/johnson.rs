@@ -7,7 +7,7 @@
 //! in the subgraph size, and Fabric++ bounds the work per block (the
 //! unique-keys batch-cutting condition exists for the same reason). Hitting
 //! the cap returns [`CycleOverflow`], signalling the caller to use the
-//! SCC-condensation fallback breaker instead.
+//! feedback-vertex-set fallback breaker instead.
 
 use crate::graph::ConflictGraph;
 use crate::scratch::{JohnsonScratch, SegList};

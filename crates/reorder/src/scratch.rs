@@ -260,6 +260,38 @@ impl GreedyScratch {
     }
 }
 
+/// Fallback feedback-vertex-set working set (see [`crate::cycle_break`]).
+#[derive(Debug, Default, Clone)]
+pub(crate) struct FvsScratch {
+    /// Per node: live, kept or aborted.
+    pub(crate) state: Vec<u8>,
+    /// Per node: live parents / children inside its component.
+    pub(crate) in_deg: Vec<u32>,
+    pub(crate) out_deg: Vec<u32>,
+    /// Nodes whose live in- or out-degree reached zero, awaiting peeling.
+    pub(crate) queue: Vec<usize>,
+    /// Live members of the component being broken, ascending.
+    pub(crate) live: Vec<usize>,
+    /// Aborted members of the component being broken, in removal order.
+    pub(crate) removed: Vec<usize>,
+    /// Re-admission DFS stack and its per-search visit marks.
+    pub(crate) stack: Vec<usize>,
+    pub(crate) mark: Vec<u32>,
+}
+
+impl FvsScratch {
+    fn capacity(&self) -> usize {
+        self.state.capacity()
+            + self.in_deg.capacity()
+            + self.out_deg.capacity()
+            + self.queue.capacity()
+            + self.live.capacity()
+            + self.removed.capacity()
+            + self.stack.capacity()
+            + self.mark.capacity()
+    }
+}
+
 /// Per-worker arena holding every intermediate of one [`crate::reorder_with`]
 /// call. Create once per reorder worker thread; reuse for every batch.
 #[derive(Debug, Default, Clone)]
@@ -277,6 +309,7 @@ pub struct ReorderScratch {
     pub(crate) johnson: JohnsonScratch,
     pub(crate) cycles: SegList,
     pub(crate) greedy: GreedyScratch,
+    pub(crate) fvs: FvsScratch,
     /// Node index → rank of its SCC in the deterministic `scc_order`
     /// iteration (abort-provenance lookup; filled whenever Tarjan runs).
     pub(crate) scc_of: Vec<u32>,
@@ -309,6 +342,7 @@ impl ReorderScratch {
             + self.johnson.capacity()
             + self.cycles.capacity()
             + self.greedy.capacity()
+            + self.fvs.capacity()
             + self.scc_of.capacity()
             + self.survivors.capacity()
             + self.scheduled.capacity()

@@ -1,6 +1,6 @@
 //! Asserts the scratch-reuse contract of `reorder_with`: once the
 //! per-worker arena has warmed up, repeat calls perform **zero heap
-//! allocations** on the non-fallback path.
+//! allocations**, on the enumeration path and the fallback alike.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the test
 //! warms the arena on every batch shape it will measure, then counts
@@ -136,4 +136,24 @@ fn steady_state_cyclic_batches_do_not_allocate() {
     );
     let allocated = measure(&batches, &ReorderConfig::default());
     assert_steady_state(allocated, "cyclic");
+}
+
+#[test]
+fn steady_state_fallback_batches_do_not_allocate() {
+    // One 160-tx ring with chords: a single SCC above
+    // `max_scc_for_enumeration`, so every call takes the feedback-vertex-set
+    // fallback (peeling, greedy picks and the re-admission DFS).
+    let n = 160u64;
+    let batches = build_batches(
+        |seed| {
+            let k = |i: u64| seed * 1000 + i % n;
+            (0..n).map(|i| tx(&[k(i), k(i + 3)], &[k(i + 1), k(i + 7)])).collect()
+        },
+        8,
+    );
+    let cfg = ReorderConfig::default();
+    let refs: Vec<&ReadWriteSet> = batches[0].iter().collect();
+    assert!(fabric_reorder::reorder(&refs, &cfg).stats.fallback_used);
+    let allocated = measure(&batches, &cfg);
+    assert_steady_state(allocated, "fallback");
 }

@@ -247,7 +247,7 @@ pub enum EventKind {
         scc: u32,
         /// Number of transactions in that component.
         scc_size: u32,
-        /// True when the abort came from the SCC-condensation fallback
+        /// True when the abort came from the feedback-vertex-set fallback
         /// (cycle budget exhausted) rather than Johnson enumeration.
         fallback: bool,
     },
@@ -264,7 +264,7 @@ pub enum EventKind {
         sccs: u32,
         /// Elementary cycles enumerated.
         cycles: u32,
-        /// Whether the reorderer fell back to SCC-condensation breaking.
+        /// Whether the reorderer fell back to feedback-vertex-set breaking.
         fallback: bool,
         /// Wall time of the reorder pass in microseconds (0 under the
         /// arrival policy).

@@ -4,7 +4,8 @@
 //! Each cell runs a seeded Smallbank stream through a `ChaosNet` under one
 //! fault plan and then sweeps the invariants: live-peer convergence
 //! (height, tip hash, state digest), per-peer hash-chain verification, and
-//! no-committed-transaction-loss across crash/restart. A final case
+//! no-committed-transaction-loss across crash/restart, and the reporting
+//! peer's ledger must pass the serializability oracle. A final case
 //! asserts the determinism contract itself — same seed, same plan ⇒
 //! byte-identical fault schedules.
 
@@ -76,6 +77,7 @@ fn run_case_traced(
         net.cut_block().unwrap();
     }
     let report = net.check().unwrap();
+    assert_oracle_green(&net);
     if let Some(dir) = &dir {
         std::fs::remove_dir_all(dir).unwrap();
     }
@@ -87,6 +89,13 @@ fn run_case_traced(
         stats: net.stats(),
         blocks_cut: net.blocks_cut(),
     }
+}
+
+/// The reporting peer's committed history replays cleanly against the
+/// serializability oracle.
+fn assert_oracle_green(net: &ChaosNet) {
+    fabric_conformance::oracle::check_ledger(net.reporting_peer().ledger())
+        .unwrap_or_else(|v| panic!("serializability oracle: {v}"));
 }
 
 struct ReplicatedResult {
@@ -132,6 +141,7 @@ fn run_replicated_case(
         net.cut_block().unwrap();
     }
     let report = net.check().unwrap();
+    assert_oracle_green(&net);
     let group = net.orderer_group().unwrap();
     ReplicatedResult {
         fingerprints: group.fingerprints(),
@@ -287,6 +297,7 @@ fn crash_with_live_snapshot_pins_recovers_version_chains() {
         }
         let report = net.check().unwrap();
         report.assert_ok();
+        assert_oracle_green(&net);
         assert!(net.stats().valid > 0, "{label}: workload must commit through the crash");
         assert_eq!(report.peers_checked, ORGS * PEERS_PER_ORG, "{label}: crashed peer restarted");
 
@@ -443,6 +454,7 @@ fn telemetry_does_not_perturb_the_fault_schedule() {
         }
         let report = net.check().unwrap();
         report.assert_ok();
+        assert_oracle_green(&net);
 
         assert_eq!(
             plain.schedule,

@@ -95,6 +95,43 @@ fn injected_truncation_is_caught_with_length_hint() {
     assert_eq!(d.byte_offset, d.len_b, "divergence sits at the end of the common prefix");
 }
 
+#[test]
+fn oracle_catches_a_flipped_validation_code_and_names_the_tx() {
+    use fabric_common::codec::{Decode, Decoder};
+    use fabric_common::ValidationCode::{MvccConflict, Valid};
+    use fabric_conformance::oracle;
+    use fabric_ledger::CommittedBlock;
+
+    // The chaos-faulted fixture commits both valid txs and MVCC aborts.
+    // `run_replica` has already run the oracle on this replica; decode its
+    // block stream and check that the untouched blocks pass here too.
+    let replica = run_replica(&Fixture::chaos_faulted(), &ReplicaSpec::baseline()).unwrap();
+    let bytes = &replica.artifact(BLOCK_STREAM).unwrap().bytes;
+    let mut dec = Decoder::new(bytes);
+    let mut blocks = Vec::new();
+    while dec.remaining() > 0 {
+        blocks.push(CommittedBlock::decode(&mut dec).unwrap());
+    }
+    oracle::check_blocks(&blocks).unwrap();
+
+    // A committed tx marked as an MVCC abort has no stale read; an MVCC
+    // abort marked valid has one. Either flip must name its block and tx.
+    for (from, to) in [(Valid, MvccConflict), (MvccConflict, Valid)] {
+        let (bi, pos) = blocks
+            .iter()
+            .enumerate()
+            .skip(1)
+            .find_map(|(bi, cb)| cb.validity.iter().position(|&c| c == from).map(|p| (bi, p)))
+            .unwrap_or_else(|| panic!("fixture must commit a {from:?} tx after genesis"));
+        let mut tampered = blocks.clone();
+        tampered[bi].validity[pos] = to;
+        let v = oracle::check_blocks(&tampered).expect_err("a flipped code must not pass");
+        assert_eq!(v.block, blocks[bi].block.header.number, "{v}");
+        assert_eq!(v.position as usize, pos, "{v}");
+        assert_eq!(v.tx, blocks[bi].block.txs[pos].id, "{v}");
+    }
+}
+
 /// Golden digests: SHA-256 of each of the `baseline` replica's five
 /// artifacts (block stream, state digest, chain fingerprint, schedule
 /// digest, tx stats), per fixture in `Fixture::all()` order. The matrix
