@@ -37,11 +37,11 @@ fn bench_hmac_sign_verify(c: &mut Criterion) {
 }
 
 fn bench_cost_model_signature(c: &mut Criterion) {
-    // The default CostModel runs 64 HMAC iterations to approximate ECDSA.
+    // The default CostModel runs 512 HMAC iterations to approximate ECDSA.
     let key = SigningKey::for_peer(PeerId(1), 42);
     let payload = vec![0x5au8; 500];
     let mut g = c.benchmark_group("sign_iterated");
-    for iters in [1u32, 16, 64, 256] {
+    for iters in [1u32, 16, 64, 512] {
         g.bench_with_input(BenchmarkId::from_parameter(iters), &iters, |b, &n| {
             b.iter(|| key.sign_iterated(&[black_box(&payload)], n))
         });

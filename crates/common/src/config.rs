@@ -81,9 +81,11 @@ pub enum ConcurrencyMode {
 /// that blank and meaningful transactions achieve the same throughput).
 ///
 /// Real Fabric signs with ECDSA (hundreds of microseconds per operation);
-/// our HMAC-SHA256 signatures cost ~1 µs, so endorsers and validators run
-/// the MAC `sign_iterations` / `verify_iterations` times to restore the
-/// CPU-cost *shape*. Setting both to 1 measures the raw pipeline.
+/// one of our HMAC-SHA256 signatures over a ~500-byte payload costs
+/// ≈0.5 µs (≈0.2 µs per further iteration) with SHA-NI, so endorsers and
+/// validators run the MAC `sign_iterations` / `verify_iterations` times to
+/// restore the CPU-cost *shape*. Setting both to 1 measures the raw
+/// pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
     /// HMAC iterations per endorsement signature.
@@ -101,10 +103,13 @@ pub struct CostModel {
 impl Default for CostModel {
     fn default() -> Self {
         // ≈100–200 µs per signature op on commodity hardware: the ECDSA
-        // ballpark of the paper's Xeon E5-2407 testbed.
+        // ballpark of the paper's Xeon E5-2407 testbed. 512 iterations take
+        // ≈100 µs on the SHA-NI compressor (`benches/crypto.rs`,
+        // `sign_iterated/512`); CPUs without SHA-NI run the portable one,
+        // six to nine times slower.
         CostModel {
-            sign_iterations: 64,
-            verify_iterations: 64,
+            sign_iterations: 512,
+            verify_iterations: 512,
             chaincode_delay: std::time::Duration::from_millis(1),
         }
     }

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use crate::hash::{Digest, Sha256};
+use crate::hash::Sha256;
 use crate::ids::PeerId;
 
 /// A 256-bit MAC tag acting as an endorsement signature.
@@ -38,9 +38,14 @@ impl fmt::Debug for Signature {
 }
 
 /// A peer's signing key (HMAC secret).
+///
+/// The key is kept as the two SHA-256 midstates HMAC starts from: the
+/// states left after absorbing the `key ⊕ ipad` and `key ⊕ opad` blocks.
+/// Each signature clones them instead of hashing both key blocks again.
 #[derive(Clone)]
 pub struct SigningKey {
-    key: [u8; 64],
+    inner: Sha256,
+    outer: Sha256,
 }
 
 impl fmt::Debug for SigningKey {
@@ -64,7 +69,12 @@ impl SigningKey {
             let d = crate::hash::sha256(seed);
             key[..32].copy_from_slice(d.as_bytes());
         }
-        SigningKey { key }
+        SigningKey { inner: Self::midstate(&key, IPAD), outer: Self::midstate(&key, OPAD) }
+    }
+
+    /// The hash state after absorbing `key ⊕ pad`.
+    fn midstate(key: &[u8; 64], pad: u8) -> Sha256 {
+        Sha256::new().chain(&key.map(|b| b ^ pad))
     }
 
     /// Derives the deterministic signing key the simulator assigns to `peer`.
@@ -78,22 +88,16 @@ impl SigningKey {
 
     /// HMAC-SHA256 over `msg`.
     pub fn sign(&self, msg: &[u8]) -> Signature {
-        Signature(self.mac(msg).0)
+        self.sign_parts(&[msg])
     }
 
     /// Signs a message given as multiple slices (avoids concatenation).
     pub fn sign_parts(&self, parts: &[&[u8]]) -> Signature {
-        let mut inner = Sha256::new();
-        let mut ik = [0u8; 64];
-        for (i, b) in self.key.iter().enumerate() {
-            ik[i] = b ^ IPAD;
-        }
-        inner.update(&ik);
+        let mut inner = self.inner.clone();
         for p in parts {
             inner.update(p);
         }
-        let inner_digest = inner.finalize();
-        Signature(self.outer(inner_digest).0)
+        Signature(self.outer.clone().chain(inner.finalize().as_bytes()).finalize().0)
     }
 
     /// Iterated signature: `s₀ = HMAC(parts)`, `sᵢ₊₁ = HMAC(sᵢ)`, returning
@@ -119,30 +123,12 @@ impl SigningKey {
 
     /// Verifies `sig` over `msg`.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
-        constant_time_eq(&self.mac(msg).0, &sig.0)
+        self.verify_parts(&[msg], sig)
     }
 
     /// Verifies a signature produced by [`SigningKey::sign_parts`].
     pub fn verify_parts(&self, parts: &[&[u8]], sig: &Signature) -> bool {
         constant_time_eq(&self.sign_parts(parts).0, &sig.0)
-    }
-
-    fn mac(&self, msg: &[u8]) -> Digest {
-        self.sign_parts(&[msg]).into_digest()
-    }
-
-    fn outer(&self, inner: Digest) -> Digest {
-        let mut ok = [0u8; 64];
-        for (i, b) in self.key.iter().enumerate() {
-            ok[i] = b ^ OPAD;
-        }
-        Sha256::new().chain(&ok).chain(inner.as_bytes()).finalize()
-    }
-}
-
-impl Signature {
-    fn into_digest(self) -> Digest {
-        Digest(self.0)
     }
 }
 
@@ -176,20 +162,12 @@ impl SignerRegistry {
         self.keys.write().insert(peer, key);
     }
 
-    /// Returns the signing key of `peer`, if registered.
-    pub fn key_of(&self, peer: PeerId) -> Option<SigningKey> {
-        self.keys.read().get(&peer).cloned()
-    }
-
     /// Verifies that `sig` is `peer`'s signature over `parts`.
     ///
     /// Unknown peers verify as `false` (an endorsement from a peer outside
     /// the MSP is never acceptable).
     pub fn verify(&self, peer: PeerId, parts: &[&[u8]], sig: &Signature) -> bool {
-        match self.key_of(peer) {
-            Some(key) => key.verify_parts(parts, sig),
-            None => false,
-        }
+        self.keys.read().get(&peer).is_some_and(|key| key.verify_parts(parts, sig))
     }
 
     /// Verifies an iterated signature (see [`SigningKey::sign_iterated`]).
@@ -200,10 +178,10 @@ impl SignerRegistry {
         sig: &Signature,
         iterations: u32,
     ) -> bool {
-        match self.key_of(peer) {
-            Some(key) => key.verify_iterated(parts, sig, iterations),
-            None => false,
-        }
+        self.keys
+            .read()
+            .get(&peer)
+            .is_some_and(|key| key.verify_iterated(parts, sig, iterations))
     }
 
     /// Number of registered peers.
@@ -226,6 +204,7 @@ impl fmt::Debug for SignerRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex_sig(key: &[u8], msg: &[u8]) -> String {
         crate::ids::hex(&SigningKey::from_seed(key).sign(msg).0)
@@ -340,6 +319,37 @@ mod tests {
         let sig = key.sign_iterated(&[b"m"], 8);
         assert!(reg.verify_iterated(PeerId(4), &[b"m"], &sig, 8));
         assert!(!reg.verify_iterated(PeerId(5), &[b"m"], &sig, 8));
+    }
+
+    /// RFC 2104 HMAC-SHA256 straight from the raw key, without midstates.
+    fn textbook_hmac(key: &[u8], msg: &[u8]) -> [u8; 32] {
+        let mut block = [0u8; 64];
+        if key.len() > 64 {
+            block[..32].copy_from_slice(crate::hash::sha256(key).as_bytes());
+        } else {
+            block[..key.len()].copy_from_slice(key);
+        }
+        let ipad = block.map(|b| b ^ 0x36);
+        let opad = block.map(|b| b ^ 0x5c);
+        let inner = crate::hash::sha256_concat(&[&ipad, msg]);
+        crate::hash::sha256_concat(&[&opad, inner.as_bytes()]).0
+    }
+
+    proptest! {
+        /// Midstate keys tag exactly like textbook HMAC on the raw key, for
+        /// keys up to 131 bytes (past 64 the key is hashed first).
+        #[test]
+        fn midstate_hmac_matches_textbook(
+            key in proptest::collection::vec(any::<u8>(), 0..132),
+            msg in proptest::collection::vec(any::<u8>(), 0..300),
+            cut in any::<usize>(),
+        ) {
+            let expect = textbook_hmac(&key, &msg);
+            let k = SigningKey::from_seed(&key);
+            prop_assert_eq!(k.sign(&msg).0, expect);
+            let (a, b) = msg.split_at(cut % (msg.len() + 1));
+            prop_assert_eq!(k.sign_parts(&[a, b]).0, expect);
+        }
     }
 
     #[test]

@@ -12,10 +12,14 @@
 //! * [`rwset`] — read and write sets captured during chaincode simulation,
 //!   with a canonical byte encoding used for endorsement signatures.
 //! * [`hash`] — a from-scratch FIPS 180-4 SHA-256 implementation (no external
-//!   crypto dependencies; validated against the standard test vectors).
+//!   crypto dependencies): a portable compressor, and a SHA-NI one picked at
+//!   run time on x86-64 CPUs that have it, tested against the portable one
+//!   and the standard test vectors. It holds the crate's only `unsafe` code.
 //! * [`crypto`] — HMAC-SHA256 based endorsement signatures and the signer
 //!   registry standing in for Fabric's X.509 MSP (see DESIGN.md §5 for why
-//!   this substitution preserves the behaviour the paper measures).
+//!   this substitution preserves the behaviour the paper measures). A
+//!   [`SigningKey`] keeps the hash states left after absorbing its ipad and
+//!   opad blocks, so each signature starts from them.
 //! * [`bitset`] — the dynamic bit-vectors used by the reordering mechanism's
 //!   conflict detection (paper §5.1.1 step 1).
 //! * [`codec`] — minimal length-prefixed binary encoding helpers.
@@ -29,7 +33,9 @@
 //!   ordering service and the peers.
 //! * [`error`] — the common error type.
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the SHA-NI compressor in `hash` (and its one call
+// site) is the single place that allows `unsafe`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bitset;
