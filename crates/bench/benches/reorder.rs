@@ -85,14 +85,8 @@ fn bench_full_reorder(c: &mut Criterion) {
         ("cycle_512", cycle_block(512)),
     ] {
         let refs: Vec<&ReadWriteSet> = block.iter().collect();
-        let cfg = if name == "cycle_512" {
-            // Long simple cycles use the exact Johnson path (Figure 16).
-            ReorderConfig { max_cycles: 4096, max_scc_for_enumeration: 1024, ..Default::default() }
-        } else {
-            ReorderConfig::default()
-        };
         g.bench_with_input(BenchmarkId::from_parameter(name), &refs, |b, refs| {
-            b.iter(|| reorder(black_box(refs), &cfg))
+            b.iter(|| reorder(black_box(refs), &ReorderConfig::default()))
         });
     }
     g.finish();

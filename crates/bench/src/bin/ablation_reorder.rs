@@ -3,10 +3,7 @@
 //! 1. **Schedule construction** — the paper's source-chasing walk vs. the
 //!    textbook Kahn topological sort: identical commit quality, different
 //!    asymptotics.
-//! 2. **SCC enumeration bound** — `max_scc_for_enumeration` sweeps from
-//!    "always enumerate" to "always fall back": quality (scheduled
-//!    transactions) vs. ordering-phase cost on a hot block.
-//! 3. **Conflict-graph construction** — inverted index vs. the paper's
+//! 2. **Conflict-graph construction** — inverted index vs. the paper's
 //!    quadratic bit-vector method.
 
 use std::time::Instant;
@@ -90,26 +87,7 @@ fn main() {
     assert!(verify_serializable(&refs, &kahn_order));
     println!("# both serializable over {} survivors", g.len());
 
-    println!("\n# 2. SCC enumeration bound sweep (hot block, 1024 txs)");
-    let mut header = false;
-    for bound in [0usize, 32, 128, 512, 1024] {
-        let cfg = ReorderConfig { max_cycles: 4096, max_scc_for_enumeration: bound, ..Default::default() };
-        let t0 = Instant::now();
-        let r = reorder(&refs, &cfg);
-        let us = t0.elapsed().as_secs_f64() * 1e6;
-        print_row(
-            &mut header,
-            &[
-                ("scc_bound", bound.to_string()),
-                ("scheduled", r.schedule.len().to_string()),
-                ("aborted", r.aborted.len().to_string()),
-                ("fallback", r.stats.fallback_used.to_string()),
-                ("time_us", format!("{us:.0}")),
-            ],
-        );
-    }
-
-    println!("\n# 3. conflict graph construction (1024-tx hot block)");
+    println!("\n# 2. conflict graph construction (1024-tx hot block)");
     let mut header = false;
     for (name, f) in [
         ("inverted_index", Box::new(|| {

@@ -53,10 +53,7 @@ fn main() {
         let arrival_valid = count_valid_in_order(&refs, &arrival);
 
         let t0 = Instant::now();
-        // Long cycles exceed the default SCC enumeration bound; lift it so
-        // the exact Johnson + greedy path runs, as in the paper's appendix.
-        let cfg = ReorderConfig { max_cycles: 4096, max_scc_for_enumeration: N, ..Default::default() };
-        let result = reorder(&refs, &cfg);
+        let result = reorder(&refs, &ReorderConfig::default());
         let reorder_time = t0.elapsed();
         let reordered_valid = count_valid_in_order(&refs, &result.schedule);
 

@@ -40,14 +40,12 @@ fn main() {
         let t0 = Instant::now();
         let result = reorder(&refs, &ReorderConfig::default());
         println!(
-            "reorder(1024 hot txs): {:?}  scheduled={} aborted={} edges={} sccs={} cycles={} fallback={}",
+            "reorder(1024 hot txs): {:?}  scheduled={} aborted={} edges={} sccs={}",
             t0.elapsed(),
             result.schedule.len(),
             result.aborted.len(),
             result.stats.edges,
             result.stats.nontrivial_sccs,
-            result.stats.cycles,
-            result.stats.fallback_used,
         );
     }
 }

@@ -159,9 +159,7 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let config = PipelineConfig::fabric_pp();
     println!(
-        "# knobs: max_cycles={} max_scc_for_enumeration={} reorder_workers(default)={} available_parallelism={}",
-        config.max_cycles,
-        config.max_scc_for_enumeration,
+        "# knobs: reorder_workers(default)={} available_parallelism={}",
         config.reorder_workers,
         default_reorder_workers(),
     );

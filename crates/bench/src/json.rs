@@ -95,7 +95,7 @@ pub fn run_to_json(label: &str, report: &RunReport, fire_duration: Duration) -> 
     out.push_str(&format!(
         "\"orderer\":{{\"blocks\":{},\"txs_ordered\":{},\"cut_tx_count\":{},\
          \"cut_bytes\":{},\"cut_timeout\":{},\"cut_unique_keys\":{},\"cut_flush\":{},\
-         \"reorder_time_us\":{},\"fallbacks\":{},\"nontrivial_sccs\":{},\
+         \"reorder_time_us\":{},\"nontrivial_sccs\":{},\
          \"empty_suppressed\":{},\"avg_block_fill\":{:.2}}},",
         o.blocks,
         o.txs_ordered,
@@ -105,7 +105,6 @@ pub fn run_to_json(label: &str, report: &RunReport, fire_duration: Duration) -> 
         o.cut_unique_keys,
         o.cut_flush,
         us(o.reorder_time),
-        o.fallbacks,
         o.nontrivial_sccs,
         o.empty_suppressed,
         o.avg_block_fill(),

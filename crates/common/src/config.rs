@@ -147,15 +147,6 @@ pub struct PipelineConfig {
     pub early_abort_ordering: bool,
     /// Batch cutting thresholds.
     pub cutting: BlockCuttingConfig,
-    /// Safety bound on Johnson cycle enumeration in the reorderer; beyond
-    /// this many cycles the reorderer falls back to its feedback-vertex-set
-    /// cycle breaker (see `fabric-reorder`).
-    pub max_cycles: usize,
-    /// Strongly connected components larger than this skip Johnson cycle
-    /// enumeration and go straight to the feedback-vertex-set fallback: a
-    /// dense component of this size holds far more elementary cycles than
-    /// any budget, so enumerating first only burns orderer time.
-    pub max_scc_for_enumeration: usize,
     /// Worker threads in the peers' endorsement-signature validation pool
     /// (Fabric's VSCC — pure CPU work over immutable bytes, so it
     /// parallelizes freely). Defaults to the host's available parallelism.
@@ -189,10 +180,6 @@ pub fn default_reorder_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Default bound on SCC size for Johnson cycle enumeration — the default
-/// for [`PipelineConfig::max_scc_for_enumeration`].
-pub const DEFAULT_MAX_SCC_FOR_ENUMERATION: usize = 128;
-
 impl PipelineConfig {
     /// Vanilla Fabric v1.2: arrival order, coarse lock, no early abort,
     /// no unique-key cutting condition.
@@ -203,8 +190,6 @@ impl PipelineConfig {
             early_abort_simulation: false,
             early_abort_ordering: false,
             cutting: BlockCuttingConfig { max_unique_keys: None, ..Default::default() },
-            max_cycles: 4096,
-            max_scc_for_enumeration: DEFAULT_MAX_SCC_FOR_ENUMERATION,
             validation_workers: default_validation_workers(),
             reorder_workers: default_reorder_workers(),
         }
@@ -218,8 +203,6 @@ impl PipelineConfig {
             early_abort_simulation: true,
             early_abort_ordering: true,
             cutting: BlockCuttingConfig::default(),
-            max_cycles: 4096,
-            max_scc_for_enumeration: DEFAULT_MAX_SCC_FOR_ENUMERATION,
             validation_workers: default_validation_workers(),
             reorder_workers: default_reorder_workers(),
         }
@@ -233,8 +216,6 @@ impl PipelineConfig {
             early_abort_simulation: false,
             early_abort_ordering: false,
             cutting: BlockCuttingConfig::default(),
-            max_cycles: 4096,
-            max_scc_for_enumeration: DEFAULT_MAX_SCC_FOR_ENUMERATION,
             validation_workers: default_validation_workers(),
             reorder_workers: default_reorder_workers(),
         }
@@ -248,8 +229,6 @@ impl PipelineConfig {
             early_abort_simulation: true,
             early_abort_ordering: true,
             cutting: BlockCuttingConfig::default(),
-            max_cycles: 4096,
-            max_scc_for_enumeration: DEFAULT_MAX_SCC_FOR_ENUMERATION,
             validation_workers: default_validation_workers(),
             reorder_workers: default_reorder_workers(),
         }
@@ -273,12 +252,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Sets the SCC-size bound for cycle enumeration and returns `self`.
-    pub fn with_max_scc_for_enumeration(mut self, bound: usize) -> Self {
-        self.max_scc_for_enumeration = bound;
-        self
-    }
-
     /// Validates the configuration.
     pub fn validate(&self) -> Result<()> {
         self.cutting.validate()?;
@@ -291,12 +264,6 @@ impl PipelineConfig {
                  under the coarse lock, simulation cannot observe concurrent commits"
                     .into(),
             ));
-        }
-        if self.max_cycles == 0 {
-            return Err(Error::Config("max_cycles must be at least 1".into()));
-        }
-        if self.max_scc_for_enumeration == 0 {
-            return Err(Error::Config("max_scc_for_enumeration must be at least 1".into()));
         }
         if self.reorder_workers == 0 {
             return Err(Error::Config("reorder_workers must be at least 1".into()));
@@ -382,10 +349,6 @@ mod tests {
         assert!(c.validate().is_err());
 
         let mut c = PipelineConfig::fabric_pp();
-        c.max_cycles = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = PipelineConfig::fabric_pp();
         c.cutting.max_unique_keys = Some(0);
         assert!(c.validate().is_err());
 
@@ -405,14 +368,10 @@ mod tests {
         let c = PipelineConfig::fabric_pp();
         assert_eq!(c.reorder_workers, default_reorder_workers());
         assert!(c.reorder_workers >= 1);
-        assert_eq!(c.max_scc_for_enumeration, DEFAULT_MAX_SCC_FOR_ENUMERATION);
-        let c = c.with_reorder_workers(4).with_max_scc_for_enumeration(64);
+        let c = c.with_reorder_workers(4);
         assert_eq!(c.reorder_workers, 4);
-        assert_eq!(c.max_scc_for_enumeration, 64);
         assert!(c.validate().is_ok());
         let zero = PipelineConfig::vanilla().with_reorder_workers(0);
-        assert!(zero.validate().is_err());
-        let zero = PipelineConfig::vanilla().with_max_scc_for_enumeration(0);
         assert!(zero.validate().is_err());
     }
 

@@ -679,8 +679,8 @@ pub enum Phase {
     /// Batch ordering end to end: early abort + reordering + block
     /// formation and emission.
     Order,
-    /// The Algorithm-1 reordering step alone (conflict graph, SCCs, cycle
-    /// enumeration, cycle breaking, schedule) — a sub-phase of
+    /// The reordering step alone (conflict graph, SCCs, cycle breaking,
+    /// schedule) — a sub-phase of
     /// [`Phase::Order`], split out so reorder cost is visible separately
     /// from batch assembly and block sealing.
     Reorder,

@@ -28,7 +28,7 @@ use fabric_common::{
     Digest, OrderingPolicy, PipelineConfig, Transaction, TxCounters, ValidationCode,
 };
 use fabric_ledger::Block;
-use fabric_reorder::{reorder_with, ReorderConfig, ReorderOutput, ReorderScratch, ReorderStats};
+use fabric_reorder::{reorder_with, ReorderConfig, ReorderResult, ReorderScratch, ReorderStats};
 use fabric_trace::{EventKind, TraceSink};
 
 use crate::early_abort::{split_version_mismatches_traced, EarlyAbortScratch};
@@ -51,7 +51,7 @@ pub struct OrderedBlock {
 pub struct PrepScratch {
     early: EarlyAbortScratch,
     reorder: ReorderScratch,
-    out: ReorderOutput,
+    out: ReorderResult,
 }
 
 /// The outcome of the per-batch stage, ready to be sealed into a block.
@@ -76,24 +76,15 @@ pub struct BatchPlan {
 pub struct BatchPrep {
     policy: OrderingPolicy,
     early_abort_ordering: bool,
-    reorder_cfg: ReorderConfig,
     sink: TraceSink,
 }
 
 impl BatchPrep {
-    /// Builds the stage from the pipeline configuration. All of
-    /// [`ReorderConfig`] is plumbed from the config's knobs; cycle
-    /// enumeration stays single-threaded here (the pipeline grants
-    /// enumeration threads to its workers explicitly).
+    /// Builds the stage from the pipeline configuration.
     pub fn new(cfg: &PipelineConfig) -> Self {
         BatchPrep {
             policy: cfg.ordering,
             early_abort_ordering: cfg.early_abort_ordering,
-            reorder_cfg: ReorderConfig {
-                max_cycles: cfg.max_cycles,
-                max_scc_for_enumeration: cfg.max_scc_for_enumeration,
-                enumeration_threads: 1,
-            },
             sink: TraceSink::disabled(),
         }
     }
@@ -106,17 +97,10 @@ impl BatchPrep {
         self
     }
 
-    /// Grants this stage `threads` for parallel SCC cycle enumeration
-    /// (identical output for any value; see
-    /// [`ReorderConfig::enumeration_threads`]).
-    pub fn with_enumeration_threads(mut self, threads: usize) -> Self {
-        self.reorder_cfg.enumeration_threads = threads.max(1);
-        self
-    }
-
-    /// The reorder configuration this stage runs with.
+    /// The reorder configuration this stage runs with (field-less; see
+    /// [`ReorderConfig`]).
     pub fn reorder_config(&self) -> &ReorderConfig {
-        &self.reorder_cfg
+        &ReorderConfig {}
     }
 
     /// Runs the per-batch stage with a one-shot scratch.
@@ -156,7 +140,7 @@ impl BatchPrep {
             OrderingPolicy::Reorder => {
                 let sets: Vec<&ReadWriteSet> = survivors.iter().map(|t| &t.rwset).collect();
                 let t_reorder = Instant::now();
-                reorder_with(&sets, &self.reorder_cfg, &mut scratch.reorder, &mut scratch.out);
+                reorder_with(&sets, &mut scratch.reorder, &mut scratch.out);
                 reorder_elapsed = t_reorder.elapsed();
                 stats = scratch.out.stats;
                 // Partition: move aborted out, arrange the rest by schedule.
@@ -169,7 +153,6 @@ impl BatchPrep {
                             tx: tx.id,
                             scc: info.scc,
                             scc_size: info.size,
-                            fallback: stats.fallback_used,
                         });
                     }
                     early_aborted.push((tx, ValidationCode::EarlyAbortCycle));
@@ -284,8 +267,6 @@ impl OrderingService {
                 txs: block.txs.len() as u32,
                 early_aborted: early_aborted.len() as u32,
                 sccs: stats.nontrivial_sccs as u32,
-                cycles: stats.cycles as u32,
-                fallback: stats.fallback_used,
                 reorder_us: reorder_elapsed.as_micros() as u64,
             });
         }
@@ -391,7 +372,7 @@ mod tests {
         assert_eq!(ob.early_aborted.len(), 1);
         assert_eq!(ob.early_aborted[0].0.id, t0_id);
         assert_eq!(ob.early_aborted[0].1, ValidationCode::EarlyAbortCycle);
-        assert_eq!(ob.reorder_stats.cycles, 1);
+        assert_eq!(ob.reorder_stats.nontrivial_sccs, 1);
     }
 
     #[test]

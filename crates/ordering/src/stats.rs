@@ -26,7 +26,6 @@ struct Inner {
     txs_ordered: AtomicU64,
     blocks: AtomicU64,
     reorder_nanos: AtomicU64,
-    fallbacks: AtomicU64,
     nontrivial_sccs: AtomicU64,
     empty_suppressed: AtomicU64,
 }
@@ -57,23 +56,19 @@ impl OrdererStats {
         self.inner.empty_suppressed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one reordering pass: wall-clock spent in Algorithm 1 plus
-    /// the pass's diagnostics (fallback engagement, conflict-cycle
-    /// structure).
+    /// Records one reordering pass: wall-clock spent in the reorderer plus
+    /// the pass's conflict-cycle structure.
     pub fn record_reorder(&self, took: Duration, stats: &ReorderStats) {
         self.inner
             .reorder_nanos
             .fetch_add(took.as_nanos().min(u128::from(u64::MAX)) as u64, Ordering::Relaxed);
-        if stats.fallback_used {
-            self.inner.fallbacks.fetch_add(1, Ordering::Relaxed);
-        }
         self.inner.nontrivial_sccs.fetch_add(stats.nontrivial_sccs as u64, Ordering::Relaxed);
     }
 
     /// Folds `other`'s counters into `self` (element-wise add), mirroring
     /// `PhaseTimers::merge`. Replicated-ordering runs keep one live
     /// `OrdererStats` per leader and merge them into a single aggregate so
-    /// `empty_suppressed`/`fallbacks`/`nontrivial_sccs` report totals across
+    /// `empty_suppressed`/`nontrivial_sccs` report totals across
     /// leader changes. `other` is read with a snapshot, so merging a stats
     /// handle into itself would double it — callers merge distinct replicas.
     pub fn merge(&self, other: &OrdererStats) {
@@ -88,7 +83,6 @@ impl OrdererStats {
         self.inner
             .reorder_nanos
             .fetch_add(o.reorder_time.as_nanos().min(u128::from(u64::MAX)) as u64, Ordering::Relaxed);
-        self.inner.fallbacks.fetch_add(o.fallbacks, Ordering::Relaxed);
         self.inner.nontrivial_sccs.fetch_add(o.nontrivial_sccs, Ordering::Relaxed);
         self.inner.empty_suppressed.fetch_add(o.empty_suppressed, Ordering::Relaxed);
     }
@@ -104,7 +98,7 @@ impl OrdererStats {
             txs_ordered: self.inner.txs_ordered.load(Ordering::Relaxed),
             blocks: self.inner.blocks.load(Ordering::Relaxed),
             reorder_time: Duration::from_nanos(self.inner.reorder_nanos.load(Ordering::Relaxed)),
-            fallbacks: self.inner.fallbacks.load(Ordering::Relaxed),
+            fallbacks: 0,
             nontrivial_sccs: self.inner.nontrivial_sccs.load(Ordering::Relaxed),
             empty_suppressed: self.inner.empty_suppressed.load(Ordering::Relaxed),
         }
@@ -130,7 +124,7 @@ pub struct OrdererStatsSnapshot {
     pub blocks: u64,
     /// Cumulative time spent in the reordering mechanism.
     pub reorder_time: Duration,
-    /// Reordering passes that hit the enumeration bound.
+    /// Always 0 (the reorderer has one engine); kept because the benchmark reads it.
     pub fallbacks: u64,
     /// Total non-trivial strongly connected components (conflict cycles)
     /// seen across all reordering passes.
@@ -160,7 +154,7 @@ impl OrdererStatsSnapshot {
             txs_ordered: self.txs_ordered + other.txs_ordered,
             blocks: self.blocks + other.blocks,
             reorder_time: self.reorder_time + other.reorder_time,
-            fallbacks: self.fallbacks + other.fallbacks,
+            fallbacks: 0,
             nontrivial_sccs: self.nontrivial_sccs + other.nontrivial_sccs,
             empty_suppressed: self.empty_suppressed + other.empty_suppressed,
         }
@@ -189,14 +183,13 @@ mod tests {
     #[test]
     fn records_reorder_time_fallbacks_and_sccs() {
         let s = OrdererStats::new();
-        let clean = ReorderStats { edges: 3, nontrivial_sccs: 2, cycles: 2, fallback_used: false };
-        let fell_back =
-            ReorderStats { edges: 90, nontrivial_sccs: 5, cycles: 0, fallback_used: true };
-        s.record_reorder(Duration::from_millis(5), &clean);
-        s.record_reorder(Duration::from_millis(7), &fell_back);
+        let small = ReorderStats { edges: 3, nontrivial_sccs: 2, ..Default::default() };
+        let large = ReorderStats { edges: 90, nontrivial_sccs: 5, ..Default::default() };
+        s.record_reorder(Duration::from_millis(5), &small);
+        s.record_reorder(Duration::from_millis(7), &large);
         let snap = s.snapshot();
         assert_eq!(snap.reorder_time, Duration::from_millis(12));
-        assert_eq!(snap.fallbacks, 1);
+        assert_eq!(snap.fallbacks, 0);
         assert_eq!(snap.nontrivial_sccs, 7);
     }
 
@@ -206,14 +199,13 @@ mod tests {
         a.record_cut(CutReason::Flush, 5);
         let b = OrdererStats::new();
         b.record_cut(CutReason::Bytes, 7);
-        let st = ReorderStats { edges: 1, nontrivial_sccs: 4, cycles: 0, fallback_used: true };
+        let st = ReorderStats { edges: 1, nontrivial_sccs: 4, ..Default::default() };
         b.record_reorder(Duration::from_millis(1), &st);
         let m = a.snapshot().merge(&b.snapshot());
         assert_eq!(m.blocks, 2);
         assert_eq!(m.txs_ordered, 12);
         assert_eq!(m.cut_flush, 1);
         assert_eq!(m.cut_bytes, 1);
-        assert_eq!(m.fallbacks, 1);
         assert_eq!(m.nontrivial_sccs, 4);
     }
 
@@ -238,7 +230,7 @@ mod tests {
         let leader_a = OrdererStats::new();
         leader_a.record_cut(CutReason::TxCount, 10);
         leader_a.record_empty_suppressed();
-        let st = ReorderStats { edges: 2, nontrivial_sccs: 3, cycles: 1, fallback_used: true };
+        let st = ReorderStats { edges: 2, nontrivial_sccs: 3, ..Default::default() };
         leader_a.record_reorder(Duration::from_millis(4), &st);
         let leader_b = OrdererStats::new();
         leader_b.record_cut(CutReason::Timeout, 6);
@@ -251,7 +243,6 @@ mod tests {
         assert_eq!(snap.cut_tx_count, 1);
         assert_eq!(snap.cut_timeout, 1);
         assert_eq!(snap.empty_suppressed, 2);
-        assert_eq!(snap.fallbacks, 1);
         assert_eq!(snap.nontrivial_sccs, 3);
         assert_eq!(snap.reorder_time, Duration::from_millis(4));
         // Equivalent to snapshot-level merging.

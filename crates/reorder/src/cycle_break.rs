@@ -1,106 +1,60 @@
-//! Cycle breaking (paper §5.1.1 steps 3 & 4).
+//! Cycle breaking: which transactions abort so the rest commit
+//! serializably.
 //!
-//! Step 3 tabulates, per transaction, the cycles it participates in (the
-//! paper's Table 4); step 4 "greedily remove\[s\] the transaction from S'
-//! that occurs in most cycles, until all cycles have been resolved", with
-//! ties broken toward the smaller transaction index so the mechanism is
-//! deterministic.
+//! The abort set must be a feedback vertex set of the conflict graph: with
+//! its members removed, no cycle is left. Finding the smallest one is the
+//! NP-hard problem of the paper's Appendix B. [`break_by_fvs`] computes a
+//! *minimal* one of each non-trivial SCC without enumerating a single
+//! cycle: peel every node whose live in- or out-degree is zero (it cannot
+//! lie on a cycle), abort the live node with the largest `in × out`
+//! product, peel again, and repeat until no live node remains. Then
+//! re-admit the aborted nodes in reverse removal order, each one unless it
+//! would close a cycle among the survivors of its SCC. The survivors are
+//! acyclic, and no single aborted transaction can be put back without
+//! closing a cycle.
 //!
-//! The paper notes the result is not guaranteed to abort a *minimal* set —
-//! that would be the NP-hard feedback vertex set problem — but is a "very
-//! lightweight way to generate a serializable schedule with a small number
-//! of aborts".
-//!
-//! [`break_by_fvs`] is the overflow fallback, used when cycle enumeration
-//! exceeds its budget. It computes a *minimal* feedback vertex set of each
-//! non-trivial SCC without enumerating a single cycle: peel every node
-//! whose live in- or out-degree is zero (it cannot lie on a cycle), abort
-//! the live node with the largest `in × out` product, peel again, and
-//! repeat until no live node remains. Then re-admit the aborted nodes in
-//! reverse removal order, each one unless it would close a cycle among the
-//! survivors of its SCC. The survivors are acyclic, and no single aborted
-//! transaction can be put back without closing a cycle.
+//! The paper's own steps 3 and 4 — count each transaction's cycles (its
+//! Table 4), then "greedily remove\[s\] the transaction from S' that occurs
+//! in most cycles, until all cycles have been resolved" — are kept
+//! test-only as `break_cycles_greedy`, part of the Algorithm 1 reference
+//! the breaker is checked against.
 
 use crate::graph::ConflictGraph;
-use crate::scratch::{FvsScratch, GreedyScratch, SegList, TarjanScratch};
+use crate::scratch::{FvsScratch, SegList, TarjanScratch};
 
-/// Greedy max-participation cycle breaking over enumerated `cycles`
-/// (each a vertex list). Returns the aborted node indices, unsorted.
-pub fn break_cycles_greedy(n: usize, cycles: &[Vec<usize>]) -> Vec<usize> {
-    let mut set = SegList::default();
-    for cycle in cycles {
-        for &v in cycle {
-            set.push(v);
-        }
-        set.end_seg();
+/// Algorithm 1's greedy over enumerated `cycles` (each a vertex list):
+/// abort the transaction on the most unbroken cycles, ties toward the
+/// smaller index, until none remain. Returns the aborted node indices in
+/// abort order.
+#[cfg(test)]
+pub(crate) fn break_cycles_greedy(n: usize, cycles: &[Vec<usize>]) -> Vec<usize> {
+    let mut counts = vec![0usize; n];
+    for &v in cycles.iter().flatten() {
+        counts[v] += 1;
     }
-    let mut scratch = GreedyScratch::default();
+    let mut alive = vec![true; cycles.len()];
     let mut aborted = Vec::new();
-    break_cycles_greedy_into(n, &set, &mut scratch, &mut aborted);
-    aborted
-}
-
-/// Allocation-free core of [`break_cycles_greedy`]: cycles come in as
-/// segments of a [`SegList`], aborted node indices are appended to
-/// `aborted` (unsorted).
-pub(crate) fn break_cycles_greedy_into(
-    n: usize,
-    cycles: &SegList,
-    scratch: &mut GreedyScratch,
-    aborted: &mut Vec<usize>,
-) {
-    let n_cycles = cycles.count();
-    if n_cycles == 0 {
-        return;
-    }
-    let GreedyScratch { counts, membership, alive } = scratch;
-    // counts[v] = number of *alive* cycles containing v (paper Table 4).
-    counts.clear();
-    counts.resize(n, 0);
-    // membership[v] = ids of cycles containing v.
-    if membership.len() < n {
-        membership.resize_with(n, Vec::new);
-    }
-    for m in &mut membership[..n] {
-        m.clear();
-    }
-    for cid in 0..n_cycles {
-        for &v in cycles.get(cid) {
-            counts[v] += 1;
-            membership[v].push(cid as u32);
-        }
-    }
-    alive.clear();
-    alive.resize(n_cycles, true);
-    let mut alive_count = n_cycles;
-
-    while alive_count > 0 {
-        // popMax with smallest-index tie-break.
-        let (victim, &max) = counts
-            .iter()
-            .enumerate()
-            .max_by(|(ia, ca), (ib, cb)| ca.cmp(cb).then(ib.cmp(ia)))
-            .expect("counts non-empty");
-        debug_assert!(max > 0, "alive cycles imply a positive count");
+    while alive.contains(&true) {
+        let victim = (0..n)
+            .max_by(|&a, &b| counts[a].cmp(&counts[b]).then(b.cmp(&a)))
+            .expect("alive cycles imply nodes");
         aborted.push(victim);
-        for &cid in &membership[victim] {
-            let cid = cid as usize;
-            if alive[cid] {
-                alive[cid] = false;
-                alive_count -= 1;
-                for &v in cycles.get(cid) {
+        for (cycle, alive) in cycles.iter().zip(&mut alive) {
+            if *alive && cycle.contains(&victim) {
+                *alive = false;
+                for &v in cycle {
                     counts[v] -= 1;
                 }
             }
         }
-        debug_assert_eq!(counts[victim], 0);
     }
+    aborted
 }
 
-/// Fallback breaker: a minimal feedback vertex set of every non-trivial
-/// SCC of `g` (see the module docs). Deterministic: the greedy aborts the
-/// largest `in × out` product, ties toward the smaller index. Returns the
-/// aborted node indices, unsorted.
+/// A minimal feedback vertex set of every non-trivial SCC of `g` (see
+/// the module docs). Deterministic: the greedy aborts the largest
+/// `in × out` product, ties toward the smaller index. Returns the aborted
+/// node indices, unsorted.
 pub fn break_by_fvs(g: &ConflictGraph) -> Vec<usize> {
     let mut sccs = SegList::default();
     let mut order = Vec::new();
@@ -116,7 +70,7 @@ pub fn break_by_fvs(g: &ConflictGraph) -> Vec<usize> {
     aborted
 }
 
-/// Node states of the fallback breaker (values of `FvsScratch::state`).
+/// Node states of the breaker (values of `FvsScratch::state`).
 /// Nodes outside every non-trivial component stay `KEPT` throughout.
 const LIVE: u8 = 0;
 const KEPT: u8 = 1;
@@ -291,15 +245,9 @@ impl Component<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fabric_common::rwset::{rwset_from_keys, ReadWriteSet};
-    use fabric_common::{Key, Value, Version};
+    use crate::reference::{assert_minimal_fvs, tx, txs_from_edges};
+    use fabric_common::rwset::ReadWriteSet;
     use proptest::prelude::*;
-
-    fn tx(reads: &[usize], writes: &[usize]) -> ReadWriteSet {
-        let rk: Vec<Key> = reads.iter().map(|&i| Key::composite("K", i as u64)).collect();
-        let wk: Vec<Key> = writes.iter().map(|&i| Key::composite("K", i as u64)).collect();
-        rwset_from_keys(&rk, Version::GENESIS, &wk, &Value::from_i64(1))
-    }
 
     fn graph_of(txs: &[ReadWriteSet]) -> ConflictGraph {
         let refs: Vec<&ReadWriteSet> = txs.iter().collect();
@@ -347,56 +295,8 @@ mod tests {
         assert_eq!(break_cycles_greedy(8, &cycles), vec![5]);
     }
 
-    /// The graph with exactly `edges`: each edge `i → j` gets its own key,
-    /// written by `i` and read by `j`.
     fn graph_from_edges(n: usize, edges: &[(usize, usize)]) -> ConflictGraph {
-        let mut reads = vec![Vec::new(); n];
-        let mut writes = vec![Vec::new(); n];
-        for (e, &(i, j)) in edges.iter().enumerate() {
-            if i != j {
-                writes[i].push(e);
-                reads[j].push(e);
-            }
-        }
-        graph_of(&(0..n).map(|v| tx(&reads[v], &writes[v])).collect::<Vec<_>>())
-    }
-
-    /// Whether the subgraph induced on the `keep` nodes has a cycle (Kahn:
-    /// a cycle is whatever never reaches in-degree zero).
-    fn has_cycle(g: &ConflictGraph, keep: &[bool]) -> bool {
-        let n = g.len();
-        let mut indeg: Vec<usize> = (0..n)
-            .map(|v| g.parents(v).iter().filter(|&&w| keep[w]).count())
-            .collect();
-        let mut ready: Vec<usize> = (0..n).filter(|&v| keep[v] && indeg[v] == 0).collect();
-        let mut seen = 0;
-        while let Some(v) = ready.pop() {
-            seen += 1;
-            for &w in g.children(v) {
-                if keep[w] {
-                    indeg[w] -= 1;
-                    if indeg[w] == 0 {
-                        ready.push(w);
-                    }
-                }
-            }
-        }
-        seen < keep.iter().filter(|&&k| k).count()
-    }
-
-    /// The breaker's contract: the survivors are acyclic, and putting back
-    /// any single aborted node closes a cycle (the abort set is minimal).
-    fn assert_minimal_fvs(g: &ConflictGraph, aborted: &[usize]) {
-        let mut keep = vec![true; g.len()];
-        for &v in aborted {
-            keep[v] = false;
-        }
-        assert!(!has_cycle(g, &keep), "survivors of {aborted:?} must be acyclic");
-        for &v in aborted {
-            keep[v] = true;
-            assert!(has_cycle(g, &keep), "re-admitting {v} must close a cycle");
-            keep[v] = false;
-        }
+        graph_of(&txs_from_edges(n, edges))
     }
 
     #[test]
@@ -452,8 +352,13 @@ mod tests {
     }
 
     proptest! {
-        /// On arbitrary digraphs the abort set is a minimal feedback
-        /// vertex set: acyclic survivors, and no aborted node can return.
+        // 512 cases: the first graph on which Algorithm 1's greedy aborts a
+        // non-minimal set lies past the default 256.
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+        /// On arbitrary digraphs, `reorder` aborts a minimal feedback
+        /// vertex set: the schedule and the aborts partition the batch, the
+        /// schedule is serializable, the survivors are acyclic, and no
+        /// aborted transaction can return.
         #[test]
         fn fvs_break_is_a_minimal_feedback_vertex_set(
             n in 2usize..14,
@@ -461,8 +366,15 @@ mod tests {
         ) {
             let edges: Vec<(usize, usize)> =
                 edges.into_iter().filter(|&(i, j)| i < n && j < n).collect();
-            let g = graph_from_edges(n, &edges);
-            assert_minimal_fvs(&g, &break_by_fvs(&g));
+            let txs = txs_from_edges(n, &edges);
+            let refs: Vec<&ReadWriteSet> = txs.iter().collect();
+            let result = crate::reorder(&refs, &crate::ReorderConfig::default());
+            let mut all: Vec<usize> =
+                result.schedule.iter().chain(&result.aborted).copied().collect();
+            all.sort_unstable();
+            prop_assert_eq!(all, (0..n).collect::<Vec<_>>());
+            prop_assert!(crate::verify_serializable(&refs, &result.schedule));
+            assert_minimal_fvs(&graph_of(&txs), &result.aborted);
         }
     }
 }

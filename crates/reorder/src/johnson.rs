@@ -1,23 +1,21 @@
-//! Johnson's elementary-circuit enumeration (paper §5.1.1 step 2).
+//! Johnson's elementary-circuit enumeration (paper §5.1.1 step 2), the
+//! cycle-listing half of the test-only Algorithm 1 reference
+//! ([`crate::reference::algorithm1`]).
 //!
 //! "We identify the cycles within the subgraphs using Johnson's algorithm"
 //! — run per strongly connected subgraph, each elementary circuit is
-//! reported exactly once (attributed to its minimal vertex). Enumeration is
-//! capped by a budget: the number of elementary circuits can be exponential
-//! in the subgraph size, and Fabric++ bounds the work per block (the
-//! unique-keys batch-cutting condition exists for the same reason). Hitting
-//! the cap returns [`CycleOverflow`], signalling the caller to use the
-//! feedback-vertex-set fallback breaker instead.
+//! reported exactly once (attributed to its minimal vertex). The number of
+//! circuits can be exponential in the subgraph size, so enumeration is
+//! capped by a budget; hitting it returns [`CycleOverflow`].
 
 use crate::graph::ConflictGraph;
-use crate::scratch::{JohnsonScratch, SegList};
 
 /// Enumeration exceeded its cycle budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CycleOverflow;
 
 /// Enumerates all elementary cycles inside one strongly connected component
-/// `scc` (global node indices) of `g`, up to `budget` cycles.
+/// `scc` (global node indices, ascending) of `g`, up to `budget` cycles.
 ///
 /// Each cycle is returned as its vertex sequence in traversal order,
 /// starting at its minimal vertex; the back-edge to the start is implicit.
@@ -26,171 +24,87 @@ pub fn elementary_cycles(
     scc: &[usize],
     budget: usize,
 ) -> Result<Vec<Vec<usize>>, CycleOverflow> {
-    let mut scratch = JohnsonScratch::default();
-    let mut out = SegList::default();
-    elementary_cycles_into(g, scc, budget, &mut scratch, &mut out)?;
-    Ok((0..out.count()).map(|i| out.get(i).to_vec()).collect())
-}
-
-/// Allocation-free core of [`elementary_cycles`]: appends each cycle of
-/// `scc` as one segment of `out` (global node indices).
-///
-/// `max_total` caps the **total** segment count of `out`, not just this
-/// call's contribution — passing one accumulator across a batch's SCCs
-/// with `max_total = max_cycles` reproduces the shared decrementing budget
-/// exactly (overflow the moment cycle `max_total + 1` is found).
-///
-/// On [`CycleOverflow`] the accumulator holds a partial enumeration; the
-/// caller is expected to discard it and engage the fallback breaker.
-pub(crate) fn elementary_cycles_into(
-    g: &ConflictGraph,
-    scc: &[usize],
-    max_total: usize,
-    scratch: &mut JohnsonScratch,
-    out: &mut SegList,
-) -> Result<(), CycleOverflow> {
-    let m = scc.len();
-    if m < 2 {
-        return Ok(());
-    }
-    let n = g.len();
-    let JohnsonScratch { local_of, adj, blocked, block_lists, stack } = scratch;
-
     // Local dense indexing of the component, ascending so that local order
     // matches global order (needed for the minimal-vertex attribution).
-    // The table is all-MAX between calls; entries set here are reset on
-    // every exit path below.
-    if local_of.len() < n {
-        local_of.resize(n, u32::MAX);
+    let adj: Vec<Vec<usize>> = scc
+        .iter()
+        .map(|&v| g.children(v).iter().filter_map(|w| scc.binary_search(w).ok()).collect())
+        .collect();
+    let mut search = Search {
+        adj: &adj,
+        scc,
+        budget,
+        out: Vec::new(),
+        blocked: vec![false; scc.len()],
+        block_lists: vec![Vec::new(); scc.len()],
+        stack: Vec::new(),
+    };
+    for s in 0..scc.len() {
+        search.blocked.fill(false);
+        search.block_lists.iter_mut().for_each(Vec::clear);
+        search.circuit(s, s)?;
     }
-    for (li, &v) in scc.iter().enumerate() {
-        local_of[v] = li as u32;
-    }
-    adj.clear();
-    for &v in scc.iter() {
-        for w in g.children(v) {
-            let lw = local_of[*w];
-            if lw != u32::MAX {
-                adj.push(lw as usize);
+    Ok(search.out)
+}
+
+struct Search<'a> {
+    adj: &'a [Vec<usize>],
+    scc: &'a [usize],
+    budget: usize,
+    out: Vec<Vec<usize>>,
+    blocked: Vec<bool>,
+    block_lists: Vec<Vec<usize>>,
+    stack: Vec<usize>,
+}
+
+impl Search<'_> {
+    fn unblock(&mut self, v: usize) {
+        self.blocked[v] = false;
+        for w in std::mem::take(&mut self.block_lists[v]) {
+            if self.blocked[w] {
+                self.unblock(w);
             }
         }
-        adj.end_seg();
-    }
-
-    blocked.clear();
-    blocked.resize(m, false);
-    if block_lists.len() < m {
-        block_lists.resize_with(m, Vec::new);
-    }
-    stack.clear();
-
-    struct Ctx<'a> {
-        adj: &'a SegList,
-        scc: &'a [usize],
-        max_total: usize,
-        out: &'a mut SegList,
-        blocked: &'a mut [bool],
-        block_lists: &'a mut [Vec<usize>],
-        stack: &'a mut Vec<usize>,
-    }
-
-    fn unblock(ctx: &mut Ctx<'_>, v: usize) {
-        ctx.blocked[v] = false;
-        // Take the list out to recurse without aliasing; it is restored
-        // empty with its capacity intact (unblock never repopulates it).
-        let mut pending = std::mem::take(&mut ctx.block_lists[v]);
-        for &w in &pending {
-            if ctx.blocked[w] {
-                unblock(ctx, w);
-            }
-        }
-        pending.clear();
-        ctx.block_lists[v] = pending;
     }
 
     /// DFS for circuits whose minimal (local) vertex is `s`; explores only
     /// vertices `>= s`. Returns whether any circuit through `v` was found.
-    fn circuit(ctx: &mut Ctx<'_>, v: usize, s: usize) -> Result<bool, CycleOverflow> {
+    fn circuit(&mut self, v: usize, s: usize) -> Result<bool, CycleOverflow> {
         let mut found = false;
-        ctx.stack.push(v);
-        ctx.blocked[v] = true;
-        for i in 0..ctx.adj.get(v).len() {
-            let w = ctx.adj.get(v)[i];
-            if w < s {
-                continue;
-            }
+        self.stack.push(v);
+        self.blocked[v] = true;
+        let adj = self.adj;
+        for &w in adj[v].iter().filter(|&&w| w >= s) {
             if w == s {
-                if ctx.out.count() >= ctx.max_total {
+                if self.out.len() >= self.budget {
                     return Err(CycleOverflow);
                 }
-                for &li in ctx.stack.iter() {
-                    ctx.out.push(ctx.scc[li]);
-                }
-                ctx.out.end_seg();
+                self.out.push(self.stack.iter().map(|&li| self.scc[li]).collect());
                 found = true;
-            } else if !ctx.blocked[w] && circuit(ctx, w, s)? {
+            } else if !self.blocked[w] && self.circuit(w, s)? {
                 found = true;
             }
         }
         if found {
-            unblock(ctx, v);
+            self.unblock(v);
         } else {
-            for i in 0..ctx.adj.get(v).len() {
-                let w = ctx.adj.get(v)[i];
-                if w >= s && !ctx.block_lists[w].contains(&v) {
-                    ctx.block_lists[w].push(v);
+            for &w in adj[v].iter().filter(|&&w| w >= s) {
+                if !self.block_lists[w].contains(&v) {
+                    self.block_lists[w].push(v);
                 }
             }
         }
-        ctx.stack.pop();
+        self.stack.pop();
         Ok(found)
     }
-
-    let mut ctx = Ctx {
-        adj,
-        scc,
-        max_total,
-        out,
-        blocked: &mut blocked[..m],
-        block_lists: &mut block_lists[..m],
-        stack,
-    };
-
-    let mut result = Ok(());
-    for s in 0..m {
-        // Reset the blocking state for each start vertex.
-        for b in ctx.blocked.iter_mut() {
-            *b = false;
-        }
-        for bl in ctx.block_lists.iter_mut() {
-            bl.clear();
-        }
-        if let Err(e) = circuit(&mut ctx, s, s) {
-            result = Err(e);
-            break;
-        }
-        debug_assert!(ctx.stack.is_empty());
-    }
-
-    // Restore the all-MAX invariant on the shared local-index table.
-    for &v in scc.iter() {
-        local_of[v] = u32::MAX;
-    }
-    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::tx;
     use crate::tarjan::strongly_connected_components;
-    use fabric_common::rwset::{rwset_from_keys, ReadWriteSet};
-    use fabric_common::{Key, Value, Version};
-
-    fn tx(reads: &[usize], writes: &[usize]) -> ReadWriteSet {
-        let rk: Vec<Key> = reads.iter().map(|&i| Key::composite("K", i as u64)).collect();
-        let wk: Vec<Key> = writes.iter().map(|&i| Key::composite("K", i as u64)).collect();
-        rwset_from_keys(&rk, Version::GENESIS, &wk, &Value::from_i64(1))
-    }
+    use fabric_common::rwset::ReadWriteSet;
 
     fn graph_of(txs: &[ReadWriteSet]) -> ConflictGraph {
         let refs: Vec<&ReadWriteSet> = txs.iter().collect();

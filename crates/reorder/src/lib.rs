@@ -1,53 +1,52 @@
 //! # fabric-reorder
 //!
-//! The Fabric++ transaction-reordering mechanism — Algorithm 1 of the paper
-//! (Sharma et al., SIGMOD'19 §5.1) — as a standalone library. Given the
-//! read/write sets of the transactions buffered for one block, it:
+//! The Fabric++ transaction-reordering mechanism (Sharma et al., SIGMOD'19
+//! §5.1) as a standalone library. Given the read/write sets of the
+//! transactions buffered for one block, it:
 //!
 //! 1. builds the read-write **conflict graph** (`Ti → Tj` iff `Ti` writes a
-//!    key that `Tj` read) using the paper's bit-vector intersection test
-//!    ([`graph`]);
+//!    key that `Tj` read) ([`graph`]);
 //! 2. partitions it into strongly connected subgraphs with **Tarjan's
 //!    algorithm** ([`tarjan`]);
-//! 3. enumerates all elementary **conflict cycles** inside each non-trivial
-//!    subgraph with **Johnson's algorithm** ([`johnson`]);
-//! 4. **greedily aborts** the transactions appearing in the most cycles
-//!    until none remain ([`cycle_break`]); and
-//! 5. emits a **serializable schedule** of the survivors using the paper's
+//! 3. breaks every non-trivial subgraph with a **minimal feedback vertex
+//!    set** ([`cycle_break`]): peel nodes with no live in- or out-edges,
+//!    abort the largest `in × out` product, repeat, then re-admit every
+//!    aborted node that closes no cycle; and
+//! 4. emits a **serializable schedule** of the survivors using the paper's
 //!    source-chasing traversal ([`schedule`]).
 //!
 //! The top-level entry point is [`reorder`]. Ties are always broken toward
-//! the smaller transaction index, matching the paper's determinism rule, so
-//! the worked example of §5.1.1 (six transactions over ten keys) reproduces
-//! its exact output: schedule `T5 ⇒ T1 ⇒ T3 ⇒ T4`, aborts `{T0, T2}`.
+//! the smaller transaction index, so the worked example of §5.1.1 (six
+//! transactions over ten keys) reproduces the paper's exact output:
+//! schedule `T5 ⇒ T1 ⇒ T3 ⇒ T4`, aborts `{T0, T2}`.
+//!
+//! The paper's own steps 3–4 enumerate every elementary cycle (Johnson)
+//! and greedily abort the transaction on the most cycles. Finding a
+//! minimum abort set is the NP-hard feedback-vertex-set problem of its
+//! Appendix B; cycle enumeration is exponential in the worst case, while
+//! the breaker never enumerates a cycle. Algorithm 1 survives as this
+//! crate's test reference, and a differential test holds the breaker to
+//! it: on the paper's tables, the Appendix B micro-benchmarks and a
+//! Smallbank-shaped batch both abort the same transactions. The breaker's
+//! abort set is always minimal (no single aborted transaction can be put
+//! back); Algorithm 1's is not always.
 //!
 //! The ordering service calls the mechanism once per cut batch, so the hot
 //! path is engineered to be **allocation-free on repeat calls**:
 //! [`reorder_with`] runs the identical algorithm over a caller-owned
 //! [`ReorderScratch`] arena ([`scratch`]) — keys are interned to dense
-//! `u32` ids once per batch, every graph/Tarjan/Johnson/schedule buffer is
-//! pooled, Tarjan is skipped outright on an edgeless graph, and the cycles
-//! of independent non-trivial SCCs can be enumerated on parallel threads
-//! ([`ReorderConfig::enumeration_threads`]) without changing the output.
-//!
-//! Cycle enumeration is exponential in the worst case, so it is bounded by
-//! [`ReorderConfig::max_cycles`]; past the bound the mechanism falls back to
-//! a greedy feedback vertex set of each non-trivial SCC
-//! ([`cycle_break::break_by_fvs`]): peel nodes with no live in- or
-//! out-edges, abort the largest `in × out` product, repeat, then re-admit
-//! every aborted node that closes no cycle. The output schedule stays
-//! serializable and the abort set is minimal (no single aborted
-//! transaction can be put back), though not minimum — that is the NP-hard
-//! problem of the paper's Appendix B. The paper's batch-cutting condition
-//! (d) (bounding unique keys per block) exists to keep this machinery
-//! cheap.
+//! `u32` ids once per batch, every graph/Tarjan/breaker/schedule buffer is
+//! pooled, and Tarjan is skipped outright on an edgeless graph.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cycle_break;
 pub mod graph;
-pub mod johnson;
+#[cfg(test)]
+mod johnson;
+#[cfg(test)]
+mod reference;
 pub mod schedule;
 pub mod scratch;
 pub mod tarjan;
@@ -56,41 +55,16 @@ use fabric_common::rwset::ReadWriteSet;
 
 pub use graph::ConflictGraph;
 pub use schedule::{count_valid_in_order, kahn_schedule, verify_serializable};
-pub use scratch::{AbortScc, InternedBatch, ReorderOutput, ReorderScratch};
+pub use scratch::{AbortScc, InternedBatch, ReorderScratch};
 
-/// Minimum total node count across non-trivial SCCs before parallel cycle
-/// enumeration is worth the thread hand-off; below this the sequential
-/// path wins regardless of [`ReorderConfig::enumeration_threads`].
-pub const PARALLEL_SCC_NODE_THRESHOLD: usize = 32;
+/// Tuning for the reordering mechanism. The engine has no settings; the
+/// type stays so [`reorder`]'s signature and its callers keep compiling.
+#[derive(Debug, Clone, Default)]
+pub struct ReorderConfig {}
 
-/// Tuning for the reordering mechanism.
-#[derive(Debug, Clone)]
-pub struct ReorderConfig {
-    /// Upper bound on enumerated cycles before falling back to the
-    /// feedback-vertex-set breaker.
-    pub max_cycles: usize,
-    /// SCCs larger than this skip Johnson enumeration entirely and go
-    /// straight to the fallback: a dense component of this size has far
-    /// more elementary cycles than any budget, so enumerating first only
-    /// burns orderer time.
-    pub max_scc_for_enumeration: usize,
-    /// Threads used to enumerate the cycles of independent non-trivial
-    /// SCCs in parallel (1 = fully sequential, the default). The result
-    /// is identical for every value: per-SCC enumerations are merged in
-    /// deterministic SCC order, and the fallback decision — total cycles
-    /// exceeding `max_cycles`, or any oversized SCC — depends only on the
-    /// graph, not on thread scheduling.
-    pub enumeration_threads: usize,
-}
-
-impl Default for ReorderConfig {
-    fn default() -> Self {
-        ReorderConfig { max_cycles: 4096, max_scc_for_enumeration: 128, enumeration_threads: 1 }
-    }
-}
-
-/// Outcome of reordering one batch.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Outcome of reordering one batch. [`reorder_with`] clears and refills
+/// one in place, keeping the vectors' capacity.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ReorderResult {
     /// Indices (into the input slice) of the surviving transactions, in
     /// serializable commit order.
@@ -104,6 +78,16 @@ pub struct ReorderResult {
     pub stats: ReorderStats,
 }
 
+impl ReorderResult {
+    /// Empties the index lists (keeping capacity) and zeroes the stats.
+    pub fn clear(&mut self) {
+        self.schedule.clear();
+        self.aborted.clear();
+        self.abort_sccs.clear();
+        self.stats = ReorderStats::default();
+    }
+}
+
 /// Diagnostics from one reordering run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReorderStats {
@@ -111,46 +95,38 @@ pub struct ReorderStats {
     pub edges: usize,
     /// Strongly connected subgraphs with more than one node.
     pub nontrivial_sccs: usize,
-    /// Cycles enumerated (0 if the graph was already acyclic).
+    /// Always 0 (no cycle is enumerated); kept because the benchmark reads it.
     pub cycles: usize,
-    /// Whether the enumeration bound was hit and the fallback engaged.
+    /// Always `false` (there is one engine); kept because the benchmark reads it.
     pub fallback_used: bool,
 }
 
-/// Algorithm 1: reorders `rwsets`, aborting cycle participants.
+/// Reorders `rwsets`, aborting a minimal set of cycle participants.
+/// `_config` carries no settings (see [`ReorderConfig`]).
 ///
 /// The returned schedule contains every input index exactly once across
 /// `schedule` and `aborted`, and `schedule` is serializable: committing the
 /// transactions in that order, each transaction's reads see exactly the
 /// state its simulation saw (verified by [`schedule::verify_serializable`]
 /// in this crate's tests for arbitrary inputs).
-pub fn reorder(rwsets: &[&ReadWriteSet], config: &ReorderConfig) -> ReorderResult {
-    let mut scratch = ReorderScratch::new();
-    let mut out = ReorderOutput::new();
-    reorder_with(rwsets, config, &mut scratch, &mut out);
-    ReorderResult {
-        schedule: out.schedule,
-        aborted: out.aborted,
-        abort_sccs: out.abort_sccs,
-        stats: out.stats,
-    }
+pub fn reorder(rwsets: &[&ReadWriteSet], _config: &ReorderConfig) -> ReorderResult {
+    let mut out = ReorderResult::default();
+    reorder_with(rwsets, &mut ReorderScratch::new(), &mut out);
+    out
 }
 
-/// Algorithm 1 over reusable buffers: like [`reorder`], but every
-/// intermediate lives in the caller-owned `scratch` arena and the result
-/// lands in `out`, so repeat calls on a warm arena perform no heap
-/// allocation, fallback included (asserted by this crate's
-/// counting-allocator test).
+/// [`reorder`] over reusable buffers: every intermediate lives in the
+/// caller-owned `scratch` arena and the result lands in `out`, so repeat
+/// calls on a warm arena perform no heap allocation (asserted by this
+/// crate's counting-allocator test).
 ///
 /// This is the hot-path entry used by the ordering service's reorder
 /// workers (one arena per worker). Output is identical to [`reorder`] for
-/// any scratch state — the arena only carries capacity, never data —
-/// including for any [`ReorderConfig::enumeration_threads`] setting.
+/// any scratch state — the arena only carries capacity, never data.
 pub fn reorder_with(
     rwsets: &[&ReadWriteSet],
-    config: &ReorderConfig,
     scratch: &mut ReorderScratch,
-    out: &mut ReorderOutput,
+    out: &mut ReorderResult,
 ) {
     out.clear();
     let n = rwsets.len();
@@ -167,9 +143,6 @@ pub fn reorder_with(
         tarjan: tarjan_scratch,
         sccs,
         scc_order,
-        johnson: johnson_scratch,
-        cycles,
-        greedy,
         fvs,
         scc_of,
         survivors,
@@ -191,7 +164,7 @@ pub fn reorder_with(
         return;
     }
 
-    // Step 2: strongly connected subgraphs, then cycles within them.
+    // Step 2: strongly connected subgraphs.
     tarjan::scc_into(graph, tarjan_scratch, sccs, scc_order);
     // Node → SCC rank, for abort provenance (every node is in exactly
     // one component, so the map is total).
@@ -202,67 +175,17 @@ pub fn reorder_with(
             scc_of[v] = rank as u32;
         }
     }
-    let mut nontrivial_sccs = 0usize;
-    let mut nontrivial_nodes = 0usize;
-    let mut oversized = false;
-    for &ci in scc_order.iter() {
-        let len = sccs.get(ci as usize).len();
-        if len > 1 {
-            nontrivial_sccs += 1;
-            nontrivial_nodes += len;
-            oversized |= len > config.max_scc_for_enumeration;
-        }
-    }
-    out.stats.nontrivial_sccs = nontrivial_sccs;
-
-    if nontrivial_sccs == 0 {
+    out.stats.nontrivial_sccs =
+        scc_order.iter().filter(|&&ci| sccs.get(ci as usize).len() > 1).count();
+    if out.stats.nontrivial_sccs == 0 {
         // Acyclic already: no aborts; schedule the graph we have.
         schedule::paper_schedule_into(graph, scheduled, &mut out.schedule);
         return;
     }
 
-    cycles.clear();
-    let mut overflow = oversized;
-    if !overflow {
-        let parallel = config.enumeration_threads > 1
-            && nontrivial_sccs >= 2
-            && nontrivial_nodes >= PARALLEL_SCC_NODE_THRESHOLD;
-        if parallel {
-            overflow = enumerate_sccs_parallel(graph, sccs, scc_order, config, cycles);
-        } else {
-            for &ci in scc_order.iter() {
-                let scc = sccs.get(ci as usize);
-                if scc.len() < 2 {
-                    continue;
-                }
-                // `cycles` accumulates across SCCs, so capping its total
-                // count is exactly the paper's shared decrementing budget.
-                if johnson::elementary_cycles_into(
-                    graph,
-                    scc,
-                    config.max_cycles,
-                    johnson_scratch,
-                    cycles,
-                )
-                .is_err()
-                {
-                    overflow = true;
-                    break;
-                }
-            }
-        }
-    }
-
-    if overflow {
-        // On skewed load nearly every block lands here, so the fallback
-        // reuses the components above and the arena's buffers.
-        out.stats.fallback_used = true;
-        cycle_break::break_by_fvs_into(graph, sccs, scc_of, fvs, &mut out.aborted);
-    } else {
-        out.stats.cycles = cycles.count();
-        // Steps 3 & 4: count cycle membership, greedily abort.
-        cycle_break::break_cycles_greedy_into(n, cycles, greedy, &mut out.aborted);
-    }
+    // Step 3: a minimal feedback vertex set of every non-trivial SCC.
+    // Each such component holds a cycle, so at least one tx aborts.
+    cycle_break::break_by_fvs_into(graph, sccs, scc_of, fvs, &mut out.aborted);
     out.aborted.sort_unstable();
     for &i in &out.aborted {
         let rank = scc_of[i];
@@ -270,13 +193,8 @@ pub fn reorder_with(
         out.abort_sccs.push(scratch::AbortScc { scc: rank, size });
     }
 
-    // Step 5: rebuild the conflict graph over the survivors and emit the
+    // Step 4: rebuild the conflict graph over the survivors and emit the
     // serializable schedule.
-    if out.aborted.is_empty() {
-        // Nothing aborted: the survivor graph is the graph we built.
-        schedule::paper_schedule_into(graph, scheduled, &mut out.schedule);
-        return;
-    }
     survivors.clear();
     survivors.extend((0..n).filter(|i| out.aborted.binary_search(i).is_err()));
     graph2.rebuild_interned_filtered(batch, index, survivors);
@@ -286,77 +204,6 @@ pub fn reorder_with(
     );
     schedule::paper_schedule_into(graph2, scheduled, local_order);
     out.schedule.extend(local_order.iter().map(|&li| survivors[li]));
-}
-
-/// Enumerates the cycles of each non-trivial SCC on its own scoped thread
-/// (round-robin over `enumeration_threads`), merging per-SCC results in
-/// deterministic SCC order. Returns `true` if the fallback must engage.
-///
-/// Equivalence with the sequential shared-budget rule: sequentially, the
-/// budget overflows iff some prefix sum of per-SCC cycle counts exceeds
-/// `max_cycles` — and since counts are non-negative that holds iff the
-/// *total* exceeds `max_cycles`. Each thread enumerates its SCCs with the
-/// full budget (a lone SCC overflowing it implies the total does too), and
-/// the final total is checked during the merge, so the decision — and on
-/// success the merged cycle list — is identical to the sequential path.
-fn enumerate_sccs_parallel(
-    g: &ConflictGraph,
-    sccs: &scratch::SegList,
-    scc_order: &[u32],
-    config: &ReorderConfig,
-    out: &mut scratch::SegList,
-) -> bool {
-    let jobs: Vec<u32> = scc_order
-        .iter()
-        .copied()
-        .filter(|&ci| sccs.get(ci as usize).len() > 1)
-        .collect();
-    let threads = config.enumeration_threads.min(jobs.len());
-    let mut results: Vec<Option<Result<Vec<Vec<usize>>, johnson::CycleOverflow>>> = Vec::new();
-    results.resize_with(jobs.len(), || None);
-
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let jobs = &jobs;
-                s.spawn(move || {
-                    let mut found = Vec::new();
-                    let mut j = t;
-                    while j < jobs.len() {
-                        let scc = sccs.get(jobs[j] as usize);
-                        found.push((j, johnson::elementary_cycles(g, scc, config.max_cycles)));
-                        j += threads;
-                    }
-                    found
-                })
-            })
-            .collect();
-        for h in handles {
-            for (j, r) in h.join().expect("enumeration worker panicked") {
-                results[j] = Some(r);
-            }
-        }
-    });
-
-    let mut total = 0usize;
-    for r in &results {
-        match r.as_ref().expect("every job produced a result") {
-            Err(johnson::CycleOverflow) => return true,
-            Ok(scc_cycles) => {
-                if total + scc_cycles.len() > config.max_cycles {
-                    return true;
-                }
-                total += scc_cycles.len();
-                for cycle in scc_cycles {
-                    for &v in cycle {
-                        out.push(v);
-                    }
-                    out.end_seg();
-                }
-            }
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -398,11 +245,12 @@ mod tests {
         let result = reorder(&refs, &ReorderConfig::default());
         assert_eq!(result.aborted, vec![0, 2]);
         assert_eq!(result.schedule, vec![5, 1, 3, 4]);
-        assert!(!result.stats.fallback_used);
-        // Figure 4: two non-trivial strongly connected subgraphs; three
-        // cycles total (c1, c2 in the green one; c3 in the red one).
+        // Figure 4: two non-trivial strongly connected subgraphs holding
+        // three cycles (c1, c2 in the green one; c3 in the red one), which
+        // only Algorithm 1's enumeration counts.
         assert_eq!(result.stats.nontrivial_sccs, 2);
-        assert_eq!(result.stats.cycles, 3);
+        let paper = reference::algorithm1(&refs, 4096).expect("three cycles");
+        assert_eq!((paper.aborted, paper.cycles), (result.aborted, 3));
     }
 
     #[test]
@@ -421,14 +269,13 @@ mod tests {
 
     #[test]
     fn abort_provenance_parallel_to_aborted_on_fallback() {
-        // Dense clique with a tiny budget: fallback engages, yet every
-        // aborted tx still names the (single) component it belonged to.
+        // Dense clique: every aborted tx names the (single) component it
+        // belonged to.
         let n = 12;
         let all: Vec<usize> = (0..n).collect();
         let sets: Vec<ReadWriteSet> = (0..n).map(|i| tx(&all, &[i])).collect();
         let refs: Vec<&ReadWriteSet> = sets.iter().collect();
-        let result = reorder(&refs, &ReorderConfig { max_cycles: 8, ..Default::default() });
-        assert!(result.stats.fallback_used);
+        let result = reorder(&refs, &ReorderConfig::default());
         assert_eq!(result.abort_sccs.len(), result.aborted.len());
         for info in &result.abort_sccs {
             assert_eq!(*info, AbortScc { scc: 0, size: n as u32 });
@@ -538,15 +385,14 @@ mod tests {
     #[test]
     fn fallback_still_produces_serializable_schedule() {
         // A dense clique of conflicting transactions has exponentially many
-        // cycles; with a tiny budget the fallback must engage and still
-        // produce a serializable schedule.
+        // cycles; the breaker never enumerates them and still produces a
+        // serializable schedule.
         let n = 12;
         // Every tx reads every key and writes its own: complete conflict.
         let all: Vec<usize> = (0..n).collect();
         let sets: Vec<ReadWriteSet> = (0..n).map(|i| tx(&all, &[i])).collect();
         let refs: Vec<&ReadWriteSet> = sets.iter().collect();
-        let result = reorder(&refs, &ReorderConfig { max_cycles: 8, ..Default::default() });
-        assert!(result.stats.fallback_used);
+        let result = reorder(&refs, &ReorderConfig::default());
         assert!(!result.schedule.is_empty());
         assert!(verify_serializable(&refs, &result.schedule));
         assert_eq!(result.schedule.len() + result.aborted.len(), n);
@@ -556,8 +402,7 @@ mod tests {
     fn custom_lsm_shaped_batch_aborts_no_more_than_the_condensation_breaker() {
         // `reorder_probe`'s hot block, the paper's custom workload (1024
         // txs, RW = 8, HR 40 %, HW 10 %, HSS 1 % of 10 000 keys), seed 1: one
-        // dense SCC far above `max_scc_for_enumeration`, so the fallback
-        // picks every abort. The SCC-condensation breaker that preceded the
+        // dense SCC. The SCC-condensation breaker that preceded the
         // feedback-vertex-set one aborted 595 of these transactions.
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -578,7 +423,6 @@ mod tests {
             .collect();
         let refs: Vec<&ReadWriteSet> = sets.iter().collect();
         let result = reorder(&refs, &ReorderConfig::default());
-        assert!(result.stats.fallback_used);
         assert_eq!(result.schedule.len() + result.aborted.len(), 1024);
         assert!(verify_serializable(&refs, &result.schedule));
         assert!(result.aborted.len() <= 595, "{} aborts", result.aborted.len());
@@ -634,62 +478,13 @@ mod tests {
             vec![tx(&[0], &[1]), tx(&[1], &[0])],
             paper_example(),
         ];
-        let cfg = ReorderConfig::default();
         let mut scratch = ReorderScratch::new();
-        let mut out = ReorderOutput::new();
+        let mut out = ReorderResult::default();
         for sets in &batches {
             let refs: Vec<&ReadWriteSet> = sets.iter().collect();
-            reorder_with(&refs, &cfg, &mut scratch, &mut out);
-            let fresh = reorder(&refs, &cfg);
-            assert_eq!(out.schedule, fresh.schedule);
-            assert_eq!(out.aborted, fresh.aborted);
-            assert_eq!(out.abort_sccs, fresh.abort_sccs);
-            assert_eq!(out.stats, fresh.stats);
+            reorder_with(&refs, &mut scratch, &mut out);
+            assert_eq!(out, reorder(&refs, &ReorderConfig::default()));
         }
-    }
-
-    #[test]
-    fn parallel_enumeration_matches_sequential() {
-        // 24 disjoint 2-cycles (48 nodes in non-trivial SCCs) plus the
-        // paper example: crosses PARALLEL_SCC_NODE_THRESHOLD so threads
-        // actually engage.
-        let mut sets: Vec<ReadWriteSet> = Vec::new();
-        for c in 0..24usize {
-            sets.push(tx(&[100 + 2 * c], &[100 + 2 * c + 1]));
-            sets.push(tx(&[100 + 2 * c + 1], &[100 + 2 * c]));
-        }
-        sets.extend(paper_example());
-        let refs: Vec<&ReadWriteSet> = sets.iter().collect();
-        let seq = reorder(&refs, &ReorderConfig::default());
-        for threads in [2, 4, 8] {
-            let par = reorder(
-                &refs,
-                &ReorderConfig { enumeration_threads: threads, ..Default::default() },
-            );
-            assert_eq!(par, seq, "threads={threads} must not change the result");
-        }
-    }
-
-    #[test]
-    fn parallel_enumeration_matches_sequential_on_overflow() {
-        // Two dense cliques: enough cycles that a small budget overflows
-        // and the fallback engages — identically on both paths.
-        let mut sets: Vec<ReadWriteSet> = Vec::new();
-        for block in 0..2usize {
-            let keys: Vec<usize> = (0..20).map(|k| 1000 * block + k).collect();
-            for i in 0..20usize {
-                sets.push(tx(&keys, &[1000 * block + i]));
-            }
-        }
-        let refs: Vec<&ReadWriteSet> = sets.iter().collect();
-        let cfg_seq = ReorderConfig { max_cycles: 64, ..Default::default() };
-        let seq = reorder(&refs, &cfg_seq);
-        assert!(seq.stats.fallback_used);
-        let par = reorder(
-            &refs,
-            &ReorderConfig { max_cycles: 64, enumeration_threads: 4, ..Default::default() },
-        );
-        assert_eq!(par, seq);
     }
 
     #[test]

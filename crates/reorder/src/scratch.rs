@@ -1,9 +1,9 @@
 //! Reusable scratch buffers for the reordering hot path.
 //!
-//! Algorithm 1 runs once per cut batch, thousands of times per benchmark
+//! The reorderer runs once per cut batch, thousands of times per benchmark
 //! run. The original implementation allocated every intermediate — the
-//! key inverted index, both adjacency directions, Tarjan's stacks,
-//! Johnson's block lists, the schedule — afresh per call. This module
+//! key inverted index, both adjacency directions, Tarjan's stacks, the
+//! breaker's degree tables, the schedule — afresh per call. This module
 //! pools all of that in a [`ReorderScratch`] arena: every buffer is
 //! `clear()`ed (keeping capacity) rather than dropped, so once a worker's
 //! scratch has warmed up to the largest batch shape it has seen, a
@@ -18,11 +18,10 @@ use fabric_common::rwset::ReadWriteSet;
 use fabric_common::KeyTable;
 
 use crate::graph::ConflictGraph;
-use crate::ReorderStats;
 
 /// A list of variable-length `usize` segments stored flat (one backing
 /// vector plus segment bounds), reused across calls without per-segment
-/// allocation. Holds Tarjan components and Johnson cycles.
+/// allocation. Holds Tarjan components.
 #[derive(Debug, Clone)]
 pub(crate) struct SegList {
     items: Vec<usize>,
@@ -221,46 +220,7 @@ impl TarjanScratch {
     }
 }
 
-/// Johnson working set (see [`crate::johnson`]).
-#[derive(Debug, Default, Clone)]
-pub(crate) struct JohnsonScratch {
-    /// Global node → local index within the current SCC (`u32::MAX` =
-    /// not a member); sized to the batch, reset per SCC by membership.
-    pub(crate) local_of: Vec<u32>,
-    /// Local adjacency of the current SCC, flattened.
-    pub(crate) adj: SegList,
-    pub(crate) blocked: Vec<bool>,
-    pub(crate) block_lists: Vec<Vec<usize>>,
-    pub(crate) stack: Vec<usize>,
-}
-
-impl JohnsonScratch {
-    fn capacity(&self) -> usize {
-        self.local_of.capacity()
-            + self.adj.capacity()
-            + self.blocked.capacity()
-            + self.block_lists.iter().map(Vec::capacity).sum::<usize>()
-            + self.stack.capacity()
-    }
-}
-
-/// Greedy cycle-breaking working set (see [`crate::cycle_break`]).
-#[derive(Debug, Default, Clone)]
-pub(crate) struct GreedyScratch {
-    pub(crate) counts: Vec<usize>,
-    pub(crate) membership: Vec<Vec<u32>>,
-    pub(crate) alive: Vec<bool>,
-}
-
-impl GreedyScratch {
-    fn capacity(&self) -> usize {
-        self.counts.capacity()
-            + self.membership.iter().map(Vec::capacity).sum::<usize>()
-            + self.alive.capacity()
-    }
-}
-
-/// Fallback feedback-vertex-set working set (see [`crate::cycle_break`]).
+/// Feedback-vertex-set working set (see [`crate::cycle_break`]).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct FvsScratch {
     /// Per node: live, kept or aborted.
@@ -306,9 +266,6 @@ pub struct ReorderScratch {
     /// SCC segment indices ordered by smallest member (the paper's
     /// deterministic iteration order).
     pub(crate) scc_order: Vec<u32>,
-    pub(crate) johnson: JohnsonScratch,
-    pub(crate) cycles: SegList,
-    pub(crate) greedy: GreedyScratch,
     pub(crate) fvs: FvsScratch,
     /// Node index → rank of its SCC in the deterministic `scc_order`
     /// iteration (abort-provenance lookup; filled whenever Tarjan runs).
@@ -339,9 +296,6 @@ impl ReorderScratch {
             + self.tarjan.capacity()
             + self.sccs.capacity()
             + self.scc_order.capacity()
-            + self.johnson.capacity()
-            + self.cycles.capacity()
-            + self.greedy.capacity()
             + self.fvs.capacity()
             + self.scc_of.capacity()
             + self.survivors.capacity()
@@ -364,48 +318,10 @@ pub struct AbortScc {
     pub size: u32,
 }
 
-/// Reusable output of one [`crate::reorder_with`] call. The vectors are
-/// cleared (capacity kept) at the start of every call.
-#[derive(Debug, Default, Clone)]
-pub struct ReorderOutput {
-    /// Indices (into the input slice) of the surviving transactions, in
-    /// serializable commit order.
-    pub schedule: Vec<usize>,
-    /// Indices of transactions aborted to break conflict cycles, ascending.
-    pub aborted: Vec<usize>,
-    /// Provenance parallel to `aborted`: `abort_sccs[i]` names the
-    /// conflict-cycle component that doomed `aborted[i]`.
-    pub abort_sccs: Vec<AbortScc>,
-    /// Diagnostics.
-    pub stats: ReorderStats,
-}
-
-impl ReorderOutput {
-    /// Creates an empty output.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Empties the index lists (keeping capacity) and zeroes the stats.
-    pub fn clear(&mut self) {
-        self.schedule.clear();
-        self.aborted.clear();
-        self.abort_sccs.clear();
-        self.stats = ReorderStats::default();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fabric_common::rwset::rwset_from_keys;
-    use fabric_common::{Key, Value, Version};
-
-    fn tx(reads: &[usize], writes: &[usize]) -> ReadWriteSet {
-        let rk: Vec<Key> = reads.iter().map(|&i| Key::composite("K", i as u64)).collect();
-        let wk: Vec<Key> = writes.iter().map(|&i| Key::composite("K", i as u64)).collect();
-        rwset_from_keys(&rk, Version::GENESIS, &wk, &Value::from_i64(1))
-    }
+    use crate::reference::tx;
 
     #[test]
     fn seg_list_round_trip() {
@@ -462,12 +378,12 @@ mod tests {
         let mut scratch = ReorderScratch::new();
         let sets: Vec<ReadWriteSet> = (0..32).map(|i| tx(&[i], &[(i + 1) % 32])).collect();
         let refs: Vec<&ReadWriteSet> = sets.iter().collect();
-        let mut out = ReorderOutput::new();
-        crate::reorder_with(&refs, &crate::ReorderConfig::default(), &mut scratch, &mut out);
+        let mut out = crate::ReorderResult::default();
+        crate::reorder_with(&refs, &mut scratch, &mut out);
         let warm = scratch.footprint();
         assert!(warm > 0);
         for _ in 0..5 {
-            crate::reorder_with(&refs, &crate::ReorderConfig::default(), &mut scratch, &mut out);
+            crate::reorder_with(&refs, &mut scratch, &mut out);
         }
         assert_eq!(scratch.footprint(), warm, "steady-state call must not grow any buffer");
     }

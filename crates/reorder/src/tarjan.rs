@@ -3,7 +3,7 @@
 //! "We identify all cycles \[by\] dividing cg into strongly connected
 //! subgraphs using Tarjan's algorithm": every cycle lives entirely inside
 //! one SCC, so SCCs of size one (without self-loops, which conflict graphs
-//! never have) can be skipped by the cycle enumeration.
+//! never have) need no cycle breaking.
 //!
 //! The implementation is iterative (explicit stack) so deep graphs cannot
 //! overflow the call stack, and runs in `O(N + E)`.

@@ -1,6 +1,6 @@
 //! Asserts the scratch-reuse contract of `reorder_with`: once the
 //! per-worker arena has warmed up, repeat calls perform **zero heap
-//! allocations**, on the enumeration path and the fallback alike.
+//! allocations**, on edgeless, acyclic and cyclic batches alike.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the test
 //! warms the arena on every batch shape it will measure, then counts
@@ -14,7 +14,7 @@ use std::cell::Cell;
 
 use fabric_common::rwset::{rwset_from_keys, ReadWriteSet};
 use fabric_common::{Key, Value, Version};
-use fabric_reorder::{reorder_with, ReorderConfig, ReorderOutput, ReorderScratch};
+use fabric_reorder::{reorder_with, ReorderResult, ReorderScratch};
 
 struct CountingAlloc;
 
@@ -61,19 +61,19 @@ fn build_batches(make: impl Fn(u64) -> Vec<ReadWriteSet>, count: u64) -> Vec<Vec
     (0..count).map(make).collect()
 }
 
-fn measure(batches: &[Vec<ReadWriteSet>], cfg: &ReorderConfig) -> u64 {
+fn measure(batches: &[Vec<ReadWriteSet>]) -> u64 {
     let ref_batches: Vec<Vec<&ReadWriteSet>> =
         batches.iter().map(|sets| sets.iter().collect()).collect();
     let mut scratch = ReorderScratch::new();
-    let mut out = ReorderOutput::new();
+    let mut out = ReorderResult::default();
     // Warm-up: every shape the measurement will replay.
     for refs in &ref_batches {
-        reorder_with(refs, cfg, &mut scratch, &mut out);
+        reorder_with(refs, &mut scratch, &mut out);
     }
     let footprint = scratch.footprint();
     let before = allocations();
     for refs in &ref_batches {
-        reorder_with(refs, cfg, &mut scratch, &mut out);
+        reorder_with(refs, &mut scratch, &mut out);
     }
     let allocated = allocations() - before;
     assert_eq!(scratch.footprint(), footprint, "steady state must not grow the arena");
@@ -98,7 +98,7 @@ fn steady_state_edgeless_batches_do_not_allocate() {
         |seed| (0..64).map(|i| tx(&[seed * 1000 + 2 * i], &[seed * 1000 + 2 * i + 1])).collect(),
         8,
     );
-    let allocated = measure(&batches, &ReorderConfig::default());
+    let allocated = measure(&batches);
     assert_steady_state(allocated, "edgeless");
 }
 
@@ -110,14 +110,14 @@ fn steady_state_acyclic_batches_do_not_allocate() {
         |seed| (0..64).map(|i| tx(&[seed * 1000 + i], &[seed * 1000 + i + 1])).collect(),
         8,
     );
-    let allocated = measure(&batches, &ReorderConfig::default());
+    let allocated = measure(&batches);
     assert_steady_state(allocated, "acyclic");
 }
 
 #[test]
 fn steady_state_cyclic_batches_do_not_allocate() {
-    // A few small cycles per batch: exercises Johnson enumeration, greedy
-    // cycle breaking, and the survivor-graph rebuild + remap.
+    // A few small cycles per batch: exercises the feedback-vertex-set
+    // breaker and the survivor-graph rebuild + remap.
     let batches = build_batches(
         |seed| {
             let mut sets = Vec::new();
@@ -134,15 +134,14 @@ fn steady_state_cyclic_batches_do_not_allocate() {
         },
         8,
     );
-    let allocated = measure(&batches, &ReorderConfig::default());
+    let allocated = measure(&batches);
     assert_steady_state(allocated, "cyclic");
 }
 
 #[test]
 fn steady_state_fallback_batches_do_not_allocate() {
-    // One 160-tx ring with chords: a single SCC above
-    // `max_scc_for_enumeration`, so every call takes the feedback-vertex-set
-    // fallback (peeling, greedy picks and the re-admission DFS).
+    // One 160-tx ring with chords: a single large SCC, so every call runs
+    // the breaker's peeling, greedy picks and re-admission DFS at scale.
     let n = 160u64;
     let batches = build_batches(
         |seed| {
@@ -151,9 +150,6 @@ fn steady_state_fallback_batches_do_not_allocate() {
         },
         8,
     );
-    let cfg = ReorderConfig::default();
-    let refs: Vec<&ReadWriteSet> = batches[0].iter().collect();
-    assert!(fabric_reorder::reorder(&refs, &cfg).stats.fallback_used);
-    let allocated = measure(&batches, &cfg);
+    let allocated = measure(&batches);
     assert_steady_state(allocated, "fallback");
 }

@@ -129,7 +129,7 @@ fn event_json(ev: &TraceEvent) -> Option<String> {
                 ("conflicting", conflicting.to_string()),
             ],
         ),
-        EventKind::TxEarlyAbortCycle { tx, scc, scc_size, fallback } => instant(
+        EventKind::TxEarlyAbortCycle { tx, scc, scc_size } => instant(
             &mut s,
             "early_abort_cycle",
             ts,
@@ -138,10 +138,9 @@ fn event_json(ev: &TraceEvent) -> Option<String> {
                 ("tx", tx.to_string()),
                 ("scc", scc.to_string()),
                 ("scc_size", scc_size.to_string()),
-                ("fallback", fallback.to_string()),
             ],
         ),
-        EventKind::BlockSealed { block, txs, early_aborted, sccs, cycles, fallback, reorder_us } => {
+        EventKind::BlockSealed { block, txs, early_aborted, sccs, reorder_us } => {
             span(
                 &mut s,
                 "order",
@@ -153,8 +152,6 @@ fn event_json(ev: &TraceEvent) -> Option<String> {
                     ("txs", txs.to_string()),
                     ("early_aborted", early_aborted.to_string()),
                     ("sccs", sccs.to_string()),
-                    ("cycles", cycles.to_string()),
-                    ("fallback", fallback.to_string()),
                 ],
             )
         }

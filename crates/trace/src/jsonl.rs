@@ -66,19 +66,14 @@ pub fn event_to_line(ev: &TraceEvent) -> String {
             push_opt_version(&mut s, observed);
             let _ = write!(s, ",\"conflicting\":{}", conflicting.0);
         }
-        EventKind::TxEarlyAbortCycle { tx, scc, scc_size, fallback } => {
-            let _ = write!(
-                s,
-                ",\"tx\":{},\"scc\":{scc},\"scc_size\":{scc_size},\"fallback\":{fallback}",
-                tx.0
-            );
+        EventKind::TxEarlyAbortCycle { tx, scc, scc_size } => {
+            let _ = write!(s, ",\"tx\":{},\"scc\":{scc},\"scc_size\":{scc_size}", tx.0);
         }
-        EventKind::BlockSealed { block, txs, early_aborted, sccs, cycles, fallback, reorder_us } => {
+        EventKind::BlockSealed { block, txs, early_aborted, sccs, reorder_us } => {
             let _ = write!(
                 s,
                 ",\"block\":{block},\"txs\":{txs},\"early_aborted\":{early_aborted},\
-                 \"sccs\":{sccs},\"cycles\":{cycles},\"fallback\":{fallback},\
-                 \"reorder_us\":{reorder_us}"
+                 \"sccs\":{sccs},\"reorder_us\":{reorder_us}"
             );
         }
         EventKind::TxEndorsementFailed { block, tx } => {
@@ -455,15 +450,12 @@ pub fn parse_line(line: &str) -> Result<TraceEvent, ParseError> {
             tx: TxId(f.num("tx")?),
             scc: f.num("scc")? as u32,
             scc_size: f.num("scc_size")? as u32,
-            fallback: f.boolean("fallback")?,
         },
         "block_sealed" => EventKind::BlockSealed {
             block: f.num("block")?,
             txs: f.num("txs")? as u32,
             early_aborted: f.num("early_aborted")? as u32,
             sccs: f.num("sccs")? as u32,
-            cycles: f.num("cycles")? as u32,
-            fallback: f.boolean("fallback")?,
             reorder_us: f.num("reorder_us")?,
         },
         "endorsement_failed" => EventKind::TxEndorsementFailed {
@@ -590,14 +582,12 @@ mod tests {
                 observed: Some(Version::new(1, 3)),
                 conflicting: TxId(9),
             },
-            EventKind::TxEarlyAbortCycle { tx: TxId(6), scc: 1, scc_size: 3, fallback: false },
+            EventKind::TxEarlyAbortCycle { tx: TxId(6), scc: 1, scc_size: 3 },
             EventKind::BlockSealed {
                 block: 7,
                 txs: 10,
                 early_aborted: 2,
                 sccs: 1,
-                cycles: 4,
-                fallback: true,
                 reorder_us: 133,
             },
             EventKind::TxEndorsementFailed { block: 7, tx: TxId(8) },

@@ -247,9 +247,6 @@ pub enum EventKind {
         scc: u32,
         /// Number of transactions in that component.
         scc_size: u32,
-        /// True when the abort came from the feedback-vertex-set fallback
-        /// (cycle budget exhausted) rather than Johnson enumeration.
-        fallback: bool,
     },
     /// The ordering service sealed a block from a cut batch (after early
     /// abort and, under the reorder policy, Algorithm 1).
@@ -262,10 +259,6 @@ pub enum EventKind {
         early_aborted: u32,
         /// Non-trivial SCCs found in the conflict graph.
         sccs: u32,
-        /// Elementary cycles enumerated.
-        cycles: u32,
-        /// Whether the reorderer fell back to feedback-vertex-set breaking.
-        fallback: bool,
         /// Wall time of the reorder pass in microseconds (0 under the
         /// arrival policy).
         reorder_us: u64,

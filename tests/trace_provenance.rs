@@ -194,18 +194,18 @@ fn table_2_fabricpp_rescues_all_four() {
     assert_eq!(count(&events, "early_abort_cycle"), 0);
     assert_eq!(count(&events, "early_abort_version"), 0);
 
-    // The block-seal event records the reorder outcome: no cycles, no
-    // fallback, nothing dropped.
+    // The block-seal event records the reorder outcome: no conflict
+    // cycle, nothing dropped.
     let sealed: Vec<_> = events
         .iter()
         .filter_map(|e| match &e.kind {
-            EventKind::BlockSealed { block, txs, early_aborted, cycles, fallback, .. } => {
-                Some((*block, *txs, *early_aborted, *cycles, *fallback))
+            EventKind::BlockSealed { block, txs, early_aborted, sccs, .. } => {
+                Some((*block, *txs, *early_aborted, *sccs))
             }
             _ => None,
         })
         .collect();
-    assert_eq!(sealed, vec![(1, 4, 0, 0, false)]);
+    assert_eq!(sealed, vec![(1, 4, 0, 0)]);
 }
 
 /// §5.2.2 provenance: two batched readers of `hot` at different versions.
@@ -284,8 +284,8 @@ fn version_mismatch_event_names_key_versions_and_witness() {
 }
 
 /// §5.1 provenance: a two-transaction conflict cycle. One member is
-/// aborted at order time; the event carries its SCC id, the cycle size,
-/// and whether the greedy fallback was in play.
+/// aborted at order time; the event carries its SCC id and the cycle
+/// size.
 #[test]
 fn cycle_abort_event_names_scc_and_size() {
     let swap = chaincode_fn("swap", |ctx, args| {
@@ -326,28 +326,25 @@ fn cycle_abort_event_names_scc_and_size() {
     let cycles: Vec<_> = events
         .iter()
         .filter_map(|e| match &e.kind {
-            EventKind::TxEarlyAbortCycle { tx, scc, scc_size, fallback } => {
-                Some((*tx, *scc, *scc_size, *fallback))
-            }
+            EventKind::TxEarlyAbortCycle { tx, scc, scc_size } => Some((*tx, *scc, *scc_size)),
             _ => None,
         })
         .collect();
     assert_eq!(cycles.len(), 1);
-    let (aborted_tx, _scc, scc_size, fallback) = cycles[0];
+    let (aborted_tx, _scc, scc_size) = cycles[0];
     assert!(aborted_tx == a_id || aborted_tx == b_id, "the victim is one of the two members");
     assert_eq!(scc_size, 2, "a two-transaction cycle");
-    assert!(!fallback, "exact reordering, not the greedy fallback");
     assert_eq!(count(&events, "early_abort_cycle"), stats.early_abort_cycle);
 
-    // The seal event agrees: one SCC with one cycle, one tx dropped.
+    // The seal event agrees: one SCC, one tx dropped.
     let sealed: Vec<_> = events
         .iter()
         .filter_map(|e| match &e.kind {
-            EventKind::BlockSealed { txs, early_aborted, sccs, cycles, .. } => {
-                Some((*txs, *early_aborted, *sccs, *cycles))
+            EventKind::BlockSealed { txs, early_aborted, sccs, .. } => {
+                Some((*txs, *early_aborted, *sccs))
             }
             _ => None,
         })
         .collect();
-    assert_eq!(sealed, vec![(1, 1, 1, 1)]);
+    assert_eq!(sealed, vec![(1, 1, 1)]);
 }
