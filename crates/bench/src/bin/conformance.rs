@@ -1,8 +1,8 @@
 //! **Conformance** — the multi-replica determinism gate.
 //!
 //! Runs every conformance fixture across its non-semantic knob matrix
-//! (validation workers 1/2/4, reorder workers 1/2/4, trace sink on/off,
-//! memory vs LSM state engine, single vs replicated consensus) and
+//! (validation workers 1/2/4, trace sink on/off, memory vs LSM state
+//! engine, version retention, telemetry, single vs replicated consensus) and
 //! requires every replica's artifacts — serialized block stream, state
 //! digest, chain fingerprint, fault-schedule digest, outcome counters —
 //! to match the baseline **byte for byte**. Then proves the harness

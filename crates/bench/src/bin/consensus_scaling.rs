@@ -57,8 +57,8 @@ fn mk_tx(reads: &[u64], writes: &[u64]) -> Transaction {
     }
 }
 
-/// Synthetic cut batches, same shape as `reorder_scaling`: 4 reads and 4
-/// writes per transaction, a 16-key hot set with probability `conflict`.
+/// Synthetic cut batches: 4 reads and 4 writes per transaction, a 16-key
+/// hot set with probability `conflict`.
 fn make_batches(count: usize, batch_size: usize, conflict: f64, seed: u64) -> Vec<Vec<Transaction>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut cold = 1_000u64;

@@ -22,9 +22,9 @@ pub const SUMMARY_ENV: &str = "SMOKE_SUMMARY";
 /// Outcome of one smoke gate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GateResult {
-    /// Experiment binary the gate belongs to (e.g. `reorder_scaling`).
+    /// Experiment binary the gate belongs to (e.g. `validation_scaling`).
     pub bin: String,
-    /// Gate name (e.g. `pipelined-vs-sequential`).
+    /// Gate name (e.g. `threaded-vscc-vs-sequential`).
     pub gate: String,
     /// Whether the gate held.
     pub passed: bool,

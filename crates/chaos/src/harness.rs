@@ -28,12 +28,12 @@
 //! Because every step is driven by a plain method call on one thread, a
 //! (plan, seed, workload) triple determines the entire run: the fault
 //! schedule, each peer's commit sequence, and the final state. Tests
-//! assert this via [`FaultInjector::schedule_digest`]. The worker knobs
-//! (`validation_workers`, `reorder_workers`) may fan stages out to
-//! helper threads, but both stages carry a determinism contract — their
-//! outputs are pure functions of their inputs — so the run's observable
-//! bytes are identical at any setting; the conformance harness verifies
-//! this byte-for-byte.
+//! assert this via [`FaultInjector::schedule_digest`]. The one worker
+//! knob, `validation_workers`, may fan signature checks out to helper
+//! threads, but their verdicts are a pure function of the block, so the
+//! run's observable bytes are identical at any setting; the conformance
+//! harness verifies this byte-for-byte. Ordering always runs on the
+//! calling thread.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -46,7 +46,7 @@ use fabric_common::{
 use fabric_consensus::{GroupConfig, OrdererGroup};
 use fabric_ledger::{Block, FileBlockStore};
 use fabric_net::{FaultHook, LinkId, SendFault};
-use fabric_ordering::{CutReason, OrderingService, ReorderPipeline};
+use fabric_ordering::{CutReason, OrderingService};
 use fabric_peer::chaincode::{Chaincode, ChaincodeRegistry, SimulationError};
 use fabric_peer::peer::Peer;
 use fabric_peer::validation_pool::ValidationPool;
@@ -91,17 +91,10 @@ struct Slot {
 /// ordering process, or a replicated consensus group whose inter-replica
 /// messages run through the same fault injector as block delivery.
 enum OrdererBackend {
-    /// One ordering process. Each batch runs through a
-    /// [`ReorderPipeline`] sized by `PipelineConfig::reorder_workers`
-    /// and is sealed on this thread. The pipeline's determinism contract
-    /// (prepared plans are a pure function of the batch, independent of
-    /// worker count) keeps schedule digests a pure function of (plan,
-    /// seed, workload) at any worker setting — the conformance harness
-    /// asserts exactly this.
-    Single {
-        orderer: OrderingService,
-        pipeline: ReorderPipeline,
-    },
+    /// One ordering process: each batch is prepared and sealed on this
+    /// thread by [`OrderingService::order_batch`], the same call the
+    /// threaded runtime's orderer makes.
+    Single(OrderingService),
     /// `n` consensus replicas deciding each batch before it is sealed
     /// (boxed: a group is an order of magnitude bigger than the single
     /// path).
@@ -288,16 +281,11 @@ impl ChaosNet {
         let genesis_hash = slots[0].peer.ledger().tip_hash();
         let orderer = match replicas {
             None => {
-                // The sink goes on before `batch_prep()` so the pipeline's
-                // copy of the per-batch stage emits order-phase abort
-                // provenance too.
                 let orderer = OrderingService::new(config)
                     .with_counters(ctx.counters.clone())
                     .with_trace(ctx.sink.clone())
                     .resume_at(1, genesis_hash);
-                let pipeline =
-                    ReorderPipeline::new(orderer.batch_prep(), config.reorder_workers);
-                OrdererBackend::Single { orderer, pipeline }
+                OrdererBackend::Single(orderer)
             }
             Some(n) => {
                 let mut gcfg = GroupConfig::new(n);
@@ -353,7 +341,7 @@ impl ChaosNet {
     /// `None` when this net runs the classic single orderer.
     pub fn orderer_group(&self) -> Option<&OrdererGroup> {
         match &self.orderer {
-            OrdererBackend::Single { .. } => None,
+            OrdererBackend::Single(_) => None,
             OrdererBackend::Replicated(g) => Some(g.as_ref()),
         }
     }
@@ -506,19 +494,7 @@ impl ChaosNet {
             });
         }
         let ordered = match &mut self.orderer {
-            // One submit, one drained plan, one seal. With
-            // `reorder_workers <= 1` the pipeline runs the prepare stage
-            // inline on this thread; with more it fans out — the
-            // pipeline's determinism contract guarantees the drained plan
-            // is byte-identical either way.
-            OrdererBackend::Single { orderer, pipeline } => {
-                pipeline.submit(batch, CutReason::Flush);
-                let mut sealed = None;
-                for prepared in pipeline.drain() {
-                    sealed = orderer.seal(prepared.plan);
-                }
-                sealed
-            }
+            OrdererBackend::Single(orderer) => orderer.order_batch(batch),
             // Replicated: the batch becomes one consensus height; every
             // live replica seals the decided plan on its own chain and
             // the group asserts the chains are byte-identical. The

@@ -150,33 +150,19 @@ pub struct PipelineConfig {
     /// Worker threads in the peers' endorsement-signature validation pool
     /// (Fabric's VSCC — pure CPU work over immutable bytes, so it
     /// parallelizes freely). Defaults to the host's available parallelism.
-    /// A non-semantic knob: validation outcomes are identical at any
-    /// setting, and the deterministic harnesses honour it (ChaosNet sizes
-    /// its shared pool from it; the conformance harness varies it and
-    /// asserts byte-identical runs). With `1` the pool checks inline on
-    /// the calling thread.
+    /// The only worker-count knob: the ordering service prepares and seals
+    /// each batch on the thread that cut it. A non-semantic knob:
+    /// validation outcomes are identical at any setting, and the
+    /// deterministic harnesses honour it (ChaosNet sizes its shared pool
+    /// from it; the conformance harness varies it and asserts
+    /// byte-identical runs). With `1` the pool checks inline on the
+    /// calling thread.
     pub validation_workers: usize,
-    /// Worker threads in the ordering service's reorder stage: the cutter
-    /// keeps cutting batch `k+1` while these workers run Algorithm 1 on
-    /// batch `k`; block numbering and hash chaining happen at a sequential
-    /// emission step, so the block stream is byte-identical to the
-    /// sequential path. Defaults to the host's available parallelism. A
-    /// non-semantic knob: ChaosNet drives its single-orderer path through
-    /// a pipeline sized from it (with `1`, preparing inline on the calling
-    /// thread), and schedule digests are unchanged at any setting — the
-    /// conformance harness asserts this byte-for-byte.
-    pub reorder_workers: usize,
 }
 
 /// The host's available parallelism (1 if it cannot be determined) — the
 /// default for [`PipelineConfig::validation_workers`].
 pub fn default_validation_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// The host's available parallelism (1 if it cannot be determined) — the
-/// default for [`PipelineConfig::reorder_workers`].
-pub fn default_reorder_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
@@ -191,7 +177,6 @@ impl PipelineConfig {
             early_abort_ordering: false,
             cutting: BlockCuttingConfig { max_unique_keys: None, ..Default::default() },
             validation_workers: default_validation_workers(),
-            reorder_workers: default_reorder_workers(),
         }
     }
 
@@ -204,7 +189,6 @@ impl PipelineConfig {
             early_abort_ordering: true,
             cutting: BlockCuttingConfig::default(),
             validation_workers: default_validation_workers(),
-            reorder_workers: default_reorder_workers(),
         }
     }
 
@@ -217,7 +201,6 @@ impl PipelineConfig {
             early_abort_ordering: false,
             cutting: BlockCuttingConfig::default(),
             validation_workers: default_validation_workers(),
-            reorder_workers: default_reorder_workers(),
         }
     }
 
@@ -230,7 +213,6 @@ impl PipelineConfig {
             early_abort_ordering: true,
             cutting: BlockCuttingConfig::default(),
             validation_workers: default_validation_workers(),
-            reorder_workers: default_reorder_workers(),
         }
     }
 
@@ -246,12 +228,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Sets the reorder-stage worker count and returns `self`.
-    pub fn with_reorder_workers(mut self, workers: usize) -> Self {
-        self.reorder_workers = workers;
-        self
-    }
-
     /// Validates the configuration.
     pub fn validate(&self) -> Result<()> {
         self.cutting.validate()?;
@@ -264,9 +240,6 @@ impl PipelineConfig {
                  under the coarse lock, simulation cannot observe concurrent commits"
                     .into(),
             ));
-        }
-        if self.reorder_workers == 0 {
-            return Err(Error::Config("reorder_workers must be at least 1".into()));
         }
         Ok(())
     }
@@ -361,18 +334,6 @@ mod tests {
     fn with_block_size_sets_bs() {
         let c = PipelineConfig::fabric_pp().with_block_size(512);
         assert_eq!(c.cutting.max_tx_count, 512);
-    }
-
-    #[test]
-    fn reorder_workers_default_and_knob() {
-        let c = PipelineConfig::fabric_pp();
-        assert_eq!(c.reorder_workers, default_reorder_workers());
-        assert!(c.reorder_workers >= 1);
-        let c = c.with_reorder_workers(4);
-        assert_eq!(c.reorder_workers, 4);
-        assert!(c.validate().is_ok());
-        let zero = PipelineConfig::vanilla().with_reorder_workers(0);
-        assert!(zero.validate().is_err());
     }
 
     #[test]

@@ -53,8 +53,8 @@ pub mod tx;
 
 pub use bitset::BitSet;
 pub use config::{
-    default_reorder_workers, default_validation_workers, BlockCuttingConfig,
-    ConcurrencyMode, CostModel, OrderingPolicy, PipelineConfig,
+    default_validation_workers, BlockCuttingConfig, ConcurrencyMode, CostModel,
+    OrderingPolicy, PipelineConfig,
 };
 pub use crypto::{Signature, SignerRegistry, SigningKey};
 pub use error::{Error, Result};

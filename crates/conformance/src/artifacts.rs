@@ -64,12 +64,10 @@ impl Artifact {
 /// bug from a worker-count-dependent one).
 #[derive(Debug, Clone)]
 pub struct ReplicaArtifacts {
-    /// The replica's spec label (e.g. `baseline`, `vw4-rw4`, `lsm`).
+    /// The replica's spec label (e.g. `baseline`, `vw4`, `lsm`).
     pub label: String,
     /// Validation-pool worker count the replica ran with.
     pub validation_workers: usize,
-    /// Reorder-stage worker count the replica ran with.
-    pub reorder_workers: usize,
     /// The collected artifacts, in a fixed order.
     pub artifacts: Vec<Artifact>,
 }

@@ -23,12 +23,12 @@ pub enum RootCauseHint {
     /// truncated stream, missing blocks, or records dropped on one side.
     LengthMismatch,
     /// The diverging block holds the same transactions in a different
-    /// order at identical worker settings — the classic symptom of
-    /// hash-map iteration order leaking into block assembly.
+    /// order at identical validation-worker settings — the classic
+    /// symptom of hash-map iteration order leaking into block assembly.
     HashMapIterationOrder,
     /// The diverging block holds the same transactions in a different
-    /// order and the replicas differ in worker counts — ordering that
-    /// depends on how work was scheduled across workers.
+    /// order and the replicas differ in validation-worker counts — ordering
+    /// that depends on how work was scheduled across workers.
     WorkerOrdering,
     /// Both replicas hold a large, nearly-equal aligned 64-bit value at
     /// the divergence — a wall-clock timestamp serialized into
@@ -154,9 +154,7 @@ fn classify(
                 sorted_a.sort_unstable();
                 sorted_b.sort_unstable();
                 if ids_a != ids_b && sorted_a == sorted_b {
-                    let workers_differ = a.validation_workers != b.validation_workers
-                        || a.reorder_workers != b.reorder_workers;
-                    return if workers_differ {
+                    return if a.validation_workers != b.validation_workers {
                         RootCauseHint::WorkerOrdering
                     } else {
                         RootCauseHint::HashMapIterationOrder
@@ -239,7 +237,6 @@ mod tests {
         ReplicaArtifacts {
             label: label.to_owned(),
             validation_workers: 1,
-            reorder_workers: 1,
             artifacts: arts,
         }
     }

@@ -162,8 +162,8 @@ impl Fixture {
     pub fn specs(&self) -> Vec<ReplicaSpec> {
         let mut specs = vec![
             ReplicaSpec::baseline(),
-            ReplicaSpec::workers("vw2-rw2", 2, 2),
-            ReplicaSpec::workers("vw4-rw4", 4, 4),
+            ReplicaSpec::workers("vw2", 2),
+            ReplicaSpec::workers("vw4", 4),
             ReplicaSpec::traced(),
             ReplicaSpec::lsm(),
             ReplicaSpec::retained("mv-n1", 1),

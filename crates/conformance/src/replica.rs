@@ -35,8 +35,6 @@ pub struct ReplicaSpec {
     pub label: &'static str,
     /// Validation-pool workers (`PipelineConfig::validation_workers`).
     pub validation_workers: usize,
-    /// Reorder-stage workers (`PipelineConfig::reorder_workers`).
-    pub reorder_workers: usize,
     /// Whether a flight-recorder sink is attached.
     pub traced: bool,
     /// Storage engine.
@@ -62,7 +60,6 @@ impl ReplicaSpec {
         ReplicaSpec {
             label: "baseline",
             validation_workers: 1,
-            reorder_workers: 1,
             traced: false,
             engine: EngineKind::Memory,
             consensus_replicas: None,
@@ -71,14 +68,9 @@ impl ReplicaSpec {
         }
     }
 
-    /// Baseline with both worker knobs raised.
-    pub fn workers(label: &'static str, validation: usize, reorder: usize) -> Self {
-        ReplicaSpec {
-            label,
-            validation_workers: validation,
-            reorder_workers: reorder,
-            ..Self::baseline()
-        }
+    /// Baseline with the validation-pool worker count raised.
+    pub fn workers(label: &'static str, validation: usize) -> Self {
+        ReplicaSpec { label, validation_workers: validation, ..Self::baseline() }
     }
 
     /// Baseline with the flight recorder on.
@@ -125,7 +117,6 @@ fn lsm_dir(fixture: &Fixture, spec: &ReplicaSpec) -> PathBuf {
 pub fn run_replica(fixture: &Fixture, spec: &ReplicaSpec) -> Result<ReplicaArtifacts> {
     let mut config = fixture.config();
     config.validation_workers = spec.validation_workers;
-    config.reorder_workers = spec.reorder_workers;
 
     let sink = if spec.traced { TraceSink::bounded(1 << 16) } else { TraceSink::disabled() };
     let tmp = match spec.engine {
@@ -260,7 +251,6 @@ fn run_inner(
     Ok(ReplicaArtifacts {
         label: spec.label.to_owned(),
         validation_workers: spec.validation_workers,
-        reorder_workers: spec.reorder_workers,
         artifacts: vec![
             Artifact { name: BLOCK_STREAM, bytes: stream, block_offsets: offsets },
             Artifact::flat(STATE_DIGEST, state_digest.as_bytes().to_vec()),

@@ -39,7 +39,7 @@ use fabric_ledger::Block;
 use fabric_net::{
     link, DelayedSender, FaultHook, FaultyBroadcaster, LatencyModel, NetStats, NoFaults,
 };
-use fabric_ordering::{BatchCutter, OrderingService, OrdererStats, PreparedBatch, ReorderPipeline};
+use fabric_ordering::{BatchCutter, CutReason, OrderingService, OrdererStats};
 use fabric_peer::chaincode::ChaincodeRegistry;
 use fabric_peer::peer::{PendingBlock, Peer};
 use fabric_peer::recovery;
@@ -311,7 +311,6 @@ impl ChannelRuntime {
             .with_trace(ctx.sink.clone())
             .resume_at(1, genesis_hash);
         let mut cutter = BatchCutter::new(config.cutting.clone());
-        let reorder_workers = config.reorder_workers;
         let cut_sink = ctx.sink.clone();
         let cut_gauges = ctx.gauges.clone();
         let phase_timers = ctx.phase_timers.clone();
@@ -319,34 +318,31 @@ impl ChannelRuntime {
         let orderer_archive = Arc::clone(&archive);
         let orderer_thread = std::thread::spawn(move || {
             let poll = Duration::from_millis(10);
-            // Two-stage pipeline: the reorder workers run Algorithm 1 on
-            // batch k while this thread keeps cutting batch k+1; prepared
-            // plans come back strictly in cut order and only the sealing
-            // step (numbering, hash chaining, broadcast) stays sequential,
-            // so the block stream is byte-identical to calling
-            // `order_batch` inline.
-            let mut pipeline = ReorderPipeline::new(service.batch_prep(), reorder_workers);
-            let record_cut = |batch: &[Transaction], reason: fabric_ordering::CutReason| {
+            // Each cut batch is prepared (early abort + reorder) and sealed
+            // right here, before the next transaction is read: the
+            // unique-keys cut keeps that to milliseconds, far below the
+            // time between cuts.
+            let mut order = |batch: Vec<Transaction>, reason: CutReason| {
                 if cut_sink.is_enabled() {
                     cut_sink.emit(EventKind::BlockCut {
                         reason: reason.trace_kind(),
                         txs: batch.len() as u32,
                     });
                 }
-            };
-            let seal = |prepared: PreparedBatch, service: &mut OrderingService| {
-                let PreparedBatch { plan, reason, batch_len } = prepared;
-                phase_timers.record(Phase::Reorder, plan.reorder_elapsed);
-                orderer_stats.record_reorder(plan.reorder_elapsed, &plan.stats);
-                let prepare_elapsed = plan.prepare_elapsed;
+                let batch_len = batch.len();
                 let t0 = Instant::now();
-                let Some(ob) = service.seal(plan) else {
+                let ordered = service.order_batch(batch);
+                let elapsed = t0.elapsed();
+                let (reorder_elapsed, stats) = service.last_reorder();
+                phase_timers.record(Phase::Reorder, reorder_elapsed);
+                orderer_stats.record_reorder(reorder_elapsed, &stats);
+                let Some(ob) = ordered else {
                     // Early abort emptied the whole batch: no block (its
                     // aborts are already on the counters).
                     orderer_stats.record_empty_suppressed();
                     return;
                 };
-                phase_timers.record(Phase::Order, prepare_elapsed + t0.elapsed());
+                phase_timers.record(Phase::Order, elapsed.saturating_sub(reorder_elapsed));
                 orderer_stats.record_cut(reason, batch_len);
                 // Sealed once: from here on the archive, every link and
                 // every peer's ledger share this one allocation.
@@ -364,37 +360,24 @@ impl ChannelRuntime {
                 match orderer_rx.recv_timeout(wait) {
                     Ok(tx) => {
                         for (batch, reason) in cutter.push(tx, Instant::now()) {
-                            record_cut(&batch, reason);
-                            pipeline.submit(batch, reason);
+                            order(batch, reason);
                         }
                         cut_gauges.set_cutter_queue(cutter.len() as u64);
-                        for prepared in pipeline.try_collect() {
-                            seal(prepared, &mut service);
-                        }
                     }
                     Err(RecvTimeoutError::Timeout) => {
                         if let Some((batch, reason)) = cutter.poll_timeout(Instant::now()) {
-                            record_cut(&batch, reason);
-                            pipeline.submit(batch, reason);
+                            order(batch, reason);
                             cut_gauges.set_cutter_queue(cutter.len() as u64);
-                        }
-                        for prepared in pipeline.try_collect() {
-                            seal(prepared, &mut service);
                         }
                     }
                     Err(RecvTimeoutError::Disconnected) => {
                         if let Some((batch, reason)) = cutter.flush() {
-                            record_cut(&batch, reason);
-                            pipeline.submit(batch, reason);
+                            order(batch, reason);
                         }
                         cut_gauges.set_cutter_queue(0);
-                        // Wait out every in-flight reorder, seal the tail
-                        // in cut order, release any blocks held in partial
-                        // reorder bursts, then disconnect the peers by
-                        // dropping the broadcaster.
-                        for prepared in pipeline.drain() {
-                            seal(prepared, &mut service);
-                        }
+                        // Release any blocks held in partial reorder
+                        // bursts, then disconnect the peers by dropping
+                        // the broadcaster.
                         broadcaster.flush();
                         break;
                     }

@@ -34,7 +34,7 @@ fn builder_rejects_degenerate_topologies() {
     assert!(NetworkBuilder::new().peers_per_org(0).build().is_err());
     assert!(NetworkBuilder::new().channels(0).build().is_err());
     let mut bad = PipelineConfig::fabric_pp();
-    bad.reorder_workers = 0;
+    bad.validation_workers = 0;
     assert!(NetworkBuilder::new().pipeline(bad).build().is_err());
 }
 

@@ -1,25 +1,24 @@
 //! The ordering service proper: policy application and block formation.
 //!
 //! Takes cut batches from the [`crate::BatchCutter`], optionally performs
-//! the Fabric++ ordering-phase early abort and the Algorithm-1 reordering,
-//! then forms a hash-chained [`Block`]. "It treats the transactions in a
-//! black box fashion and does not inspect the transaction semantics" in
-//! vanilla mode (paper Appendix A.2); in Fabric++ mode it does exactly the
-//! opposite — that inspection is the point.
+//! the Fabric++ ordering-phase early abort and the reordering, then forms
+//! a hash-chained [`Block`]. "It treats the transactions in a black box
+//! fashion and does not inspect the transaction semantics" in vanilla mode
+//! (paper Appendix A.2); in Fabric++ mode it does exactly the opposite —
+//! that inspection is the point.
 //!
-//! The service is split into two stages so the reordering work can leave
-//! the critical ordering path (see [`crate::pipeline`]):
+//! Each batch goes through two steps, on the thread that cut it:
 //!
-//! * [`BatchPrep::prepare`] — pure per-batch work (early abort, Algorithm
-//!   1, schedule application). Stateless across batches, safe to run on
-//!   worker threads, and allocation-free on a warm
-//!   [`PrepScratch`] via [`BatchPrep::prepare_with`].
-//! * [`OrderingService::seal`] — the sequential step: abort counters,
+//! * [`BatchPrep::prepare`] — pure per-batch work (early abort, reordering,
+//!   schedule application). Stateless across batches, and allocation-free
+//!   on a warm [`PrepScratch`] via [`BatchPrep::prepare_with`].
+//! * [`OrderingService::seal`] — the chain step: abort counters,
 //!   empty-block suppression, block numbering and hash chaining.
 //!
-//! [`OrderingService::order_batch`] is exactly `prepare` + `seal` inline:
-//! the sequential reference the pipeline's differential tests compare
-//! against, byte for byte.
+//! [`OrderingService::order_batch`] is `prepare_with` on the service's own
+//! scratch followed by `seal`; both drivers order every batch through it.
+//! The two steps stay public so a caller can time them apart (the staged
+//! benchmark) or prepare on scratch of its own (the consensus group).
 
 use std::time::{Duration, Instant};
 
@@ -45,8 +44,10 @@ pub struct OrderedBlock {
     pub reorder_stats: ReorderStats,
 }
 
-/// Reusable per-worker scratch for [`BatchPrep::prepare_with`]: the early
-/// abort's interned newest-version table plus the reorderer's arena.
+/// Reusable scratch for [`BatchPrep::prepare_with`]: the early abort's
+/// interned newest-version table plus the reorderer's arena. One per
+/// ordering thread: the [`OrderingService`] owns one, and so does a
+/// consensus group.
 #[derive(Debug, Default)]
 pub struct PrepScratch {
     early: EarlyAbortScratch,
@@ -63,15 +64,15 @@ pub struct BatchPlan {
     pub early_aborted: Vec<(Transaction, ValidationCode)>,
     /// Reordering diagnostics (zeros under the arrival policy).
     pub stats: ReorderStats,
-    /// Time spent inside Algorithm 1 proper.
+    /// Time spent inside the reorderer proper.
     pub reorder_elapsed: Duration,
     /// Time spent in the rest of the stage (early abort, partitioning).
     pub prepare_elapsed: Duration,
 }
 
 /// The stateless per-batch stage of the ordering service: early abort and
-/// reordering, but no chain state. Cloneable so every reorder worker can
-/// own one.
+/// reordering, but no chain state. Cloneable so a caller can prepare
+/// plans outside the service (see [`OrderingService::batch_prep`]).
 #[derive(Debug, Clone)]
 pub struct BatchPrep {
     policy: OrderingPolicy,
@@ -90,8 +91,8 @@ impl BatchPrep {
     }
 
     /// Attaches a flight-recorder sink; order-phase aborts emit their
-    /// provenance events through it. Clones of this stage (the reorder
-    /// workers) share the same ring.
+    /// provenance events through it. Clones of this stage share the same
+    /// ring.
     pub fn with_trace(mut self, sink: TraceSink) -> Self {
         self.sink = sink;
         self
@@ -110,9 +111,9 @@ impl BatchPrep {
     }
 
     /// Runs the per-batch stage on a reusable `scratch` (the hot path of
-    /// the reorder workers): within-block version-mismatch aborts if
-    /// enabled, then — under [`OrderingPolicy::Reorder`] — conflict-cycle
-    /// aborts plus serializable reordering.
+    /// [`OrderingService::order_batch`]): within-block version-mismatch
+    /// aborts if enabled, then — under [`OrderingPolicy::Reorder`] —
+    /// conflict-cycle aborts plus serializable reordering.
     ///
     /// The plan is a pure function of `(self, batch)`; scratch state never
     /// leaks into the result.
@@ -180,10 +181,12 @@ impl BatchPrep {
 /// chained blocks.
 pub struct OrderingService {
     prep: BatchPrep,
+    scratch: Box<PrepScratch>,
     next_block: u64,
     prev_hash: Digest,
     counters: Option<TxCounters>,
     sink: TraceSink,
+    last_reorder: (Duration, ReorderStats),
 }
 
 impl OrderingService {
@@ -192,10 +195,12 @@ impl OrderingService {
     pub fn new(cfg: &PipelineConfig) -> Self {
         OrderingService {
             prep: BatchPrep::new(cfg),
+            scratch: Box::default(),
             next_block: 0,
             prev_hash: Digest::ZERO,
             counters: None,
             sink: TraceSink::disabled(),
+            last_reorder: (Duration::ZERO, ReorderStats::default()),
         }
     }
 
@@ -207,8 +212,8 @@ impl OrderingService {
 
     /// Attaches a flight-recorder sink: sealed blocks emit
     /// [`EventKind::BlockSealed`] here, and the per-batch stage (and every
-    /// worker clone taken via [`batch_prep`](Self::batch_prep) afterwards)
-    /// emits order-phase abort provenance.
+    /// clone taken via [`batch_prep`](Self::batch_prep) afterwards) emits
+    /// order-phase abort provenance.
     pub fn with_trace(mut self, sink: TraceSink) -> Self {
         self.prep = self.prep.with_trace(sink.clone());
         self.sink = sink;
@@ -228,9 +233,9 @@ impl OrderingService {
         self.next_block
     }
 
-    /// A clone of the per-batch stage, for running it off-thread (the
-    /// reorder pipeline); [`seal`](Self::seal) then applies the results
-    /// here in cut order.
+    /// A clone of the per-batch stage, for callers that prepare plans
+    /// themselves (e.g. to time the two steps apart);
+    /// [`seal`](Self::seal) then applies the plans here in cut order.
     pub fn batch_prep(&self) -> BatchPrep {
         self.prep.clone()
     }
@@ -244,12 +249,13 @@ impl OrderingService {
     /// commit for nothing. Early-abort counters are still recorded; the
     /// chain position (`next_block`, `prev_hash`) is left untouched.
     ///
-    /// Sealing plans in cut order reproduces the sequential
+    /// Sealing plans in cut order reproduces the
     /// [`order_batch`](Self::order_batch) block stream byte for byte: the
     /// plan is a pure function of the batch, and numbering/chaining happen
     /// only here.
     pub fn seal(&mut self, plan: BatchPlan) -> Option<OrderedBlock> {
         let BatchPlan { ordered, early_aborted, stats, reorder_elapsed, .. } = plan;
+        self.last_reorder = (reorder_elapsed, stats);
         if let Some(c) = &self.counters {
             for (_, code) in &early_aborted {
                 c.record_outcome(*code);
@@ -273,16 +279,23 @@ impl OrderingService {
         Some(OrderedBlock { block, early_aborted, reorder_stats: stats })
     }
 
-    /// Orders one cut batch into a block: [`BatchPrep::prepare`] +
-    /// [`seal`](Self::seal) inline, bypassing the pipeline entirely.
+    /// Orders one cut batch into a block: [`BatchPrep::prepare_with`] on
+    /// the service's own scratch, then [`seal`](Self::seal), on the
+    /// calling thread.
     ///
     /// Under [`OrderingPolicy::Arrival`] the batch order is preserved
     /// verbatim. Under [`OrderingPolicy::Reorder`] the Fabric++ machinery
     /// runs: (optionally) within-block version-mismatch aborts, then
     /// conflict-cycle aborts plus serializable reordering.
     pub fn order_batch(&mut self, batch: Vec<Transaction>) -> Option<OrderedBlock> {
-        let plan = self.prep.prepare(batch);
+        let plan = self.prep.prepare_with(batch, &mut self.scratch);
         self.seal(plan)
+    }
+
+    /// Time spent inside the reorderer, and its diagnostics, for the last
+    /// plan this service sealed — including one that formed no block.
+    pub fn last_reorder(&self) -> (Duration, ReorderStats) {
+        self.last_reorder
     }
 }
 
@@ -291,6 +304,8 @@ mod tests {
     use super::*;
     use fabric_common::rwset::RwSetBuilder;
     use fabric_common::{ChannelId, ClientId, Key, TxId, Value, Version};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::time::Instant;
 
     fn mk_tx(reads: &[(u64, Version)], writes: &[u64]) -> Transaction {
@@ -325,6 +340,122 @@ mod tests {
         assert_eq!(ob.block.txs.iter().map(|t| t.id).collect::<Vec<_>>(), ids);
         assert!(ob.early_aborted.is_empty());
         assert_eq!(ob.reorder_stats, ReorderStats::default());
+    }
+
+    #[test]
+    fn arrival_policy_passes_through_unreordered() {
+        // Several conflicting batches on a resumed chain, under the
+        // Fabric++ config with reordering and early abort switched off:
+        // every block keeps its batch's order whether it goes through
+        // `order_batch` or through a separately prepared plan and `seal`,
+        // and each consumes one block number.
+        let mut cfg = PipelineConfig::fabric_pp();
+        cfg.ordering = OrderingPolicy::Arrival;
+        cfg.early_abort_ordering = false;
+        let mut svc = OrderingService::new(&cfg).resume_at(5, Digest::ZERO);
+        for b in 0..4 {
+            let txs: Vec<Transaction> =
+                (0..5).map(|i| mk_tx(&[(i % 3, g())], &[(i + b) % 3, i + 100])).collect();
+            let ids: Vec<TxId> = txs.iter().map(|t| t.id).collect();
+            let ob = if b % 2 == 0 {
+                svc.order_batch(txs)
+            } else {
+                let plan = svc.batch_prep().prepare(txs);
+                svc.seal(plan)
+            }
+            .expect("non-empty batch forms a block");
+            assert_eq!(ob.block.header.number, 5 + b);
+            assert_eq!(ob.block.txs.iter().map(|t| t.id).collect::<Vec<_>>(), ids);
+            assert!(ob.early_aborted.is_empty());
+            assert_eq!(ob.reorder_stats, ReorderStats::default());
+        }
+        assert_eq!(svc.next_block_num(), 9);
+    }
+
+    /// Seeded batches of 1 to 1 024 transactions over small key spaces.
+    /// Read versions rise and fall from batch to batch, so anything a warm
+    /// scratch kept from an earlier batch would change a later batch's
+    /// aborts. Batch 30 is a cross-stale pair the early abort empties.
+    fn varied_batches(seed: u64) -> Vec<Vec<Transaction>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut batches: Vec<Vec<Transaction>> = (0..60)
+            .map(|b| {
+                let size = match b {
+                    0 => 1,
+                    17 | 45 => 1024,
+                    _ => rng.random_range(2..161),
+                };
+                let keys = rng.random_range(4..257u64);
+                (0..size)
+                    .map(|_| {
+                        let reads: Vec<(u64, Version)> = (0..rng.random_range(0..4))
+                            .map(|_| {
+                                (rng.random_range(0..keys), Version::new(rng.random_range(1..5u64), 0))
+                            })
+                            .collect();
+                        let writes: Vec<u64> =
+                            (0..rng.random_range(1..4)).map(|_| rng.random_range(0..keys)).collect();
+                        mk_tx(&reads, &writes)
+                    })
+                    .collect()
+            })
+            .collect();
+        batches[30] = vec![
+            mk_tx(&[(0, Version::new(2, 0)), (1, Version::new(1, 0))], &[10]),
+            mk_tx(&[(1, Version::new(2, 0)), (0, Version::new(1, 0))], &[11]),
+        ];
+        batches
+    }
+
+    #[test]
+    fn warm_scratch_orders_like_fresh_prepare_across_varied_batches() {
+        // One service reuses its scratch for every batch; the other seals
+        // plans prepared on a fresh scratch each time. Both must emit the
+        // same chain, the same tx order and the same early aborts.
+        for (policy, early_abort) in [
+            (OrderingPolicy::Arrival, false),
+            (OrderingPolicy::Arrival, true),
+            (OrderingPolicy::Reorder, false),
+            (OrderingPolicy::Reorder, true),
+        ] {
+            let mut cfg = PipelineConfig::fabric_pp();
+            cfg.ordering = policy;
+            cfg.early_abort_ordering = early_abort;
+            let mut warm = OrderingService::new(&cfg);
+            let mut fresh = OrderingService::new(&cfg);
+            let (mut blocks, mut aborted) = (0, 0);
+            for (i, batch) in varied_batches(7).into_iter().enumerate() {
+                let ctx = format!("{policy:?} early_abort={early_abort} batch {i}");
+                let a = warm.order_batch(batch.clone());
+                let b = fresh.seal(fresh.batch_prep().prepare(batch));
+                let (a, b) = match (a, b) {
+                    (Some(a), Some(b)) => (a, b),
+                    (None, None) => {
+                        assert!(early_abort && i == 30, "{ctx}: unexpected empty block");
+                        continue;
+                    }
+                    _ => panic!("{ctx}: one side formed a block, the other did not"),
+                };
+                assert_eq!(a.block.header.hash(), b.block.header.hash(), "{ctx}");
+                assert_eq!(
+                    a.block.txs.iter().map(|t| t.id).collect::<Vec<_>>(),
+                    b.block.txs.iter().map(|t| t.id).collect::<Vec<_>>(),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    a.early_aborted.iter().map(|(t, c)| (t.id, *c)).collect::<Vec<_>>(),
+                    b.early_aborted.iter().map(|(t, c)| (t.id, *c)).collect::<Vec<_>>(),
+                    "{ctx}"
+                );
+                assert_eq!(a.reorder_stats, b.reorder_stats, "{ctx}");
+                blocks += 1;
+                aborted += a.early_aborted.len();
+            }
+            assert_eq!(blocks, if early_abort { 59 } else { 60 });
+            let semantic = early_abort || policy == OrderingPolicy::Reorder;
+            assert_eq!(aborted > 0, semantic, "{policy:?} early_abort={early_abort}");
+            assert_eq!(warm.next_block_num(), fresh.next_block_num());
+        }
     }
 
     #[test]

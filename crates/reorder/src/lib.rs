@@ -120,8 +120,8 @@ pub fn reorder(rwsets: &[&ReadWriteSet], _config: &ReorderConfig) -> ReorderResu
 /// calls on a warm arena perform no heap allocation (asserted by this
 /// crate's counting-allocator test).
 ///
-/// This is the hot-path entry used by the ordering service's reorder
-/// workers (one arena per worker). Output is identical to [`reorder`] for
+/// This is the hot-path entry used by the ordering service (one arena
+/// per ordering thread). Output is identical to [`reorder`] for
 /// any scratch state — the arena only carries capacity, never data.
 pub fn reorder_with(
     rwsets: &[&ReadWriteSet],

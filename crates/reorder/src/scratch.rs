@@ -5,13 +5,13 @@
 //! key inverted index, both adjacency directions, Tarjan's stacks, the
 //! breaker's degree tables, the schedule — afresh per call. This module
 //! pools all of that in a [`ReorderScratch`] arena: every buffer is
-//! `clear()`ed (keeping capacity) rather than dropped, so once a worker's
+//! `clear()`ed (keeping capacity) rather than dropped, so once a thread's
 //! scratch has warmed up to the largest batch shape it has seen, a
 //! [`crate::reorder_with`] call performs **zero heap allocations** in the
 //! steady state (asserted by a counting-allocator test in this crate).
 //!
-//! The arena is deliberately per-worker, not shared: each thread of the
-//! ordering service's reorder pool owns one `ReorderScratch`, so there is
+//! The arena is deliberately per-thread, not shared: the ordering service
+//! owns one `ReorderScratch` (as does a consensus group), so there is
 //! no synchronization on the hot path.
 
 use fabric_common::rwset::ReadWriteSet;
@@ -252,8 +252,8 @@ impl FvsScratch {
     }
 }
 
-/// Per-worker arena holding every intermediate of one [`crate::reorder_with`]
-/// call. Create once per reorder worker thread; reuse for every batch.
+/// Arena holding every intermediate of one [`crate::reorder_with`]
+/// call. Create once per ordering thread; reuse for every batch.
 #[derive(Debug, Default, Clone)]
 pub struct ReorderScratch {
     pub(crate) table: KeyTable,

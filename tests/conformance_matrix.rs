@@ -72,6 +72,19 @@ fn injected_tx_shuffle_is_caught_with_offset_and_hashmap_hint() {
 }
 
 #[test]
+fn shuffle_across_validation_worker_counts_hints_worker_ordering() {
+    // The same shuffle as above, but between replicas that ran with
+    // different validation-pool sizes: the hint blames worker scheduling.
+    let fixture = Fixture::small();
+    let a = run_replica(&fixture, &ReplicaSpec::baseline()).unwrap();
+    let mut b = run_replica(&fixture, &ReplicaSpec::workers("vw2", 2)).unwrap();
+    fabric_conformance::corrupt::apply(&mut b, &Corruption::ShuffleTxOrder).unwrap();
+    let d = compare_artifacts(&a, &b).expect("shuffled transaction order must be caught");
+    assert_eq!(d.artifact, BLOCK_STREAM);
+    assert_eq!(d.hint, RootCauseHint::WorkerOrdering, "divergence: {d}");
+}
+
+#[test]
 fn injected_timestamp_leak_is_caught_with_timestamp_hint() {
     let fixture = Fixture::small();
     // Microseconds-since-epoch scale, well above the time-like floor.
