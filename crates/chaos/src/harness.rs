@@ -14,16 +14,17 @@
 //! verdict decides whether that copy is delivered, dropped, duplicated,
 //! deferred one round (a logical latency spike), or absorbed into a
 //! reorder burst and released in reverse order. Peers heal duplicates and
-//! gaps exactly like the threaded runtime: a block below the chain height
-//! is ignored, a block above it triggers catch-up from the orderer's block
-//! archive.
+//! gaps: a block below the chain height is ignored, a block above it
+//! triggers catch-up from the orderer's block archive. (The threaded
+//! runtime has no such healing: its FIFO links cannot produce either.)
 //!
 //! Scheduled faults from the plan are orchestrated here too: crash points
 //! kill a peer right before their block is cut (optionally tearing its
 //! on-disk block log mid-append) and restart it — through
 //! [`fabric_peer::recovery`] plus archive catch-up — a configured number
-//! of blocks later. Peers are built and rebuilt through the same
-//! [`PeerContext`] as the threaded runtime's.
+//! of blocks later. Peers are built through the same [`PeerContext`] as
+//! the threaded runtime's and rebuilt through
+//! [`PeerContext::restore_peer`].
 //!
 //! Because every step is driven by a plain method call on one thread, a
 //! (plan, seed, workload) triple determines the entire run: the fault
@@ -557,7 +558,7 @@ impl ChaosNet {
             self.apply(idx, b)?;
         }
         // An open reorder burst absorbs deliveries without consulting the
-        // injector, then flushes in reverse (mirrors `FaultySender`).
+        // injector, then flushes in reverse.
         if self.slots[idx].burst_remaining > 0 {
             self.slots[idx].burst.push(block);
             self.slots[idx].burst_remaining -= 1;

@@ -1,9 +1,10 @@
 //! The fault injector: turns a [`FaultPlan`] plus a seed into concrete,
 //! reproducible per-message and per-WAL-append fault verdicts.
 //!
-//! The injector implements both [`fabric_net::FaultHook`] (so it can be
-//! plugged into the threaded network's `FaultyBroadcaster` or the
-//! deterministic chaos harness) and, via [`FaultInjector::wal_policy`],
+//! The injector implements both [`fabric_net::FaultHook`] (consulted by
+//! the deterministic chaos harness for every block delivery and by the
+//! replicated orderer for every consensus message) and, via
+//! [`FaultInjector::wal_policy`],
 //! [`fabric_statedb::WalFaultPolicy`] for the LSM write-ahead log.
 //!
 //! Every injected fault is recorded in an event log with a monotonically
@@ -65,10 +66,10 @@ struct Inner {
 
 /// Deterministic fault oracle shared by the network and storage layers.
 ///
-/// Interior mutability (one mutex around all decision state) lets a single
-/// injector serve the threaded network; in the single-threaded chaos
-/// harness the lock is uncontended and the verdict order — hence the event
-/// log — is fully determined by the seed.
+/// Interior mutability (one mutex around all decision state) lets the
+/// network and the WAL share one injector behind `&self`; in the
+/// single-threaded chaos harness the lock is uncontended and the verdict
+/// order — hence the event log — is fully determined by the seed.
 pub struct FaultInjector {
     plan: FaultPlan,
     inner: Mutex<Inner>,

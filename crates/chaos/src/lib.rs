@@ -27,10 +27,10 @@
 //!   consensus partitions, and equivocation are chaos-testable with the
 //!   same seeded determinism.
 //!
-//! The same injector also plugs into the threaded runtime via
-//! [`fabricpp::NetworkBuilder::fault_hook`], where wall-clock scheduling
-//! makes runs non-deterministic but the fault *decisions* still replay
-//! from the seed.
+//! `ChaosNet` is the repository's only fault and crash driver. The
+//! threaded runtime ([`fabricpp::NetworkBuilder`]) is fault-free by
+//! construction: its FIFO links never lose, repeat or reorder a block, and
+//! its peers never crash.
 
 pub mod harness;
 pub mod injector;

@@ -77,8 +77,9 @@ pub struct FaultPlan {
     pub duplicate_per_mille: u32,
     /// Probability (per mille) a message suffers a latency spike.
     pub delay_per_mille: u32,
-    /// Size of an injected latency spike (real time in the threaded net;
-    /// one logical round in the deterministic harness).
+    /// Size of an injected latency spike, carried by the
+    /// [`fabric_net::SendFault::Delay`] verdict; the deterministic harness
+    /// defers the block one logical round instead.
     pub delay_spike: Duration,
     /// Probability (per mille) a message opens a reorder burst.
     pub reorder_per_mille: u32,

@@ -187,8 +187,8 @@ struct Env {
     msg: Msg,
 }
 
-/// An open reorder burst on one directed replica link (mirrors
-/// `fabric_net::FaultySender`'s per-link burst buffer).
+/// An open reorder burst on one directed replica link (mirrors the
+/// per-peer burst buffer of `fabric_chaos::ChaosNet`'s block delivery).
 struct LinkBurst {
     from: usize,
     to: usize,
@@ -441,7 +441,7 @@ impl OrdererGroup {
             }
             if !in_flight && !emitted {
                 // Silent round. Flush any partial reorder bursts first (a
-                // run-ending flush, like `FaultySender::flush`), then tick.
+                // run-ending flush), then tick.
                 if self.flush_bursts() {
                     continue;
                 }
@@ -646,8 +646,8 @@ impl OrdererGroup {
         }
     }
 
-    /// Releases every partially-filled burst (reverse order, like
-    /// `FaultySender::flush`). Returns whether anything was delivered.
+    /// Releases every partially-filled burst in reverse order. Returns
+    /// whether anything was delivered.
     fn flush_bursts(&mut self) -> bool {
         let mut flushed = false;
         for i in 0..self.bursts.len() {

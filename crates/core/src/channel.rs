@@ -7,38 +7,29 @@
 //!                              · reorder / early abort       · commit
 //! ```
 //!
-//! The orderer guarantees every peer receives the same blocks in the same
-//! order on a fault-free network; under an injected [`FaultHook`] the
-//! delivery layer may drop, duplicate, delay, or reorder blocks, so each
-//! peer thread defends itself: duplicates (block number below the chain
-//! height) are discarded, and gaps are healed from the channel's *block
-//! archive* — the orderer's authoritative record of every block it cut,
-//! standing in for Fabric's ledger-sync ("state transfer") protocol.
-//!
-//! The runtime can also crash and restart individual peers mid-run: a
-//! crashed peer discards everything it receives (a dead process reads no
-//! packets); a restart rebuilds its state from its ledger through
-//! [`fabric_peer::recovery`] and catches up from the archive.
+//! The runtime is fault-free by construction: every orderer → peer link is
+//! a FIFO [`fabric_net::link`], so every peer receives the same blocks in
+//! the same order (paper Appendix A.2). A block arriving out of turn is a
+//! bug, and the peer thread panics on it rather than healing it. Injected
+//! faults, crashes and restarts are tested on the deterministic driver,
+//! `fabric_chaos::ChaosNet`, which builds its peers through the same
+//! [`PeerContext`].
 
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::RecvTimeoutError;
-use parking_lot::RwLock;
 
 use fabric_common::{
-    ChannelId, ConcurrencyMode, CostModel, Digest, Error, LatencyRecorder, OrgId, PeerId, Phase,
+    ChannelId, ConcurrencyMode, CostModel, Digest, LatencyRecorder, OrgId, PeerId, Phase,
     PhaseTimers, PipelineConfig, Result, SignerRegistry, SigningKey, SubsystemGauges, Transaction,
     TxCounters,
 };
 use fabric_telemetry::TelemetryHub;
 use fabric_ledger::Block;
-use fabric_net::{
-    link, DelayedSender, FaultHook, FaultyBroadcaster, LatencyModel, NetStats, NoFaults,
-};
+use fabric_net::{link, Broadcaster, DelayedSender, LatencyModel, NetStats};
 use fabric_ordering::{BatchCutter, CutReason, OrderingService, OrdererStats};
 use fabric_peer::chaincode::ChaincodeRegistry;
 use fabric_peer::peer::{PendingBlock, Peer};
@@ -50,9 +41,10 @@ use fabric_trace::{EventKind, TraceSink};
 
 /// The channel-wide half of every peer's wiring: the pieces of
 /// [`Peer::new`]'s signature that are not per-peer, the shared validation
-/// pool, and the observers the reporting peer (slot 0) carries. Every
-/// driver — the threaded runtime and the deterministic chaos harness —
-/// builds and rebuilds its peers through [`PeerContext::new_peer`] and
+/// pool, and the observers the reporting peer (slot 0) carries. Both
+/// drivers build their peers through [`PeerContext::new_peer`]: the
+/// threaded runtime and the deterministic chaos harness. Only the chaos
+/// harness crashes peers, and it rebuilds them through
 /// [`PeerContext::restore_peer`].
 #[derive(Clone)]
 pub struct PeerContext {
@@ -130,7 +122,9 @@ impl PeerContext {
     /// on-disk block log when `log` is given (a torn tail is truncated
     /// off, so the file can be appended to again), from the dead
     /// incarnation's in-memory ledger otherwise — and wires it exactly like
-    /// [`PeerContext::new_peer`]. The caller catches it up.
+    /// [`PeerContext::new_peer`]. The caller catches it up. The chaos
+    /// harness is the one caller: the threaded runtime never crashes a
+    /// peer.
     pub fn restore_peer(&self, slot: usize, old: &Peer, log: Option<&Path>) -> Result<Peer> {
         let rec = match log {
             Some(path) => recovery::recover_from_crashed_log(path, true)?.0,
@@ -176,48 +170,14 @@ pub struct ChannelRuntime {
     orderer_tx: Option<DelayedSender<Transaction>>,
     orderer_thread: Option<JoinHandle<()>>,
     peer_threads: Vec<JoinHandle<()>>,
-    /// Swappable peer slots: a restart replaces the `Arc<Peer>` inside.
-    slots: Vec<Arc<RwLock<Arc<Peer>>>>,
-    /// Per-peer crashed flags; a down peer's thread discards deliveries.
-    down: Vec<Arc<AtomicBool>>,
-    /// Every block the orderer has cut, in order (block `n` at index
-    /// `n - 1`); the source peers heal gaps and catch up from. Shares each
-    /// block's one allocation with the links and the peers' ledgers.
-    archive: Arc<RwLock<Vec<Arc<Block>>>>,
-    ctx: PeerContext,
-}
-
-/// Replays archived blocks into `peer` until its chain is as long as the
-/// archive. Returns how many blocks were applied.
-pub fn catch_up_from_archive(peer: &Peer, archive: &RwLock<Vec<Arc<Block>>>) -> Result<u64> {
-    let mut applied = 0;
-    loop {
-        // The ledger's height is the next block number it needs (genesis
-        // is block 0, so height h means blocks 0..h are present).
-        let next = peer.ledger().height();
-        let block = {
-            let a = archive.read();
-            (next as usize)
-                .checked_sub(1)
-                .and_then(|i| a.get(i).map(Arc::clone))
-        };
-        match block {
-            Some(b) => {
-                peer.process_block(b)?;
-                applied += 1;
-            }
-            None => return Ok(applied),
-        }
-    }
+    peers: Vec<Arc<Peer>>,
 }
 
 impl ChannelRuntime {
     /// Spawns the channel's orderer and peer threads.
     ///
     /// `peers` must already have genesis installed; `genesis_hash` is their
-    /// common chain tip (the orderer chains block 1 to it). When
-    /// `fault_hook` is given, every orderer → peer link consults it per
-    /// block (see [`fabric_net::FaultySender`]).
+    /// common chain tip (the orderer chains block 1 to it).
     #[allow(clippy::too_many_arguments)]
     pub fn spawn(
         id: ChannelId,
@@ -227,38 +187,25 @@ impl ChannelRuntime {
         latency: LatencyModel,
         net_stats: NetStats,
         orderer_stats: OrdererStats,
-        fault_hook: Option<Arc<dyn FaultHook>>,
-        ctx: PeerContext,
+        ctx: &PeerContext,
     ) -> Self {
         // Client → orderer link.
         let (orderer_tx, orderer_rx) = link::<Transaction>(latency.clone(), net_stats.clone());
-
-        let archive: Arc<RwLock<Vec<Arc<Block>>>> = Arc::new(RwLock::new(Vec::new()));
 
         // Orderer → peer links. The first peer of each org is a "direct"
         // receiver; remaining peers get the block via gossip (second hop).
         let mut direct = Vec::new();
         let mut gossip = Vec::new();
-        let mut direct_ids = Vec::new();
-        let mut gossip_ids = Vec::new();
         let mut peer_threads = Vec::new();
-        let mut slots = Vec::new();
-        let mut down = Vec::new();
         let mut seen_orgs = std::collections::HashSet::new();
         for peer in &peers {
             let (btx, brx) = link::<Arc<Block>>(latency.clone(), net_stats.clone());
             if seen_orgs.insert(peer.org()) {
                 direct.push(btx);
-                direct_ids.push(peer.id().raw() as u32);
             } else {
                 gossip.push(btx);
-                gossip_ids.push(peer.id().raw() as u32);
             }
-            let slot = Arc::new(RwLock::new(Arc::clone(peer)));
-            let down_flag = Arc::new(AtomicBool::new(false));
-            slots.push(Arc::clone(&slot));
-            down.push(Arc::clone(&down_flag));
-            let archive = Arc::clone(&archive);
+            let peer = Arc::clone(peer);
             peer_threads.push(std::thread::spawn(move || {
                 // Commit/validate pipelining: while a block commits under
                 // the state gate, the *next* block's endorsement-signature
@@ -269,42 +216,26 @@ impl ChannelRuntime {
                     let pending = match staged.take() {
                         Some(p) => p,
                         None => match brx.recv() {
-                            Ok(block) => slot.read().begin_block_validation(block),
+                            Ok(block) => peer.begin_block_validation(block),
                             Err(_) => break,
                         },
                     };
                     if let Some(next) = brx.try_recv_ready() {
-                        staged = Some(slot.read().begin_block_validation(next));
+                        staged = Some(peer.begin_block_validation(next));
                     }
-                    if down_flag.load(Ordering::Acquire) {
-                        // Crashed: the process is dead, the delivery is lost
-                        // (the pending checks are simply abandoned).
-                        continue;
-                    }
-                    let peer = Arc::clone(&slot.read());
-                    let num = pending.number();
-                    if num < peer.ledger().height() {
-                        // Duplicate (or a block replayed after restart).
-                        continue;
-                    }
-                    if num > peer.ledger().height() {
-                        // Gap: earlier blocks were dropped or reordered
-                        // past this one — heal from the archive.
-                        catch_up_from_archive(&peer, &archive)
-                            .expect("archive catch-up failed: orderer/peer protocol violated");
-                    }
-                    if num == peer.ledger().height() {
-                        peer.commit_validated(pending).expect(
-                            "block processing failed: orderer/peer protocol violated",
-                        );
-                    }
+                    // The FIFO link delivers every block once and in order,
+                    // so a block out of turn is a bug, not a fault to heal.
+                    let (num, height) = (pending.number(), peer.ledger().height());
+                    assert_eq!(
+                        num, height,
+                        "block {num} arrived at height {height}: orderer/peer protocol violated"
+                    );
+                    peer.commit_validated(pending)
+                        .expect("block processing failed: orderer/peer protocol violated");
                 }
             }));
         }
-        let link_ids: Vec<u32> = direct_ids.into_iter().chain(gossip_ids).collect();
-        let hook: Arc<dyn FaultHook> = fault_hook.unwrap_or_else(|| Arc::new(NoFaults));
-        let broadcaster =
-            FaultyBroadcaster::wrap(direct, gossip, hook, move |i| link_ids[i]);
+        let broadcaster = Broadcaster::new(direct, gossip);
 
         let mut service = OrderingService::new(config)
             .with_counters(ctx.counters.clone())
@@ -315,7 +246,6 @@ impl ChannelRuntime {
         let cut_gauges = ctx.gauges.clone();
         let phase_timers = ctx.phase_timers.clone();
 
-        let orderer_archive = Arc::clone(&archive);
         let orderer_thread = std::thread::spawn(move || {
             let poll = Duration::from_millis(10);
             // Each cut batch is prepared (early abort + reorder) and sealed
@@ -344,13 +274,10 @@ impl ChannelRuntime {
                 };
                 phase_timers.record(Phase::Order, elapsed.saturating_sub(reorder_elapsed));
                 orderer_stats.record_cut(reason, batch_len);
-                // Sealed once: from here on the archive, every link and
-                // every peer's ledger share this one allocation.
+                // Sealed once: from here on every link and every peer's
+                // ledger share this one allocation.
                 let block = Arc::new(ob.block);
                 let size = block.byte_size();
-                // Archive before broadcast so a peer that sees the block
-                // early (reordering) can always heal backwards from it.
-                orderer_archive.write().push(Arc::clone(&block));
                 broadcaster.broadcast(&block, size);
             };
             loop {
@@ -375,10 +302,8 @@ impl ChannelRuntime {
                             order(batch, reason);
                         }
                         cut_gauges.set_cutter_queue(0);
-                        // Release any blocks held in partial reorder
-                        // bursts, then disconnect the peers by dropping
-                        // the broadcaster.
-                        broadcaster.flush();
+                        // Returning drops the broadcaster, which disconnects
+                        // the peers once they have drained their links.
                         break;
                     }
                 }
@@ -390,10 +315,7 @@ impl ChannelRuntime {
             orderer_tx: Some(orderer_tx),
             orderer_thread: Some(orderer_thread),
             peer_threads,
-            slots,
-            down,
-            archive,
-            ctx,
+            peers,
         }
     }
 
@@ -402,43 +324,9 @@ impl ChannelRuntime {
         self.id
     }
 
-    /// Snapshot of the channel's current peer objects (a restart swaps the
-    /// object in its slot, so holders of an older snapshot keep the dead
-    /// incarnation).
-    pub fn peers(&self) -> Vec<Arc<Peer>> {
-        self.slots.iter().map(|s| Arc::clone(&s.read())).collect()
-    }
-
-    /// Whether peer `idx` is currently crashed.
-    pub fn is_down(&self, idx: usize) -> bool {
-        self.down[idx].load(Ordering::Acquire)
-    }
-
-    /// Crashes peer `idx`: from now on every block delivered to it is
-    /// discarded, exactly as if the process were dead. Its in-memory
-    /// ledger plays the role of its persisted block log for a later
-    /// [`ChannelRuntime::restart_peer`].
-    pub fn crash_peer(&self, idx: usize) {
-        self.down[idx].store(true, Ordering::Release);
-    }
-
-    /// Restarts a crashed peer: rebuilds it from its ledger (its simulated
-    /// on-disk block log) through [`PeerContext::restore_peer`], swaps the
-    /// new incarnation into the peer's slot, and catches it up from the
-    /// block archive. Restarting a live peer is an error: its thread may
-    /// still be committing on the current incarnation.
-    ///
-    /// Returns the number of blocks caught up.
-    pub fn restart_peer(&self, idx: usize) -> Result<u64> {
-        if !self.is_down(idx) {
-            return Err(Error::Config("restart_peer requires a crashed peer".into()));
-        }
-        let old = Arc::clone(&self.slots[idx].read());
-        let peer = Arc::new(self.ctx.restore_peer(idx, &old, None)?);
-        *self.slots[idx].write() = Arc::clone(&peer);
-        let applied = catch_up_from_archive(&peer, &self.archive)?;
-        self.down[idx].store(false, Ordering::Release);
-        Ok(applied)
+    /// The channel's peers, in slot order (slot 0 is the reporting peer).
+    pub fn peers(&self) -> &[Arc<Peer>] {
+        &self.peers
     }
 
     /// A sender clients use to submit endorsed transactions.
@@ -447,10 +335,9 @@ impl ChannelRuntime {
     }
 
     /// Shuts the channel down: drops the orderer sender (clients must have
-    /// dropped theirs already), waits for the orderer to flush and for all
-    /// peers to drain their block queues, then runs a final archive
-    /// catch-up so every live peer ends at the full chain height even if
-    /// its last deliveries were dropped by fault injection.
+    /// dropped theirs already), then waits for the orderer to flush and for
+    /// every peer to drain its block queue. Every peer then holds the full
+    /// chain.
     pub fn shutdown(&mut self) {
         self.orderer_tx = None;
         if let Some(h) = self.orderer_thread.take() {
@@ -458,14 +345,6 @@ impl ChannelRuntime {
         }
         for h in self.peer_threads.drain(..) {
             h.join().expect("peer thread panicked");
-        }
-        for (slot, down) in self.slots.iter().zip(&self.down) {
-            if down.load(Ordering::Acquire) {
-                continue; // still-crashed peers stay at their crash height
-            }
-            let peer = Arc::clone(&slot.read());
-            catch_up_from_archive(&peer, &self.archive)
-                .expect("final archive catch-up failed");
         }
     }
 }

@@ -10,7 +10,7 @@ use fabric_common::{
     PhaseSummary, PhaseTimers, PipelineConfig, Result, SignerRegistry, StoreStats,
     SubsystemGauges, TxCounters, TxStats, Value,
 };
-use fabric_net::{FaultHook, LatencyModel, NetStats};
+use fabric_net::{LatencyModel, NetStats};
 use fabric_ordering::{OrdererStats, OrdererStatsSnapshot};
 use fabric_peer::chaincode::{Chaincode, ChaincodeRegistry};
 use fabric_peer::peer::Peer;
@@ -45,7 +45,6 @@ pub struct NetworkBuilder {
     genesis: Vec<(Key, Value)>,
     engine: StateEngine,
     seed: u64,
-    fault_hook: Option<Arc<dyn FaultHook>>,
     trace_capacity: Option<usize>,
     telemetry: Option<TelemetryConfig>,
 }
@@ -71,7 +70,6 @@ impl NetworkBuilder {
             genesis: Vec::new(),
             engine: StateEngine::Memory,
             seed: 42,
-            fault_hook: None,
             trace_capacity: None,
             telemetry: None,
         }
@@ -135,16 +133,6 @@ impl NetworkBuilder {
     /// Seed for the deterministic per-peer signing keys.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Installs a fault-injection hook on every orderer → peer link (see
-    /// [`fabric_net::FaultySender`]). The hook sees one call per block per
-    /// link and may drop, duplicate, delay, or reorder the delivery; peers
-    /// heal the resulting duplicates and gaps from the channel's block
-    /// archive.
-    pub fn fault_hook(mut self, hook: Arc<dyn FaultHook>) -> Self {
-        self.fault_hook = Some(hook);
         self
     }
 
@@ -257,8 +245,7 @@ impl NetworkBuilder {
                 self.latency.clone(),
                 net_stats.clone(),
                 orderer_stats.clone(),
-                self.fault_hook.clone(),
-                ctx.clone(),
+                &ctx,
             ));
         }
 
@@ -326,29 +313,12 @@ impl FabricNetwork {
         self.channels.len()
     }
 
-    /// The peers of channel `channel_idx` (snapshot: a restarted peer is
-    /// a fresh object in the same slot).
+    /// The peers of channel `channel_idx`, in slot order (slot 0 is the
+    /// reporting peer). They live for the whole run, so handles taken
+    /// before [`FabricNetwork::finish`] read every peer's final ledger and
+    /// state afterwards.
     pub fn channel_peers(&self, channel_idx: usize) -> Vec<Arc<Peer>> {
-        self.channels[channel_idx].peers()
-    }
-
-    /// Crashes peer `peer_idx` of channel `channel_idx` mid-run: every
-    /// block delivered to it from now on is lost, as for a dead process.
-    pub fn crash_peer(&self, channel_idx: usize, peer_idx: usize) {
-        self.channels[channel_idx].crash_peer(peer_idx);
-    }
-
-    /// Restarts a crashed peer: recovery from its own ledger (state
-    /// rebuild + flag recheck) followed by catch-up from the channel's
-    /// block archive. Returns the number of blocks caught up, or
-    /// `Error::Config` when the peer is not crashed.
-    pub fn restart_peer(&self, channel_idx: usize, peer_idx: usize) -> Result<u64> {
-        self.channels[channel_idx].restart_peer(peer_idx)
-    }
-
-    /// Whether the given peer is currently crashed.
-    pub fn is_peer_down(&self, channel_idx: usize, peer_idx: usize) -> bool {
-        self.channels[channel_idx].is_down(peer_idx)
+        self.channels[channel_idx].peers().to_vec()
     }
 
     /// Live snapshot of the outcome counters.

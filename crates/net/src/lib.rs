@@ -14,14 +14,16 @@
 //!
 //! [`LatencyModel`] computes delays; [`link`] builds a delayed FIFO channel;
 //! [`Broadcaster`] fans a message out to many receivers with per-receiver
-//! hop counts; [`NetStats`] accounts messages and bytes.
+//! hop counts; [`NetStats`] accounts messages and bytes. These links are
+//! fault-free: the threaded runtime never loses, repeats or reorders a
+//! message.
 //!
-//! For fault-injection experiments the module also exposes a faulty
-//! variant of each half: a [`FaultHook`] is consulted once per message and
-//! returns a [`SendFault`] verdict (deliver / drop / duplicate / extra
-//! delay / reorder burst). [`FaultySender`] applies the verdict and
-//! [`FaultyBroadcaster`] fans out through faulty links, so the chaos
-//! subsystem can perturb traffic without touching the fault-free paths.
+//! Fault injection lives in the deterministic drivers, not on these links.
+//! The crate only defines the vocabulary they share: a [`FaultHook`] is
+//! consulted once per message on a [`LinkId`] and returns a [`SendFault`]
+//! verdict (deliver / drop / duplicate / extra delay / reorder burst).
+//! `fabric_chaos::ChaosNet` applies the verdicts to orderer → peer block
+//! delivery and `fabric_consensus::OrdererGroup` to inter-replica traffic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -87,10 +89,6 @@ pub struct NetStats {
 struct NetStatsInner {
     messages: AtomicU64,
     bytes: AtomicU64,
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-    delayed: AtomicU64,
-    reordered: AtomicU64,
 }
 
 impl NetStats {
@@ -104,22 +102,6 @@ impl NetStats {
         self.inner.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
-    fn record_dropped(&self) {
-        self.inner.dropped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn record_duplicated(&self, copies: u64) {
-        self.inner.duplicated.fetch_add(copies, Ordering::Relaxed);
-    }
-
-    fn record_delayed(&self) {
-        self.inner.delayed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn record_reordered(&self, held: u64) {
-        self.inner.reordered.fetch_add(held, Ordering::Relaxed);
-    }
-
     /// Messages sent so far.
     pub fn messages(&self) -> u64 {
         self.inner.messages.load(Ordering::Relaxed)
@@ -128,26 +110,6 @@ impl NetStats {
     /// Bytes sent so far.
     pub fn bytes(&self) -> u64 {
         self.inner.bytes.load(Ordering::Relaxed)
-    }
-
-    /// Messages dropped by fault injection.
-    pub fn dropped(&self) -> u64 {
-        self.inner.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Extra message copies created by fault injection.
-    pub fn duplicated(&self) -> u64 {
-        self.inner.duplicated.load(Ordering::Relaxed)
-    }
-
-    /// Messages given an injected delay spike.
-    pub fn delayed(&self) -> u64 {
-        self.inner.delayed.load(Ordering::Relaxed)
-    }
-
-    /// Messages delivered out of send order by injected reorder bursts.
-    pub fn reordered(&self) -> u64 {
-        self.inner.reordered.load(Ordering::Relaxed)
     }
 }
 
@@ -176,7 +138,7 @@ pub struct DelayedReceiver<T> {
     /// A message popped by [`DelayedReceiver::try_recv_ready`] before its
     /// simulated delivery time; the next receive call re-examines it first
     /// so FIFO order is preserved.
-    stash: parking_lot::Mutex<Option<(Instant, T)>>,
+    stash: Mutex<Option<(Instant, T)>>,
 }
 
 /// Error returned when the sending side has disconnected.
@@ -187,20 +149,8 @@ impl<T> DelayedSender<T> {
     /// Sends `msg`, charging `size` bytes over `hops` hops.
     /// Returns `Err` if the receiver was dropped.
     pub fn send(&self, msg: T, size: usize, hops: u32) -> Result<(), Disconnected> {
-        self.send_with_delay(msg, size, hops, Duration::ZERO)
-    }
-
-    /// Like [`DelayedSender::send`] with `extra` latency added on top of
-    /// the model's delay (the fault layer's delay-spike seam).
-    pub fn send_with_delay(
-        &self,
-        msg: T,
-        size: usize,
-        hops: u32,
-        extra: Duration,
-    ) -> Result<(), Disconnected> {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let deliver_at = Instant::now() + self.model.delay(size, hops, seq) + extra;
+        let deliver_at = Instant::now() + self.model.delay(size, hops, seq);
         self.stats.record(size);
         self.tx.send((deliver_at, msg)).map_err(|_| Disconnected)
     }
@@ -218,40 +168,23 @@ impl<T> DelayedReceiver<T> {
         Ok(msg)
     }
 
-    /// Like [`DelayedReceiver::recv`] but gives up after `timeout`
-    /// (counting both queue wait and simulated latency).
+    /// Like [`DelayedReceiver::recv`] but gives up after `timeout` if no
+    /// message has arrived by then. The timeout bounds only that wait: a
+    /// message that did arrive is always held until its simulated latency
+    /// has passed.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
         let (deliver_at, msg) = match self.stash.lock().take() {
             Some(entry) => entry,
             None => self.rx.recv_timeout(timeout)?,
         };
-        // Honor the simulated latency but never beyond the caller deadline
-        // by more than the remaining delivery delta.
-        wait_until(deliver_at.min(deadline.max(Instant::now())));
-        if deliver_at > deadline {
-            wait_until(deliver_at);
-        }
+        wait_until(deliver_at);
         Ok(msg)
     }
 
-    /// Non-blocking drain of everything already due.
-    pub fn try_recv_due(&self) -> Option<T> {
-        let entry = self.stash.lock().take().or_else(|| self.rx.try_recv().ok());
-        match entry {
-            Some((deliver_at, msg)) => {
-                wait_until(deliver_at);
-                Some(msg)
-            }
-            None => None,
-        }
-    }
-
     /// Returns the next message only if its simulated delivery time has
-    /// already passed — never sleeps, unlike
-    /// [`DelayedReceiver::try_recv_due`]. A message popped early is
-    /// stashed and handed out by the next receive call, so the FIFO
-    /// contract holds. Used for opportunistic pipelining (start work on
+    /// already passed — never sleeps, unlike [`DelayedReceiver::recv`]. A
+    /// message popped early is stashed and handed out by the next receive
+    /// call, so the FIFO contract holds. Used for opportunistic pipelining (start work on
     /// the next block only if it has actually arrived).
     pub fn try_recv_ready(&self) -> Option<T> {
         let mut stash = self.stash.lock();
@@ -280,7 +213,7 @@ pub fn link<T>(model: LatencyModel, stats: NetStats) -> (DelayedSender<T>, Delay
     let (tx, rx) = unbounded();
     (
         DelayedSender { tx, model, stats, seq: Arc::new(AtomicU64::new(0)) },
-        DelayedReceiver { rx, stash: parking_lot::Mutex::new(None) },
+        DelayedReceiver { rx, stash: Mutex::new(None) },
     )
 }
 
@@ -427,189 +360,6 @@ impl FaultHook for NoFaults {
     }
 }
 
-/// In-progress reorder burst on one faulty link.
-struct BurstState<T> {
-    /// Messages held back, in send order, with their size and hop count.
-    held: Vec<(T, usize, u32)>,
-    /// How many more messages to absorb before flushing.
-    remaining: usize,
-}
-
-/// A [`DelayedSender`] that consults a [`FaultHook`] for every message.
-///
-/// Faults act on the sender side: drops consume the message before it
-/// reaches the wire, duplicates enqueue extra copies, delay spikes stall
-/// the (FIFO) link, and reorder bursts buffer a run of messages and
-/// release them in reverse order.
-pub struct FaultySender<T> {
-    inner: DelayedSender<T>,
-    link: LinkId,
-    hook: Arc<dyn FaultHook>,
-    burst: Mutex<BurstState<T>>,
-}
-
-impl<T> FaultySender<T> {
-    /// Wraps `inner` so every send on `link` consults `hook`.
-    pub fn new(inner: DelayedSender<T>, link: LinkId, hook: Arc<dyn FaultHook>) -> Self {
-        FaultySender { inner, link, hook, burst: Mutex::new(BurstState { held: Vec::new(), remaining: 0 }) }
-    }
-
-    /// The link this sender injects faults on.
-    pub fn link(&self) -> LinkId {
-        self.link
-    }
-}
-
-impl<T: Clone> FaultySender<T> {
-    /// Sends `msg` subject to the fault hook's verdict. Dropped messages
-    /// report success, as a lossy physical link would.
-    pub fn send(&self, msg: T, size: usize, hops: u32) -> Result<(), Disconnected> {
-        let mut burst = self.burst.lock();
-        if burst.remaining > 0 {
-            // Mid-burst: absorb without consulting the hook.
-            burst.held.push((msg, size, hops));
-            burst.remaining -= 1;
-            if burst.remaining == 0 {
-                return self.flush_burst(&mut burst);
-            }
-            return Ok(());
-        }
-        drop(burst);
-
-        match self.hook.on_send(self.link, size) {
-            SendFault::Deliver => self.inner.send(msg, size, hops),
-            SendFault::Drop => {
-                self.inner.stats.record_dropped();
-                Ok(())
-            }
-            SendFault::Duplicate { extra } => {
-                self.inner.stats.record_duplicated(extra as u64);
-                for _ in 0..extra {
-                    self.inner.send(msg.clone(), size, hops)?;
-                }
-                self.inner.send(msg, size, hops)
-            }
-            SendFault::Delay { extra } => {
-                self.inner.stats.record_delayed();
-                self.inner.send_with_delay(msg, size, hops, extra)
-            }
-            SendFault::ReorderBurst { len } => {
-                if len < 2 {
-                    return self.inner.send(msg, size, hops);
-                }
-                let mut burst = self.burst.lock();
-                burst.held.push((msg, size, hops));
-                burst.remaining = len as usize - 1;
-                Ok(())
-            }
-        }
-    }
-
-    /// Releases a completed burst in reverse send order.
-    fn flush_burst(&self, burst: &mut BurstState<T>) -> Result<(), Disconnected> {
-        self.inner.stats.record_reordered(burst.held.len() as u64);
-        let mut result = Ok(());
-        for (msg, size, hops) in burst.held.drain(..).rev() {
-            if self.inner.send(msg, size, hops).is_err() {
-                result = Err(Disconnected);
-            }
-        }
-        result
-    }
-
-    /// Releases any partially-filled burst (in reverse order) — called
-    /// when a run ends so no message is lost in the buffer.
-    pub fn flush(&self) -> Result<(), Disconnected> {
-        let mut burst = self.burst.lock();
-        burst.remaining = 0;
-        if burst.held.is_empty() {
-            return Ok(());
-        }
-        self.flush_burst(&mut burst)
-    }
-}
-
-/// A [`Broadcaster`] whose links all pass through [`FaultySender`]s.
-pub struct FaultyBroadcaster<T> {
-    direct: Vec<FaultySender<T>>,
-    gossip: Vec<FaultySender<T>>,
-}
-
-impl<T: Clone> FaultyBroadcaster<T> {
-    /// Creates a faulty broadcaster over direct and gossip-reached
-    /// receivers.
-    pub fn new(direct: Vec<FaultySender<T>>, gossip: Vec<FaultySender<T>>) -> Self {
-        FaultyBroadcaster { direct, gossip }
-    }
-
-    /// Wraps each sender of a fault-free topology: `direct[i]` and
-    /// `gossip[j]` become links from [`LinkId::ORDERER`] to the peer ids
-    /// returned by `peer_of` (index into direct ++ gossip).
-    pub fn wrap(
-        direct: Vec<DelayedSender<T>>,
-        gossip: Vec<DelayedSender<T>>,
-        hook: Arc<dyn FaultHook>,
-        peer_of: impl Fn(usize) -> u32,
-    ) -> Self {
-        let n_direct = direct.len();
-        FaultyBroadcaster {
-            direct: direct
-                .into_iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    FaultySender::new(s, LinkId::from_orderer(peer_of(i)), Arc::clone(&hook))
-                })
-                .collect(),
-            gossip: gossip
-                .into_iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    FaultySender::new(
-                        s,
-                        LinkId::from_orderer(peer_of(n_direct + i)),
-                        Arc::clone(&hook),
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    /// Broadcasts `msg` of `size` bytes through the fault layer. Returns
-    /// how many receivers are still connected (dropped messages count as
-    /// delivered, as the sender cannot tell the difference).
-    pub fn broadcast(&self, msg: &T, size: usize) -> usize {
-        let mut alive = 0;
-        for s in &self.direct {
-            if s.send(msg.clone(), size, 1).is_ok() {
-                alive += 1;
-            }
-        }
-        for s in &self.gossip {
-            if s.send(msg.clone(), size, 2).is_ok() {
-                alive += 1;
-            }
-        }
-        alive
-    }
-
-    /// Releases any partially-filled reorder bursts on all links.
-    pub fn flush(&self) {
-        for s in self.direct.iter().chain(self.gossip.iter()) {
-            let _ = s.flush();
-        }
-    }
-
-    /// Total number of receivers.
-    pub fn len(&self) -> usize {
-        self.direct.len() + self.gossip.len()
-    }
-
-    /// Whether there are no receivers.
-    pub fn is_empty(&self) -> bool {
-        self.direct.is_empty() && self.gossip.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -623,11 +373,16 @@ mod tests {
 
     #[test]
     fn try_recv_ready_never_sleeps_and_keeps_fifo() {
-        let (tx, rx) = link::<u32>(LatencyModel::zero(), NetStats::new());
+        let slow = LatencyModel {
+            base: Duration::from_secs(60),
+            per_byte: Duration::ZERO,
+            jitter: Duration::ZERO,
+        };
+        let (tx, rx) = link::<u32>(slow, NetStats::new());
         assert_eq!(rx.try_recv_ready(), None, "empty link");
-        // A message with a large extra delay is not ready; it must be
-        // stashed, not lost, and recv() must still deliver it (in order).
-        tx.send_with_delay(1, 10, 1, Duration::from_secs(60)).unwrap();
+        // A message with a large delay is not ready; it must be stashed,
+        // not lost, and recv() must still deliver it (in order).
+        tx.send(1, 10, 1).unwrap();
         tx.send(2, 10, 1).unwrap();
         let t0 = Instant::now();
         assert_eq!(rx.try_recv_ready(), None, "not due yet");
@@ -731,130 +486,6 @@ mod tests {
         };
         for seq in 0..512 {
             assert_eq!(m.delay(64, 2, seq), m2.delay(64, 2, seq));
-        }
-    }
-
-    /// Scripted hook: pops verdicts from a list, then delivers.
-    struct Script(Mutex<Vec<SendFault>>);
-
-    impl Script {
-        fn new(mut verdicts: Vec<SendFault>) -> Arc<Self> {
-            verdicts.reverse();
-            Arc::new(Script(Mutex::new(verdicts)))
-        }
-    }
-
-    impl FaultHook for Script {
-        fn on_send(&self, _link: LinkId, _size: usize) -> SendFault {
-            self.0.lock().pop().unwrap_or(SendFault::Deliver)
-        }
-    }
-
-    #[test]
-    fn faulty_sender_drops_and_counts() {
-        let stats = NetStats::new();
-        let (tx, rx) = link::<u32>(LatencyModel::zero(), stats.clone());
-        let hook = Script::new(vec![SendFault::Drop, SendFault::Deliver]);
-        let f = FaultySender::new(tx, LinkId { from: 0, to: 1 }, hook);
-        f.send(1, 8, 1).unwrap();
-        f.send(2, 8, 1).unwrap();
-        drop(f);
-        assert_eq!(rx.recv(), Ok(2));
-        assert_eq!(rx.recv(), Err(Disconnected));
-        assert_eq!(stats.dropped(), 1);
-        assert_eq!(stats.messages(), 1, "dropped message never hits the wire");
-    }
-
-    #[test]
-    fn faulty_sender_duplicates() {
-        let stats = NetStats::new();
-        let (tx, rx) = link::<u32>(LatencyModel::zero(), stats.clone());
-        let f = FaultySender::new(
-            tx,
-            LinkId { from: 0, to: 1 },
-            Script::new(vec![SendFault::Duplicate { extra: 2 }]),
-        );
-        f.send(7, 8, 1).unwrap();
-        drop(f);
-        let mut got = Vec::new();
-        while let Ok(v) = rx.recv() {
-            got.push(v);
-        }
-        assert_eq!(got, vec![7, 7, 7]);
-        assert_eq!(stats.duplicated(), 2);
-    }
-
-    #[test]
-    fn faulty_sender_reorders_burst() {
-        let stats = NetStats::new();
-        let (tx, rx) = link::<u32>(LatencyModel::zero(), stats.clone());
-        let f = FaultySender::new(
-            tx,
-            LinkId { from: 0, to: 1 },
-            Script::new(vec![SendFault::ReorderBurst { len: 3 }]),
-        );
-        for i in 0..5 {
-            f.send(i, 8, 1).unwrap();
-        }
-        drop(f);
-        let mut got = Vec::new();
-        while let Ok(v) = rx.recv() {
-            got.push(v);
-        }
-        // First three arrive reversed, the rest in order.
-        assert_eq!(got, vec![2, 1, 0, 3, 4]);
-        assert_eq!(stats.reordered(), 3);
-    }
-
-    #[test]
-    fn faulty_sender_flush_releases_partial_burst() {
-        let (tx, rx) = link::<u32>(LatencyModel::zero(), NetStats::new());
-        let f = FaultySender::new(
-            tx,
-            LinkId { from: 0, to: 1 },
-            Script::new(vec![SendFault::ReorderBurst { len: 10 }]),
-        );
-        f.send(1, 8, 1).unwrap();
-        f.send(2, 8, 1).unwrap();
-        assert!(rx.try_recv_due().is_none(), "burst holds messages back");
-        f.flush().unwrap();
-        assert_eq!(rx.recv(), Ok(2));
-        assert_eq!(rx.recv(), Ok(1));
-    }
-
-    #[test]
-    fn faulty_sender_delay_spike_applies() {
-        let stats = NetStats::new();
-        let (tx, rx) = link::<u8>(LatencyModel::zero(), stats.clone());
-        let f = FaultySender::new(
-            tx,
-            LinkId { from: 0, to: 1 },
-            Script::new(vec![SendFault::Delay { extra: Duration::from_millis(25) }]),
-        );
-        let start = Instant::now();
-        f.send(1, 0, 1).unwrap();
-        rx.recv().unwrap();
-        assert!(start.elapsed() >= Duration::from_millis(25));
-        assert_eq!(stats.delayed(), 1);
-    }
-
-    #[test]
-    fn faulty_broadcaster_wraps_topology() {
-        let stats = NetStats::new();
-        let mut senders = Vec::new();
-        let mut receivers = Vec::new();
-        for _ in 0..3 {
-            let (tx, rx) = link::<u32>(LatencyModel::zero(), stats.clone());
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let gossip = senders.split_off(2);
-        let b = FaultyBroadcaster::wrap(senders, gossip, Arc::new(NoFaults), |i| i as u32);
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.broadcast(&9, 16), 3);
-        b.flush();
-        for rx in &receivers {
-            assert_eq!(rx.recv(), Ok(9));
         }
     }
 

@@ -59,7 +59,9 @@ fn main() {
         h.join().unwrap();
     }
 
-    // Drain the pipeline and print the report.
+    // Drain the pipeline and print the report. The peer handles outlive
+    // the network, so their final ledgers can be compared afterwards.
+    let peers = net.channel_peers(0);
     let report = net.finish();
     println!("elapsed:          {:?}", report.elapsed);
     println!("submitted:        {}", report.stats.submitted);
@@ -69,4 +71,10 @@ fn main() {
     println!("network messages: {} ({} bytes)", report.net_messages, report.net_bytes);
     println!("avg latency:      {:?}", report.latency.avg);
     assert_eq!(report.stats.finished(), report.stats.submitted);
+    // Every peer received the same blocks in the same order.
+    assert_eq!(peers.len(), 4);
+    for peer in &peers {
+        assert_eq!(peer.ledger().height(), report.block_heights[0]);
+        assert_eq!(peer.ledger().tip_hash(), peers[0].ledger().tip_hash());
+    }
 }
