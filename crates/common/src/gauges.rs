@@ -22,25 +22,40 @@
 //! on [`crate::metrics::StoreCounters`] instead, next to the engine
 //! counters the engines already carry.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
+
+use crate::metrics::counter_set;
 
 /// Cheap-to-clone handle to the shared gauge cells (one per network).
 #[derive(Clone, Debug, Default)]
 pub struct SubsystemGauges {
-    inner: Arc<GaugesInner>,
+    inner: Arc<GaugeCells>,
 }
 
-#[derive(Debug, Default)]
-struct GaugesInner {
-    cutter_queue_txs: AtomicU64,
-    endorsements: AtomicU64,
-    vscc_batches_started: AtomicU64,
-    vscc_batches_done: AtomicU64,
-    validation_workers: AtomicU64,
-    consensus_msgs: AtomicU64,
-    consensus_view_changes: AtomicU64,
-    consensus_heights: AtomicU64,
+counter_set! {
+    cells GaugeCells;
+    /// Point-in-time view of [`SubsystemGauges`].
+    pub struct GaugeStats {
+        /// Transactions buffered in the batch cutter (instantaneous).
+        cutter_queue_txs: gauge,
+        /// Endorsement simulations run, network-wide (counter).
+        endorsements,
+        /// Endorsement-signature batches handed to the validation pool
+        /// (counter).
+        vscc_batches_started,
+        /// Endorsement-signature batches joined (counter).
+        vscc_batches_done,
+        /// Configured validation-pool workers (static gauge).
+        validation_workers: gauge,
+        /// Inter-replica consensus messages sent (counter; 0 under the
+        /// single-orderer backends).
+        consensus_msgs,
+        /// View changes burned across decided heights (counter).
+        consensus_view_changes,
+        /// Consensus heights decided (counter).
+        consensus_heights,
+    }
 }
 
 impl SubsystemGauges {
@@ -100,67 +115,11 @@ impl SubsystemGauges {
 
     /// Immutable snapshot of every cell.
     pub fn snapshot(&self) -> GaugeStats {
-        GaugeStats {
-            cutter_queue_txs: self.inner.cutter_queue_txs.load(Ordering::Relaxed),
-            endorsements: self.inner.endorsements.load(Ordering::Relaxed),
-            vscc_batches_started: self.inner.vscc_batches_started.load(Ordering::Relaxed),
-            vscc_batches_done: self.inner.vscc_batches_done.load(Ordering::Relaxed),
-            validation_workers: self.inner.validation_workers.load(Ordering::Relaxed),
-            consensus_msgs: self.inner.consensus_msgs.load(Ordering::Relaxed),
-            consensus_view_changes: self.inner.consensus_view_changes.load(Ordering::Relaxed),
-            consensus_heights: self.inner.consensus_heights.load(Ordering::Relaxed),
-        }
+        self.inner.snapshot()
     }
-}
-
-/// Point-in-time view of [`SubsystemGauges`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct GaugeStats {
-    /// Transactions buffered in the batch cutter (instantaneous).
-    pub cutter_queue_txs: u64,
-    /// Endorsement simulations run, network-wide (counter).
-    pub endorsements: u64,
-    /// Endorsement-signature batches handed to the validation pool
-    /// (counter).
-    pub vscc_batches_started: u64,
-    /// Endorsement-signature batches joined (counter).
-    pub vscc_batches_done: u64,
-    /// Configured validation-pool workers (static gauge).
-    pub validation_workers: u64,
-    /// Inter-replica consensus messages sent (counter; 0 under the
-    /// single-orderer backends).
-    pub consensus_msgs: u64,
-    /// View changes burned across decided heights (counter).
-    pub consensus_view_changes: u64,
-    /// Consensus heights decided (counter).
-    pub consensus_heights: u64,
 }
 
 impl GaugeStats {
-    /// Difference `self - earlier` on the counter cells; instantaneous
-    /// gauges (`cutter_queue_txs`, `validation_workers`) are carried over
-    /// from `self` as-is. Saturating, like the other stats diffs.
-    pub fn since(&self, earlier: &GaugeStats) -> GaugeStats {
-        GaugeStats {
-            cutter_queue_txs: self.cutter_queue_txs,
-            endorsements: self.endorsements.saturating_sub(earlier.endorsements),
-            vscc_batches_started: self
-                .vscc_batches_started
-                .saturating_sub(earlier.vscc_batches_started),
-            vscc_batches_done: self
-                .vscc_batches_done
-                .saturating_sub(earlier.vscc_batches_done),
-            validation_workers: self.validation_workers,
-            consensus_msgs: self.consensus_msgs.saturating_sub(earlier.consensus_msgs),
-            consensus_view_changes: self
-                .consensus_view_changes
-                .saturating_sub(earlier.consensus_view_changes),
-            consensus_heights: self
-                .consensus_heights
-                .saturating_sub(earlier.consensus_heights),
-        }
-    }
-
     /// Signature batches currently in flight (started − done).
     pub fn vscc_inflight(&self) -> u64 {
         self.vscc_batches_started.saturating_sub(self.vscc_batches_done)

@@ -29,6 +29,8 @@
 //!   reproduces the min/max/avg latency rows of the paper's Table 8.
 //! * [`gauges`] — shared subsystem gauge cells (cutter queue, validation
 //!   pool, consensus wire) sampled per window by the telemetry layer.
+//! * [`prom`] — label escaping and family headers shared by the two
+//!   Prometheus exporters.
 //! * [`config`] — block-cutting and pipeline configuration shared between the
 //!   ordering service and the peers.
 //! * [`error`] — the common error type.
@@ -48,6 +50,7 @@ pub mod hash;
 pub mod ids;
 pub mod intern;
 pub mod metrics;
+pub mod prom;
 pub mod rwset;
 pub mod tx;
 

@@ -6,6 +6,10 @@
 //! latency as measured by Caliper. [`TxCounters`] and [`LatencyRecorder`]
 //! provide exactly those measurements, safe to update from every pipeline
 //! thread concurrently.
+//!
+//! Each counter set is declared once, with `counter_set!`. Adding an
+//! outcome is one line in the `TxStats` declaration plus its arm in
+//! [`TxCounters::record_outcome`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,21 +19,92 @@ use parking_lot::Mutex;
 
 use crate::tx::ValidationCode;
 
+/// Declares one counter set: each field's doc and name, then `: gauge`
+/// if the cell is instantaneous rather than a monotone counter. Derives
+/// the private cells struct (one `AtomicU64` per field) with `snapshot()`,
+/// and the `pub` snapshot struct with `since`, `merge` and `fields()`.
+/// Record methods stay hand-written on the handle that owns the cells.
+macro_rules! counter_set {
+    (@since $now:expr, $earlier:expr, gauge) => { $now };
+    (@since $now:expr, $earlier:expr) => { $now.saturating_sub($earlier) };
+    (
+        cells $cells:ident;
+        $(#[$meta:meta])*
+        pub struct $stats:ident {
+            $( $(#[$fmeta:meta])* $field:ident $(: $kind:ident)? ),* $(,)?
+        }
+    ) => {
+        #[derive(Debug, Default)]
+        struct $cells {
+            $( $field: ::std::sync::atomic::AtomicU64, )*
+        }
+
+        impl $cells {
+            fn snapshot(&self) -> $stats {
+                $stats {
+                    $( $field: self.$field.load(::std::sync::atomic::Ordering::Relaxed), )*
+                }
+            }
+        }
+
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct $stats {
+            $( $(#[$fmeta])* pub $field: u64, )*
+        }
+
+        impl $stats {
+            /// Difference `self - earlier`, for interval measurements.
+            /// Saturating: an out-of-order snapshot pair (e.g. racing
+            /// samplers) clamps to zero instead of panicking in debug /
+            /// wrapping in release. Gauges are carried over from `self`.
+            pub fn since(&self, earlier: &$stats) -> $stats {
+                $stats {
+                    $( $field: counter_set!(@since self.$field, earlier.$field $(, $kind)?), )*
+                }
+            }
+
+            /// Field-wise sum, for aggregating snapshots (several stores,
+            /// or the windows of one run).
+            pub fn merge(&self, other: &$stats) -> $stats {
+                $stats { $( $field: self.$field + other.$field, )* }
+            }
+
+            /// Every field as `(name, value)`, in declaration order: the
+            /// one listing the exporters render.
+            pub fn fields(&self) -> [(&'static str, u64); [$(stringify!($field)),*].len()] {
+                [$( (stringify!($field), self.$field), )*]
+            }
+        }
+    };
+}
+pub(crate) use counter_set;
+
 /// Atomic per-outcome transaction counters; cheap to clone (shared).
 #[derive(Clone, Debug, Default)]
 pub struct TxCounters {
-    inner: Arc<CountersInner>,
+    inner: Arc<TxCells>,
 }
 
-#[derive(Debug, Default)]
-struct CountersInner {
-    submitted: AtomicU64,
-    valid: AtomicU64,
-    mvcc_conflict: AtomicU64,
-    endorsement_failure: AtomicU64,
-    early_abort_simulation: AtomicU64,
-    early_abort_cycle: AtomicU64,
-    early_abort_version_mismatch: AtomicU64,
+counter_set! {
+    cells TxCells;
+    /// Point-in-time view of [`TxCounters`].
+    pub struct TxStats {
+        /// Proposals fired by clients.
+        submitted,
+        /// Transactions committed as valid.
+        valid,
+        /// Aborted in validation: stale read version.
+        mvcc_conflict,
+        /// Aborted in validation: endorsement policy / signature failure.
+        endorsement_failure,
+        /// Fabric++: aborted during simulation (stale read observed live).
+        early_abort_simulation,
+        /// Fabric++: aborted by the reorderer (conflict-cycle member).
+        early_abort_cycle,
+        /// Fabric++: aborted by the orderer (within-block version mismatch).
+        early_abort_version_mismatch,
+    }
 }
 
 impl TxCounters {
@@ -60,51 +135,20 @@ impl TxCounters {
 
     /// Immutable snapshot of the current counts.
     pub fn snapshot(&self) -> TxStats {
-        TxStats {
-            submitted: self.inner.submitted.load(Ordering::Relaxed),
-            valid: self.inner.valid.load(Ordering::Relaxed),
-            mvcc_conflict: self.inner.mvcc_conflict.load(Ordering::Relaxed),
-            endorsement_failure: self.inner.endorsement_failure.load(Ordering::Relaxed),
-            early_abort_simulation: self.inner.early_abort_simulation.load(Ordering::Relaxed),
-            early_abort_cycle: self.inner.early_abort_cycle.load(Ordering::Relaxed),
-            early_abort_version_mismatch: self
-                .inner
-                .early_abort_version_mismatch
-                .load(Ordering::Relaxed),
-        }
+        self.inner.snapshot()
     }
-}
-
-/// Point-in-time view of [`TxCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TxStats {
-    /// Proposals fired by clients.
-    pub submitted: u64,
-    /// Transactions committed as valid.
-    pub valid: u64,
-    /// Aborted in validation: stale read version.
-    pub mvcc_conflict: u64,
-    /// Aborted in validation: endorsement policy / signature failure.
-    pub endorsement_failure: u64,
-    /// Fabric++: aborted during simulation (stale read observed live).
-    pub early_abort_simulation: u64,
-    /// Fabric++: aborted by the reorderer (conflict-cycle member).
-    pub early_abort_cycle: u64,
-    /// Fabric++: aborted by the orderer (within-block version mismatch).
-    pub early_abort_version_mismatch: u64,
 }
 
 impl TxStats {
-    /// All aborted transactions regardless of where they died.
+    /// All aborted transactions regardless of where they died: every
+    /// field after `submitted` and `valid` is an abort reason.
     pub fn aborted(&self) -> u64 {
-        self.mvcc_conflict
-            + self.endorsement_failure
-            + self.early_abort_simulation
-            + self.early_abort_cycle
-            + self.early_abort_version_mismatch
+        self.fields()[2..].iter().map(|&(_, n)| n).sum()
     }
 
-    /// Transactions that reached a final outcome.
+    /// Transactions that reached a final outcome downstream of the client.
+    /// Client-side rejections are submitted but never finish, so
+    /// `submitted - finished` does not drain to 0.
     pub fn finished(&self) -> u64 {
         self.valid + self.aborted()
     }
@@ -117,27 +161,6 @@ impl TxStats {
     /// Aborted transactions per second over `elapsed`.
     pub fn aborted_tps(&self, elapsed: Duration) -> f64 {
         per_second(self.aborted(), elapsed)
-    }
-
-    /// Difference `self - earlier`, for interval measurements. Saturating:
-    /// an out-of-order snapshot pair (e.g. racing samplers) clamps to zero
-    /// instead of panicking in debug / wrapping in release.
-    pub fn since(&self, earlier: &TxStats) -> TxStats {
-        TxStats {
-            submitted: self.submitted.saturating_sub(earlier.submitted),
-            valid: self.valid.saturating_sub(earlier.valid),
-            mvcc_conflict: self.mvcc_conflict.saturating_sub(earlier.mvcc_conflict),
-            endorsement_failure: self
-                .endorsement_failure
-                .saturating_sub(earlier.endorsement_failure),
-            early_abort_simulation: self
-                .early_abort_simulation
-                .saturating_sub(earlier.early_abort_simulation),
-            early_abort_cycle: self.early_abort_cycle.saturating_sub(earlier.early_abort_cycle),
-            early_abort_version_mismatch: self
-                .early_abort_version_mismatch
-                .saturating_sub(earlier.early_abort_version_mismatch),
-        }
     }
 }
 
@@ -448,18 +471,7 @@ pub struct StoreCounters {
 
 #[derive(Debug, Default)]
 struct StoreCountersInner {
-    multi_get_batches: AtomicU64,
-    multi_get_keys: AtomicU64,
-    point_gets: AtomicU64,
-    blocks_applied: AtomicU64,
-    shard_lock_acquisitions: AtomicU64,
-    wal_records: AtomicU64,
-    wal_fsyncs: AtomicU64,
-    commit_ticket_acquisitions: AtomicU64,
-    snapshot_pins: AtomicU64,
-    snapshot_read_batches: AtomicU64,
-    snapshot_read_keys: AtomicU64,
-    gc_trimmed_versions: AtomicU64,
+    cells: StoreCells,
     // Instantaneous engine gauges, refreshed by the engines at block
     // apply; kept out of `StoreStats` so `since`/`merge` stay pure
     // counter arithmetic. The telemetry layer samples these at window
@@ -467,6 +479,39 @@ struct StoreCountersInner {
     gauge_memtable_bytes: AtomicU64,
     gauge_gc_floor: AtomicU64,
     gauge_live_pins: AtomicU64,
+}
+
+counter_set! {
+    cells StoreCells;
+    /// Point-in-time view of [`StoreCounters`].
+    pub struct StoreStats {
+        /// Batched version prefetches (multi-get calls).
+        multi_get_batches,
+        /// Total keys probed across all batched prefetches.
+        multi_get_keys,
+        /// Single-key point lookups (`get`).
+        point_gets,
+        /// Blocks installed via the batched commit path.
+        blocks_applied,
+        /// Shard write-lock acquisitions across all committed blocks (in-memory
+        /// engine; at most `shards` per block under the batched contract).
+        shard_lock_acquisitions,
+        /// Group-commit WAL records written (LSM engine; exactly one per block).
+        wal_records,
+        /// WAL records that were additionally fsynced (`sync_writes` mode).
+        wal_fsyncs,
+        /// Commit-ticket (per-engine commit lock) acquisitions: block installs,
+        /// LSM flushes, and compactions. Snapshot reads must never bump this.
+        commit_ticket_acquisitions,
+        /// Snapshot pins registered (`pin_snapshot` calls).
+        snapshot_pins,
+        /// At-height read batches served off version chains.
+        snapshot_read_batches,
+        /// Total keys resolved across all at-height read batches.
+        snapshot_read_keys,
+        /// Superseded versions trimmed from chains by the epoch GC.
+        gc_trimmed_versions,
+    }
 }
 
 impl StoreCounters {
@@ -477,28 +522,28 @@ impl StoreCounters {
 
     /// Counts one batched version lookup over `keys` keys.
     pub fn record_multi_get(&self, keys: u64) {
-        self.inner.multi_get_batches.fetch_add(1, Ordering::Relaxed);
-        self.inner.multi_get_keys.fetch_add(keys, Ordering::Relaxed);
+        self.inner.cells.multi_get_batches.fetch_add(1, Ordering::Relaxed);
+        self.inner.cells.multi_get_keys.fetch_add(keys, Ordering::Relaxed);
     }
 
     /// Counts one single-key point lookup.
     pub fn record_point_get(&self) {
-        self.inner.point_gets.fetch_add(1, Ordering::Relaxed);
+        self.inner.cells.point_gets.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one committed block that took `shard_locks` write-lock
     /// acquisitions to install.
     pub fn record_block_applied(&self, shard_locks: u64) {
-        self.inner.blocks_applied.fetch_add(1, Ordering::Relaxed);
-        self.inner.shard_lock_acquisitions.fetch_add(shard_locks, Ordering::Relaxed);
+        self.inner.cells.blocks_applied.fetch_add(1, Ordering::Relaxed);
+        self.inner.cells.shard_lock_acquisitions.fetch_add(shard_locks, Ordering::Relaxed);
     }
 
     /// Counts one group-commit WAL record (`fsynced` when the append also
     /// hit the disk with `sync_data`).
     pub fn record_wal_record(&self, fsynced: bool) {
-        self.inner.wal_records.fetch_add(1, Ordering::Relaxed);
+        self.inner.cells.wal_records.fetch_add(1, Ordering::Relaxed);
         if fsynced {
-            self.inner.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
+            self.inner.cells.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -507,26 +552,26 @@ impl StoreCounters {
     /// endorsement contract is that *reads never bump this*: snapshot
     /// reads-at-height proceed while a committer holds the ticket.
     pub fn record_commit_ticket(&self) {
-        self.inner.commit_ticket_acquisitions.fetch_add(1, Ordering::Relaxed);
+        self.inner.cells.commit_ticket_acquisitions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one snapshot pin registration (`pin_snapshot`).
     pub fn record_snapshot_pin(&self) {
-        self.inner.snapshot_pins.fetch_add(1, Ordering::Relaxed);
+        self.inner.cells.snapshot_pins.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one at-height read batch over `keys` keys (point gets at a
     /// height count as a batch of one; range scans count their result
     /// size).
     pub fn record_snapshot_read(&self, keys: u64) {
-        self.inner.snapshot_read_batches.fetch_add(1, Ordering::Relaxed);
-        self.inner.snapshot_read_keys.fetch_add(keys, Ordering::Relaxed);
+        self.inner.cells.snapshot_read_batches.fetch_add(1, Ordering::Relaxed);
+        self.inner.cells.snapshot_read_keys.fetch_add(keys, Ordering::Relaxed);
     }
 
     /// Counts `n` superseded versions trimmed from version chains by the
     /// epoch GC.
     pub fn record_gc_trimmed(&self, n: u64) {
-        self.inner.gc_trimmed_versions.fetch_add(n, Ordering::Relaxed);
+        self.inner.cells.gc_trimmed_versions.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Refreshes the instantaneous memtable-size gauge (LSM engine; bytes
@@ -563,110 +608,7 @@ impl StoreCounters {
 
     /// Immutable snapshot of the current counts.
     pub fn snapshot(&self) -> StoreStats {
-        StoreStats {
-            multi_get_batches: self.inner.multi_get_batches.load(Ordering::Relaxed),
-            multi_get_keys: self.inner.multi_get_keys.load(Ordering::Relaxed),
-            point_gets: self.inner.point_gets.load(Ordering::Relaxed),
-            blocks_applied: self.inner.blocks_applied.load(Ordering::Relaxed),
-            shard_lock_acquisitions: self
-                .inner
-                .shard_lock_acquisitions
-                .load(Ordering::Relaxed),
-            wal_records: self.inner.wal_records.load(Ordering::Relaxed),
-            wal_fsyncs: self.inner.wal_fsyncs.load(Ordering::Relaxed),
-            commit_ticket_acquisitions: self
-                .inner
-                .commit_ticket_acquisitions
-                .load(Ordering::Relaxed),
-            snapshot_pins: self.inner.snapshot_pins.load(Ordering::Relaxed),
-            snapshot_read_batches: self.inner.snapshot_read_batches.load(Ordering::Relaxed),
-            snapshot_read_keys: self.inner.snapshot_read_keys.load(Ordering::Relaxed),
-            gc_trimmed_versions: self.inner.gc_trimmed_versions.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Point-in-time view of [`StoreCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StoreStats {
-    /// Batched version prefetches (multi-get calls).
-    pub multi_get_batches: u64,
-    /// Total keys probed across all batched prefetches.
-    pub multi_get_keys: u64,
-    /// Single-key point lookups (`get`).
-    pub point_gets: u64,
-    /// Blocks installed via the batched commit path.
-    pub blocks_applied: u64,
-    /// Shard write-lock acquisitions across all committed blocks (in-memory
-    /// engine; at most `shards` per block under the batched contract).
-    pub shard_lock_acquisitions: u64,
-    /// Group-commit WAL records written (LSM engine; exactly one per block).
-    pub wal_records: u64,
-    /// WAL records that were additionally fsynced (`sync_writes` mode).
-    pub wal_fsyncs: u64,
-    /// Commit-ticket (per-engine commit lock) acquisitions: block installs,
-    /// LSM flushes, and compactions. Snapshot reads must never bump this.
-    pub commit_ticket_acquisitions: u64,
-    /// Snapshot pins registered (`pin_snapshot` calls).
-    pub snapshot_pins: u64,
-    /// At-height read batches served off version chains.
-    pub snapshot_read_batches: u64,
-    /// Total keys resolved across all at-height read batches.
-    pub snapshot_read_keys: u64,
-    /// Superseded versions trimmed from chains by the epoch GC.
-    pub gc_trimmed_versions: u64,
-}
-
-impl StoreStats {
-    /// Field-wise sum, for aggregating stats across several stores (e.g.
-    /// one reporting peer per channel).
-    pub fn merge(&self, other: &StoreStats) -> StoreStats {
-        StoreStats {
-            multi_get_batches: self.multi_get_batches + other.multi_get_batches,
-            multi_get_keys: self.multi_get_keys + other.multi_get_keys,
-            point_gets: self.point_gets + other.point_gets,
-            blocks_applied: self.blocks_applied + other.blocks_applied,
-            shard_lock_acquisitions: self.shard_lock_acquisitions
-                + other.shard_lock_acquisitions,
-            wal_records: self.wal_records + other.wal_records,
-            wal_fsyncs: self.wal_fsyncs + other.wal_fsyncs,
-            commit_ticket_acquisitions: self.commit_ticket_acquisitions
-                + other.commit_ticket_acquisitions,
-            snapshot_pins: self.snapshot_pins + other.snapshot_pins,
-            snapshot_read_batches: self.snapshot_read_batches + other.snapshot_read_batches,
-            snapshot_read_keys: self.snapshot_read_keys + other.snapshot_read_keys,
-            gc_trimmed_versions: self.gc_trimmed_versions + other.gc_trimmed_versions,
-        }
-    }
-
-    /// Difference `self - earlier`, for interval measurements. Saturating:
-    /// an out-of-order snapshot pair (e.g. racing samplers) clamps to zero
-    /// instead of panicking in debug / wrapping in release.
-    pub fn since(&self, earlier: &StoreStats) -> StoreStats {
-        StoreStats {
-            multi_get_batches: self.multi_get_batches.saturating_sub(earlier.multi_get_batches),
-            multi_get_keys: self.multi_get_keys.saturating_sub(earlier.multi_get_keys),
-            point_gets: self.point_gets.saturating_sub(earlier.point_gets),
-            blocks_applied: self.blocks_applied.saturating_sub(earlier.blocks_applied),
-            shard_lock_acquisitions: self
-                .shard_lock_acquisitions
-                .saturating_sub(earlier.shard_lock_acquisitions),
-            wal_records: self.wal_records.saturating_sub(earlier.wal_records),
-            wal_fsyncs: self.wal_fsyncs.saturating_sub(earlier.wal_fsyncs),
-            commit_ticket_acquisitions: self
-                .commit_ticket_acquisitions
-                .saturating_sub(earlier.commit_ticket_acquisitions),
-            snapshot_pins: self.snapshot_pins.saturating_sub(earlier.snapshot_pins),
-            snapshot_read_batches: self
-                .snapshot_read_batches
-                .saturating_sub(earlier.snapshot_read_batches),
-            snapshot_read_keys: self
-                .snapshot_read_keys
-                .saturating_sub(earlier.snapshot_read_keys),
-            gc_trimmed_versions: self
-                .gc_trimmed_versions
-                .saturating_sub(earlier.gc_trimmed_versions),
-        }
+        self.inner.cells.snapshot()
     }
 }
 

@@ -20,8 +20,8 @@ pub const CHAIN_FINGERPRINT: &str = "chain_fingerprint";
 /// taken during the run, in order.
 pub const SCHEDULE_DIGEST: &str = "schedule_digest";
 
-/// The run's outcome counters (`fabric_common::TxStats`), serialized as
-/// seven little-endian `u64`s in declaration order.
+/// The run's outcome counters (`fabric_common::TxStats::fields`), one
+/// little-endian `u64` per field in declaration order.
 pub const TX_STATS: &str = "tx_stats";
 
 /// One named replicated artifact: a byte string plus, for the block

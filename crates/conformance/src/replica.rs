@@ -240,13 +240,9 @@ fn run_inner(
     fp.put_bytes(peer.ledger().tip_hash().as_bytes());
 
     let mut st = Encoder::with_capacity(56);
-    st.put_u64(stats.submitted);
-    st.put_u64(stats.valid);
-    st.put_u64(stats.mvcc_conflict);
-    st.put_u64(stats.endorsement_failure);
-    st.put_u64(stats.early_abort_simulation);
-    st.put_u64(stats.early_abort_cycle);
-    st.put_u64(stats.early_abort_version_mismatch);
+    for (_, count) in stats.fields() {
+        st.put_u64(count);
+    }
 
     Ok(ReplicaArtifacts {
         label: spec.label.to_owned(),

@@ -484,7 +484,8 @@ impl OrdererGroup {
             if plan.ordered.is_empty() {
                 stats.record_empty_suppressed();
             } else {
-                stats.record_cut(CutReason::TxCount, batch.len());
+                // The group decides batches its driver cut on demand.
+                stats.record_cut(CutReason::Flush, batch.len());
             }
             stats.record_reorder(plan.reorder_elapsed, &plan.stats);
         }
@@ -885,6 +886,8 @@ mod tests {
         assert!(per.iter().filter(|s| s.blocks > 0).count() >= 2, "leadership rotated");
         assert_eq!(g.stats().snapshot().blocks, 4);
         assert_eq!(g.stats().snapshot().txs_ordered, 12);
+        assert_eq!(g.stats().snapshot().cut_flush, 4);
+        assert_eq!(g.stats().snapshot().cut_tx_count, 0);
     }
 
     #[test]

@@ -126,17 +126,7 @@ impl TelemetrySeries {
     /// this equals [`TelemetrySeries::total`] exactly (the deltas
     /// telescope), which is the soak gate's first invariant.
     pub fn summed_stats(&self) -> TxStats {
-        let mut acc = TxStats::default();
-        for w in &self.windows {
-            acc.submitted += w.stats.submitted;
-            acc.valid += w.stats.valid;
-            acc.mvcc_conflict += w.stats.mvcc_conflict;
-            acc.endorsement_failure += w.stats.endorsement_failure;
-            acc.early_abort_simulation += w.stats.early_abort_simulation;
-            acc.early_abort_cycle += w.stats.early_abort_cycle;
-            acc.early_abort_version_mismatch += w.stats.early_abort_version_mismatch;
-        }
-        acc
+        self.windows.iter().fold(TxStats::default(), |acc, w| acc.merge(&w.stats))
     }
 
     /// Checks the window invariants against the run's final counters:
@@ -216,11 +206,7 @@ struct Sources {
 
 impl Sources {
     fn fold_store(&self) -> StoreStats {
-        let mut acc = StoreStats::default();
-        for s in &self.stores {
-            acc = acc.merge(&s.snapshot());
-        }
-        acc
+        self.stores.iter().fold(StoreStats::default(), |acc, s| acc.merge(&s.snapshot()))
     }
 
     fn fold_store_gauges(&self) -> (u64, u64, u64) {
