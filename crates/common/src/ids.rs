@@ -102,6 +102,12 @@ impl Key {
         Key(bytes.into())
     }
 
+    /// Copies `bytes` into a new key without an intermediate `Vec`: inline
+    /// when it fits, else one shared allocation.
+    pub fn from_slice(bytes: &[u8]) -> Self {
+        Key(Bytes::copy_from_slice(bytes))
+    }
+
     /// Builds the conventional `"<table>:<id>"` composite key used by the
     /// bundled workloads (e.g. `checking:42`).
     pub fn composite(table: &str, id: u64) -> Self {
@@ -176,6 +182,11 @@ impl Value {
     /// Creates a value from anything byte-like.
     pub fn new(bytes: impl Into<Bytes>) -> Self {
         Value(bytes.into())
+    }
+
+    /// Copies `bytes` into a new value, like [`Key::from_slice`].
+    pub fn from_slice(bytes: &[u8]) -> Self {
+        Value(Bytes::copy_from_slice(bytes))
     }
 
     /// Encodes a signed 64-bit integer value (used by the account-balance

@@ -267,14 +267,32 @@ impl RwSetBuilder {
     }
 
     /// Freezes the builder into a canonical (key-sorted) [`ReadWriteSet`].
+    ///
+    /// The frozen set rides in the transaction into every ledger that
+    /// commits it, so each side is held in an exact-size buffer rather than
+    /// the builder's `push`-grown one.
     pub fn build(mut self) -> ReadWriteSet {
         self.reads.sort_by(|a, b| a.key.cmp(&b.key));
         self.writes.sort_by(|a, b| a.key.cmp(&b.key));
         ReadWriteSet {
-            reads: ReadSet { entries: self.reads },
-            writes: WriteSet { entries: self.writes },
+            reads: ReadSet { entries: exact_size(self.reads) },
+            writes: WriteSet { entries: exact_size(self.writes) },
         }
     }
+}
+
+/// `v` in a buffer of exactly `v.len()` slots. Moves the entries into a
+/// fresh allocation instead of shrinking in place: a shrunk buffer leaves
+/// its freed tail as a hole between long-lived neighbours, which a
+/// ledger's worth of transactions turns into heap the process cannot
+/// return.
+fn exact_size<T>(mut v: Vec<T>) -> Vec<T> {
+    if v.capacity() == v.len() {
+        return v;
+    }
+    let mut exact = Vec::with_capacity(v.len());
+    exact.append(&mut v);
+    exact
 }
 
 /// Convenience constructor used pervasively by tests and micro-benchmarks:
@@ -340,7 +358,7 @@ impl Decode for ReadWriteSet {
         }
         let mut reads = Vec::with_capacity(nr);
         for _ in 0..nr {
-            let key = Key::new(dec.get_bytes()?.to_vec());
+            let key = Key::from_slice(dec.get_bytes()?);
             let version = match dec.get_u8()? {
                 0 => None,
                 1 => {
@@ -358,10 +376,10 @@ impl Decode for ReadWriteSet {
         }
         let mut writes = Vec::with_capacity(nw);
         for _ in 0..nw {
-            let key = Key::new(dec.get_bytes()?.to_vec());
+            let key = Key::from_slice(dec.get_bytes()?);
             let value = match dec.get_u8()? {
                 0 => None,
-                1 => Some(Value::new(dec.get_bytes()?.to_vec())),
+                1 => Some(Value::from_slice(dec.get_bytes()?)),
                 t => return Err(Error::Codec(format!("bad value tag {t}"))),
             };
             writes.push(WriteEntry { key, value });
@@ -410,6 +428,24 @@ mod tests {
         assert_eq!(read_keys, ["a", "m", "z"]);
         let write_keys: Vec<_> = rw.writes.keys().map(|k| k.to_string()).collect();
         assert_eq!(write_keys, ["a", "m", "z"]);
+    }
+
+    #[test]
+    fn build_holds_each_side_at_exact_size() {
+        for n in [1usize, 2, 3, 5, 9] {
+            let mut b = RwSetBuilder::new();
+            for i in (0..n).rev() {
+                let key = Key::composite("k", i as u64);
+                // Repeated reads and writes of one key collapse to one entry.
+                b.record_read(key.clone(), Some(Version::new(1, i as u32)));
+                b.record_read(key.clone(), Some(Version::new(2, 0)));
+                b.record_write(key.clone(), Some(v("x")));
+                b.record_write(key, Some(v("y")));
+            }
+            let rw = b.build();
+            assert_eq!((rw.reads.len(), rw.reads.entries.capacity()), (n, n));
+            assert_eq!((rw.writes.len(), rw.writes.entries.capacity()), (n, n));
+        }
     }
 
     #[test]

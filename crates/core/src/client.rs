@@ -51,9 +51,11 @@ pub fn assemble_transaction(
     proposal: &TransactionProposal,
     responses: Vec<EndorsementResponse>,
 ) -> Result<Transaction, String> {
+    // Exact size: the transaction lives on in every ledger that commits it.
+    let mut endorsements: Vec<Endorsement> = Vec::with_capacity(responses.len());
     let mut iter = responses.into_iter();
     let first = iter.next().ok_or_else(|| "no endorsements collected".to_owned())?;
-    let mut endorsements: Vec<Endorsement> = vec![first.endorsement];
+    endorsements.push(first.endorsement);
     for resp in iter {
         if resp.rwset != first.rwset {
             return Err("endorsers returned mismatching read/write sets".to_owned());
@@ -285,6 +287,16 @@ mod tests {
 
         let err = assemble_transaction(&p, vec![response(1), response(2)]).unwrap_err();
         assert!(err.contains("mismatching"));
+    }
+
+    #[test]
+    fn assemble_holds_endorsements_at_exact_size() {
+        for n in 1..=5 {
+            let same = |v| EndorsementResponse { rwset: response(1).rwset, ..response(v) };
+            let tx = assemble_transaction(&proposal(), (1..=n).map(same).collect()).unwrap();
+            assert_eq!(tx.endorsements.len(), n as usize);
+            assert_eq!(tx.endorsements.capacity(), n as usize);
+        }
     }
 
     #[test]

@@ -40,10 +40,10 @@ impl Encode for DiskEntry {
 
 impl Decode for DiskEntry {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        let key = Key::new(dec.get_bytes()?.to_vec());
+        let key = Key::from_slice(dec.get_bytes()?);
         let value = match dec.get_u8()? {
             TAG_TOMBSTONE => None,
-            TAG_PUT => Some(Value::new(dec.get_bytes()?.to_vec())),
+            TAG_PUT => Some(Value::from_slice(dec.get_bytes()?)),
             t => return Err(Error::Codec(format!("bad entry tag {t}"))),
         };
         let block = dec.get_u64()?;

@@ -168,7 +168,7 @@ impl SsTableReader {
         let n = dec.get_u32()? as usize;
         let mut index = Vec::with_capacity(n);
         for _ in 0..n {
-            let key = Key::new(dec.get_bytes()?.to_vec());
+            let key = Key::from_slice(dec.get_bytes()?);
             let off = dec.get_u64()?;
             index.push((key, off));
         }

@@ -74,6 +74,10 @@ pub struct MemStateDb {
 /// Installs one write into a shard map: push the entry at the head of the
 /// key's chain, trim what the floor and retention budget no longer need,
 /// drop chains with nothing left to say. Returns the entries trimmed.
+///
+/// A full chain grows exactly to the slots an unpinned key needs, so an
+/// unpinned key never holds more; only a live pin that keeps older facts
+/// grows it further, by doubling.
 fn install_entry(
     shard: &mut HashMap<Key, Chain>,
     key: &Key,
@@ -82,6 +86,18 @@ fn install_entry(
     retain: usize,
 ) -> u64 {
     let (trimmed, remove) = if let Some(chain) = shard.get_mut(key) {
+        if chain.len() == chain.capacity() {
+            // The facts `trim_chain` keeps plus the incoming one: `retain`
+            // facts, but never fewer than two, because the unpinned floor
+            // trails the committing block by one and the fact at the floor
+            // must stay.
+            let slots = retain.max(2) + 1;
+            if chain.len() < slots {
+                chain.reserve_exact(slots - chain.len());
+            } else {
+                chain.reserve(1);
+            }
+        }
         chain.insert(0, entry);
         let (dropped, dead) = trim_chain(chain, floor, retain);
         (dropped as u64, dead)
@@ -219,6 +235,12 @@ impl MemStateDb {
     /// the key holds no retained facts).
     pub fn version_chain_len(&self, key: &Key) -> usize {
         self.shard_of(key).read().get(key).map_or(0, Vec::len)
+    }
+
+    /// Slots allocated for `key`'s version chain (0 when it has none).
+    #[cfg(test)]
+    fn version_chain_capacity(&self, key: &Key) -> usize {
+        self.shard_of(key).read().get(key).map_or(0, Vec::capacity)
     }
 
     /// Number of live snapshot pins (diagnostics).
@@ -775,6 +797,25 @@ mod tests {
         }
         assert!(db.version_chain_len(&k("a")) <= 2);
         assert!(db.counters().snapshot().gc_trimmed_versions > 0);
+    }
+
+    #[test]
+    fn unpinned_chain_capacity_stays_within_retention_plus_one() {
+        for retained in [2, DEFAULT_RETAINED, 7] {
+            let db = MemStateDb::with_genesis_retained([(k("a"), v(0))], retained);
+            for b in 1..=50u64 {
+                db.apply_block(b, &[CommitWrite::put(k("a"), v(b as i64), 0)]).unwrap();
+                assert!(db.version_chain_capacity(&k("a")) <= retained + 1, "block {b}");
+            }
+            assert_eq!(db.version_chain_len(&k("a")), retained);
+        }
+        // One retained version still keeps the fact at the floor as well.
+        let db = MemStateDb::with_genesis_retained([(k("a"), v(0))], 1);
+        for b in 1..=50u64 {
+            db.apply_block(b, &[CommitWrite::put(k("a"), v(b as i64), 0)]).unwrap();
+        }
+        assert_eq!(db.version_chain_len(&k("a")), 2);
+        assert_eq!(db.version_chain_capacity(&k("a")), 3);
     }
 
     #[test]
