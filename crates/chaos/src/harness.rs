@@ -49,7 +49,7 @@ use fabric_ledger::{Block, FileBlockStore};
 use fabric_net::{FaultHook, LinkId, SendFault};
 use fabric_ordering::{CutReason, OrderingService};
 use fabric_peer::chaincode::{Chaincode, ChaincodeRegistry, SimulationError};
-use fabric_peer::peer::Peer;
+use fabric_peer::peer::{genesis_block, Peer};
 use fabric_peer::validation_pool::ValidationPool;
 use fabric_peer::validator::EndorsementPolicy;
 use fabric_statedb::{LsmConfig, LsmStateDb, MemStateDb, StateStore};
@@ -247,6 +247,8 @@ impl ChaosNet {
             },
         };
 
+        // One genesis block, shared by every peer.
+        let genesis = genesis_block(genesis);
         let mut slots = Vec::new();
         for org in 1..=orgs as u64 {
             for _ in 0..peers_per_org {
@@ -268,7 +270,7 @@ impl ChaosNet {
                     }
                 };
                 let peer = ctx.new_peer(slots.len(), peer_id, OrgId(org), store);
-                peer.install_genesis(genesis)?;
+                peer.install_genesis_block(Arc::clone(&genesis))?;
                 slots.push(Slot {
                     peer: Arc::new(peer),
                     down: false,
@@ -350,7 +352,7 @@ impl ChaosNet {
     /// Enables on-disk block logs under `dir` (required for torn-crash
     /// points): current chains are written out, future commits appended
     /// and synced. Restarting a peer then recovers from its file instead
-    /// of its in-memory ledger.
+    /// of its ledger.
     pub fn persist_blocks(&mut self, dir: impl Into<PathBuf>) -> Result<()> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
@@ -1151,7 +1153,10 @@ mod tests {
     fn every_peer_ledger_shares_one_copy_of_each_block() {
         // Drops (gap healing), duplicates, delay spikes, reorder bursts and
         // a crash healed by restart plus archive catch-up: every path hands
-        // a peer the archive's `Arc`, never a copy of the block.
+        // a peer the archive's `Arc`, never a copy of the block, and every
+        // peer reads back the same chain. Each ledger keeps only its tip in
+        // memory, so the archive's `Arc` of an earlier block outlives every
+        // ledger's hold on it.
         let plan = FaultPlan::chaotic(13).with_crash(2, 3, 2);
         let cfg = PipelineConfig::fabric_pp();
         let mut net =
@@ -1177,12 +1182,39 @@ mod tests {
             assert!(fired, "no {kind} fault fired");
         }
         let peers = net.peers();
-        for n in 1..=net.blocks_cut() {
+        let tip = net.blocks_cut();
+        for n in 0..=tip {
             let first = peers[0].ledger().get(n).unwrap();
+            let ids: Vec<_> = first.block.txs.iter().map(|tx| tx.id).collect();
             for peer in &peers[1..] {
                 let other = peer.ledger().get(n).unwrap();
-                assert!(Arc::ptr_eq(&first.block, &other.block), "block {n} was copied");
+                assert_eq!(other.block.header.hash(), first.block.header.hash(), "block {n}");
+                assert_eq!(other.validity, first.validity, "block {n}");
+                let other_ids: Vec<_> = other.block.txs.iter().map(|tx| tx.id).collect();
+                assert_eq!(other_ids, ids, "block {n}");
             }
+        }
+        // Every ledger's tip is the archive's block itself...
+        let archived_tip = &net.archive[tip as usize - 1];
+        for peer in &peers {
+            let held = peer.ledger().get(tip).unwrap();
+            assert!(Arc::ptr_eq(&held.block, archived_tip), "tip block {tip} was copied");
+        }
+        // ...and every earlier block is spilled: no ledger still holds the
+        // delivered `Arc`, only the archive and any link buffer do.
+        for (i, block) in net.archive[..tip as usize - 1].iter().enumerate() {
+            let buffered: usize = net
+                .slots
+                .iter()
+                .flat_map(|s| s.delayed.iter().chain(&s.burst))
+                .filter(|b| Arc::ptr_eq(b, block))
+                .count();
+            let n = i + 1;
+            assert_eq!(
+                Arc::strong_count(block),
+                1 + buffered,
+                "block {n} still held by a ledger after block {tip} committed everywhere"
+            );
         }
     }
 

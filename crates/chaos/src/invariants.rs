@@ -12,10 +12,11 @@
 //!    the reference peer's ledger is found on every other peer, in the
 //!    same block and with the same validation verdict.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use fabric_common::hash::{Digest, Sha256};
-use fabric_common::Key;
+use fabric_common::{BlockNum, Key, TxId, ValidationCode};
 use fabric_peer::Peer;
 use fabric_statedb::StateStore;
 
@@ -121,11 +122,25 @@ pub fn check_invariants(peers: &[Arc<Peer>]) -> InvariantReport {
 
     // 3. Durability: every committed tx on the reference exists everywhere,
     // in the same block with the same verdict. Heights already match (or
-    // were flagged above), so a symmetric check adds nothing.
+    // were flagged above), so a symmetric check adds nothing. Each peer's
+    // chain is read once into a tx index (first occurrence wins, as in
+    // `Ledger::find_tx`) rather than scanned once per reference tx.
+    let indexes: Vec<HashMap<TxId, (BlockNum, ValidationCode)>> = peers[1..]
+        .iter()
+        .map(|peer| {
+            let mut index = HashMap::new();
+            peer.ledger().for_each(|cb| {
+                for (tx, code) in cb.iter() {
+                    index.entry(tx.id).or_insert((cb.block.header.number, code));
+                }
+            });
+            index
+        })
+        .collect();
     reference.ledger().for_each(|cb| {
         for (tx, code) in cb.block.txs.iter().zip(&cb.validity) {
-            for peer in &peers[1..] {
-                match peer.ledger().find_tx(tx.id) {
+            for (peer, index) in peers[1..].iter().zip(&indexes) {
+                match index.get(&tx.id).copied() {
                     None => violations.push(format!(
                         "peer-{}: committed tx-{} (block {}) lost",
                         peer.id().raw(),

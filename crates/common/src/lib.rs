@@ -23,6 +23,8 @@
 //! * [`bitset`] — the dynamic bit-vectors used by the reordering mechanism's
 //!   conflict detection (paper §5.1.1 step 1).
 //! * [`codec`] — minimal length-prefixed binary encoding helpers.
+//! * [`crc`] — the slicing-by-8 CRC-32 (IEEE) that frames WAL records,
+//!   SSTable footers and ledger block frames.
 //! * [`intern`] — dense `u32` key interning shared by the ordering-phase
 //!   early abort and the reorderer's conflict-graph build.
 //! * [`metrics`] — atomic throughput counters and a latency recorder that
@@ -42,6 +44,7 @@
 
 pub mod bitset;
 pub mod codec;
+pub mod crc;
 pub mod config;
 pub mod crypto;
 pub mod error;
@@ -55,6 +58,7 @@ pub mod rwset;
 pub mod tx;
 
 pub use bitset::BitSet;
+pub use crc::crc32;
 pub use config::{
     default_validation_workers, BlockCuttingConfig, ConcurrencyMode, CostModel,
     OrderingPolicy, PipelineConfig,

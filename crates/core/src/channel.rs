@@ -121,7 +121,7 @@ impl PeerContext {
     /// [`fabric_peer::recovery`] with full flag re-checking — from its
     /// on-disk block log when `log` is given (a torn tail is truncated
     /// off, so the file can be appended to again), from the dead
-    /// incarnation's in-memory ledger otherwise — and wires it exactly like
+    /// incarnation's ledger otherwise — and wires it exactly like
     /// [`PeerContext::new_peer`]. The caller catches it up. The chaos
     /// harness is the one caller: the threaded runtime never crashes a
     /// peer.

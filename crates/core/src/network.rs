@@ -13,7 +13,7 @@ use fabric_common::{
 use fabric_net::{LatencyModel, NetStats};
 use fabric_ordering::{OrdererStats, OrdererStatsSnapshot};
 use fabric_peer::chaincode::{Chaincode, ChaincodeRegistry};
-use fabric_peer::peer::Peer;
+use fabric_peer::peer::{genesis_block, Peer};
 use fabric_peer::validation_pool::ValidationPool;
 use fabric_peer::validator::EndorsementPolicy;
 use fabric_statedb::{LsmConfig, LsmStateDb, MemStateDb, StateStore};
@@ -215,6 +215,8 @@ impl NetworkBuilder {
         let mut reporting_stores = Vec::with_capacity(self.channels);
         let mut next_peer_id = 1u64;
         for ch in 0..self.channels {
+            // One genesis block per channel, shared by all of its peers.
+            let genesis = genesis_block(&self.genesis);
             let mut peers = Vec::new();
             for org in 1..=self.orgs as u64 {
                 for _ in 0..self.peers_per_org {
@@ -232,7 +234,7 @@ impl NetworkBuilder {
                     if peers.is_empty() {
                         reporting_stores.push(peer.store().counters());
                     }
-                    peer.install_genesis(&self.genesis)?;
+                    peer.install_genesis_block(Arc::clone(&genesis))?;
                     peers.push(Arc::new(peer));
                 }
             }

@@ -103,12 +103,29 @@ fn channels_are_isolated() {
     );
 }
 
+/// Waits until every peer's ledger stands at one common height of at
+/// least `min`, and returns it.
+fn await_level(peers: &[Arc<fabric_peer::Peer>], min: u64) -> u64 {
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    loop {
+        let h = peers[0].ledger().height();
+        if h >= min && peers.iter().all(|p| p.ledger().height() == h) {
+            return h;
+        }
+        assert!(std::time::Instant::now() < deadline, "peers not level at height {min}+");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn every_peer_ledger_shares_one_copy_of_each_block() {
     // The orderer seals each block into one `Arc`: the direct and gossip
-    // links and every peer's ledger hold that one allocation. Under LAN
-    // latency the gossip peers get each block a jittered second hop later;
-    // their FIFO links must still hand over every block once, in order.
+    // links and every peer's ledger tip hold that one allocation. Once the
+    // next block commits everywhere, each ledger has spilled it to its
+    // block file and dropped it, so no ledger keeps the delivered block
+    // alive. Under LAN latency the gossip peers get each block a jittered
+    // second hop later; their FIFO links must still hand over every block
+    // once, in order.
     for latency in [LatencyModel::zero(), LatencyModel::lan()] {
         let net = fast_builder()
             .peers_per_org(2)
@@ -117,25 +134,51 @@ fn every_peer_ledger_shares_one_copy_of_each_block() {
             .build()
             .unwrap();
         let client = net.client(0);
-        for i in 0..12u64 {
-            client.submit("count", Key::composite("k", i).as_bytes().to_vec());
+        let peers = net.channel_peers(0);
+        let mut delivered: Vec<(u64, std::sync::Weak<fabric_ledger::Block>)> = Vec::new();
+        for round in 0..3u64 {
+            for i in 0..4u64 {
+                client.submit("count", Key::composite("k", round * 4 + i).as_bytes().to_vec());
+            }
+            // Each round cuts at least one block past the last tip seen.
+            let min = delivered.last().map_or(1, |(n, _)| n + 1) + 1;
+            let tip = await_level(&peers, min) - 1;
+            let first = peers[0].ledger().get(tip).unwrap();
+            for peer in &peers[1..] {
+                let other = peer.ledger().get(tip).unwrap();
+                assert!(
+                    Arc::ptr_eq(&first.block, &other.block),
+                    "{latency:?}: tip block {tip} was copied"
+                );
+            }
+            for (n, block) in &delivered {
+                assert!(
+                    block.upgrade().is_none(),
+                    "{latency:?}: block {n} still held after block {tip} committed everywhere"
+                );
+            }
+            delivered.push((tip, Arc::downgrade(&first.block)));
         }
         drop(client);
-        let peers = net.channel_peers(0);
         let height = net.finish().block_heights[0];
         assert!(height >= 4, "{latency:?}: 12 txs at BS=4 cut at least three blocks");
         for peer in &peers[1..] {
             assert_eq!(peer.ledger().height(), height, "{latency:?}: peer behind peer 0");
             assert_eq!(peer.ledger().tip_hash(), peers[0].ledger().tip_hash(), "{latency:?}");
         }
-        for n in 1..height {
+        for n in 0..height {
             let first = peers[0].ledger().get(n).unwrap();
+            let ids: Vec<_> = first.block.txs.iter().map(|tx| tx.id).collect();
             for peer in &peers[1..] {
                 let other = peer.ledger().get(n).unwrap();
-                assert!(
-                    Arc::ptr_eq(&first.block, &other.block),
-                    "{latency:?}: block {n} was copied"
+                assert_eq!(
+                    other.block.header.hash(),
+                    first.block.header.hash(),
+                    "{latency:?}: block {n}"
                 );
+                assert_eq!(other.validity, first.validity, "{latency:?}: block {n}");
+                let other_ids: Vec<_> = other.block.txs.iter().map(|tx| tx.id).collect();
+                assert_eq!(other_ids, ids, "{latency:?}: block {n}");
             }
         }
     }

@@ -1,7 +1,8 @@
 //! Append-only on-disk block log.
 //!
-//! Frame layout per committed block: `[u32 len][u32 crc32(payload)][payload]`
-//! with the payload being the [`CommittedBlock`] storage encoding. Loading
+//! One frame per committed block, in the format the ledger's own block
+//! file uses (`[u32 len][u32 crc32(payload)][payload]`, payload = the
+//! [`CommittedBlock`] storage encoding; see `frame.rs`). Loading
 //! verifies every crc and rejects torn or corrupt frames (unlike the WAL, a
 //! block log is only written after commit, so a torn tail indicates data
 //! loss and is reported, not skipped).
@@ -10,37 +11,11 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
-use fabric_common::codec::{Decode, Decoder, Encode, Encoder};
 use fabric_common::{Error, Result};
 
 use crate::block::CommittedBlock;
+use crate::frame::{self, Frame};
 use crate::ledger::Ledger;
-
-// CRC-32 (IEEE), same implementation strategy as the statedb WAL; duplicated
-// here because fabric-ledger must not depend on fabric-statedb.
-fn crc32(data: &[u8]) -> u32 {
-    const fn table() -> [u32; 256] {
-        let mut t = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut j = 0;
-            while j < 8 {
-                c = if c & 1 == 1 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-                j += 1;
-            }
-            t[i] = c;
-            i += 1;
-        }
-        t
-    }
-    static TABLE: [u32; 256] = table();
-    let mut state = 0xFFFF_FFFFu32;
-    for &b in data {
-        state = (state >> 8) ^ TABLE[((state ^ u32::from(b)) & 0xFF) as usize];
-    }
-    state ^ 0xFFFF_FFFF
-}
 
 /// Append-only block log on disk.
 pub struct FileBlockStore {
@@ -61,12 +36,7 @@ impl FileBlockStore {
 
     /// Appends one committed block and flushes it to the OS.
     pub fn append(&mut self, cb: &CommittedBlock) -> Result<()> {
-        let payload = cb.encode_to_vec();
-        let mut frame = Encoder::with_capacity(8);
-        frame.put_u32(payload.len() as u32);
-        frame.put_u32(crc32(&payload));
-        self.file.write_all(frame.as_slice())?;
-        self.file.write_all(&payload)?;
+        self.file.write_all(&frame::encode(cb))?;
         self.file.flush()?;
         Ok(())
     }
@@ -96,37 +66,20 @@ impl FileBlockStore {
         let mut blocks = Vec::new();
         let mut pos = 0usize;
         while pos < buf.len() {
-            if pos + 8 > buf.len() {
-                return Err(Error::Corruption(format!(
-                    "block log {}: torn frame header at offset {pos}",
-                    path.display()
-                )));
+            let corrupt = |what: &str| {
+                Error::Corruption(format!("block log {}: {what} at offset {pos}", path.display()))
+            };
+            let frame = Frame::split(&buf[pos..]).ok_or_else(|| corrupt("torn frame"))?;
+            if !frame.crc_ok() {
+                return Err(corrupt("crc mismatch"));
             }
-            let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-            let expect = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
-            let start = pos + 8;
-            if start + len > buf.len() {
-                return Err(Error::Corruption(format!(
-                    "block log {}: torn payload at offset {pos}",
-                    path.display()
-                )));
-            }
-            let payload = &buf[start..start + len];
-            if crc32(payload) != expect {
-                return Err(Error::Corruption(format!(
-                    "block log {}: crc mismatch at offset {pos}",
-                    path.display()
-                )));
-            }
-            let mut dec = Decoder::new(payload);
-            blocks.push(CommittedBlock::decode(&mut dec)?);
-            dec.finish()?;
-            pos = start + len;
+            blocks.push(frame.decode()?);
+            pos += frame.len();
         }
         Ok(blocks)
     }
 
-    /// Rebuilds an in-memory [`Ledger`] from the log at `path`, re-verifying
+    /// Rebuilds a [`Ledger`] from the log at `path`, re-verifying
     /// all chain linkage along the way.
     pub fn load_into_ledger(path: &Path) -> Result<Ledger> {
         let ledger = Ledger::new();
@@ -154,20 +107,12 @@ impl FileBlockStore {
         }
         let mut blocks = Vec::new();
         let mut pos = 0usize;
-        let mut clean = 0usize;
         while pos < buf.len() {
-            if pos + 8 > buf.len() {
-                break; // torn header at the tail
-            }
-            let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-            let expect = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
-            let start = pos + 8;
-            if start + len > buf.len() {
-                break; // torn payload at the tail
-            }
-            let payload = &buf[start..start + len];
-            if crc32(payload) != expect {
-                if start + len == buf.len() {
+            let Some(frame) = Frame::split(&buf[pos..]) else {
+                break; // torn header or payload at the tail
+            };
+            if !frame.crc_ok() {
+                if pos + frame.len() == buf.len() {
                     break; // corrupt final frame: crash artefact
                 }
                 return Err(Error::Corruption(format!(
@@ -175,16 +120,13 @@ impl FileBlockStore {
                     path.display()
                 )));
             }
-            let mut dec = Decoder::new(payload);
-            blocks.push(CommittedBlock::decode(&mut dec)?);
-            dec.finish()?;
-            pos = start + len;
-            clean = pos;
+            blocks.push(frame.decode()?);
+            pos += frame.len();
         }
-        let truncated_bytes = (buf.len() - clean) as u64;
+        let truncated_bytes = (buf.len() - pos) as u64;
         if truncated_bytes > 0 {
             let f = OpenOptions::new().write(true).open(path)?;
-            f.set_len(clean as u64)?;
+            f.set_len(pos as u64)?;
             f.sync_data()?;
         }
         Ok(RecoveredLog { blocks, truncated_bytes })

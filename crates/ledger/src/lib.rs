@@ -9,16 +9,19 @@
 //! * [`block`] — block headers (number, previous-hash, data-hash), ordered
 //!   blocks as emitted by the ordering service, and committed blocks
 //!   carrying per-transaction validation flags.
-//! * [`ledger`] — the in-memory chain with linkage verification on append
-//!   and full-chain auditing.
-//! * [`filestore`] — an append-only, crc-framed on-disk block log so a peer
-//!   can persist and recover its chain.
+//! * [`ledger`] — the peer's block file: linkage verification on append,
+//!   the tip block and a per-block index in memory, every earlier block in
+//!   an unlinked temp file of crc-framed blocks read back on demand, and
+//!   full-chain auditing.
+//! * [`filestore`] — an append-only on-disk block log at a named path, in
+//!   the same frame format, so a peer can persist and recover its chain.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod block;
 pub mod filestore;
+mod frame;
 pub mod ledger;
 
 pub use block::{Block, BlockHeader, CommittedBlock};

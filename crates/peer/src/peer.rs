@@ -222,7 +222,8 @@ impl Peer {
     /// Installs the genesis block: `initial` key/values become state block
     /// 0 and a block 0 carrying them as a bootstrap transaction anchors the
     /// ledger chain. Must be called exactly once, before any transaction
-    /// block.
+    /// block. Builds the block ([`genesis_block`]) and installs it through
+    /// [`Peer::install_genesis_block`].
     ///
     /// The initial writes ride *inside* the genesis block (see
     /// [`genesis_transaction`]) so that the current state is a pure
@@ -232,14 +233,28 @@ impl Peer {
         &self,
         initial: &[(fabric_common::Key, fabric_common::Value)],
     ) -> Result<()> {
-        let writes: Vec<CommitWrite> = initial
+        self.install_genesis_block(genesis_block(initial))
+    }
+
+    /// Installs an already built genesis block: its bootstrap writes become
+    /// state block 0 and the block anchors the ledger chain. A network
+    /// builds one block per channel and hands every peer the same `Arc`.
+    pub fn install_genesis_block(&self, genesis: Arc<Block>) -> Result<()> {
+        let writes: Vec<CommitWrite> = genesis
+            .txs
             .iter()
-            .map(|(k, v)| CommitWrite::put(k.clone(), v.clone(), 0))
+            .enumerate()
+            .flat_map(|(tx_num, tx)| {
+                tx.rwset.writes.entries().iter().map(move |e| CommitWrite {
+                    key: e.key.clone(),
+                    value: e.value.clone(),
+                    tx: tx_num as fabric_common::TxNum,
+                })
+            })
             .collect();
         self.store.apply_block(0, &writes)?;
-        let genesis =
-            Block::build(0, fabric_common::Digest::ZERO, vec![genesis_transaction(initial)]);
-        self.ledger.append(CommittedBlock::new(genesis, vec![ValidationCode::Valid])?)?;
+        let codes = vec![ValidationCode::Valid; genesis.txs.len()];
+        self.ledger.append(CommittedBlock::new(genesis, codes)?)?;
         Ok(())
     }
 
@@ -402,6 +417,12 @@ impl PendingBlock {
     pub fn number(&self) -> u64 {
         self.block.header.number
     }
+}
+
+/// Block 0 of a channel bootstrapped with `initial`: one
+/// [`genesis_transaction`], linked to [`fabric_common::Digest::ZERO`].
+pub fn genesis_block(initial: &[(fabric_common::Key, fabric_common::Value)]) -> Arc<Block> {
+    Arc::new(Block::build(0, fabric_common::Digest::ZERO, vec![genesis_transaction(initial)]))
 }
 
 /// The bootstrap transaction carried by the genesis block: a pure

@@ -16,7 +16,6 @@
 //!                                          full merge compaction
 //! ```
 //!
-//! * [`crc`] — CRC-32 (IEEE 802.3) integrity checksums.
 //! * [`record`] — the shared on-disk entry encoding (key, tombstone tag,
 //!   value, version) used by both the WAL and the SSTables. The version is
 //!   first-class on disk: the state database must return `(value, version)`
@@ -30,7 +29,6 @@
 //!   [`crate::StateStore`], recovers from crashes on reopen.
 
 pub mod bloom;
-pub mod crc;
 pub mod engine;
 pub mod memtable;
 pub mod record;

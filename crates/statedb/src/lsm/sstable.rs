@@ -29,7 +29,7 @@ use fabric_common::codec::{Decode, Decoder, Encode, Encoder};
 use fabric_common::{Error, Key, Result};
 
 use super::bloom::BloomFilter;
-use super::crc::crc32;
+use fabric_common::crc32;
 use super::record::DiskEntry;
 
 #[allow(clippy::unusual_byte_groupings)] // grouped to read "fabric code sstable"

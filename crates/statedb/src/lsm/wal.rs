@@ -15,7 +15,7 @@ use std::sync::Arc;
 use fabric_common::codec::{Decode, Decoder, Encode, Encoder};
 use fabric_common::{BlockNum, Error, Result};
 
-use super::crc::crc32;
+use fabric_common::crc32;
 use super::record::DiskEntry;
 
 /// Injected outcome for one WAL append — the chaos subsystem's seam for

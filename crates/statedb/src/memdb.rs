@@ -77,7 +77,8 @@ pub struct MemStateDb {
 ///
 /// A full chain grows exactly to the slots an unpinned key needs, so an
 /// unpinned key never holds more; only a live pin that keeps older facts
-/// grows it further, by doubling.
+/// grows it further, by doubling, and `trim_chain` gives that back once
+/// the pin is gone.
 fn install_entry(
     shard: &mut HashMap<Key, Chain>,
     key: &Key,
@@ -87,11 +88,7 @@ fn install_entry(
 ) -> u64 {
     let (trimmed, remove) = if let Some(chain) = shard.get_mut(key) {
         if chain.len() == chain.capacity() {
-            // The facts `trim_chain` keeps plus the incoming one: `retain`
-            // facts, but never fewer than two, because the unpinned floor
-            // trails the committing block by one and the fact at the floor
-            // must stay.
-            let slots = retain.max(2) + 1;
+            let slots = unpinned_slots(retain);
             if chain.len() < slots {
                 chain.reserve_exact(slots - chain.len());
             } else {
@@ -157,7 +154,26 @@ fn trim_chain(chain: &mut Chain, floor: BlockNum, retain: usize) -> (usize, bool
     };
     let dropped = chain.len() - keep;
     chain.truncate(keep);
+    // Give back what a pin grew: once the chain fits the unpinned budget
+    // with room for the next fact, it needs no more than that budget. A
+    // chain still at the budget keeps its slack, so a short pin does not
+    // make every commit reallocate. Copied into a fresh buffer rather than
+    // shrunk in place, like every long-lived buffer (DESIGN §6).
+    let slots = unpinned_slots(retain);
+    if keep < slots && chain.capacity() > slots {
+        let mut exact = Vec::with_capacity(slots);
+        exact.append(chain);
+        *chain = exact;
+    }
     (dropped, false)
+}
+
+/// Slots an unpinned chain needs: the facts `trim_chain` keeps plus the
+/// incoming one — `retain` facts, but never fewer than two, because the
+/// unpinned floor trails the committing block by one and the fact at the
+/// floor must stay.
+fn unpinned_slots(retain: usize) -> usize {
+    retain.max(2) + 1
 }
 
 /// Resolves a chain into a [`SnapshotGet`] at `height`: the newest
@@ -836,6 +852,25 @@ mod tests {
         assert!(trimmed > 0);
         assert_eq!(db.version_chain_len(&k("a")), 1);
         assert_eq!(db.get(&k("a")).unwrap().unwrap().value, v(19));
+    }
+
+    #[test]
+    fn pin_grown_chain_gives_back_its_capacity_when_trimmed() {
+        // Retention 1: an unpinned chain needs max(1, 2) + 1 = 3 slots.
+        let db = MemStateDb::with_genesis_retained([(k("a"), v(0))], 1);
+        let snap = db.pin_snapshot();
+        for b in 1..20u64 {
+            db.apply_block(b, &[CommitWrite::put(k("a"), v(b as i64), 0)]).unwrap();
+        }
+        assert!(db.version_chain_capacity(&k("a")) >= 20, "the pin grew the chain");
+        drop(snap);
+        db.collect_garbage().unwrap();
+        assert!(db.version_chain_capacity(&k("a")) <= 3, "GC keeps the pinned-era capacity");
+        for b in 20..40u64 {
+            db.apply_block(b, &[CommitWrite::put(k("a"), v(b as i64), 0)]).unwrap();
+            assert!(db.version_chain_capacity(&k("a")) <= 3, "block {b}");
+        }
+        assert_eq!(db.get(&k("a")).unwrap().unwrap().value, v(39));
     }
 
     #[test]
