@@ -20,10 +20,10 @@
 //!
 //! Scheduled faults from the plan are orchestrated here too: crash points
 //! kill a peer right before their block is cut (optionally tearing its
-//! on-disk block log mid-append) and restart it — through
-//! [`fabric_peer::recovery`] plus archive catch-up — a configured number
-//! of blocks later. Peers are built through the same [`PeerContext`] as
-//! the threaded runtime's and rebuilt through
+//! block file mid-append, see [`ChaosOptions::block_dir`]) and restart it
+//! — through [`fabric_peer::recovery`] plus archive catch-up — a
+//! configured number of blocks later. Peers are built through the same
+//! [`PeerContext`] as the threaded runtime's and rebuilt through
 //! [`PeerContext::restore_peer`].
 //!
 //! Because every step is driven by a plain method call on one thread, a
@@ -36,7 +36,7 @@
 //! harness verifies this byte-for-byte. Ordering always runs on the
 //! calling thread.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use fabric_common::{
@@ -45,7 +45,8 @@ use fabric_common::{
     TxCounters, TxId, TxStats, ValidationCode, Value,
 };
 use fabric_consensus::{GroupConfig, OrdererGroup};
-use fabric_ledger::{Block, FileBlockStore};
+use fabric_ledger::ledger::tear_block_file;
+use fabric_ledger::{Block, Ledger};
 use fabric_net::{FaultHook, LinkId, SendFault};
 use fabric_ordering::{CutReason, OrderingService};
 use fabric_peer::chaincode::{Chaincode, ChaincodeRegistry, SimulationError};
@@ -85,7 +86,6 @@ struct Slot {
     burst: Vec<Arc<Block>>,
     /// Deliveries still to absorb before the burst flushes in reverse.
     burst_remaining: u32,
-    log: Option<FileBlockStore>,
 }
 
 /// The ordering side of a [`ChaosNet`]: either the classic single
@@ -141,6 +141,14 @@ pub struct ChaosOptions {
     /// `fabric-telemetry`). Observation only, like `sink`: a run with
     /// telemetry enabled is byte-identical to one without.
     pub telemetry: Option<TelemetryConfig>,
+    /// `Some(dir)`: every peer's ledger is durable, opened at
+    /// `dir/peer-<id>.blocks` when the peer is built (a fresh net needs
+    /// no file there, or an empty one); each commit is written and
+    /// fsynced to it, and a restarted peer recovers by reopening it,
+    /// truncating a torn tail. Required by a plan whose crash points tear
+    /// bytes off that file. `None`: anonymous ledgers, and a restarted
+    /// peer recovers from its crashed incarnation's ledger.
+    pub block_dir: Option<PathBuf>,
 }
 
 impl Default for ChaosOptions {
@@ -151,6 +159,7 @@ impl Default for ChaosOptions {
             engine: StateEngine::Memory,
             retained_versions: None,
             telemetry: None,
+            block_dir: None,
         }
     }
 }
@@ -173,7 +182,7 @@ pub struct ChaosNet {
     ctx: PeerContext,
     channel: ChannelId,
     orgs: usize,
-    block_log_dir: Option<PathBuf>,
+    block_dir: Option<PathBuf>,
 }
 
 impl ChaosNet {
@@ -206,10 +215,17 @@ impl ChaosNet {
         plan: FaultPlan,
         opts: ChaosOptions,
     ) -> Result<Self> {
-        let ChaosOptions { replicas, sink, engine, retained_versions, telemetry } = opts;
+        let ChaosOptions { replicas, sink, engine, retained_versions, telemetry, block_dir } =
+            opts;
         config.validate()?;
         if orgs == 0 || peers_per_org == 0 {
             return Err(Error::Config("need at least one org and one peer".into()));
+        }
+        if block_dir.is_none() && plan.crashes.iter().any(|c| c.tear_bytes > 0) {
+            return Err(Error::Config("a torn crash point needs a block_dir".into()));
+        }
+        if let Some(dir) = &block_dir {
+            std::fs::create_dir_all(dir)?;
         }
         let injector = FaultInjector::new_traced(plan, sink.clone())?;
         let mut cc_registry = ChaincodeRegistry::new();
@@ -269,7 +285,11 @@ impl ChaosNet {
                         Arc::new(LsmStateDb::open(peer_dir, cfg)?)
                     }
                 };
-                let peer = ctx.new_peer(slots.len(), peer_id, OrgId(org), store);
+                let ledger = match &block_dir {
+                    Some(dir) => Arc::new(Ledger::open(Self::ledger_path(dir, peer_id))?.0),
+                    None => Arc::default(),
+                };
+                let peer = ctx.new_peer(slots.len(), peer_id, OrgId(org), store, ledger);
                 peer.install_genesis_block(Arc::clone(&genesis))?;
                 slots.push(Slot {
                     peer: Arc::new(peer),
@@ -277,7 +297,6 @@ impl ChaosNet {
                     delayed: Vec::new(),
                     burst: Vec::new(),
                     burst_remaining: 0,
-                    log: None,
                 });
             }
         }
@@ -323,7 +342,7 @@ impl ChaosNet {
             ctx,
             channel: ChannelId(0),
             orgs,
-            block_log_dir: None,
+            block_dir,
         })
     }
 
@@ -349,28 +368,7 @@ impl ChaosNet {
         }
     }
 
-    /// Enables on-disk block logs under `dir` (required for torn-crash
-    /// points): current chains are written out, future commits appended
-    /// and synced. Restarting a peer then recovers from its file instead
-    /// of its ledger.
-    pub fn persist_blocks(&mut self, dir: impl Into<PathBuf>) -> Result<()> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        for slot in &mut self.slots {
-            let mut log = FileBlockStore::open(Self::log_path(&dir, slot.peer.id()))?;
-            let mut blocks = Vec::new();
-            slot.peer.ledger().for_each(|cb| blocks.push(cb.clone()));
-            for cb in &blocks {
-                log.append(cb)?;
-            }
-            log.sync()?;
-            slot.log = Some(log);
-        }
-        self.block_log_dir = Some(dir);
-        Ok(())
-    }
-
-    fn log_path(dir: &std::path::Path, id: PeerId) -> PathBuf {
+    fn ledger_path(dir: &Path, id: PeerId) -> PathBuf {
         dir.join(format!("peer-{}.blocks", id.raw()))
     }
 
@@ -614,17 +612,7 @@ impl ChaosNet {
             self.catch_up(idx)?;
             return Ok(());
         }
-        self.commit(idx, block)
-    }
-
-    /// Processes `block` on peer `idx` and appends it to the peer's block
-    /// log, if it keeps one.
-    fn commit(&mut self, idx: usize, block: Arc<Block>) -> Result<()> {
-        let committed = self.slots[idx].peer.process_block(block)?;
-        if let Some(log) = &mut self.slots[idx].log {
-            log.append(&committed)?;
-            log.sync()?;
-        }
+        self.slots[idx].peer.process_block(block)?;
         Ok(())
     }
 
@@ -636,15 +624,14 @@ impl ChaosNet {
             let Some(block) = self.archive.get(next - 1).map(Arc::clone) else {
                 return Ok(applied);
             };
-            self.commit(idx, block)?;
+            self.slots[idx].peer.process_block(block)?;
             applied += 1;
         }
     }
 
-    /// Crashes peer `idx`: it stops receiving blocks, in-flight
-    /// deliveries (delayed blocks, open bursts) are lost with the process,
-    /// and its log handle is dropped (the file itself survives, like a
-    /// disk).
+    /// Crashes peer `idx`: it stops receiving blocks, and in-flight
+    /// deliveries (delayed blocks, open bursts) are lost with the process.
+    /// Its block file, if it keeps one, survives like a disk.
     pub fn crash(&mut self, idx: usize) -> Result<()> {
         let slot = &mut self.slots[idx];
         if slot.down {
@@ -654,45 +641,42 @@ impl ChaosNet {
         slot.delayed.clear();
         slot.burst.clear();
         slot.burst_remaining = 0;
-        slot.log = None;
         Ok(())
     }
 
-    /// Tears `bytes` off the tail of a crashed peer's on-disk block log,
+    /// Tears `bytes` off the tail of a crashed peer's block file,
     /// simulating a crash that tore the last append mid-write (requires
-    /// [`ChaosNet::persist_blocks`]).
+    /// [`ChaosOptions::block_dir`]).
     pub fn tear_block_log(&mut self, idx: usize, bytes: u64) -> Result<()> {
         if !self.slots[idx].down {
             return Err(Error::Config("tear_block_log requires a crashed peer".into()));
         }
         let dir = self
-            .block_log_dir
-            .clone()
-            .ok_or_else(|| Error::Config("block logs are not enabled".into()))?;
-        let path = Self::log_path(&dir, self.slots[idx].peer.id());
-        let len = std::fs::metadata(&path)?.len();
-        let f = std::fs::OpenOptions::new().write(true).open(&path)?;
-        f.set_len(len.saturating_sub(bytes))?;
-        f.sync_data()?;
-        Ok(())
+            .block_dir
+            .as_ref()
+            .ok_or_else(|| Error::Config("block files are not enabled".into()))?;
+        tear_block_file(&Self::ledger_path(dir, self.slots[idx].peer.id()), bytes)
     }
 
-    /// Restarts a crashed peer through [`PeerContext::restore_peer`] (its
-    /// on-disk log if persisted, tolerating torn tails; its in-memory
-    /// ledger otherwise) plus archive catch-up. Returns the number of
-    /// blocks caught up.
+    /// Restarts a crashed peer through [`PeerContext::restore_peer`] plus
+    /// archive catch-up, and returns the number of blocks caught up. The
+    /// peer recovers from its block file when it keeps one (reopened,
+    /// which truncates a torn tail and fails on any other bad frame), and
+    /// otherwise from its crashed incarnation's own ledger, shared after
+    /// a full audit.
     pub fn restart(&mut self, idx: usize) -> Result<u64> {
         if !self.slots[idx].down {
             return Err(Error::Config("restart requires a crashed peer".into()));
         }
         let old = Arc::clone(&self.slots[idx].peer);
-        let log = self.block_log_dir.as_ref().map(|dir| Self::log_path(dir, old.id()));
-        self.slots[idx].peer = Arc::new(self.ctx.restore_peer(idx, &old, log.as_deref())?);
-        if let Some(path) = log {
-            // Recovery truncated any torn tail, so the file is clean up to
-            // the recovered height and safe to append to.
-            self.slots[idx].log = Some(FileBlockStore::open(&path)?);
-        }
+        let ledger = match &self.block_dir {
+            Some(dir) => Arc::new(Ledger::open(Self::ledger_path(dir, old.id()))?.0),
+            None => {
+                old.ledger().verify_chain()?;
+                Arc::clone(old.ledger())
+            }
+        };
+        self.slots[idx].peer = Arc::new(self.ctx.restore_peer(idx, &old, ledger)?);
         self.slots[idx].down = false;
         self.catch_up(idx)
     }
@@ -812,6 +796,18 @@ mod tests {
         let cc = vec![transfer_chaincode()];
         ChaosNet::new(&cfg, orgs, per_org, cc, &genesis(accounts), FaultPlan::quiescent(0))
             .unwrap()
+    }
+
+    /// A 2 × 2 net like [`quiet`] whose ledgers are block files under a
+    /// fresh directory, which is returned with it.
+    fn on_disk(cfg: PipelineConfig, plan: FaultPlan, accounts: u64, tag: &str) -> (ChaosNet, PathBuf) {
+        let dir = std::env::temp_dir()
+            .join(format!("fabric-chaosnet-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = ChaosOptions { block_dir: Some(dir.clone()), ..ChaosOptions::default() };
+        let cc = vec![transfer_chaincode()];
+        let net = ChaosNet::with_options(&cfg, 2, 2, cc, &genesis(accounts), plan, opts).unwrap();
+        (net, dir)
     }
 
     /// Cuts a block and reads it back from the ledger of peer slot `idx`.
@@ -997,17 +993,14 @@ mod tests {
 
     #[test]
     fn crash_with_torn_block_log_recovers_and_converges() {
-        let dir = std::env::temp_dir()
-            .join(format!("fabric-chaosnet-manual-torn-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut net = quiet(PipelineConfig::vanilla(), 2, 2, 6);
-        net.persist_blocks(&dir).unwrap();
+        let plan = FaultPlan::quiescent(0);
+        let (mut net, dir) = on_disk(PipelineConfig::vanilla(), plan, 6, "manual-torn");
         net.propose_and_submit(0, "transfer", args(0, 1, 10)).unwrap();
         net.cut_block().unwrap();
         net.propose_and_submit(1, "transfer", args(2, 3, 5)).unwrap();
         net.cut_block().unwrap();
 
-        // Crash peer 3 and tear the tail of its block log, as if the
+        // Crash peer 3 and tear the tail of its block file, as if the
         // process died mid-append of block 2.
         assert!(net.tear_block_log(3, 9).is_err(), "only a crashed peer's log tears");
         net.crash(3).unwrap();
@@ -1020,7 +1013,7 @@ mod tests {
         assert_eq!(net.restart(3).unwrap(), 2);
         assert_level(&net, 3, 6);
 
-        // The re-synced on-disk log now loads cleanly at full height.
+        // The re-synced block file now reopens cleanly at full height.
         net.crash(3).unwrap();
         assert_eq!(net.restart(3).unwrap(), 0, "no catch-up needed after a clean crash");
         assert_level(&net, 3, 6);
@@ -1108,22 +1101,58 @@ mod tests {
 
     #[test]
     fn torn_crash_recovers_from_disk() {
-        let dir = std::env::temp_dir()
-            .join(format!("fabric-chaosnet-torn-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
         let plan = FaultPlan::quiescent(4).with_torn_crash(3, 2, 1, 9);
-        let mut net = ChaosNet::new(
-            &PipelineConfig::vanilla(),
-            2,
-            2,
-            vec![transfer_chaincode()],
-            &genesis(8),
-            plan,
-        )
-        .unwrap();
-        net.persist_blocks(&dir).unwrap();
+        let (mut net, dir) = on_disk(PipelineConfig::vanilla(), plan, 8, "torn");
         run_workload(&mut net, 4, 8);
         net.check().unwrap().assert_ok();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn torn_crash_plan_without_block_dir_is_rejected_up_front() {
+        let plan = FaultPlan::quiescent(4).with_torn_crash(3, 2, 1, 9);
+        let cc = vec![transfer_chaincode()];
+        match ChaosNet::new(&PipelineConfig::vanilla(), 2, 2, cc, &genesis(8), plan) {
+            Err(Error::Config(msg)) => assert!(msg.contains("block_dir"), "{msg}"),
+            Err(e) => panic!("expected a config error, got {e}"),
+            Ok(_) => panic!("a torn crash point without a block file was accepted"),
+        }
+    }
+
+    #[test]
+    fn bad_frame_in_a_block_file_fails_restart_unless_it_is_the_tail() {
+        let plan = FaultPlan::quiescent(0);
+        let (mut net, dir) = on_disk(PipelineConfig::vanilla(), plan, 6, "corrupt");
+        net.propose_and_submit(0, "transfer", args(0, 1, 10)).unwrap();
+        net.cut_block().unwrap();
+        net.propose_and_submit(1, "transfer", args(2, 3, 5)).unwrap();
+        net.cut_block().unwrap();
+        net.crash(3).unwrap();
+        let path = dir.join("peer-4.blocks");
+        let intact = std::fs::read(&path).unwrap();
+
+        // A flipped byte in block 0's payload is data loss, not a torn
+        // append: the restart fails, naming the block, and the file stays
+        // as it was.
+        let mut bytes = intact.clone();
+        bytes[10] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        match net.restart(3) {
+            Err(Error::Corruption(msg)) => assert!(msg.contains("block 0"), "{msg}"),
+            other => panic!("expected corruption, got {other:?}"),
+        }
+        assert!(net.is_down(3));
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "nothing truncated");
+
+        // The same flip in the tail frame is what a torn append leaves: the
+        // frame is cut off, and catch-up re-commits it and the missed block.
+        let mut bytes = intact;
+        *bytes.last_mut().unwrap() ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        net.propose_and_submit(2, "transfer", args(4, 5, 7)).unwrap();
+        net.cut_block().unwrap();
+        assert_eq!(net.restart(3).unwrap(), 2);
+        assert_level(&net, 3, 6);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

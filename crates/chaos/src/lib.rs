@@ -16,9 +16,11 @@
 //!   across crash/restart;
 //! * [`harness`] — [`harness::ChaosNet`], the repository's one
 //!   deterministic single-threaded pipeline driver: a network of peers
-//!   with optional durable block logs, driven block-by-block under a
-//!   fault plan, with crash/restart orchestration through
-//!   `fabric_peer::recovery` and archive catch-up. Under
+//!   whose ledgers are optionally durable block files
+//!   ([`harness::ChaosOptions::block_dir`]), driven block-by-block under a
+//!   fault plan, with crash/restart orchestration — a reopened block file
+//!   or the crashed peer's own ledger, state replayed by
+//!   `fabric_peer::recovery` — and archive catch-up. Under
 //!   [`plan::FaultPlan::quiescent`] it is the scripted-scenario harness
 //!   the paper's worked examples run on. With
 //!   [`harness::ChaosOptions::replicas`] set, the single ordering process

@@ -34,7 +34,7 @@ impl Partition {
 }
 
 /// A scheduled peer crash: the peer dies just before block `at_block` is
-/// delivered, optionally tearing the tail of its on-disk block log, and is
+/// delivered, optionally tearing the tail of its block file, and is
 /// restarted (recovery + archive catch-up) `restart_after_blocks` blocks
 /// later. `restart_after_blocks == 0` leaves the peer down until the
 /// harness shuts down (it is then excluded from invariant checks).
@@ -46,8 +46,9 @@ pub struct CrashPoint {
     pub at_block: u64,
     /// Blocks after `at_block` at which the peer is restarted (0 = never).
     pub restart_after_blocks: u64,
-    /// Bytes torn off the tail of the peer's block log while down,
-    /// simulating a crash mid-append. Only meaningful with persistence.
+    /// Bytes torn off the tail of the peer's block file while down,
+    /// simulating a crash mid-append. A plan with any is accepted only by
+    /// a net with a `ChaosOptions::block_dir`.
     pub tear_bytes: u64,
 }
 
@@ -154,7 +155,7 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a crash point that also tears the tail of the peer's block log.
+    /// Adds a crash point that also tears the tail of the peer's block file.
     pub fn with_torn_crash(
         mut self,
         peer: u64,

@@ -139,6 +139,7 @@ pub fn run_replica(fixture: &Fixture, spec: &ReplicaSpec) -> Result<ReplicaArtif
         telemetry: spec
             .telemetry
             .then(|| TelemetryConfig { window_blocks: 2, ..TelemetryConfig::default() }),
+        block_dir: None,
     };
 
     let result = run_inner(fixture, spec, &config, opts, &sink);

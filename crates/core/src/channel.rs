@@ -15,7 +15,6 @@
 //! `fabric_chaos::ChaosNet`, which builds its peers through the same
 //! [`PeerContext`].
 
-use std::path::Path;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -28,7 +27,7 @@ use fabric_common::{
     TxCounters,
 };
 use fabric_telemetry::TelemetryHub;
-use fabric_ledger::Block;
+use fabric_ledger::{Block, Ledger};
 use fabric_net::{link, Broadcaster, DelayedSender, LatencyModel, NetStats};
 use fabric_ordering::{BatchCutter, CutReason, OrderingService, OrdererStats};
 use fabric_peer::chaincode::ChaincodeRegistry;
@@ -89,65 +88,59 @@ pub struct PeerContext {
 }
 
 impl PeerContext {
-    /// Builds the peer for channel slot `slot` around a fresh `store`:
-    /// derives and registers its signing key, shares the validation pool,
-    /// and — on slot 0, the reporting peer — attaches the counters, phase
-    /// timers, sink, gauges and telemetry hub. Genesis is not installed.
+    /// Builds the peer for channel slot `slot` around a fresh `store` and
+    /// an empty `ledger` (anonymous, or durable at the peer's block-file
+    /// path): derives and registers its signing key, shares the validation
+    /// pool, and — on slot 0, the reporting peer — attaches the counters,
+    /// phase timers, sink, gauges and telemetry hub. Genesis is not
+    /// installed.
     pub fn new_peer(
         &self,
         slot: usize,
         id: PeerId,
         org: OrgId,
         store: Arc<dyn StateStore>,
+        ledger: Arc<Ledger>,
     ) -> Peer {
         let key = SigningKey::for_peer(id, self.key_seed);
         self.registry.register(id, key.clone());
-        let peer = Peer::new(
+        self.attach(slot, self.build(id, org, key, store, ledger))
+    }
+
+    /// Rebuilds the crashed peer `old` of slot `slot` around `ledger` —
+    /// its block file reopened, or its own ledger when it kept no file —
+    /// with the state [`fabric_peer::recovery::replay`] derives from it
+    /// under full flag re-checking, and wires it exactly like
+    /// [`PeerContext::new_peer`]. The caller catches it up. The chaos
+    /// harness is the one caller: the threaded runtime never crashes a
+    /// peer.
+    pub fn restore_peer(&self, slot: usize, old: &Peer, ledger: Arc<Ledger>) -> Result<Peer> {
+        let state = recovery::replay(&ledger, true)?;
+        let key = SigningKey::for_peer(old.id(), self.key_seed);
+        Ok(self.attach(slot, self.build(old.id(), old.org(), key, state, ledger)))
+    }
+
+    fn build(
+        &self,
+        id: PeerId,
+        org: OrgId,
+        key: SigningKey,
+        store: Arc<dyn StateStore>,
+        ledger: Arc<Ledger>,
+    ) -> Peer {
+        Peer::restore(
             id,
             org,
             key,
             store,
+            ledger,
             self.chaincodes.clone(),
             self.registry.clone(),
             self.policy.clone(),
             self.concurrency,
             self.early_abort_simulation,
             self.cost,
-        );
-        self.attach(slot, peer)
-    }
-
-    /// Rebuilds the crashed peer `old` of slot `slot` through
-    /// [`fabric_peer::recovery`] with full flag re-checking — from its
-    /// on-disk block log when `log` is given (a torn tail is truncated
-    /// off, so the file can be appended to again), from the dead
-    /// incarnation's ledger otherwise — and wires it exactly like
-    /// [`PeerContext::new_peer`]. The caller catches it up. The chaos
-    /// harness is the one caller: the threaded runtime never crashes a
-    /// peer.
-    pub fn restore_peer(&self, slot: usize, old: &Peer, log: Option<&Path>) -> Result<Peer> {
-        let rec = match log {
-            Some(path) => recovery::recover_from_crashed_log(path, true)?.0,
-            None => {
-                let mut blocks = Vec::new();
-                old.ledger().for_each(|cb| blocks.push(cb.clone()));
-                recovery::rebuild(blocks, true)?
-            }
-        };
-        let peer = Peer::restore(
-            old.id(),
-            old.org(),
-            SigningKey::for_peer(old.id(), self.key_seed),
-            rec.state as Arc<dyn StateStore>,
-            rec.ledger,
-            self.chaincodes.clone(),
-            self.registry.clone(),
-            self.policy.clone(),
-            self.concurrency,
-            self.early_abort_simulation,
-            self.cost,
-        );
-        Ok(self.attach(slot, peer))
+        )
     }
 
     fn attach(&self, slot: usize, peer: Peer) -> Peer {

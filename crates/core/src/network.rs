@@ -230,7 +230,7 @@ impl NetworkBuilder {
                         }
                     };
                     // Slot 0 of each channel is its reporting peer.
-                    let peer = ctx.new_peer(peers.len(), pid, OrgId(org), store);
+                    let peer = ctx.new_peer(peers.len(), pid, OrgId(org), store, Arc::default());
                     if peers.is_empty() {
                         reporting_stores.push(peer.store().counters());
                     }

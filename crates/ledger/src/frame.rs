@@ -1,5 +1,4 @@
-//! The block frame shared by the ledger's block file and
-//! [`crate::FileBlockStore`]: `[u32 len][u32 crc32(payload)][payload]`,
+//! The ledger's block-file frame: `[u32 len][u32 crc32(payload)][payload]`,
 //! little-endian, with the payload being the [`CommittedBlock`] storage
 //! encoding.
 
@@ -9,7 +8,12 @@ use fabric_common::{crc32, Result};
 use crate::block::CommittedBlock;
 
 /// Bytes ahead of the payload: length, then crc.
-const HEADER_LEN: usize = 8;
+pub(crate) const HEADER_LEN: usize = 8;
+
+/// Length of the whole frame that starts with `header`.
+pub(crate) fn frame_len(header: &[u8; HEADER_LEN]) -> u64 {
+    HEADER_LEN as u64 + u64::from(u32::from_le_bytes(header[..4].try_into().unwrap()))
+}
 
 /// Encodes `cb` as one whole frame, ready to write in one call.
 pub(crate) fn encode(cb: &CommittedBlock) -> Vec<u8> {

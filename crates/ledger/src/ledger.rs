@@ -1,11 +1,14 @@
 //! The peer's block file: the hash-chained ledger keeps only its tip block
-//! and a per-block index in memory; every earlier block lives in an
-//! append-only file of crc-checked frames and is read back on demand.
+//! and a per-block index in memory; every block lives in an append-only
+//! file of crc-checked frames and is read back on demand.
 //!
 //! Appends verify linkage; the whole chain can be audited after the fact.
+//! A ledger opened at a named path is durable and recovers itself from
+//! that file after a crash.
 
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -23,22 +26,30 @@ use crate::frame::{self, Frame};
 /// `prev_hash` must equal the previous header's hash. Memory holds the tip
 /// block (behind [`Arc`], so handing it back to the pipeline or out of
 /// [`Ledger::get`] is a reference-count bump) and one small index entry
-/// per block. Each append *spills* the previous tip: it is written as one
-/// frame to a block file private to this ledger and dropped from memory.
-/// The file is created on the first spill, in [`std::env::temp_dir`], and
-/// unlinked at once, so it vanishes with the ledger (or the process);
-/// [`Ledger::new`] does no I/O.
+/// per block; every block is also one frame of a block file.
 ///
-/// Reads of spilled blocks ([`Ledger::get`], [`Ledger::for_each`],
-/// [`Ledger::verify_chain`], [`Ledger::find_tx`], [`Ledger::history_of`])
-/// decode a fresh copy from the file with a positional read under the
-/// index's read lock and check its crc. Thread-safe; readers do not block
-/// each other.
+/// A ledger comes in two kinds, fixed by how it is built:
 ///
-/// Invariant: a spilled frame reads back as written. `get` and `for_each`
+/// * [`Ledger::new`] is anonymous: each append *spills* the previous tip
+///   into its file, so the tip itself is never written and `new` does no
+///   I/O. The file is created by the first spill, in
+///   [`std::env::temp_dir`], and unlinked at once, so it vanishes with the
+///   ledger (or the process).
+/// * [`Ledger::open`] is durable: its file lives at a named path, each
+///   append writes and fsyncs the block's frame before it returns, and
+///   reopening the path after a crash recovers the chain.
+///
+/// Reads of blocks below the tip ([`Ledger::get`], [`Ledger::for_each`],
+/// [`Ledger::try_for_each`], [`Ledger::verify_chain`], [`Ledger::find_tx`],
+/// [`Ledger::history_of`]) decode a fresh copy from the file with a
+/// positional read under the index's read lock and check its crc.
+/// Thread-safe; readers do not block each other.
+///
+/// Invariant: a written frame reads back as written. `get` and `for_each`
 /// have no error path, so they panic — naming the block and its file
 /// offset — on a frame that fails its crc or does not decode;
-/// `verify_chain` reports the same fault as [`Error::Corruption`].
+/// `try_for_each` and `verify_chain` report the same fault as
+/// [`Error::Corruption`].
 #[derive(Default)]
 pub struct Ledger {
     chain: RwLock<Chain>,
@@ -49,20 +60,24 @@ pub struct Ledger {
 struct Chain {
     /// One entry per block, genesis first; the last one is the tip's.
     index: Vec<IndexEntry>,
-    /// The newest block; every earlier one is in `file`.
+    /// The newest block, also kept in memory when it is already written.
     tip: Option<Arc<CommittedBlock>>,
-    /// The block file, created by the first spill.
+    /// The block file: opened by [`Ledger::open`], or created by an
+    /// anonymous ledger's first spill.
     file: Option<File>,
     /// Bytes written to `file`: where the next frame goes.
     file_len: u64,
+    /// Whether each append is written and synced at once (a ledger opened
+    /// at a path).
+    durable: bool,
 }
 
 /// What the ledger remembers of one block without reading it back.
 #[derive(Clone, Copy)]
 struct IndexEntry {
-    /// Offset of the block's frame in the file (set when it is spilled).
+    /// Offset of the block's frame in the file (set when it is written).
     offset: u64,
-    /// Length of the whole frame, header included (0 while it is the tip).
+    /// Length of the whole frame, header included (0 while unwritten).
     len: u32,
     /// The block header's hash.
     hash: Digest,
@@ -72,37 +87,100 @@ struct IndexEntry {
     txs: u32,
 }
 
+impl IndexEntry {
+    /// The entry of `cb`, not yet written.
+    fn of(cb: &CommittedBlock) -> Self {
+        IndexEntry {
+            offset: 0,
+            len: 0,
+            hash: cb.block.header.hash(),
+            valid: cb.valid_count() as u32,
+            txs: cb.block.txs.len() as u32,
+        }
+    }
+}
+
+/// Rejects a block whose transactions do not match its data hash.
+fn check_data_hash(cb: &CommittedBlock) -> Result<()> {
+    if cb.block.verify_data_hash() {
+        return Ok(());
+    }
+    Err(Error::Corruption(format!(
+        "block {}: data hash does not match transactions",
+        cb.block.header.number
+    )))
+}
+
 impl Chain {
-    /// Writes the tip as the file's next frame and records where.
-    fn spill_tip(&mut self) -> Result<()> {
-        let Some(tip) = self.tip.take() else { return Ok(()) };
-        let bytes = frame::encode(&tip);
+    /// Rejects a block that is not the next one: out of turn, or not
+    /// linked to the tip.
+    fn check_link(&self, cb: &CommittedBlock) -> Result<()> {
+        let expected_number = self.index.len() as BlockNum;
+        if cb.block.header.number != expected_number {
+            return Err(Error::InvalidState(format!(
+                "append of block {} but chain height is {expected_number}",
+                cb.block.header.number
+            )));
+        }
+        let expected_prev = self.index.last().map_or(Digest::ZERO, |e| e.hash);
+        if cb.block.header.prev_hash != expected_prev {
+            return Err(Error::Corruption(format!(
+                "block {}: prev_hash does not match chain tip",
+                cb.block.header.number
+            )));
+        }
+        Ok(())
+    }
+
+    /// Writes `cb` as the file's next frame (synced on a durable ledger)
+    /// and returns its offset and length.
+    fn write_frame(&mut self, cb: &CommittedBlock) -> Result<(u64, u32)> {
+        let bytes = frame::encode(cb);
         let file = match &mut self.file {
             Some(file) => file,
-            slot => slot.insert(open_block_file()?),
+            slot => slot.insert(open_anonymous_file()?),
         };
-        if let Err(e) = file.write_all_at(&bytes, self.file_len) {
-            self.tip = Some(tip);
-            return Err(e.into());
+        let offset = self.file_len;
+        file.write_all_at(&bytes, offset)?;
+        if self.durable {
+            file.sync_data()?;
         }
-        let entry = self.index.last_mut().expect("a tip has an index entry");
-        entry.offset = self.file_len;
-        entry.len = bytes.len() as u32;
         self.file_len += bytes.len() as u64;
-        Ok(())
+        Ok((offset, bytes.len() as u32))
+    }
+
+    /// Drops the tip from memory, writing it first unless it already is.
+    fn spill_tip(&mut self) -> Result<()> {
+        let Some(tip) = self.tip.take() else { return Ok(()) };
+        if self.index.last().expect("a tip has an index entry").len > 0 {
+            return Ok(());
+        }
+        match self.write_frame(&tip) {
+            Ok((offset, len)) => {
+                let entry = self.index.last_mut().expect("a tip has an index entry");
+                (entry.offset, entry.len) = (offset, len);
+                Ok(())
+            }
+            Err(e) => {
+                self.tip = Some(tip);
+                Err(e)
+            }
+        }
     }
 
     /// Block `n` (below the height): the tip itself, or a fresh copy read
     /// back from the file through `buf`.
     fn read(&self, n: BlockNum, buf: &mut Vec<u8>) -> Result<Arc<CommittedBlock>> {
         if n + 1 == self.index.len() as BlockNum {
-            return Ok(Arc::clone(self.tip.as_ref().expect("a non-empty chain has a tip")));
+            if let Some(tip) = &self.tip {
+                return Ok(Arc::clone(tip));
+            }
         }
         let entry = self.index[n as usize];
         let corrupt = |what: &str| {
             Error::Corruption(format!("ledger block {n} at offset {}: {what}", entry.offset))
         };
-        let file = self.file.as_ref().expect("a spilled block has a file");
+        let file = self.file.as_ref().expect("a written block has a file");
         buf.clear();
         buf.resize(entry.len as usize, 0);
         file.read_exact_at(buf, entry.offset).map_err(|e| corrupt(&e.to_string()))?;
@@ -120,9 +198,9 @@ impl Chain {
     }
 }
 
-/// Creates the block file: a fresh file in the temp dir, unlinked as soon
-/// as it is open, so only this handle reaches it.
-fn open_block_file() -> Result<File> {
+/// Creates an anonymous ledger's block file: a fresh file in the temp dir,
+/// unlinked as soon as it is open, so only this handle reaches it.
+fn open_anonymous_file() -> Result<File> {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     loop {
         let path = std::env::temp_dir().join(format!(
@@ -142,46 +220,105 @@ fn open_block_file() -> Result<File> {
     }
 }
 
+/// Cuts the last `bytes` bytes (all, if the file is shorter) off the block
+/// file at `path` and syncs it: what a crash that tore the final append
+/// mid-write leaves on disk, for fault injection. [`Ledger::open`]
+/// truncates such a file back to its last whole frame.
+pub fn tear_block_file(path: &Path, bytes: u64) -> Result<()> {
+    let file = OpenOptions::new().write(true).open(path)?;
+    let len = file.metadata()?.len();
+    file.set_len(len.saturating_sub(bytes))?;
+    file.sync_data()?;
+    Ok(())
+}
+
 impl Ledger {
-    /// Creates an empty ledger (no I/O: the block file comes with the
-    /// first spill).
+    /// Creates an empty anonymous ledger (no I/O: the block file comes
+    /// with the first spill).
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Opens the durable ledger whose block file is at `path`, creating an
+    /// empty file if there is none, and returns it with the number of
+    /// bytes of torn tail it cut off (0 for a file that ends in a whole
+    /// frame).
+    ///
+    /// The frames are read one at a time; each must pass its crc and hold
+    /// the next block, linked to the one before and matching its data
+    /// hash. The last block becomes the tip. A final frame that is cut
+    /// short or fails its crc is what a crash mid-append leaves behind: it
+    /// is truncated off (and the truncation synced), so appends resume
+    /// after the last whole block. Any other bad frame is data loss, not a
+    /// crash artefact, and fails with [`Error::Corruption`] naming the
+    /// block; the file is then left as it was.
+    pub fn open(path: impl AsRef<Path>) -> Result<(Self, u64)> {
+        let path = path.as_ref();
+        let file =
+            OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
+        // The file may be new: its directory entry must be durable too.
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+        File::open(dir)?.sync_all()?;
+        let end = file.metadata()?.len();
+        let mut chain = Chain { durable: true, ..Chain::default() };
+        let mut header = [0u8; frame::HEADER_LEN];
+        let mut buf = Vec::new();
+        while end - chain.file_len >= header.len() as u64 {
+            let pos = chain.file_len;
+            let corrupt = |what: String| {
+                Error::Corruption(format!(
+                    "block file {}: block {} at offset {pos}: {what}",
+                    path.display(),
+                    chain.index.len()
+                ))
+            };
+            file.read_exact_at(&mut header, pos)?;
+            let len = frame::frame_len(&header);
+            if end - pos < len {
+                break; // cut short: the final frame, torn
+            }
+            buf.resize(len as usize, 0);
+            file.read_exact_at(&mut buf, pos)?;
+            let frame = Frame::split(&buf).expect("the buffer holds the whole frame");
+            if !frame.crc_ok() {
+                if pos + len == end {
+                    break; // the final frame, torn
+                }
+                return Err(corrupt("crc mismatch (not the tail frame)".into()));
+            }
+            let cb = frame.decode().map_err(|e| corrupt(e.to_string()))?;
+            check_data_hash(&cb)
+                .and_then(|()| chain.check_link(&cb))
+                .map_err(|e| corrupt(e.to_string()))?;
+            let mut entry = IndexEntry::of(&cb);
+            entry.offset = pos;
+            entry.len = u32::try_from(len).map_err(|_| corrupt("frame over 4 GiB".into()))?;
+            chain.index.push(entry);
+            chain.tip = Some(Arc::new(cb));
+            chain.file_len += len;
+        }
+        let torn = end - chain.file_len;
+        if torn > 0 {
+            file.set_len(chain.file_len)?;
+            file.sync_data()?;
+        }
+        chain.file = Some(file);
+        Ok((Ledger { chain: RwLock::new(chain) }, torn))
+    }
+
     /// Appends a committed block after verifying chain linkage and the data
-    /// hash, spilling the previous tip to the block file. The block is
+    /// hash, spilling the previous tip to the block file; a durable ledger
+    /// writes and syncs the block itself before returning. The block is
     /// moved in once and returned as a shared handle.
     pub fn append(&self, cb: CommittedBlock) -> Result<Arc<CommittedBlock>> {
-        if !cb.block.verify_data_hash() {
-            return Err(Error::Corruption(format!(
-                "block {}: data hash does not match transactions",
-                cb.block.header.number
-            )));
-        }
-        let entry = IndexEntry {
-            offset: 0,
-            len: 0,
-            hash: cb.block.header.hash(),
-            valid: cb.valid_count() as u32,
-            txs: cb.block.txs.len() as u32,
-        };
+        check_data_hash(&cb)?;
+        let mut entry = IndexEntry::of(&cb);
         let mut chain = self.chain.write();
-        let expected_number = chain.index.len() as BlockNum;
-        if cb.block.header.number != expected_number {
-            return Err(Error::InvalidState(format!(
-                "append of block {} but chain height is {expected_number}",
-                cb.block.header.number
-            )));
-        }
-        let expected_prev = chain.index.last().map_or(Digest::ZERO, |e| e.hash);
-        if cb.block.header.prev_hash != expected_prev {
-            return Err(Error::Corruption(format!(
-                "block {}: prev_hash does not match chain tip",
-                cb.block.header.number
-            )));
-        }
+        chain.check_link(&cb)?;
         chain.spill_tip()?;
+        if chain.durable {
+            (entry.offset, entry.len) = chain.write_frame(&cb)?;
+        }
         let cb = Arc::new(cb);
         chain.index.push(entry);
         chain.tip = Some(Arc::clone(&cb));
@@ -213,9 +350,12 @@ impl Ledger {
     }
 
     /// Visits blocks `0..height` (the height when the walk starts) in
-    /// order with their index hash, reading each under the read lock;
-    /// stops early when `f` returns `false`, and at the first error.
-    fn try_for_each(
+    /// order, each with the header hash its index entry holds, reading one
+    /// block at a time under the read lock. Stops early when `f` returns
+    /// `Ok(false)`, and at the first error, which it returns: `f`'s own, or
+    /// [`Error::Corruption`] naming a block whose frame fails its crc or
+    /// does not decode.
+    pub fn try_for_each(
         &self,
         mut f: impl FnMut(&CommittedBlock, Digest) -> Result<bool>,
     ) -> Result<()> {
@@ -231,6 +371,7 @@ impl Ledger {
         }
         Ok(())
     }
+
 
     /// Full-chain audit: read every block back and recompute every linkage
     /// and data hash (and the header hash the index answers with).
@@ -343,6 +484,7 @@ mod tests {
     use crate::block::Block;
     use fabric_common::rwset::rwset_from_keys;
     use fabric_common::{ChannelId, ClientId, Key, Transaction, Value, Version};
+    use std::path::PathBuf;
     use std::time::Instant;
 
     fn tx(seed: u64) -> Transaction {
@@ -624,5 +766,164 @@ mod tests {
     #[should_panic(expected = "ledger block 1 at offset")]
     fn get_of_a_corrupt_spilled_frame_panics_naming_the_block() {
         ledger_with_flipped_byte_in_block_1().get(1);
+    }
+
+    /// A fresh block-file path under the temp dir (nothing there yet).
+    fn block_path(name: &str) -> PathBuf {
+        let path = std::env::temp_dir()
+            .join(format!("fabric-ledger-test-{name}-{}.blocks", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// A durable ledger at a fresh path with `blocks` one-tx blocks,
+    /// closed again; returns the path and the last block.
+    fn durable(name: &str, blocks: u64) -> (PathBuf, CommittedBlock) {
+        let path = block_path(name);
+        let (ledger, torn) = Ledger::open(&path).unwrap();
+        assert_eq!((ledger.height(), torn), (0, 0));
+        let mut last = None;
+        for b in 0..blocks {
+            last = Some(ledger.append(committed(next_block(&ledger, vec![tx(b)]))).unwrap());
+        }
+        (path, CommittedBlock::clone(&last.unwrap()))
+    }
+
+    fn file_len(path: &Path) -> u64 {
+        std::fs::metadata(path).unwrap().len()
+    }
+
+    fn flip_byte(path: &Path, at: usize) {
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[at] ^= 0xFF;
+        std::fs::write(path, &bytes).unwrap();
+    }
+
+    #[test]
+    fn durable_append_writes_each_block_once_and_keeps_the_tip() {
+        let path = block_path("durable");
+        let (ledger, _) = Ledger::open(&path).unwrap();
+        let first = ledger.append(committed(next_block(&ledger, vec![tx(0)]))).unwrap();
+        let one = file_len(&path);
+        assert!(one > 0, "a durable append writes the block before it returns");
+        assert!(Arc::ptr_eq(&first, &ledger.get(0).unwrap()), "the tip stays in memory");
+        ledger.append(committed(next_block(&ledger, vec![tx(1)]))).unwrap();
+        let two = file_len(&path);
+        assert!(two > one);
+        let second = ledger.chain.read().index[1];
+        assert_eq!((second.offset, second.offset + u64::from(second.len)), (one, two));
+        assert_eq!(ledger.chain.read().index[0].len as u64, one, "the spill wrote nothing");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn append_and_reopen() {
+        let (path, _) = durable("basic", 4);
+        let (ledger, torn) = Ledger::open(&path).unwrap();
+        assert_eq!((ledger.height(), torn), (4, 0));
+        assert_eq!(ledger.get(3).unwrap().block.header.number, 3);
+        assert_eq!(ledger.get(0).unwrap().block.txs[0].id, TxId(0));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn reopen_verifies_chain() {
+        let (path, last) = durable("rebuild", 3);
+        let (ledger, _) = Ledger::open(&path).unwrap();
+        assert_eq!(ledger.height(), 3);
+        ledger.verify_chain().unwrap();
+        assert_eq!(ledger.tip_hash(), last.block.header.hash());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn missing_file_opens_empty() {
+        let path = block_path("missing");
+        let (ledger, torn) = Ledger::open(&path).unwrap();
+        assert_eq!((ledger.height(), torn, ledger.tip_hash()), (0, 0, Digest::ZERO));
+        assert_eq!(file_len(&path), 0, "the file is created");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn corrupt_final_frame_is_cut_off() {
+        let (path, _) = durable("corrupt", 1);
+        let len = file_len(&path);
+        flip_byte(&path, len as usize / 2);
+        let (ledger, torn) = Ledger::open(&path).unwrap();
+        assert_eq!((ledger.height(), torn), (0, len), "the bad frame is reported, not served");
+        assert_eq!(file_len(&path), 0);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn torn_byte_count_is_reported() {
+        let (path, _) = durable("trunc", 1);
+        let len = file_len(&path);
+        tear_block_file(&path, 3).unwrap();
+        let (ledger, torn) = Ledger::open(&path).unwrap();
+        assert!(torn > 0);
+        assert_eq!((ledger.height(), torn), (0, len - 3));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn reopen_truncates_torn_tail_and_resumes() {
+        let (path, lost) = durable("recover", 3);
+        // Crash mid-append: the final frame is half-written.
+        tear_block_file(&path, 5).unwrap();
+        let (ledger, torn) = Ledger::open(&path).unwrap();
+        assert_eq!(ledger.height(), 2);
+        assert!(torn > 0);
+        // The truncated file takes the lost block again, and a reopen then
+        // sees the whole chain.
+        ledger.append(lost).unwrap();
+        drop(ledger);
+        let (ledger, torn) = Ledger::open(&path).unwrap();
+        assert_eq!((ledger.height(), torn), (3, 0));
+        assert_eq!(ledger.get(2).unwrap().block.header.number, 2);
+        ledger.verify_chain().unwrap();
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn reopen_rejects_mid_file_corruption() {
+        let (path, _) = durable("recover-mid", 3);
+        flip_byte(&path, 10); // block 0's payload
+        let before = std::fs::read(&path).unwrap();
+        match Ledger::open(&path) {
+            Err(Error::Corruption(msg)) => assert!(msg.contains("block 0"), "{msg}"),
+            other => panic!("expected corruption, got {:?}", other.map(|(l, t)| (l.height(), t))),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), before, "nothing truncated");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn reopen_rejects_a_whole_frame_out_of_turn() {
+        // Two intact frames that both hold block 0: every crc passes, the
+        // link check does not.
+        let path = block_path("out-of-turn");
+        let genesis = committed(next_block(&Ledger::new(), vec![tx(0)]));
+        let frame = frame::encode(&genesis);
+        std::fs::write(&path, [frame.as_slice(), &frame].concat()).unwrap();
+        match Ledger::open(&path) {
+            Err(Error::Corruption(msg)) => assert!(msg.contains("block 1"), "{msg}"),
+            other => panic!("expected corruption, got {:?}", other.map(|(l, t)| (l.height(), t))),
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn reopen_appends_after_existing_blocks() {
+        let (path, _) = durable("reopen", 1);
+        {
+            let (ledger, _) = Ledger::open(&path).unwrap();
+            ledger.append(committed(next_block(&ledger, vec![tx(1)]))).unwrap();
+        }
+        let (ledger, torn) = Ledger::open(&path).unwrap();
+        assert_eq!((ledger.height(), torn), (2, 0));
+        ledger.verify_chain().unwrap();
+        std::fs::remove_file(&path).unwrap();
     }
 }

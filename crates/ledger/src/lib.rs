@@ -10,20 +10,18 @@
 //!   blocks as emitted by the ordering service, and committed blocks
 //!   carrying per-transaction validation flags.
 //! * [`ledger`] — the peer's block file: linkage verification on append,
-//!   the tip block and a per-block index in memory, every earlier block in
-//!   an unlinked temp file of crc-framed blocks read back on demand, and
-//!   full-chain auditing.
-//! * [`filestore`] — an append-only on-disk block log at a named path, in
-//!   the same frame format, so a peer can persist and recover its chain.
+//!   the tip block and a per-block index in memory, every block in a file
+//!   of crc-framed blocks read back on demand, and full-chain auditing.
+//!   An anonymous ledger's file is an unlinked temp file; a ledger opened
+//!   at a named path syncs every append and, reopened after a crash,
+//!   re-checks every frame and truncates a torn tail.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod block;
-pub mod filestore;
 mod frame;
 pub mod ledger;
 
 pub use block::{Block, BlockHeader, CommittedBlock};
-pub use filestore::{FileBlockStore, RecoveredLog};
 pub use ledger::{HistoryEntry, Ledger};

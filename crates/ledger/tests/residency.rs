@@ -5,7 +5,9 @@
 //!
 //! 64 blocks of 256 transactions are appended and the handles `append`
 //! returns are dropped; the heap this thread still holds afterwards must
-//! be at most one block plus 64 index entries.
+//! be at most one block plus 64 index entries. Recovery keeps the same
+//! bound: a ledger reopened at its path and walked block by block holds no
+//! more than that either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -96,31 +98,74 @@ fn block(ledger: &Ledger, n: u64) -> CommittedBlock {
     CommittedBlock::new(block, codes).unwrap()
 }
 
+/// What block `n` costs the heap, shared handle included.
+fn block_bytes_of(ledger: &Ledger, n: u64) -> i64 {
+    let start = live();
+    let cb = Arc::new(block(ledger, n));
+    let bytes = live() - start;
+    drop(cb);
+    bytes
+}
+
+/// Asserts that `resident` bytes are at most one block of `block_bytes`
+/// plus one index entry per block.
+fn assert_tip_and_index(what: &str, resident: i64, block_bytes: i64) {
+    let bound = block_bytes + BLOCKS as i64 * INDEX_ENTRY_BYTES;
+    assert!(
+        resident <= bound,
+        "{what} ledger of {BLOCKS} blocks holds {resident} B; one block is {block_bytes} B, \
+         so at most {bound} B may stay resident"
+    );
+}
+
 #[test]
 fn ledger_holds_the_tip_block_and_one_index_entry_per_block() {
     let before = live();
     let ledger = Ledger::new();
     let mut block_bytes = 0;
     for n in 0..BLOCKS {
-        let start = live();
-        let cb = Arc::new(block(&ledger, n));
-        // What one block costs the heap, shared handle included.
-        block_bytes = block_bytes.max(live() - start);
-        drop(cb);
+        block_bytes = block_bytes.max(block_bytes_of(&ledger, n));
         drop(ledger.append(block(&ledger, n)).unwrap());
     }
     assert_eq!(ledger.height(), BLOCKS);
-    let resident = live() - before;
-    let bound = block_bytes + BLOCKS as i64 * INDEX_ENTRY_BYTES;
-    assert!(
-        resident <= bound,
-        "ledger of {BLOCKS} blocks holds {resident} B; one block is {block_bytes} B, \
-         so at most {bound} B may stay resident"
-    );
+    assert_tip_and_index("an appended", live() - before, block_bytes);
 
     // Every block is still there, read back from the block file.
     let (valid, invalid) = ledger.tx_totals();
     assert_eq!(valid + invalid, BLOCKS * TXS_PER_BLOCK);
     ledger.verify_chain().unwrap();
     assert_eq!(ledger.get(3).unwrap().block.txs[5].id, TxId(3 * TXS_PER_BLOCK + 5));
+}
+
+#[test]
+fn reopened_ledger_holds_the_tip_block_and_one_index_entry_per_block() {
+    let path = std::env::temp_dir()
+        .join(format!("fabric-ledger-residency-{}.blocks", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let mut block_bytes = 0;
+    {
+        let (ledger, _) = Ledger::open(&path).unwrap();
+        for n in 0..BLOCKS {
+            block_bytes = block_bytes.max(block_bytes_of(&ledger, n));
+            drop(ledger.append(block(&ledger, n)).unwrap());
+        }
+    }
+
+    // Recovery: reopen the file and walk every block, as a restarted peer
+    // replaying its state does.
+    let before = live();
+    let (ledger, torn) = Ledger::open(&path).unwrap();
+    assert_eq!((ledger.height(), torn), (BLOCKS, 0));
+    assert_tip_and_index("a reopened", live() - before, block_bytes);
+    let mut txs = 0;
+    ledger
+        .try_for_each(|cb, _| {
+            txs += cb.block.txs.len() as u64;
+            Ok(true)
+        })
+        .unwrap();
+    assert_eq!(txs, BLOCKS * TXS_PER_BLOCK);
+    assert_tip_and_index("a reopened and walked", live() - before, block_bytes);
+    drop(ledger);
+    std::fs::remove_file(&path).unwrap();
 }

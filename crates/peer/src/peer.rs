@@ -116,18 +116,19 @@ impl Peer {
         }
     }
 
-    /// Rebuilds a peer around an already-recovered ledger and state —
-    /// the restart half of a crash/restart cycle (see
-    /// [`crate::recovery`]). Identical to [`Peer::new`] except that the
-    /// ledger is taken as-is instead of starting empty, so the restored
-    /// peer resumes processing at its pre-crash height.
+    /// Builds a peer around an existing ledger and the state replayed from
+    /// it — the restart half of a crash/restart cycle (see
+    /// [`crate::recovery`]), or a fresh peer whose ledger is a block file
+    /// at a named path. Identical to [`Peer::new`] except that the ledger
+    /// is shared as-is instead of starting empty, so a restored peer
+    /// resumes processing at its pre-crash height.
     #[allow(clippy::too_many_arguments)]
     pub fn restore(
         id: PeerId,
         org: OrgId,
         key: SigningKey,
         store: Arc<dyn StateStore>,
-        ledger: Ledger,
+        ledger: Arc<Ledger>,
         chaincodes: ChaincodeRegistry,
         registry: SignerRegistry,
         policy: EndorsementPolicy,
@@ -147,7 +148,7 @@ impl Peer {
             early_abort_simulation,
             cost,
         );
-        peer.ledger = Arc::new(ledger);
+        peer.ledger = ledger;
         peer
     }
 
@@ -227,7 +228,7 @@ impl Peer {
     ///
     /// The initial writes ride *inside* the genesis block (see
     /// [`genesis_transaction`]) so that the current state is a pure
-    /// function of the ledger — a peer recovered from its block log alone
+    /// function of the ledger — a peer recovered from its block file alone
     /// (see [`crate::recovery`]) reproduces the bootstrap state too.
     pub fn install_genesis(
         &self,
@@ -478,15 +479,27 @@ mod tests {
     type Result2 = std::result::Result<(), String>;
 
     fn mk_peer(id: u64, org: u64, registry: &SignerRegistry) -> Peer {
+        mk_peer_on(id, org, registry, Arc::default(), Arc::new(MemStateDb::new()))
+    }
+
+    /// [`mk_peer`] around `ledger` and `store`.
+    fn mk_peer_on(
+        id: u64,
+        org: u64,
+        registry: &SignerRegistry,
+        ledger: Arc<Ledger>,
+        store: Arc<dyn fabric_statedb::StateStore>,
+    ) -> Peer {
         let key = SigningKey::for_peer(PeerId(id), 11);
         registry.register(PeerId(id), key.clone());
         let mut ccs = ChaincodeRegistry::new();
         ccs.deploy("transfer", Arc::new(Transfer));
-        Peer::new(
+        Peer::restore(
             PeerId(id),
             OrgId(org),
             key,
-            Arc::new(MemStateDb::new()),
+            store,
+            ledger,
             ccs,
             registry.clone(),
             EndorsementPolicy::require_orgs(vec![OrgId(1), OrgId(2)]),
@@ -583,13 +596,18 @@ mod tests {
         assert_eq!(peer.ledger().height(), 2);
     }
 
-    /// Crash/restart: a peer commits a block, "crashes", is rebuilt from
-    /// its block log via [`crate::recovery`], and the restored peer keeps
-    /// committing from its pre-crash height.
+    /// Crash/restart: a peer whose ledger is a block file commits a block,
+    /// "crashes", is rebuilt from that file via [`crate::recovery`], and
+    /// the restored peer keeps committing from its pre-crash height.
     #[test]
     fn restored_peer_resumes_from_recovered_state() {
+        let path = std::env::temp_dir()
+            .join(format!("fabric-peer-restore-{}.blocks", std::process::id()));
+        let _ = std::fs::remove_file(&path);
         let registry = SignerRegistry::new();
-        let peer_a = mk_peer(1, 1, &registry);
+        let (ledger, _) = Ledger::open(&path).unwrap();
+        let peer_a =
+            mk_peer_on(1, 1, &registry, Arc::new(ledger), Arc::new(MemStateDb::new()));
         let peer_b = mk_peer(2, 2, &registry);
         peer_a.install_genesis(&genesis()).unwrap();
         peer_b.install_genesis(&genesis()).unwrap();
@@ -618,27 +636,13 @@ mod tests {
             peer.process_block(block1.clone()).unwrap();
         }
 
-        // "Crash" peer_a and rebuild it from its committed blocks.
-        let mut blocks = Vec::new();
-        peer_a.ledger().for_each(|cb| blocks.push(cb.clone()));
+        // "Crash" peer_a and rebuild it from its block file alone.
         drop(peer_a);
-        let rec = crate::recovery::rebuild(blocks, true).unwrap();
-        let mut ccs = ChaincodeRegistry::new();
-        ccs.deploy("transfer", Arc::new(Transfer));
-        let key = SigningKey::for_peer(PeerId(1), 11);
-        let restored = Peer::restore(
-            PeerId(1),
-            OrgId(1),
-            key,
-            rec.state.clone() as Arc<dyn fabric_statedb::StateStore>,
-            rec.ledger,
-            ccs,
-            registry.clone(),
-            EndorsementPolicy::require_orgs(vec![OrgId(1), OrgId(2)]),
-            ConcurrencyMode::FineGrained,
-            true,
-            CostModel::raw(),
-        );
+        let (ledger, torn) = Ledger::open(&path).unwrap();
+        assert_eq!(torn, 0);
+        let ledger = Arc::new(ledger);
+        let state = crate::recovery::replay(&ledger, true).unwrap();
+        let restored = mk_peer_on(1, 1, &registry, ledger, state);
         assert_eq!(restored.ledger().height(), 2);
         assert_eq!(
             restored.store().get(&Key::from("balA")).unwrap().unwrap().value,
@@ -675,6 +679,7 @@ mod tests {
             Value::from_i64(65)
         );
         restored.ledger().verify_chain().unwrap();
+        std::fs::remove_file(&path).unwrap();
     }
 
     /// The split begin/commit API on a threaded pool commits exactly what

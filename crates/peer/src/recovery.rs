@@ -1,53 +1,34 @@
-//! Peer recovery: rebuilding the ledger and the current state from a
-//! persisted block log.
+//! Peer recovery: re-deriving the current state from the ledger.
 //!
 //! A Fabric peer's current state is a pure function of its ledger: replay
 //! every block in order, apply the writes of the transactions flagged
-//! valid. This module re-derives both after a restart, re-verifying chain
-//! linkage, data hashes, and — optionally — the recorded validation flags
-//! themselves (a recovering peer need not trust its own old flags: the
-//! MVCC outcome is recomputable).
+//! valid. After a restart the ledger is the peer's block file reopened by
+//! [`Ledger::open`] (which re-checks every frame's crc, link and data hash
+//! and truncates a torn tail), or, when the peer kept no file, the crashed
+//! incarnation's own ledger after [`Ledger::verify_chain`]. [`replay`]
+//! rebuilds the state from it and can re-check the recorded validation
+//! flags themselves (a recovering peer need not trust its own old flags:
+//! the MVCC outcome is recomputable).
 
-use std::path::Path;
 use std::sync::Arc;
 
 use fabric_common::{Error, Result, TxNum, ValidationCode};
-use fabric_ledger::{CommittedBlock, FileBlockStore, Ledger};
+use fabric_ledger::{CommittedBlock, Ledger};
 use fabric_statedb::{CommitWrite, MemStateDb, StateStore};
 
-/// Result of a recovery run.
-pub struct RecoveredPeer {
-    /// The rebuilt ledger (chain fully re-verified).
-    pub ledger: Ledger,
-    /// The rebuilt current state.
-    pub state: Arc<MemStateDb>,
-}
-
-impl std::fmt::Debug for RecoveredPeer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "RecoveredPeer(height={}, keys≈{})",
-            self.ledger.height(),
-            self.state.approximate_len()
-        )
-    }
-}
-
-/// Rebuilds ledger and state from committed blocks.
+/// Rebuilds the current state by replaying every block of `ledger`,
+/// walking it one block at a time, so a bad frame is an error, not a
+/// panic.
 ///
 /// When `recheck_flags` is set, the recorded MVCC validation flags are
 /// recomputed against the rebuilt state and any disagreement is reported
 /// as corruption. (Endorsement-policy flags are trusted: recomputing them
-/// requires the signer registry, which a bare block log does not carry.)
-pub fn rebuild(blocks: Vec<CommittedBlock>, recheck_flags: bool) -> Result<RecoveredPeer> {
-    let ledger = Ledger::new();
+/// requires the signer registry, which a bare block file does not carry.)
+pub fn replay(ledger: &Ledger, recheck_flags: bool) -> Result<Arc<MemStateDb>> {
     let state = Arc::new(MemStateDb::new());
-
-    for cb in blocks {
-        let block_num = cb.block.header.number;
+    ledger.try_for_each(|cb, _| {
         if recheck_flags {
-            recheck_block_flags(&cb, state.as_ref())?;
+            recheck_block_flags(cb, &state)?;
         }
         let mut writes: Vec<CommitWrite> = Vec::new();
         for (tx_num, (tx, code)) in cb.iter().enumerate() {
@@ -62,33 +43,10 @@ pub fn rebuild(blocks: Vec<CommittedBlock>, recheck_flags: bool) -> Result<Recov
                 });
             }
         }
-        state.apply_block(block_num, &writes)?;
-        ledger.append(cb)?;
-    }
-    Ok(RecoveredPeer { ledger, state })
-}
-
-/// Recovers a peer from an on-disk block log (see
-/// [`fabric_ledger::FileBlockStore`]).
-pub fn recover_from_log(path: &Path, recheck_flags: bool) -> Result<RecoveredPeer> {
-    rebuild(FileBlockStore::load(path)?, recheck_flags)
-}
-
-/// Recovers a peer from a block log that may end in a torn frame — the
-/// on-disk shape left behind by a crash mid `FileBlockStore::append`.
-///
-/// The torn tail is discarded (and truncated off the file, so the log can
-/// be appended to again); everything before it is replayed as in
-/// [`recover_from_log`]. Returns the rebuilt peer plus the number of torn
-/// bytes dropped, so callers know whether the tip block must be re-fetched
-/// from the network.
-pub fn recover_from_crashed_log(
-    path: &Path,
-    recheck_flags: bool,
-) -> Result<(RecoveredPeer, u64)> {
-    let recovered = FileBlockStore::recover(path)?;
-    let peer = rebuild(recovered.blocks, recheck_flags)?;
-    Ok((peer, recovered.truncated_bytes))
+        state.apply_block(cb.block.header.number, &writes)?;
+        Ok(true)
+    })?;
+    Ok(state)
 }
 
 /// Recomputes the MVCC verdict of every transaction in `cb` against the
@@ -140,6 +98,7 @@ mod tests {
         ChannelId, ClientId, Digest, Key, Transaction, TxId, Value, Version,
     };
     use fabric_ledger::Block;
+    use std::path::{Path, PathBuf};
     use std::time::Instant;
 
     fn tx(read: Option<(&str, Version)>, write: (&str, i64)) -> Transaction {
@@ -188,21 +147,48 @@ mod tests {
         vec![genesis, cb1, cb2]
     }
 
+    /// An anonymous ledger holding `blocks`.
+    fn ledger_of(blocks: Vec<CommittedBlock>) -> Ledger {
+        let ledger = Ledger::new();
+        for cb in blocks {
+            ledger.append(cb).unwrap();
+        }
+        ledger
+    }
+
+    /// A fresh block-file path under the temp dir (nothing there yet).
+    fn block_path(name: &str) -> PathBuf {
+        let path = std::env::temp_dir()
+            .join(format!("fabric-recovery-{name}-{}.blocks", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// Writes `blocks` to a durable ledger at `path` and closes it: the
+    /// process "crashes" after its last append returned.
+    fn persist(path: &Path, blocks: &[CommittedBlock]) {
+        let (ledger, _) = Ledger::open(path).unwrap();
+        for cb in blocks {
+            ledger.append(cb.clone()).unwrap();
+        }
+    }
+
+    fn value(state: &MemStateDb, key: &str) -> Option<(Value, Version)> {
+        state.get(&Key::from(key)).unwrap().map(|vv| (vv.value, vv.version))
+    }
+
     #[test]
     fn rebuild_reproduces_state() {
-        let rec = rebuild(history(), false).unwrap();
-        assert_eq!(rec.ledger.height(), 3);
-        rec.ledger.verify_chain().unwrap();
-        let a = rec.state.get(&Key::from("a")).unwrap().unwrap();
-        assert_eq!(a.value, Value::from_i64(11));
-        assert_eq!(a.version, Version::new(2, 0));
-        assert_eq!(rec.state.get(&Key::from("b")).unwrap().unwrap().value, Value::from_i64(20));
-        assert!(rec.state.get(&Key::from("c")).unwrap().is_none(), "invalid tx not applied");
+        let ledger = ledger_of(history());
+        let state = replay(&ledger, false).unwrap();
+        assert_eq!(value(&state, "a"), Some((Value::from_i64(11), Version::new(2, 0))));
+        assert_eq!(value(&state, "b").unwrap().0, Value::from_i64(20));
+        assert!(value(&state, "c").is_none(), "invalid tx not applied");
     }
 
     #[test]
     fn recheck_accepts_consistent_flags() {
-        rebuild(history(), true).unwrap();
+        replay(&ledger_of(history()), true).unwrap();
     }
 
     #[test]
@@ -210,7 +196,7 @@ mod tests {
         let mut blocks = history();
         // Flip the stale transaction's flag to Valid.
         blocks[2].validity[1] = ValidationCode::Valid;
-        let err = rebuild(blocks, true).unwrap_err();
+        let err = replay(&ledger_of(blocks), true).err().expect("the recheck fails");
         assert!(matches!(err, Error::Corruption(_)), "got {err:?}");
     }
 
@@ -219,125 +205,84 @@ mod tests {
         let mut blocks = history();
         // Flip a genuinely valid transaction to MvccConflict.
         blocks[1].validity[0] = ValidationCode::MvccConflict;
-        let err = rebuild(blocks, true).unwrap_err();
+        let err = replay(&ledger_of(blocks), true).err().expect("the recheck fails");
         assert!(matches!(err, Error::Corruption(_)));
     }
 
     #[test]
     fn round_trip_through_file_log() {
-        let dir = std::env::temp_dir().join(format!("fabric-recover-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("blocks.log");
-        {
-            let mut store = FileBlockStore::open(&path).unwrap();
-            for cb in history() {
-                store.append(&cb).unwrap();
-            }
-            store.sync().unwrap();
-        }
-        let rec = recover_from_log(&path, true).unwrap();
-        assert_eq!(rec.ledger.height(), 3);
-        assert_eq!(
-            rec.state.get(&Key::from("a")).unwrap().unwrap().value,
-            Value::from_i64(11)
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
+        let path = block_path("round-trip");
+        persist(&path, &history());
+        let (ledger, torn) = Ledger::open(&path).unwrap();
+        assert_eq!((ledger.height(), torn), (3, 0));
+        let state = replay(&ledger, true).unwrap();
+        assert_eq!(value(&state, "a").unwrap().0, Value::from_i64(11));
+        std::fs::remove_file(&path).unwrap();
     }
 
     /// Crash *before commit*: the ledger appended a block whose state
     /// writes never reached any persistent store (this suite's state DB is
     /// memory-only, exactly the paper's deployment shape — state is a cache
-    /// over the log). Recovery must re-derive those writes from the log
-    /// alone, trusting no pre-crash state.
+    /// over the ledger). Recovery must re-derive those writes from the
+    /// block file alone, trusting no pre-crash state.
     #[test]
     fn crash_before_commit_replays_tip_block_writes() {
-        let dir =
-            std::env::temp_dir().join(format!("fabric-crash-pre-commit-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("blocks.log");
+        let path = block_path("crash-pre-commit");
         let blocks = history();
         let tip_tx_ids: Vec<TxId> = blocks[2].block.txs.iter().map(|t| t.id).collect();
-        {
-            let mut store = FileBlockStore::open(&path).unwrap();
-            for cb in &blocks {
-                store.append(cb).unwrap();
-            }
-            store.sync().unwrap();
-            // Process "crashes" here: block 2 is durable in the log but its
-            // writes were never applied to any surviving state database.
-        }
-        let rec = recover_from_log(&path, true).unwrap();
-        assert_eq!(rec.ledger.height(), 3);
+        // Block 2 is durable in the file but its writes were never applied
+        // to any surviving state database.
+        persist(&path, &blocks);
+        let (ledger, _) = Ledger::open(&path).unwrap();
+        assert_eq!(ledger.height(), 3);
         // The tip block's valid write (a=11 at version (2,0)) is present:
-        // replay applied it from the log, not from any pre-crash state.
-        let a = rec.state.get(&Key::from("a")).unwrap().unwrap();
-        assert_eq!(a.value, Value::from_i64(11));
-        assert_eq!(a.version, Version::new(2, 0));
+        // replay applied it from the file, not from any pre-crash state.
+        let state = replay(&ledger, true).unwrap();
+        assert_eq!(value(&state, "a"), Some((Value::from_i64(11), Version::new(2, 0))));
         // No committed transaction was lost.
         for id in tip_tx_ids {
-            assert!(rec.ledger.find_tx(id).is_some(), "tx {id} lost across crash");
+            assert!(ledger.find_tx(id).is_some(), "tx {id} lost across crash");
         }
-        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_file(&path).unwrap();
     }
 
-    /// Crash *mid block append*: the log ends in a torn frame. Recovery
-    /// drops the torn tail, replays the clean prefix, and leaves the file
-    /// appendable so the missing block can be re-committed.
+    /// Crash *mid block append*: the file ends in a torn frame. Reopening
+    /// drops the torn tail and reports it, replay covers the clean prefix,
+    /// and the ledger takes the missing block again.
     #[test]
     fn crash_mid_block_append_recovers_prefix_and_resumes() {
-        let dir =
-            std::env::temp_dir().join(format!("fabric-crash-mid-append-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("blocks.log");
+        let path = block_path("crash-mid-append");
         let blocks = history();
-        {
-            let mut store = FileBlockStore::open(&path).unwrap();
-            for cb in &blocks {
-                store.append(cb).unwrap();
-            }
-            store.sync().unwrap();
-        }
+        persist(&path, &blocks);
         // Tear the final frame: chop bytes off the end of the file, as a
         // crash mid-write would.
-        let full_len = std::fs::metadata(&path).unwrap().len();
-        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-        f.set_len(full_len - 7).unwrap();
-        drop(f);
+        fabric_ledger::ledger::tear_block_file(&path, 7).unwrap();
 
-        // A strict load refuses the torn log; crash recovery accepts it.
-        assert!(recover_from_log(&path, true).is_err());
-        let (rec, torn) = recover_from_crashed_log(&path, true).unwrap();
+        let (ledger, torn) = Ledger::open(&path).unwrap();
         assert!(torn > 0, "torn tail must be reported");
-        assert_eq!(rec.ledger.height(), 2, "only the clean prefix replays");
-        rec.ledger.verify_chain().unwrap();
-        let a = rec.state.get(&Key::from("a")).unwrap().unwrap();
-        assert_eq!(a.value, Value::from_i64(10), "block 2's write must not survive the tear");
-        assert_eq!(a.version, Version::new(1, 0));
-        assert!(rec.state.get(&Key::from("c")).unwrap().is_none());
-
-        // The truncated log accepts the re-fetched block and a clean reload
-        // then sees the full chain.
-        {
-            let mut store = FileBlockStore::open(&path).unwrap();
-            store.append(&blocks[2]).unwrap();
-            store.sync().unwrap();
-        }
-        let rec2 = recover_from_log(&path, true).unwrap();
-        assert_eq!(rec2.ledger.height(), 3);
+        assert_eq!(ledger.height(), 2, "only the clean prefix replays");
+        ledger.verify_chain().unwrap();
+        let state = replay(&ledger, true).unwrap();
         assert_eq!(
-            rec2.state.get(&Key::from("a")).unwrap().unwrap().value,
-            Value::from_i64(11)
+            value(&state, "a"),
+            Some((Value::from_i64(10), Version::new(1, 0))),
+            "block 2's write must not survive the tear"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(value(&state, "c").is_none());
+
+        // The truncated file accepts the re-fetched block and a clean
+        // reopen then sees the full chain.
+        ledger.append(blocks[2].clone()).unwrap();
+        drop(ledger);
+        let (ledger, torn) = Ledger::open(&path).unwrap();
+        assert_eq!((ledger.height(), torn), (3, 0));
+        assert_eq!(value(&replay(&ledger, true).unwrap(), "a").unwrap().0, Value::from_i64(11));
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn empty_log_recovers_empty_peer() {
-        let rec = rebuild(vec![], true).unwrap();
-        assert_eq!(rec.ledger.height(), 0);
-        assert_eq!(rec.state.approximate_len(), 0);
+        let state = replay(&Ledger::new(), true).unwrap();
+        assert_eq!(state.approximate_len(), 0);
     }
 }

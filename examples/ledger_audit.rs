@@ -1,23 +1,23 @@
-//! Ledger persistence and peer recovery: run a workload, persist every
-//! committed block to an on-disk log, "crash", then rebuild the ledger and
-//! the current state from the log alone — re-verifying hash-chain linkage,
-//! data hashes, and even the recorded validation flags.
+//! Ledger persistence and peer recovery: run a workload whose peers keep
+//! their ledgers as block files, "crash", then reopen the reporting peer's
+//! own block file and rebuild the current state from it alone —
+//! re-verifying every frame's crc, the hash-chain linkage, the data
+//! hashes, and even the recorded validation flags.
 //!
 //! ```bash
 //! cargo run --release --example ledger_audit
 //! ```
 
-use fabric_chaos::{ChaosNet, FaultPlan};
+use fabric_chaos::{ChaosNet, ChaosOptions, FaultPlan};
 use fabric_common::{Key, PipelineConfig, Value};
-use fabric_ledger::FileBlockStore;
+use fabric_ledger::Ledger;
 use fabric_peer::recovery;
 use fabric_statedb::StateStore;
 use fabricpp::chaincode_fn;
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("fabricpp-audit-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    let log_path = dir.join("blocks.log");
+    let _ = std::fs::remove_dir_all(&dir);
 
     let bump = chaincode_fn("bump", |ctx, args| {
         let k = Key::new(args.to_vec());
@@ -26,20 +26,18 @@ fn main() {
         Ok(())
     });
 
-    // Phase 1: run a Fabric++ network and persist its blocks.
-    let mut net = ChaosNet::new(
+    // Phase 1: run a Fabric++ network; every commit is fsynced to each
+    // peer's block file under `dir`.
+    let mut net = ChaosNet::with_options(
         &PipelineConfig::fabric_pp(),
         2,
         1,
         vec![bump],
         &(0..8).map(|i| (Key::composite("ctr", i), Value::from_i64(0))).collect::<Vec<_>>(),
         FaultPlan::quiescent(0),
+        ChaosOptions { block_dir: Some(dir.clone()), ..ChaosOptions::default() },
     )
     .expect("network");
-
-    let mut store = FileBlockStore::open(&log_path).expect("block log");
-    // Persist the genesis block the peers installed.
-    store.append(&net.reporting_peer().ledger().get(0).unwrap()).unwrap();
 
     for round in 0..5u64 {
         for client in 0..6u64 {
@@ -48,7 +46,6 @@ fn main() {
         }
         let n = net.cut_block().expect("cut").expect("block");
         let committed = net.reporting_peer().ledger().get(n).expect("committed block");
-        store.append(&committed).unwrap();
         println!(
             "block {}: {} txs, {} valid",
             committed.block.header.number,
@@ -56,24 +53,26 @@ fn main() {
             committed.valid_count()
         );
     }
-    store.sync().unwrap();
+    let reporting = net.reporting_peer().id();
     let live_tip = net.reporting_peer().ledger().tip_hash();
     drop(net); // "crash"
 
-    // Phase 2: recover from the log alone, re-checking everything.
-    println!("\nrecovering from {} …", log_path.display());
-    let recovered = recovery::recover_from_log(&log_path, /* recheck_flags = */ true)
-        .expect("recovery");
-    recovered.ledger.verify_chain().expect("chain audit");
-    assert_eq!(recovered.ledger.tip_hash(), live_tip, "recovered chain matches live tip");
+    // Phase 2: recover from the reporting peer's block file alone,
+    // re-checking everything.
+    let path = dir.join(format!("peer-{}.blocks", reporting.raw()));
+    println!("\nrecovering from {} …", path.display());
+    let (ledger, torn) = Ledger::open(&path).expect("reopen");
+    assert_eq!(torn, 0, "a clean shutdown leaves no torn tail");
+    ledger.verify_chain().expect("chain audit");
+    assert_eq!(ledger.tip_hash(), live_tip, "recovered chain matches live tip");
+    let state = recovery::replay(&ledger, /* recheck_flags = */ true).expect("recovery");
 
-    println!("recovered height: {}", recovered.ledger.height());
-    let (valid, invalid) = recovered.ledger.tx_totals();
+    println!("recovered height: {}", ledger.height());
+    let (valid, invalid) = ledger.tx_totals();
     println!("transactions:     {valid} valid, {invalid} invalid (all retained)");
     let mut total = 0i64;
     for i in 0..8u64 {
-        let v = recovered
-            .state
+        let v = state
             .get(&Key::composite("ctr", i))
             .unwrap()
             .map(|vv| vv.value.as_i64().unwrap())

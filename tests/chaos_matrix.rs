@@ -32,8 +32,8 @@ struct CaseResult {
 }
 
 /// Runs one matrix cell: a fresh network, a seeded Smallbank stream, and
-/// the end-of-run invariant sweep. `persist` gives every peer an on-disk
-/// block log (required for torn-crash plans).
+/// the end-of-run invariant sweep. `persist` makes every peer's ledger a
+/// block file under a fresh directory (required for torn-crash plans).
 fn run_case(config: &PipelineConfig, plan: FaultPlan, persist: Option<&str>) -> CaseResult {
     run_case_traced(config, plan, persist, TraceSink::disabled())
 }
@@ -51,6 +51,12 @@ fn run_case_traced(
         seed: 11,
     });
     let genesis = wl.genesis();
+    let dir = persist.map(|tag| {
+        std::env::temp_dir().join(format!("chaos-matrix-{tag}-{}", std::process::id()))
+    });
+    if let Some(dir) = &dir {
+        let _ = std::fs::remove_dir_all(dir);
+    }
     let mut net = ChaosNet::with_options(
         config,
         ORGS,
@@ -58,16 +64,9 @@ fn run_case_traced(
         vec![SmallbankChaincode::deployable()],
         &genesis,
         plan,
-        ChaosOptions { sink, ..ChaosOptions::default() },
+        ChaosOptions { sink, block_dir: dir.clone(), ..ChaosOptions::default() },
     )
     .unwrap();
-    let dir = persist.map(|tag| {
-        std::env::temp_dir().join(format!("chaos-matrix-{tag}-{}", std::process::id()))
-    });
-    if let Some(dir) = &dir {
-        let _ = std::fs::remove_dir_all(dir);
-        net.persist_blocks(dir).unwrap();
-    }
     let mut client = 0u64;
     for _ in 0..BLOCKS {
         for _ in 0..TXS_PER_BLOCK {
@@ -227,7 +226,7 @@ fn partition_heals_in_both_modes() {
 #[test]
 fn crash_and_recovery_preserve_committed_txs() {
     // Peer 2 dies at block 3 and is restarted three blocks later; peer 4
-    // dies at block 6 with a torn block log and restarts after two. The
+    // dies at block 6 with a torn block file and restarts after two. The
     // invariant sweep (convergence + find_tx on every committed id) is the
     // no-tx-loss check.
     for (label, config) in modes() {
