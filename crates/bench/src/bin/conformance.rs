@@ -2,10 +2,10 @@
 //!
 //! Runs every conformance fixture across its non-semantic knob matrix
 //! (validation workers 1/2/4, trace sink on/off, memory vs LSM state
-//! engine, version retention, telemetry, single vs replicated consensus) and
-//! requires every replica's artifacts — serialized block stream, state
-//! digest, chain fingerprint, fault-schedule digest, outcome counters —
-//! to match the baseline **byte for byte**. Then proves the harness
+//! engine, version retention, telemetry) and requires every replica's
+//! artifacts — serialized block stream, state digest, chain fingerprint,
+//! fault-schedule digest, outcome counters — to match the baseline
+//! **byte for byte**. Then proves the harness
 //! itself has teeth: each known nondeterminism-bug class is injected
 //! into collected artifacts and must be caught with the right artifact,
 //! localization, and root-cause hint.

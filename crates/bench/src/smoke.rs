@@ -185,10 +185,10 @@ mod tests {
     #[test]
     fn records_round_trip_through_json_lines() {
         let r = GateResult {
-            bin: "consensus_scaling".into(),
-            gate: "replicated-vs-single".into(),
+            bin: "commit_scaling".into(),
+            gate: "batched-vs-oracle".into(),
             passed: true,
-            detail: "replicas [1, 3, 5] over 12 batches, \"quoted\"\nline".into(),
+            detail: "workers [1, 2, 4] over 12 blocks, \"quoted\"\nline".into(),
         };
         let parsed = parse_line(&to_json(&r)).unwrap();
         assert_eq!(parsed, r);

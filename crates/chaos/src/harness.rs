@@ -44,11 +44,9 @@ use fabric_common::{
     PipelineConfig, Result, SignerRegistry, SubsystemGauges, Transaction, TransactionProposal,
     TxCounters, TxId, TxStats, ValidationCode, Value,
 };
-use fabric_consensus::{GroupConfig, OrdererGroup};
 use fabric_ledger::ledger::tear_block_file;
 use fabric_ledger::{Block, Ledger};
-use fabric_net::{FaultHook, LinkId, SendFault};
-use fabric_ordering::{CutReason, OrderingService};
+use fabric_ordering::{CutReason, OrdererStats, OrdererStatsSnapshot, OrderingService};
 use fabric_peer::chaincode::{Chaincode, ChaincodeRegistry, SimulationError};
 use fabric_peer::peer::{genesis_block, Peer};
 use fabric_peer::validation_pool::ValidationPool;
@@ -56,11 +54,11 @@ use fabric_peer::validator::EndorsementPolicy;
 use fabric_statedb::{LsmConfig, LsmStateDb, MemStateDb, StateStore};
 use fabric_telemetry::{TelemetryConfig, TelemetryHub, TelemetrySeries};
 use fabric_trace::{EventKind, TraceSink};
-use fabricpp::channel::PeerContext;
+use fabricpp::channel::{order_cut, PeerContext};
 use fabricpp::client::assemble_transaction;
 use fabricpp::StateEngine;
 
-use crate::injector::FaultInjector;
+use crate::injector::{FaultInjector, LinkId, SendFault};
 use crate::invariants::{check_invariants, InvariantReport};
 use crate::plan::FaultPlan;
 
@@ -88,41 +86,17 @@ struct Slot {
     burst_remaining: u32,
 }
 
-/// The ordering side of a [`ChaosNet`]: either the classic single
-/// ordering process, or a replicated consensus group whose inter-replica
-/// messages run through the same fault injector as block delivery.
-enum OrdererBackend {
-    /// One ordering process: each batch is prepared and sealed on this
-    /// thread by [`OrderingService::order_batch`], the same call the
-    /// threaded runtime's orderer makes.
-    Single(OrderingService),
-    /// `n` consensus replicas deciding each batch before it is sealed
-    /// (boxed: a group is an order of magnitude bigger than the single
-    /// path).
-    Replicated(Box<OrdererGroup>),
-}
-
 /// Non-semantic construction knobs for a [`ChaosNet`]: everything here
 /// may change *how* a run executes (threading, storage engine, tracing,
-/// consensus replication) but — by the determinism contract — never what
+/// telemetry, block files) but — by the determinism contract — never what
 /// it computes. The conformance harness builds its replica matrix by
 /// varying exactly these.
 #[derive(Debug, Clone)]
 pub struct ChaosOptions {
-    /// `Some(n)`: replace the single ordering process with a group of `n`
-    /// consensus replicas — each cut batch is decided by
-    /// propose/vote/commit before it is sealed, every inter-replica
-    /// message runs through this run's fault injector (under
-    /// [`LinkId::between_replicas`] link ids), and the plan's
-    /// `orderer_crashes` / `equivocations` fire inside the group. `None`:
-    /// classic single orderer. Note that consensus replicas consume
-    /// fault-injector dice rolls, so schedule digests are only comparable
-    /// across replica counts under a quiescent plan.
-    pub replicas: Option<usize>,
     /// Flight-recorder sink, attached to the fault injector (every fault
     /// verdict mirrors into the trace), the orderer (cut, seal and
-    /// order-phase abort provenance), every replica's consensus lifecycle,
-    /// proposals, and the reporting peer's validate/commit pipeline.
+    /// order-phase abort provenance), proposals, and the reporting peer's
+    /// validate/commit pipeline.
     /// Observation only (consulted strictly after verdicts are decided),
     /// so a traced run is byte-identical to an untraced one.
     pub sink: TraceSink,
@@ -154,7 +128,6 @@ pub struct ChaosOptions {
 impl Default for ChaosOptions {
     fn default() -> Self {
         ChaosOptions {
-            replicas: None,
             sink: TraceSink::disabled(),
             engine: StateEngine::Memory,
             retained_versions: None,
@@ -167,7 +140,10 @@ impl Default for ChaosOptions {
 /// Deterministic (optionally fault-injecting) Fabric/Fabric++ instance.
 pub struct ChaosNet {
     slots: Vec<Slot>,
-    orderer: OrdererBackend,
+    /// The one ordering service: each cut batch is ordered through
+    /// [`order_cut`], as on the threaded runtime's orderer thread.
+    orderer: OrderingService,
+    orderer_stats: OrdererStats,
     pending: Vec<Transaction>,
     /// Every ordered block, in order (block `n` at index `n - 1`). Each is
     /// sealed into one `Arc` that every delivery, duplicate and peer
@@ -203,7 +179,7 @@ impl ChaosNet {
     }
 
     /// [`ChaosNet::new`] with explicit non-semantic knobs (storage
-    /// engine, trace sink, telemetry, consensus replication) — the
+    /// engine, trace sink, telemetry, block files) — the
     /// constructor the determinism-conformance harness varies its replica
     /// matrix over.
     pub fn with_options(
@@ -215,8 +191,7 @@ impl ChaosNet {
         plan: FaultPlan,
         opts: ChaosOptions,
     ) -> Result<Self> {
-        let ChaosOptions { replicas, sink, engine, retained_versions, telemetry, block_dir } =
-            opts;
+        let ChaosOptions { sink, engine, retained_versions, telemetry, block_dir } = opts;
         config.validate()?;
         if orgs == 0 || peers_per_org == 0 {
             return Err(Error::Config("need at least one org and one peer".into()));
@@ -301,32 +276,10 @@ impl ChaosNet {
             }
         }
         let genesis_hash = slots[0].peer.ledger().tip_hash();
-        let orderer = match replicas {
-            None => {
-                let orderer = OrderingService::new(config)
-                    .with_counters(ctx.counters.clone())
-                    .with_trace(ctx.sink.clone())
-                    .resume_at(1, genesis_hash);
-                OrdererBackend::Single(orderer)
-            }
-            Some(n) => {
-                let mut gcfg = GroupConfig::new(n);
-                gcfg.crashes = injector.plan().orderer_crashes.clone();
-                gcfg.equivocations = injector.plan().equivocations.clone();
-                let hook: Arc<dyn FaultHook> = Arc::clone(&injector) as Arc<dyn FaultHook>;
-                let mut group = OrdererGroup::new_traced(
-                    gcfg,
-                    config,
-                    1,
-                    genesis_hash,
-                    hook,
-                    Some(ctx.counters.clone()),
-                    ctx.sink.clone(),
-                )?;
-                group.set_gauges(ctx.gauges.clone());
-                OrdererBackend::Replicated(Box::new(group))
-            }
-        };
+        let orderer = OrderingService::new(config)
+            .with_counters(ctx.counters.clone())
+            .with_trace(ctx.sink.clone())
+            .resume_at(1, genesis_hash);
         ctx.telemetry.connect(
             ctx.counters.clone(),
             ctx.latency.clone(),
@@ -336,6 +289,7 @@ impl ChaosNet {
         Ok(ChaosNet {
             slots,
             orderer,
+            orderer_stats: OrdererStats::new(),
             pending: Vec::new(),
             archive: Vec::new(),
             injector,
@@ -359,13 +313,10 @@ impl ChaosNet {
         &self.injector
     }
 
-    /// The consensus group behind a replicated ordering service, or
-    /// `None` when this net runs the classic single orderer.
-    pub fn orderer_group(&self) -> Option<&OrdererGroup> {
-        match &self.orderer {
-            OrdererBackend::Single(_) => None,
-            OrdererBackend::Replicated(g) => Some(g.as_ref()),
-        }
+    /// The ordering service's counters: one flush cut per block, plus
+    /// the batches early abort emptied.
+    pub fn orderer_stats(&self) -> OrdererStatsSnapshot {
+        self.orderer_stats.snapshot()
     }
 
     fn ledger_path(dir: &Path, id: PeerId) -> PathBuf {
@@ -477,38 +428,30 @@ impl ChaosNet {
     /// every peer through the injector, and finally fires due restarts.
     /// Returns the cut block's number — read the committed block from a
     /// peer's ledger (`reporting_peer().ledger().get(n)`) — or `Ok(None)`
-    /// when the cut was suppressed (empty pending buffer or fully
-    /// early-aborted batch): no block is delivered, no block number is
-    /// consumed, no crash/restart points fire, and the fault schedule
-    /// stays deterministic per seed.
+    /// when the cut was suppressed (empty pending buffer, which never
+    /// reaches the orderer, or fully early-aborted batch): no block is
+    /// delivered, no block number is consumed, no crash/restart points
+    /// fire, and the fault schedule stays deterministic per seed.
     pub fn cut_block(&mut self) -> Result<Option<u64>> {
         // Queue depth at the cut: the deterministic harness's analogue of
         // the threaded runtime's cutter queue (observation only).
         self.ctx.gauges.set_cutter_queue(self.pending.len() as u64);
-        let batch = std::mem::take(&mut self.pending);
-        if self.ctx.sink.is_enabled() && !batch.is_empty() {
-            // The harness cuts on demand, which maps to the explicit
-            // flush condition rather than a threshold.
-            self.ctx.sink.emit(EventKind::BlockCut {
-                reason: CutReason::Flush.trace_kind(),
-                txs: batch.len() as u32,
-            });
+        if self.pending.is_empty() {
+            return Ok(None);
         }
-        let ordered = match &mut self.orderer {
-            OrdererBackend::Single(orderer) => orderer.order_batch(batch),
-            // Replicated: the batch becomes one consensus height; every
-            // live replica seals the decided plan on its own chain and
-            // the group asserts the chains are byte-identical. The
-            // delivered block is the canonical (lowest live replica's)
-            // one. An empty decision (suppressed block) still consumed a
-            // height, keeping the consensus message schedule — and hence
-            // the fault schedule — deterministic per seed.
-            OrdererBackend::Replicated(group) => group.decide_batch(batch)?,
-        };
-        let Some(ordered) = ordered else {
+        let batch = std::mem::take(&mut self.pending);
+        // The harness cuts on demand, which maps to the explicit flush
+        // condition rather than a threshold.
+        let Some(block) = order_cut(
+            &mut self.orderer,
+            batch,
+            CutReason::Flush,
+            &self.orderer_stats,
+            &self.ctx.phase_timers,
+            &self.ctx.sink,
+        ) else {
             return Ok(None);
         };
-        let block = Arc::new(ordered.block);
         let num = block.header.number;
         self.archive.push(Arc::clone(&block));
 
@@ -572,9 +515,7 @@ impl ChaosNet {
             return Ok(());
         }
         let link = LinkId::from_orderer(self.slots[idx].peer.id().raw() as u32);
-        // Size proxy: transaction count (the injector decides by link and
-        // sequence, not by payload size).
-        match self.injector.on_send(link, block.txs.len()) {
+        match self.injector.on_send(link) {
             SendFault::Deliver => self.apply(idx, block),
             SendFault::Drop => Ok(()),
             SendFault::Duplicate { extra } => {
@@ -1051,6 +992,19 @@ mod tests {
     }
 
     #[test]
+    fn orderer_stats_count_one_flush_cut_per_block() {
+        let mut net = quiet(PipelineConfig::fabric_pp(), 2, 2, 8);
+        assert!(net.cut_block().unwrap().is_none(), "empty buffer");
+        run_workload(&mut net, 6, 8);
+        let s = net.orderer_stats();
+        assert_eq!(net.blocks_cut(), 6);
+        assert_eq!(s.blocks, net.blocks_cut());
+        assert_eq!(s.cut_flush, net.blocks_cut());
+        assert_eq!(s.txs_ordered, 18, "every submitted transfer reached the orderer");
+        assert_eq!(s.empty_suppressed, 0, "an empty buffer never reaches the orderer");
+    }
+
+    #[test]
     fn quiescent_run_is_clean_and_conserves_money() {
         let mut net = quiet(PipelineConfig::fabric_pp(), 2, 2, 8);
         run_workload(&mut net, 6, 8);
@@ -1135,7 +1089,7 @@ mod tests {
         // append: the restart fails, naming the block, and the file stays
         // as it was.
         let mut bytes = intact.clone();
-        bytes[10] ^= 0x01;
+        bytes[20] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         match net.restart(3) {
             Err(Error::Corruption(msg)) => assert!(msg.contains("block 0"), "{msg}"),
@@ -1245,61 +1199,6 @@ mod tests {
                 "block {n} still held by a ledger after block {tip} committed everywhere"
             );
         }
-    }
-
-    fn replicated(plan: FaultPlan, replicas: usize) -> ChaosNet {
-        let opts = ChaosOptions { replicas: Some(replicas), ..ChaosOptions::default() };
-        let cc = vec![transfer_chaincode()];
-        let cfg = PipelineConfig::fabric_pp();
-        ChaosNet::with_options(&cfg, 2, 2, cc, &genesis(8), plan, opts).unwrap()
-    }
-
-    #[test]
-    fn replicated_orderer_converges_through_leader_crash() {
-        // Three consensus replicas; the height-2 leader (replica (2+0)%3
-        // = 2) dies right after proposing and restarts one height later.
-        let plan = FaultPlan::quiescent(9).with_orderer_crash(2, 2, 1, true);
-        let mut net = replicated(plan, 3);
-        run_workload(&mut net, 5, 8);
-        let report = net.check().unwrap();
-        report.assert_ok();
-        let group = net.orderer_group().unwrap();
-        assert_eq!(group.replicas(), 3);
-        assert_eq!(group.heights_decided(), 5);
-        let fps = group.fingerprints();
-        assert_eq!(fps.len(), 3, "the crashed replica restarted");
-        assert!(
-            fps.iter().all(|(_, n, h)| (*n, *h) == (fps[0].1, fps[0].2)),
-            "replica block streams diverged: {fps:?}"
-        );
-        // Replica chains line up with what the peers committed.
-        assert_eq!(fps[0].1, net.blocks_cut() + 1);
-    }
-
-    #[test]
-    fn single_replica_group_matches_single_orderer_observables() {
-        // The 1-replica group sends no messages and consults the injector
-        // zero times, so a lossy plan produces the same schedule digest
-        // and the same peer-visible outcome as the classic single path.
-        let run = |replicas: bool| {
-            let plan = FaultPlan::lossy(21);
-            let mut net = if replicas {
-                replicated(plan, 1)
-            } else {
-                let cfg = PipelineConfig::fabric_pp();
-                ChaosNet::new(&cfg, 2, 2, vec![transfer_chaincode()], &genesis(8), plan)
-                    .unwrap()
-            };
-            run_workload(&mut net, 8, 8);
-            net.check().unwrap().assert_ok();
-            let state: Vec<_> = (0..8).map(|i| balance(net.reporting_peer(), i)).collect();
-            (net.injector().schedule_digest(), net.blocks_cut(), state)
-        };
-        let single = run(false);
-        let replicated = run(true);
-        assert_eq!(single.0, replicated.0, "schedule digests diverged");
-        assert_eq!(single.1, replicated.1, "block counts diverged");
-        assert_eq!(single.2, replicated.2, "final states diverged");
     }
 
     #[test]

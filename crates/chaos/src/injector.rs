@@ -1,10 +1,9 @@
 //! The fault injector: turns a [`FaultPlan`] plus a seed into concrete,
 //! reproducible per-message and per-WAL-append fault verdicts.
 //!
-//! The injector implements both [`fabric_net::FaultHook`] (consulted by
-//! the deterministic chaos harness for every block delivery and by the
-//! replicated orderer for every consensus message) and, via
-//! [`FaultInjector::wal_policy`],
+//! The chaos harness consults [`FaultInjector::on_send`] for every block
+//! delivery on a [`LinkId`] and applies the [`SendFault`] verdict; via
+//! [`FaultInjector::wal_policy`] the injector is also the
 //! [`fabric_statedb::WalFaultPolicy`] for the LSM write-ahead log.
 //!
 //! Every injected fault is recorded in an event log with a monotonically
@@ -13,15 +12,63 @@
 //! into one hash for cheap equality asserts in tests.
 
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use fabric_common::hash::{Digest, Sha256};
 use fabric_common::BlockNum;
-use fabric_net::{FaultHook, LinkId, SendFault};
 use fabric_statedb::{WalFaultPolicy, WalIoFault};
 use fabric_trace::{EventKind, FaultKind, TraceSink};
 
 use crate::plan::FaultPlan;
 use crate::rng::ChaosRng;
+
+/// One directed link, identified by simulated endpoint ids. `u32::MAX`
+/// denotes the ordering service as a source. Its `Debug` form is part of
+/// every schedule digest, so its name and fields are fixed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LinkId {
+    /// Sending endpoint.
+    pub from: u32,
+    /// Receiving endpoint.
+    pub to: u32,
+}
+
+impl LinkId {
+    /// Id of the ordering service endpoint.
+    pub const ORDERER: u32 = u32::MAX;
+
+    /// Link from the ordering service to peer `to`.
+    pub fn from_orderer(to: u32) -> Self {
+        LinkId { from: Self::ORDERER, to }
+    }
+}
+
+/// Verdict for one message, produced by [`FaultInjector::on_send`]. Its
+/// `Debug` form is part of every schedule digest, like [`LinkId`]'s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SendFault {
+    /// Deliver normally.
+    Deliver,
+    /// Silently discard the message (the sender still observes success,
+    /// as with a lossy wire).
+    Drop,
+    /// Deliver the message plus `extra` additional copies.
+    Duplicate {
+        /// Number of extra copies beyond the original.
+        extra: u32,
+    },
+    /// Deliver after an additional latency spike.
+    Delay {
+        /// Extra delay added on top of the latency model.
+        extra: Duration,
+    },
+    /// Hold this message and the next `len - 1` on the same link, then
+    /// release all of them in reverse order.
+    ReorderBurst {
+        /// Total number of messages in the burst (≥ 2 to reorder).
+        len: u32,
+    },
+}
 
 /// One recorded fault decision. `Deliver` verdicts are not logged — the
 /// schedule is the (typically sparse) set of injected faults.
@@ -138,7 +185,9 @@ impl FaultInjector {
         Arc::new(WalAdapter { injector: Arc::clone(self) })
     }
 
-    fn decide(&self, link: LinkId, _size: usize) -> SendFault {
+    /// Verdict for the next message on `link`: a deterministic function
+    /// of the plan, the seed and the sequence of earlier calls.
+    pub fn on_send(&self, link: LinkId) -> SendFault {
         let mut inner = self.inner.lock().unwrap();
         let inner = &mut *inner;
 
@@ -158,17 +207,8 @@ impl FaultInjector {
 
         // Scheduled partitions outrank random faults and consume no
         // randomness, so healing a partition never shifts the dice
-        // stream of unrelated links. A partitioned endpoint is cut off in
-        // both directions; peer-side plans list only destinations (peer
-        // link sources are the orderer sentinel or another peer id, never
-        // listed), so existing schedules are unchanged, while orderer
-        // partitions isolate a replica symmetrically.
-        if self
-            .plan
-            .partitions
-            .iter()
-            .any(|p| p.covers(link.to as u64, nth) || p.covers(link.from as u64, nth))
-        {
+        // stream of unrelated links.
+        if self.plan.partitions.iter().any(|p| p.covers(link.to as u64, nth)) {
             let seq = inner.seq;
             inner.seq += 1;
             inner.events.push(FaultEvent::Net {
@@ -264,12 +304,6 @@ impl FaultInjector {
     }
 }
 
-impl FaultHook for FaultInjector {
-    fn on_send(&self, link: LinkId, size: usize) -> SendFault {
-        self.decide(link, size)
-    }
-}
-
 struct WalAdapter {
     injector: Arc<FaultInjector>,
 }
@@ -289,7 +323,7 @@ mod tests {
         for n in 0..msgs {
             for to in 0..links {
                 let _ = n;
-                out.push(inj.on_send(LinkId::from_orderer(to), 64));
+                out.push(inj.on_send(LinkId::from_orderer(to)));
             }
         }
         out
@@ -332,7 +366,7 @@ mod tests {
         let inj = FaultInjector::new(plan).unwrap();
         for _ in 0..10 {
             for to in 0..4u32 {
-                let v = inj.on_send(LinkId::from_orderer(to), 10);
+                let v = inj.on_send(LinkId::from_orderer(to));
                 if to == 2 {
                     continue;
                 }

@@ -7,10 +7,10 @@
 //! * [`rng`] — the dedicated chaos RNG (xorshift64*), kept separate from
 //!   workload RNGs so fault decisions never perturb workload streams;
 //! * [`plan`] / [`injector`] — declarative fault plans compiled into a
-//!   [`injector::FaultInjector`] that implements `fabric_net::FaultHook`
-//!   (network faults) and `fabric_statedb::WalFaultPolicy` (WAL IO
-//!   faults), recording every decision in an event log whose digest is
-//!   the determinism contract;
+//!   [`injector::FaultInjector`] that decides a [`SendFault`] verdict per
+//!   block delivery on a [`LinkId`] (network faults) and is the
+//!   `fabric_statedb::WalFaultPolicy` (WAL IO faults), recording every
+//!   decision in an event log whose digest is the determinism contract;
 //! * [`invariants`] — post-run checks: state convergence across live
 //!   peers, ledger hash-chain verification, and no-committed-tx-loss
 //!   across crash/restart;
@@ -22,12 +22,9 @@
 //!   or the crashed peer's own ledger, state replayed by
 //!   `fabric_peer::recovery` — and archive catch-up. Under
 //!   [`plan::FaultPlan::quiescent`] it is the scripted-scenario harness
-//!   the paper's worked examples run on. With
-//!   [`harness::ChaosOptions::replicas`] set, the single ordering process
-//!   becomes a [`fabric_consensus::OrdererGroup`] whose propose/vote/
-//!   commit traffic runs through the same injector, so leader crashes,
-//!   consensus partitions, and equivocation are chaos-testable with the
-//!   same seeded determinism.
+//!   the paper's worked examples run on. Its one ordering service orders
+//!   each cut batch through `fabricpp::channel::order_cut`, the function
+//!   the threaded runtime's orderer thread calls.
 //!
 //! `ChaosNet` is the repository's only fault and crash driver. The
 //! threaded runtime ([`fabricpp::NetworkBuilder`]) is fault-free by
@@ -40,9 +37,8 @@ pub mod invariants;
 pub mod plan;
 pub mod rng;
 
-pub use fabric_consensus::{Equivocation, OrdererCrash};
 pub use harness::{ChaosNet, ChaosOptions, ProposeOutcome};
-pub use injector::{FaultEvent, FaultInjector};
+pub use injector::{FaultEvent, FaultInjector, LinkId, SendFault};
 pub use invariants::{check_invariants, state_digest, InvariantReport};
 pub use plan::{CrashPoint, FaultPlan, Partition, WalFault};
 pub use rng::ChaosRng;

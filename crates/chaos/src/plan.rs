@@ -8,8 +8,6 @@
 use std::time::Duration;
 
 use fabric_common::{Error, Result};
-use fabric_consensus::{Equivocation, OrdererCrash};
-use fabric_net::LinkId;
 
 /// A network partition over a set of peers, expressed as a per-link
 /// message-count window: while the `nth` message on a link into the
@@ -79,7 +77,7 @@ pub struct FaultPlan {
     /// Probability (per mille) a message suffers a latency spike.
     pub delay_per_mille: u32,
     /// Size of an injected latency spike, carried by the
-    /// [`fabric_net::SendFault::Delay`] verdict; the deterministic harness
+    /// [`crate::SendFault::Delay`] verdict; the deterministic harness
     /// defers the block one logical round instead.
     pub delay_spike: Duration,
     /// Probability (per mille) a message opens a reorder burst.
@@ -92,10 +90,6 @@ pub struct FaultPlan {
     pub crashes: Vec<CrashPoint>,
     /// Scheduled WAL IO faults.
     pub wal_faults: Vec<WalFault>,
-    /// Scheduled orderer-replica crashes (replicated ordering only).
-    pub orderer_crashes: Vec<OrdererCrash>,
-    /// Scheduled leader equivocations (replicated ordering only).
-    pub equivocations: Vec<Equivocation>,
 }
 
 impl FaultPlan {
@@ -114,8 +108,6 @@ impl FaultPlan {
             partitions: Vec::new(),
             crashes: Vec::new(),
             wal_faults: Vec::new(),
-            orderer_crashes: Vec::new(),
-            equivocations: Vec::new(),
         }
     }
 
@@ -173,54 +165,7 @@ impl FaultPlan {
         self
     }
 
-    /// Adds an orderer-replica crash (builder style). `after_propose`
-    /// kills the replica right after its proposal hits the wire — the
-    /// leader-dies-mid-height scenario; otherwise it misses the height
-    /// entirely. Only meaningful with a replicated ordering service.
-    pub fn with_orderer_crash(
-        mut self,
-        replica: u32,
-        at_height: u64,
-        restart_after_heights: u64,
-        after_propose: bool,
-    ) -> Self {
-        self.orderer_crashes.push(OrdererCrash {
-            replica,
-            at_height,
-            restart_after_heights,
-            after_propose,
-        });
-        self
-    }
-
-    /// Adds a partition over orderer replicas (builder style): every
-    /// consensus message into (or out of) the named replicas is dropped
-    /// while the per-link message index is inside `from_nth..until_nth`.
-    /// Replica indices are mapped to their [`LinkId::consensus_endpoint`]
-    /// ids, so peer-side partitions are unaffected.
-    pub fn with_orderer_partition(
-        mut self,
-        replicas: Vec<u32>,
-        from_nth: u64,
-        until_nth: u64,
-    ) -> Self {
-        let peers = replicas
-            .into_iter()
-            .map(|r| u64::from(LinkId::consensus_endpoint(r)))
-            .collect();
-        self.partitions.push(Partition { peers, from_nth, until_nth });
-        self
-    }
-
-    /// Adds a leader equivocation (builder style): at `at_height` the
-    /// named replica's proposal toward each victim carries a forged plan
-    /// digest. Only meaningful with a replicated ordering service.
-    pub fn with_equivocation(mut self, leader: u32, at_height: u64, victims: Vec<u32>) -> Self {
-        self.equivocations.push(Equivocation { leader, at_height, victims });
-        self
-    }
-
-    /// True when any fault source is configured.
+    /// True when no fault source is configured.
     pub fn is_quiescent(&self) -> bool {
         self.drop_per_mille == 0
             && self.duplicate_per_mille == 0
@@ -229,8 +174,6 @@ impl FaultPlan {
             && self.partitions.is_empty()
             && self.crashes.is_empty()
             && self.wal_faults.is_empty()
-            && self.orderer_crashes.is_empty()
-            && self.equivocations.is_empty()
     }
 
     /// Validates internal consistency. The sum of fault probabilities must
@@ -265,25 +208,6 @@ impl FaultPlan {
                 return Err(Error::Config(
                     "torn crash without a restart never exercises recovery".into(),
                 ));
-            }
-        }
-        for c in &self.orderer_crashes {
-            if c.replica >= LinkId::MAX_CONSENSUS_REPLICAS {
-                return Err(Error::Config(format!(
-                    "orderer crash names replica {} outside the consensus endpoint range",
-                    c.replica
-                )));
-            }
-            if c.at_height == 0 {
-                return Err(Error::Config("consensus heights start at 1".into()));
-            }
-        }
-        for e in &self.equivocations {
-            if e.victims.is_empty() {
-                return Err(Error::Config("equivocation with no victims is a no-op".into()));
-            }
-            if e.at_height == 0 {
-                return Err(Error::Config("consensus heights start at 1".into()));
             }
         }
         Ok(())
@@ -323,30 +247,6 @@ mod tests {
 
         let p = FaultPlan::quiescent(0).with_torn_crash(1, 2, 0, 9);
         assert!(p.validate().is_err(), "torn crash without restart");
-
-        let p = FaultPlan::quiescent(0).with_orderer_crash(99, 1, 1, true);
-        assert!(p.validate().is_err(), "replica outside the consensus range");
-
-        let p = FaultPlan::quiescent(0).with_equivocation(0, 1, vec![]);
-        assert!(p.validate().is_err(), "equivocation without victims");
-    }
-
-    #[test]
-    fn orderer_faults_make_a_plan_non_quiescent() {
-        let p = FaultPlan::quiescent(0).with_orderer_crash(1, 2, 1, true);
-        assert!(!p.is_quiescent());
-        assert!(p.validate().is_ok());
-
-        let p = FaultPlan::quiescent(0).with_equivocation(1, 1, vec![0, 2]);
-        assert!(!p.is_quiescent());
-        assert!(p.validate().is_ok());
-
-        // Orderer partitions map replica indices into the reserved
-        // consensus endpoint range, away from peer ids.
-        let p = FaultPlan::quiescent(0).with_orderer_partition(vec![0, 2], 0, 4);
-        assert!(p.validate().is_ok());
-        let ids = &p.partitions[0].peers;
-        assert!(ids.iter().all(|id| *id >= u64::from(LinkId::CONSENSUS_BASE)));
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //!
 //! Two kinds of cell live here:
 //!
-//! * **counters** (monotone: endorsements, VSCC batches, consensus
-//!   messages/heights/view-changes) — the telemetry layer turns these
-//!   into per-window deltas via [`GaugeStats::since`];
+//! * **counters** (monotone: endorsements, VSCC batches) — the telemetry
+//!   layer turns these into per-window deltas via [`GaugeStats::since`];
 //! * **gauges** (instantaneous: cutter queue depth, configured
 //!   validation workers) — sampled as-is at window close.
 //!
@@ -48,13 +47,6 @@ counter_set! {
         vscc_batches_done,
         /// Configured validation-pool workers (static gauge).
         validation_workers: gauge,
-        /// Inter-replica consensus messages sent (counter; 0 under the
-        /// single-orderer backends).
-        consensus_msgs,
-        /// View changes burned across decided heights (counter).
-        consensus_view_changes,
-        /// Consensus heights decided (counter).
-        consensus_heights,
     }
 }
 
@@ -96,23 +88,6 @@ impl SubsystemGauges {
         self.inner.validation_workers.store(n, Ordering::Relaxed);
     }
 
-    /// Counts one inter-replica consensus message put on the wire.
-    pub fn record_consensus_msg(&self) {
-        self.inner.consensus_msgs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts `n` view changes burned deciding one consensus height (the
-    /// decided view number: 0 when the first leader's proposal went
-    /// through).
-    pub fn record_view_changes(&self, n: u64) {
-        self.inner.consensus_view_changes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts one decided consensus height.
-    pub fn record_consensus_height(&self) {
-        self.inner.consensus_heights.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Immutable snapshot of every cell.
     pub fn snapshot(&self) -> GaugeStats {
         self.inner.snapshot()
@@ -136,9 +111,6 @@ mod tests {
         g.record_endorsement();
         g.record_endorsement();
         g.record_vscc_batch_started();
-        g.record_consensus_msg();
-        g.record_view_changes(2);
-        g.record_consensus_height();
         g.set_cutter_queue(17);
         g.set_validation_workers(4);
         let a = g.snapshot();
@@ -163,7 +135,7 @@ mod tests {
     fn clones_share_cells() {
         let g = SubsystemGauges::new();
         let h = g.clone();
-        h.record_consensus_msg();
-        assert_eq!(g.snapshot().consensus_msgs, 1);
+        h.record_endorsement();
+        assert_eq!(g.snapshot().endorsements, 1);
     }
 }

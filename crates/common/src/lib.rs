@@ -30,7 +30,7 @@
 //! * [`metrics`] — atomic throughput counters and a latency recorder that
 //!   reproduces the min/max/avg latency rows of the paper's Table 8.
 //! * [`gauges`] — shared subsystem gauge cells (cutter queue, validation
-//!   pool, consensus wire) sampled per window by the telemetry layer.
+//!   pool) sampled per window by the telemetry layer.
 //! * [`prom`] — label escaping and family headers shared by the two
 //!   Prometheus exporters.
 //! * [`config`] — block-cutting and pipeline configuration shared between the

@@ -25,12 +25,10 @@ use crate::replica::ReplicaSpec;
 /// Which fault plan a fixture runs under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanKind {
-    /// No faults. Schedule digests are empty, so the consensus-replica
-    /// knob may vary freely across specs.
+    /// No faults: schedule digests are empty.
     Quiescent,
     /// `FaultPlan::chaotic(seed)`: drops, duplicates, delays, reorder
-    /// bursts, crashes. Consensus messages consume injector dice rolls,
-    /// so faulted fixtures hold the consensus knob fixed.
+    /// bursts, crashes.
     Chaotic(u64),
 }
 
@@ -155,12 +153,9 @@ impl Fixture {
     }
 
     /// The non-semantic knob matrix this fixture runs under. The first
-    /// spec is the comparison baseline. Faulted fixtures skip the
-    /// consensus-replication spec (consensus traffic consumes injector
-    /// dice rolls, so its schedule digest is only comparable under a
-    /// quiescent plan).
+    /// spec is the comparison baseline.
     pub fn specs(&self) -> Vec<ReplicaSpec> {
-        let mut specs = vec![
+        vec![
             ReplicaSpec::baseline(),
             ReplicaSpec::workers("vw2", 2),
             ReplicaSpec::workers("vw4", 4),
@@ -171,11 +166,7 @@ impl Fixture {
             // Windowed time-series telemetry attached: observation only,
             // so every artifact must match the baseline byte-for-byte.
             ReplicaSpec::telemetry(),
-        ];
-        if self.plan == PlanKind::Quiescent {
-            specs.push(ReplicaSpec::consensus(3));
-        }
-        specs
+        ]
     }
 
     /// The `(from, to)` accounts of transfer `t` in block `b` — pure
@@ -287,17 +278,5 @@ mod tests {
                 assert!(from < f.hot_accounts && to < f.hot_accounts);
             }
         }
-    }
-
-    #[test]
-    fn faulted_fixture_holds_consensus_knob_fixed() {
-        assert!(Fixture::chaos_faulted()
-            .specs()
-            .iter()
-            .all(|s| s.consensus_replicas.is_none()));
-        assert!(Fixture::small()
-            .specs()
-            .iter()
-            .any(|s| s.consensus_replicas.is_some()));
     }
 }

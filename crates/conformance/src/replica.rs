@@ -39,9 +39,6 @@ pub struct ReplicaSpec {
     pub traced: bool,
     /// Storage engine.
     pub engine: EngineKind,
-    /// `Some(n)`: replicated consensus group of `n`; `None`: single
-    /// orderer.
-    pub consensus_replicas: Option<usize>,
     /// `Some(n)`: every peer store retains up to `n` committed versions
     /// per key (multi-version snapshot depth); `None`: engine default.
     /// Retention is non-semantic, so any two settings must replicate.
@@ -55,14 +52,13 @@ pub struct ReplicaSpec {
 
 impl ReplicaSpec {
     /// The comparison baseline: sequential everything, memory engine,
-    /// untraced, single orderer.
+    /// untraced.
     pub fn baseline() -> Self {
         ReplicaSpec {
             label: "baseline",
             validation_workers: 1,
             traced: false,
             engine: EngineKind::Memory,
-            consensus_replicas: None,
             retained_versions: None,
             telemetry: false,
         }
@@ -81,11 +77,6 @@ impl ReplicaSpec {
     /// Baseline on the LSM engine.
     pub fn lsm() -> Self {
         ReplicaSpec { label: "lsm", engine: EngineKind::Lsm, ..Self::baseline() }
-    }
-
-    /// Baseline with an `n`-replica consensus group ordering.
-    pub fn consensus(n: usize) -> Self {
-        ReplicaSpec { label: "consensus3", consensus_replicas: Some(n), ..Self::baseline() }
     }
 
     /// Baseline with a fixed per-key version-retention depth.
@@ -132,7 +123,6 @@ pub fn run_replica(fixture: &Fixture, spec: &ReplicaSpec) -> Result<ReplicaArtif
         Some(dir) => StateEngine::Lsm(dir.clone()),
     };
     let opts = ChaosOptions {
-        replicas: spec.consensus_replicas,
         sink: sink.clone(),
         engine,
         retained_versions: spec.retained_versions,

@@ -156,6 +156,43 @@ impl PeerContext {
     }
 }
 
+/// Orders one cut batch on the calling thread; both drivers order every
+/// batch through here (the threaded runtime's orderer thread and
+/// `fabric_chaos::ChaosNet::cut_block`). Emits [`EventKind::BlockCut`],
+/// prepares and seals the batch through `service`, records
+/// [`Phase::Reorder`] and [`Phase::Order`] on `timers` and the cut (or
+/// its suppression) on `stats`, and returns the sealed block — or `None`
+/// when early abort emptied the batch (its aborts are already on the
+/// service's counters).
+pub fn order_cut(
+    service: &mut OrderingService,
+    batch: Vec<Transaction>,
+    reason: CutReason,
+    stats: &OrdererStats,
+    timers: &PhaseTimers,
+    sink: &TraceSink,
+) -> Option<Arc<Block>> {
+    if sink.is_enabled() {
+        sink.emit(EventKind::BlockCut { reason: reason.trace_kind(), txs: batch.len() as u32 });
+    }
+    let batch_len = batch.len();
+    let t0 = Instant::now();
+    let ordered = service.order_batch(batch);
+    let elapsed = t0.elapsed();
+    let (reorder_elapsed, reorder_stats) = service.last_reorder();
+    timers.record(Phase::Reorder, reorder_elapsed);
+    stats.record_reorder(reorder_elapsed, &reorder_stats);
+    let Some(ob) = ordered else {
+        stats.record_empty_suppressed();
+        return None;
+    };
+    timers.record(Phase::Order, elapsed.saturating_sub(reorder_elapsed));
+    stats.record_cut(reason, batch_len);
+    // Sealed once: from here on every delivery and every peer's ledger
+    // share this one allocation.
+    Some(Arc::new(ob.block))
+}
+
 /// A running channel: handles to its threads and its client-facing sender.
 pub struct ChannelRuntime {
     id: ChannelId,
@@ -246,32 +283,17 @@ impl ChannelRuntime {
             // unique-keys cut keeps that to milliseconds, far below the
             // time between cuts.
             let mut order = |batch: Vec<Transaction>, reason: CutReason| {
-                if cut_sink.is_enabled() {
-                    cut_sink.emit(EventKind::BlockCut {
-                        reason: reason.trace_kind(),
-                        txs: batch.len() as u32,
-                    });
+                let sealed = order_cut(
+                    &mut service,
+                    batch,
+                    reason,
+                    &orderer_stats,
+                    &phase_timers,
+                    &cut_sink,
+                );
+                if let Some(block) = sealed {
+                    broadcaster.broadcast(&block, block.byte_size());
                 }
-                let batch_len = batch.len();
-                let t0 = Instant::now();
-                let ordered = service.order_batch(batch);
-                let elapsed = t0.elapsed();
-                let (reorder_elapsed, stats) = service.last_reorder();
-                phase_timers.record(Phase::Reorder, reorder_elapsed);
-                orderer_stats.record_reorder(reorder_elapsed, &stats);
-                let Some(ob) = ordered else {
-                    // Early abort emptied the whole batch: no block (its
-                    // aborts are already on the counters).
-                    orderer_stats.record_empty_suppressed();
-                    return;
-                };
-                phase_timers.record(Phase::Order, elapsed.saturating_sub(reorder_elapsed));
-                orderer_stats.record_cut(reason, batch_len);
-                // Sealed once: from here on every link and every peer's
-                // ledger share this one allocation.
-                let block = Arc::new(ob.block);
-                let size = block.byte_size();
-                broadcaster.broadcast(&block, size);
             };
             loop {
                 let wait = cutter

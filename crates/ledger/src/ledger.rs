@@ -186,7 +186,7 @@ impl Chain {
         file.read_exact_at(buf, entry.offset).map_err(|e| corrupt(&e.to_string()))?;
         let frame = Frame::split(buf)
             .filter(|f| f.len() == buf.len())
-            .ok_or_else(|| corrupt("frame length does not match the index"))?;
+            .ok_or_else(|| corrupt("frame header is bad or does not match the index"))?;
         if !frame.crc_ok() {
             return Err(corrupt("crc mismatch"));
         }
@@ -244,14 +244,16 @@ impl Ledger {
     /// bytes of torn tail it cut off (0 for a file that ends in a whole
     /// frame).
     ///
-    /// The frames are read one at a time; each must pass its crc and hold
-    /// the next block, linked to the one before and matching its data
-    /// hash. The last block becomes the tip. A final frame that is cut
-    /// short or fails its crc is what a crash mid-append leaves behind: it
-    /// is truncated off (and the truncation synced), so appends resume
-    /// after the last whole block. Any other bad frame is data loss, not a
-    /// crash artefact, and fails with [`Error::Corruption`] naming the
-    /// block; the file is then left as it was.
+    /// The frames are read one at a time; each must pass its header and
+    /// payload crcs and hold the next block, linked to the one before and
+    /// matching its data hash. The last block becomes the tip. A final
+    /// frame whose header is cut short, or whose payload is cut short or
+    /// fails its crc under a sound header, is what a crash mid-append
+    /// leaves behind: it is truncated off (and the truncation synced), so
+    /// appends resume after the last whole block. Any other bad frame —
+    /// a whole header failing its crc included, wherever it sits — is data
+    /// loss, not a crash artefact, and fails with [`Error::Corruption`]
+    /// naming the block; the file is then left as it was.
     pub fn open(path: impl AsRef<Path>) -> Result<(Self, u64)> {
         let path = path.as_ref();
         let file =
@@ -273,7 +275,8 @@ impl Ledger {
                 ))
             };
             file.read_exact_at(&mut header, pos)?;
-            let len = frame::frame_len(&header);
+            let len = frame::frame_len(&header)
+                .ok_or_else(|| corrupt("frame header crc mismatch".into()))?;
             if end - pos < len {
                 break; // cut short: the final frame, torn
             }
@@ -889,13 +892,30 @@ mod tests {
     #[test]
     fn reopen_rejects_mid_file_corruption() {
         let (path, _) = durable("recover-mid", 3);
-        flip_byte(&path, 10); // block 0's payload
+        flip_byte(&path, 20); // block 0's payload
         let before = std::fs::read(&path).unwrap();
         match Ledger::open(&path) {
             Err(Error::Corruption(msg)) => assert!(msg.contains("block 0"), "{msg}"),
             other => panic!("expected corruption, got {:?}", other.map(|(l, t)| (l.height(), t))),
         }
         assert_eq!(std::fs::read(&path).unwrap(), before, "nothing truncated");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn reopen_rejects_a_bad_length_in_a_whole_header() {
+        // A flipped bit in block 0's length points past the end of the
+        // file. Without the header crc that reads as a torn tail, and the
+        // whole chain would be truncated away.
+        let (path, _) = durable("bad-length", 3);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[3] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        match Ledger::open(&path) {
+            Err(Error::Corruption(msg)) => assert!(msg.contains("block 0"), "{msg}"),
+            other => panic!("expected corruption, got {:?}", other.map(|(l, t)| (l.height(), t))),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "nothing truncated");
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -16,14 +16,9 @@
 //! [`Broadcaster`] fans a message out to many receivers with per-receiver
 //! hop counts; [`NetStats`] accounts messages and bytes. These links are
 //! fault-free: the threaded runtime never loses, repeats or reorders a
-//! message.
-//!
-//! Fault injection lives in the deterministic drivers, not on these links.
-//! The crate only defines the vocabulary they share: a [`FaultHook`] is
-//! consulted once per message on a [`LinkId`] and returns a [`SendFault`]
-//! verdict (deliver / drop / duplicate / extra delay / reorder burst).
-//! `fabric_chaos::ChaosNet` applies the verdicts to orderer → peer block
-//! delivery and `fabric_consensus::OrdererGroup` to inter-replica traffic.
+//! message. Fault injection lives in the deterministic driver,
+//! `fabric_chaos::ChaosNet`, which applies its verdicts to orderer → peer
+//! block delivery.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -262,104 +257,6 @@ impl<T: Clone> Broadcaster<T> {
     }
 }
 
-/// One directed link, identified by simulated endpoint ids. `u32::MAX`
-/// conventionally denotes the ordering service as a source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct LinkId {
-    /// Sending endpoint.
-    pub from: u32,
-    /// Receiving endpoint.
-    pub to: u32,
-}
-
-impl LinkId {
-    /// Conventional id for the ordering service endpoint.
-    pub const ORDERER: u32 = u32::MAX;
-
-    /// Base id of the reserved orderer-replica endpoint range: replica `r`
-    /// of a replicated ordering service is endpoint `CONSENSUS_BASE + r`.
-    /// The range sits just below [`LinkId::ORDERER`] so replica endpoints
-    /// can never collide with peer ids (peers are numbered from 1) and
-    /// existing single-orderer link ids — hence existing fault schedules —
-    /// are untouched.
-    pub const CONSENSUS_BASE: u32 = u32::MAX - 1 - Self::MAX_CONSENSUS_REPLICAS;
-
-    /// Maximum replicas addressable in the reserved consensus range.
-    pub const MAX_CONSENSUS_REPLICAS: u32 = 64;
-
-    /// Link from the ordering service to peer `to`.
-    pub fn from_orderer(to: u32) -> Self {
-        LinkId { from: Self::ORDERER, to }
-    }
-
-    /// Endpoint id of orderer replica `replica` (0-based).
-    pub fn consensus_endpoint(replica: u32) -> u32 {
-        debug_assert!(replica < Self::MAX_CONSENSUS_REPLICAS);
-        Self::CONSENSUS_BASE + replica
-    }
-
-    /// Inter-replica consensus link from replica `from` to replica `to`
-    /// (0-based replica indices).
-    pub fn between_replicas(from: u32, to: u32) -> Self {
-        LinkId { from: Self::consensus_endpoint(from), to: Self::consensus_endpoint(to) }
-    }
-
-    /// True when this link carries consensus traffic between orderer
-    /// replicas.
-    pub fn is_consensus(&self) -> bool {
-        self.from >= Self::CONSENSUS_BASE
-            && self.from != Self::ORDERER
-            && self.to >= Self::CONSENSUS_BASE
-            && self.to != Self::ORDERER
-    }
-}
-
-/// Verdict for one message, produced by a [`FaultHook`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendFault {
-    /// Deliver normally.
-    Deliver,
-    /// Silently discard the message (the sender still observes success,
-    /// as with a lossy wire).
-    Drop,
-    /// Deliver the message plus `extra` additional copies.
-    Duplicate {
-        /// Number of extra copies beyond the original.
-        extra: u32,
-    },
-    /// Deliver after an additional latency spike.
-    Delay {
-        /// Extra delay added on top of the latency model.
-        extra: Duration,
-    },
-    /// Hold this message and the next `len - 1` on the same link, then
-    /// release all of them in reverse order.
-    ReorderBurst {
-        /// Total number of messages in the burst (≥ 2 to reorder).
-        len: u32,
-    },
-}
-
-/// Decides the fate of each message crossing a faulty link.
-///
-/// Implementations must be deterministic functions of their own state and
-/// the call sequence — the chaos injector derives every verdict from a
-/// seeded RNG so identical seeds replay identical schedules.
-pub trait FaultHook: Send + Sync {
-    /// Verdict for the next message of `size` bytes on `link`.
-    fn on_send(&self, link: LinkId, size: usize) -> SendFault;
-}
-
-/// A hook that never injects faults (useful as a default).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFaults;
-
-impl FaultHook for NoFaults {
-    fn on_send(&self, _link: LinkId, _size: usize) -> SendFault {
-        SendFault::Deliver
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,22 +472,6 @@ mod tests {
         let gossip_t = h2.join().unwrap();
         assert!(gossip_t >= direct_t, "gossip {gossip_t:?} < direct {direct_t:?}");
         assert!(gossip_t >= Duration::from_millis(20));
-    }
-
-    #[test]
-    fn consensus_endpoints_are_disjoint_from_peers_and_orderer() {
-        let link = LinkId::between_replicas(0, 2);
-        assert!(link.is_consensus());
-        assert_ne!(link.from, LinkId::ORDERER);
-        assert_ne!(link.to, LinkId::ORDERER);
-        assert!(link.from >= LinkId::CONSENSUS_BASE);
-        // Orderer→peer and peer→peer links are not consensus links.
-        assert!(!LinkId::from_orderer(3).is_consensus());
-        assert!(!LinkId { from: 1, to: 2 }.is_consensus());
-        // The full replica range stays below the orderer sentinel.
-        assert!(
-            LinkId::consensus_endpoint(LinkId::MAX_CONSENSUS_REPLICAS - 1) < LinkId::ORDERER
-        );
     }
 
     #[test]

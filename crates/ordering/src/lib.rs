@@ -29,5 +29,5 @@ pub mod stats;
 
 pub use cutter::{BatchCutter, CutReason};
 pub use early_abort::EarlyAbortScratch;
-pub use orderer::{BatchPlan, BatchPrep, OrderedBlock, OrderingService, PrepScratch};
+pub use orderer::{BatchPlan, BatchPrep, OrderedBlock, OrderingService};
 pub use stats::{OrdererStats, OrdererStatsSnapshot};

@@ -10,15 +10,15 @@
 //! Each batch goes through two steps, on the thread that cut it:
 //!
 //! * [`BatchPrep::prepare`] — pure per-batch work (early abort, reordering,
-//!   schedule application). Stateless across batches, and allocation-free
-//!   on a warm [`PrepScratch`] via [`BatchPrep::prepare_with`].
+//!   schedule application). Stateless across batches; the service runs it
+//!   allocation-free on its own warm scratch.
 //! * [`OrderingService::seal`] — the chain step: abort counters,
 //!   empty-block suppression, block numbering and hash chaining.
 //!
-//! [`OrderingService::order_batch`] is `prepare_with` on the service's own
-//! scratch followed by `seal`; both drivers order every batch through it.
-//! The two steps stay public so a caller can time them apart (the staged
-//! benchmark) or prepare on scratch of its own (the consensus group).
+//! [`OrderingService::order_batch`] is the prepare step on the service's
+//! own scratch followed by `seal`; both drivers order every batch through
+//! it. The two steps stay public so a caller can time them apart (the
+//! staged benchmark).
 
 use std::time::{Duration, Instant};
 
@@ -44,12 +44,11 @@ pub struct OrderedBlock {
     pub reorder_stats: ReorderStats,
 }
 
-/// Reusable scratch for [`BatchPrep::prepare_with`]: the early abort's
-/// interned newest-version table plus the reorderer's arena. One per
-/// ordering thread: the [`OrderingService`] owns one, and so does a
-/// consensus group.
+/// Reusable scratch for the prepare step: the early abort's interned
+/// newest-version table plus the reorderer's arena. The
+/// [`OrderingService`] owns one.
 #[derive(Debug, Default)]
-pub struct PrepScratch {
+pub(crate) struct PrepScratch {
     early: EarlyAbortScratch,
     reorder: ReorderScratch,
     out: ReorderResult,
@@ -117,7 +116,11 @@ impl BatchPrep {
     ///
     /// The plan is a pure function of `(self, batch)`; scratch state never
     /// leaks into the result.
-    pub fn prepare_with(&self, batch: Vec<Transaction>, scratch: &mut PrepScratch) -> BatchPlan {
+    pub(crate) fn prepare_with(
+        &self,
+        batch: Vec<Transaction>,
+        scratch: &mut PrepScratch,
+    ) -> BatchPlan {
         let t_start = Instant::now();
         let mut early_aborted: Vec<(Transaction, ValidationCode)> = Vec::new();
 
@@ -279,9 +282,9 @@ impl OrderingService {
         Some(OrderedBlock { block, early_aborted, reorder_stats: stats })
     }
 
-    /// Orders one cut batch into a block: [`BatchPrep::prepare_with`] on
-    /// the service's own scratch, then [`seal`](Self::seal), on the
-    /// calling thread.
+    /// Orders one cut batch into a block: the prepare step on the
+    /// service's own scratch, then [`seal`](Self::seal), on the calling
+    /// thread.
     ///
     /// Under [`OrderingPolicy::Arrival`] the batch order is preserved
     /// verbatim. Under [`OrderingPolicy::Reorder`] the Fabric++ machinery

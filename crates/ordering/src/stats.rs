@@ -65,28 +65,6 @@ impl OrdererStats {
         self.inner.nontrivial_sccs.fetch_add(stats.nontrivial_sccs as u64, Ordering::Relaxed);
     }
 
-    /// Folds `other`'s counters into `self` (element-wise add), mirroring
-    /// `PhaseTimers::merge`. Replicated-ordering runs keep one live
-    /// `OrdererStats` per leader and merge them into a single aggregate so
-    /// `empty_suppressed`/`nontrivial_sccs` report totals across
-    /// leader changes. `other` is read with a snapshot, so merging a stats
-    /// handle into itself would double it — callers merge distinct replicas.
-    pub fn merge(&self, other: &OrdererStats) {
-        let o = other.snapshot();
-        self.inner.cut_tx_count.fetch_add(o.cut_tx_count, Ordering::Relaxed);
-        self.inner.cut_bytes.fetch_add(o.cut_bytes, Ordering::Relaxed);
-        self.inner.cut_timeout.fetch_add(o.cut_timeout, Ordering::Relaxed);
-        self.inner.cut_unique_keys.fetch_add(o.cut_unique_keys, Ordering::Relaxed);
-        self.inner.cut_flush.fetch_add(o.cut_flush, Ordering::Relaxed);
-        self.inner.txs_ordered.fetch_add(o.txs_ordered, Ordering::Relaxed);
-        self.inner.blocks.fetch_add(o.blocks, Ordering::Relaxed);
-        self.inner
-            .reorder_nanos
-            .fetch_add(o.reorder_time.as_nanos().min(u128::from(u64::MAX)) as u64, Ordering::Relaxed);
-        self.inner.nontrivial_sccs.fetch_add(o.nontrivial_sccs, Ordering::Relaxed);
-        self.inner.empty_suppressed.fetch_add(o.empty_suppressed, Ordering::Relaxed);
-    }
-
     /// Point-in-time snapshot.
     pub fn snapshot(&self) -> OrdererStatsSnapshot {
         OrdererStatsSnapshot {
@@ -143,22 +121,6 @@ impl OrdererStatsSnapshot {
         }
     }
 
-    /// Element-wise sum (aggregating multiple channels).
-    pub fn merge(&self, other: &OrdererStatsSnapshot) -> OrdererStatsSnapshot {
-        OrdererStatsSnapshot {
-            cut_tx_count: self.cut_tx_count + other.cut_tx_count,
-            cut_bytes: self.cut_bytes + other.cut_bytes,
-            cut_timeout: self.cut_timeout + other.cut_timeout,
-            cut_unique_keys: self.cut_unique_keys + other.cut_unique_keys,
-            cut_flush: self.cut_flush + other.cut_flush,
-            txs_ordered: self.txs_ordered + other.txs_ordered,
-            blocks: self.blocks + other.blocks,
-            reorder_time: self.reorder_time + other.reorder_time,
-            fallbacks: 0,
-            nontrivial_sccs: self.nontrivial_sccs + other.nontrivial_sccs,
-            empty_suppressed: self.empty_suppressed + other.empty_suppressed,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -194,59 +156,13 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_everything() {
-        let a = OrdererStats::new();
-        a.record_cut(CutReason::Flush, 5);
-        let b = OrdererStats::new();
-        b.record_cut(CutReason::Bytes, 7);
-        let st = ReorderStats { edges: 1, nontrivial_sccs: 4, ..Default::default() };
-        b.record_reorder(Duration::from_millis(1), &st);
-        let m = a.snapshot().merge(&b.snapshot());
-        assert_eq!(m.blocks, 2);
-        assert_eq!(m.txs_ordered, 12);
-        assert_eq!(m.cut_flush, 1);
-        assert_eq!(m.cut_bytes, 1);
-        assert_eq!(m.nontrivial_sccs, 4);
-    }
-
-    #[test]
-    fn empty_suppressions_counted_and_merged() {
+    fn empty_suppressions_counted() {
         let a = OrdererStats::new();
         a.record_empty_suppressed();
         a.record_empty_suppressed();
         let snap = a.snapshot();
         assert_eq!(snap.empty_suppressed, 2);
         assert_eq!(snap.blocks, 0, "suppressed cuts form no block");
-        let b = OrdererStats::new();
-        b.record_empty_suppressed();
-        assert_eq!(snap.merge(&b.snapshot()).empty_suppressed, 3);
-    }
-
-    #[test]
-    fn live_merge_folds_per_leader_counters() {
-        // Two leaders' stats handles fold into one aggregate, the shape a
-        // replicated run uses after leader changes split the counters.
-        let agg = OrdererStats::new();
-        let leader_a = OrdererStats::new();
-        leader_a.record_cut(CutReason::TxCount, 10);
-        leader_a.record_empty_suppressed();
-        let st = ReorderStats { edges: 2, nontrivial_sccs: 3, ..Default::default() };
-        leader_a.record_reorder(Duration::from_millis(4), &st);
-        let leader_b = OrdererStats::new();
-        leader_b.record_cut(CutReason::Timeout, 6);
-        leader_b.record_empty_suppressed();
-        agg.merge(&leader_a);
-        agg.merge(&leader_b);
-        let snap = agg.snapshot();
-        assert_eq!(snap.blocks, 2);
-        assert_eq!(snap.txs_ordered, 16);
-        assert_eq!(snap.cut_tx_count, 1);
-        assert_eq!(snap.cut_timeout, 1);
-        assert_eq!(snap.empty_suppressed, 2);
-        assert_eq!(snap.nontrivial_sccs, 3);
-        assert_eq!(snap.reorder_time, Duration::from_millis(4));
-        // Equivalent to snapshot-level merging.
-        assert_eq!(snap, leader_a.snapshot().merge(&leader_b.snapshot()));
     }
 
     #[test]

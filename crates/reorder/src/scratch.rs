@@ -11,8 +11,8 @@
 //! steady state (asserted by a counting-allocator test in this crate).
 //!
 //! The arena is deliberately per-thread, not shared: the ordering service
-//! owns one `ReorderScratch` (as does a consensus group), so there is
-//! no synchronization on the hot path.
+//! owns one `ReorderScratch`, so there is no synchronization on the hot
+//! path.
 
 use fabric_common::rwset::ReadWriteSet;
 use fabric_common::KeyTable;

@@ -41,15 +41,11 @@ pub fn window_to_line(w: &WindowRecord) -> String {
     );
     let _ = write!(
         s,
-        ",\"cutter_queue_txs\":{},\"endorsements\":{},\"vscc_batches\":{},\"vscc_inflight\":{}\
-         ,\"consensus_msgs\":{},\"consensus_view_changes\":{},\"consensus_heights\":{}",
+        ",\"cutter_queue_txs\":{},\"endorsements\":{},\"vscc_batches\":{},\"vscc_inflight\":{}",
         w.gauges.cutter_queue_txs,
         w.gauges.endorsements,
         w.gauges.vscc_batches_started,
         w.gauges.vscc_inflight(),
-        w.gauges.consensus_msgs,
-        w.gauges.consensus_view_changes,
-        w.gauges.consensus_heights,
     );
     let _ = write!(
         s,
@@ -116,9 +112,6 @@ mod tests {
                         vscc_batches_started: 310,
                         vscc_batches_done: 303,
                         validation_workers: 305,
-                        consensus_msgs: 306,
-                        consensus_view_changes: 307,
-                        consensus_heights: 308,
                     },
                     memtable_bytes: 401,
                     gc_floor: 402,
@@ -153,7 +146,6 @@ mod tests {
                 r#""lat_count":10,"lat_p50_us":30,"lat_p90_us":40,"lat_p99_us":50,"lat_avg_us":25,"#,
                 r#""wal_records":206,"wal_fsyncs":207,"snapshot_pins":209,"gc_trimmed":212,"#,
                 r#""cutter_queue_txs":301,"endorsements":302,"vscc_batches":310,"vscc_inflight":7,"#,
-                r#""consensus_msgs":306,"consensus_view_changes":307,"consensus_heights":308,"#,
                 r#""memtable_bytes":401,"gc_floor":402,"gc_floor_lag":403,"live_pins":404}"#,
             )
         );

@@ -22,8 +22,7 @@
 //! [`LatencyRecorder::window_since`] bucket diffs), per-window store
 //! deltas (WAL frames/fsyncs, snapshot pins, GC trims), and the
 //! subsystem gauges sampled at close (cutter queue depth, VSCC batches
-//! in flight, consensus messages/view-changes/heights, memtable bytes,
-//! GC floor, live pins).
+//! in flight, memtable bytes, GC floor, live pins).
 //!
 //! Hot-path cost: [`TelemetryHub::on_block_committed`] is one mutex
 //! acquisition per *block* (never per transaction) and performs **zero

@@ -104,16 +104,6 @@ pub fn render(series: &TelemetrySeries) -> String {
                 "Cutter queue depth at window close",
                 |w| w.gauges.cutter_queue_txs,
             ),
-            (
-                "fabric_window_consensus_msgs",
-                "Consensus wire messages in the window",
-                |w| w.gauges.consensus_msgs,
-            ),
-            (
-                "fabric_window_view_changes",
-                "Consensus view changes observed in the window",
-                |w| w.gauges.consensus_view_changes,
-            ),
             ("fabric_window_wal_fsyncs", "WAL fsyncs in the window", |w| w.store.wal_fsyncs),
             (
                 "fabric_window_memtable_bytes",

@@ -85,8 +85,6 @@ fn drive_block(
     gauges.set_cutter_queue(TXS_PER_BLOCK / 2);
     gauges.record_vscc_batch_started();
     gauges.record_vscc_batch_done();
-    gauges.record_consensus_msg();
-    gauges.record_consensus_height();
     store.record_wal_record(true);
     store.set_memtable_bytes(4096 + block);
     store.set_gc_floor(block.saturating_sub(4));

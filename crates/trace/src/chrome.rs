@@ -23,7 +23,7 @@ const PID: u32 = 1;
 
 /// Track (tid, name) layout, one lane per pipeline stage plus one for
 /// instants that have no duration.
-const TRACKS: [(u32, &str); 8] = [
+const TRACKS: [(u32, &str); 7] = [
     (1, "endorse"),
     (2, "order"),
     (3, "validate-vscc"),
@@ -31,7 +31,6 @@ const TRACKS: [(u32, &str); 8] = [
     (5, "commit"),
     (6, "lifecycle-events"),
     (7, "faults"),
-    (8, "consensus"),
 ];
 
 const TID_ENDORSE: u32 = 1;
@@ -41,7 +40,6 @@ const TID_MVCC: u32 = 4;
 const TID_COMMIT: u32 = 5;
 const TID_EVENTS: u32 = 6;
 const TID_FAULTS: u32 = 7;
-const TID_CONSENSUS: u32 = 8;
 
 fn span(out: &mut String, name: &str, end_us: u64, dur_us: u64, tid: u32, args: &[(&str, String)]) {
     let ts = end_us.saturating_sub(dur_us);
@@ -245,63 +243,6 @@ fn event_json(ev: &TraceEvent) -> Option<String> {
                 ("fault_seq", fault_seq.to_string()),
                 ("block", block.to_string()),
                 ("keep", keep.to_string()),
-            ],
-        ),
-        EventKind::ConsensusProposal { height, view, leader, txs } => instant(
-            &mut s,
-            "consensus_proposal",
-            ts,
-            TID_CONSENSUS,
-            &[
-                ("height", height.to_string()),
-                ("view", view.to_string()),
-                ("leader", leader.to_string()),
-                ("txs", txs.to_string()),
-            ],
-        ),
-        EventKind::ConsensusTally { height, view, replica, step, votes, nil_votes } => instant(
-            &mut s,
-            "consensus_tally",
-            ts,
-            TID_CONSENSUS,
-            &[
-                ("height", height.to_string()),
-                ("view", view.to_string()),
-                ("replica", replica.to_string()),
-                ("step", step.label().to_string()),
-                ("votes", votes.to_string()),
-                ("nil_votes", nil_votes.to_string()),
-            ],
-        ),
-        EventKind::ConsensusViewChange {
-            height,
-            old_view,
-            new_view,
-            old_leader,
-            new_leader,
-            replica,
-        } => instant(
-            &mut s,
-            "consensus_view_change",
-            ts,
-            TID_CONSENSUS,
-            &[
-                ("height", height.to_string()),
-                ("view", format!("{old_view}->{new_view}")),
-                ("leader", format!("{old_leader}->{new_leader}")),
-                ("replica", replica.to_string()),
-            ],
-        ),
-        EventKind::ConsensusDecide { height, view, replica, txs } => instant(
-            &mut s,
-            "consensus_decide",
-            ts,
-            TID_CONSENSUS,
-            &[
-                ("height", height.to_string()),
-                ("view", view.to_string()),
-                ("replica", replica.to_string()),
-                ("txs", txs.to_string()),
             ],
         ),
     }

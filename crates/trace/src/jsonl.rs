@@ -16,7 +16,7 @@ use std::io::{self, Write};
 
 use fabric_common::{Key, TxId, Version};
 
-use crate::{CutKind, EventKind, FaultKind, TraceEvent, VoteStep};
+use crate::{CutKind, EventKind, FaultKind, TraceEvent};
 
 /// A malformed JSONL line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,40 +129,6 @@ pub fn event_to_line(ev: &TraceEvent) -> String {
         }
         EventKind::FaultWal { fault_seq, block, keep } => {
             let _ = write!(s, ",\"fault_seq\":{fault_seq},\"block\":{block},\"keep\":{keep}");
-        }
-        EventKind::ConsensusProposal { height, view, leader, txs } => {
-            let _ = write!(
-                s,
-                ",\"height\":{height},\"view\":{view},\"leader\":{leader},\"txs\":{txs}"
-            );
-        }
-        EventKind::ConsensusTally { height, view, replica, step, votes, nil_votes } => {
-            let _ = write!(
-                s,
-                ",\"height\":{height},\"view\":{view},\"replica\":{replica},\
-                 \"step\":\"{}\",\"votes\":{votes},\"nil_votes\":{nil_votes}",
-                step.label()
-            );
-        }
-        EventKind::ConsensusViewChange {
-            height,
-            old_view,
-            new_view,
-            old_leader,
-            new_leader,
-            replica,
-        } => {
-            let _ = write!(
-                s,
-                ",\"height\":{height},\"old_view\":{old_view},\"new_view\":{new_view},\
-                 \"old_leader\":{old_leader},\"new_leader\":{new_leader},\"replica\":{replica}"
-            );
-        }
-        EventKind::ConsensusDecide { height, view, replica, txs } => {
-            let _ = write!(
-                s,
-                ",\"height\":{height},\"view\":{view},\"replica\":{replica},\"txs\":{txs}"
-            );
         }
     }
     s.push('}');
@@ -513,37 +479,6 @@ pub fn parse_line(line: &str) -> Result<TraceEvent, ParseError> {
             block: f.num("block")?,
             keep: f.num("keep")?,
         },
-        "consensus_proposal" => EventKind::ConsensusProposal {
-            height: f.num("height")?,
-            view: f.num("view")?,
-            leader: f.num("leader")? as u32,
-            txs: f.num("txs")? as u32,
-        },
-        "consensus_tally" => EventKind::ConsensusTally {
-            height: f.num("height")?,
-            view: f.num("view")?,
-            replica: f.num("replica")? as u32,
-            step: match VoteStep::from_label(f.string("step")?) {
-                Some(s) => s,
-                None => return err(format!("unknown vote step {:?}", f.string("step")?)),
-            },
-            votes: f.num("votes")? as u32,
-            nil_votes: f.num("nil_votes")? as u32,
-        },
-        "consensus_view_change" => EventKind::ConsensusViewChange {
-            height: f.num("height")?,
-            old_view: f.num("old_view")?,
-            new_view: f.num("new_view")?,
-            old_leader: f.num("old_leader")? as u32,
-            new_leader: f.num("new_leader")? as u32,
-            replica: f.num("replica")? as u32,
-        },
-        "consensus_decide" => EventKind::ConsensusDecide {
-            height: f.num("height")?,
-            view: f.num("view")?,
-            replica: f.num("replica")? as u32,
-            txs: f.num("txs")? as u32,
-        },
         other => return err(format!("unknown event label {other:?}")),
     };
     Ok(TraceEvent { seq, at_us, kind })
@@ -621,32 +556,6 @@ mod tests {
                 partition: false,
             },
             EventKind::FaultWal { fault_seq: 1, block: 9, keep: 5 },
-            EventKind::ConsensusProposal { height: 3, view: 0, leader: 1, txs: 12 },
-            EventKind::ConsensusTally {
-                height: 3,
-                view: 0,
-                replica: 2,
-                step: VoteStep::Prevote,
-                votes: 2,
-                nil_votes: 1,
-            },
-            EventKind::ConsensusTally {
-                height: 3,
-                view: 1,
-                replica: 0,
-                step: VoteStep::Precommit,
-                votes: 3,
-                nil_votes: 0,
-            },
-            EventKind::ConsensusViewChange {
-                height: 3,
-                old_view: 0,
-                new_view: 1,
-                old_leader: 0,
-                new_leader: 1,
-                replica: 2,
-            },
-            EventKind::ConsensusDecide { height: 3, view: 1, replica: 1, txs: 11 },
         ]
     }
 

@@ -105,7 +105,7 @@ impl CutKind {
     }
 }
 
-/// Network fault verdict kind (mirrors `fabric-net::SendFault` without the
+/// Network fault verdict kind (mirrors `fabric_chaos::SendFault` without the
 /// payload knobs — the trace records *that* and *where* a fault fired; the
 /// chaos event log remains the authoritative schedule).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -138,36 +138,6 @@ impl FaultKind {
             "duplicate" => FaultKind::Duplicate,
             "delay" => FaultKind::Delay,
             "reorder" => FaultKind::Reorder,
-            _ => return None,
-        })
-    }
-}
-
-/// Which consensus voting step a tally belongs to (mirrors the replicated
-/// orderer's two-phase vote without depending on `fabric-consensus`, which
-/// depends on this crate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VoteStep {
-    /// First voting round: validate the leader's prepared batch.
-    Prevote,
-    /// Second voting round: commit the prevote-quorum digest.
-    Precommit,
-}
-
-impl VoteStep {
-    /// Stable lowercase label used by the exporters.
-    pub fn label(self) -> &'static str {
-        match self {
-            VoteStep::Prevote => "prevote",
-            VoteStep::Precommit => "precommit",
-        }
-    }
-
-    /// Inverse of [`VoteStep::label`].
-    pub fn from_label(s: &str) -> Option<Self> {
-        Some(match s {
-            "prevote" => VoteStep::Prevote,
-            "precommit" => VoteStep::Precommit,
             _ => return None,
         })
     }
@@ -370,62 +340,6 @@ pub enum EventKind {
         /// Bytes of the frame kept on disk.
         keep: u64,
     },
-    /// A replicated-orderer leader broadcast a prepared-batch proposal for
-    /// one consensus height/view.
-    ConsensusProposal {
-        /// Consensus height (decoupled from block numbers: empty-plan
-        /// heights consume no block number).
-        height: u64,
-        /// View within the height (0 until a leader times out).
-        view: u64,
-        /// Proposing replica (the leader of this height/view).
-        leader: u32,
-        /// Transactions in the proposed batch (before early abort).
-        txs: u32,
-    },
-    /// A replica's vote tally for one step reached quorum.
-    ConsensusTally {
-        /// Consensus height.
-        height: u64,
-        /// View within the height.
-        view: u64,
-        /// The tallying replica.
-        replica: u32,
-        /// Which voting step completed.
-        step: VoteStep,
-        /// Votes for the winning plan digest (0 when nil won).
-        votes: u32,
-        /// Nil votes counted alongside (followers that could not validate
-        /// the proposal against their own mempool plan).
-        nil_votes: u32,
-    },
-    /// A replica moved to a new view after a leader timeout (quorum of
-    /// new-view votes).
-    ConsensusViewChange {
-        /// Consensus height.
-        height: u64,
-        /// The abandoned view.
-        old_view: u64,
-        /// The entered view.
-        new_view: u64,
-        /// Leader of the abandoned view (the one that timed out).
-        old_leader: u32,
-        /// Leader of the entered view.
-        new_leader: u32,
-        /// The replica performing the view change.
-        replica: u32,
-    },
-    /// A replica decided one consensus height (precommit quorum).
-    ConsensusDecide {
-        /// Consensus height.
-        height: u64,
-        /// View the decision landed in.
-        view: u64,
-        /// The deciding replica.
-        replica: u32,
-        /// Surviving transactions in the decided plan.
-        txs: u32,
-    },
 }
 
 impl EventKind {
@@ -448,10 +362,6 @@ impl EventKind {
             EventKind::WalRecord { .. } => "wal_record",
             EventKind::FaultNet { .. } => "fault_net",
             EventKind::FaultWal { .. } => "fault_wal",
-            EventKind::ConsensusProposal { .. } => "consensus_proposal",
-            EventKind::ConsensusTally { .. } => "consensus_tally",
-            EventKind::ConsensusViewChange { .. } => "consensus_view_change",
-            EventKind::ConsensusDecide { .. } => "consensus_decide",
         }
     }
 
@@ -815,9 +725,5 @@ mod tests {
             assert_eq!(FaultKind::from_label(k.label()), Some(k));
         }
         assert_eq!(FaultKind::from_label("nope"), None);
-        for k in [VoteStep::Prevote, VoteStep::Precommit] {
-            assert_eq!(VoteStep::from_label(k.label()), Some(k));
-        }
-        assert_eq!(VoteStep::from_label("nope"), None);
     }
 }

@@ -5,7 +5,6 @@
 
 pub use fabric_chaos as chaos;
 pub use fabric_common as common;
-pub use fabric_consensus as consensus;
 pub use fabric_ledger as ledger;
 pub use fabric_net as net;
 pub use fabric_ordering as ordering;

@@ -97,79 +97,6 @@ fn assert_oracle_green(net: &ChaosNet) {
         .unwrap_or_else(|v| panic!("serializability oracle: {v}"));
 }
 
-struct ReplicatedResult {
-    case: CaseResult,
-    /// Live-replica block-stream fingerprints at shutdown: (replica,
-    /// next block number, rolling chain hash).
-    fingerprints: Vec<(u32, u64, Digest)>,
-    replicas_up: usize,
-    heights_decided: u64,
-}
-
-/// Runs one matrix cell with the ordering service replaced by a
-/// `replicas`-strong consensus group whose messages run through the same
-/// fault injector as block delivery.
-fn run_replicated_case(
-    config: &PipelineConfig,
-    plan: FaultPlan,
-    replicas: usize,
-) -> ReplicatedResult {
-    let mut wl = SmallbankWorkload::new(SmallbankConfig {
-        users: 40,
-        p_write: 0.9,
-        s_value: 0.4,
-        seed: 11,
-    });
-    let genesis = wl.genesis();
-    let mut net = ChaosNet::with_options(
-        config,
-        ORGS,
-        PEERS_PER_ORG,
-        vec![SmallbankChaincode::deployable()],
-        &genesis,
-        plan,
-        ChaosOptions { replicas: Some(replicas), ..ChaosOptions::default() },
-    )
-    .unwrap();
-    let mut client = 0u64;
-    for _ in 0..BLOCKS {
-        for _ in 0..TXS_PER_BLOCK {
-            net.propose_and_submit(client, "smallbank", wl.next_args());
-            client += 1;
-        }
-        net.cut_block().unwrap();
-    }
-    let report = net.check().unwrap();
-    assert_oracle_green(&net);
-    let group = net.orderer_group().unwrap();
-    ReplicatedResult {
-        fingerprints: group.fingerprints(),
-        replicas_up: (0..group.replicas()).filter(|&r| !group.is_down(r)).count(),
-        heights_decided: group.heights_decided(),
-        case: CaseResult {
-            report,
-            schedule: net.injector().schedule_digest(),
-            events: net.injector().events(),
-            faults: net.injector().fault_count(),
-            stats: net.stats(),
-            blocks_cut: net.blocks_cut(),
-        },
-    }
-}
-
-/// Orderer-replica convergence: every live replica sealed the identical
-/// block stream (same next block number, same rolling chain hash).
-fn assert_replicas_converged(r: &ReplicatedResult) {
-    assert!(!r.fingerprints.is_empty());
-    let (_, n0, h0) = r.fingerprints[0];
-    assert!(
-        r.fingerprints.iter().all(|(_, n, h)| (*n, *h) == (n0, h0)),
-        "replica block streams diverged: {:?}",
-        r.fingerprints
-    );
-    assert_eq!(n0, r.case.blocks_cut + 1, "replica chains must match delivered blocks");
-}
-
 fn modes() -> [(&'static str, PipelineConfig); 2] {
     [
         ("fabric", PipelineConfig::vanilla()),
@@ -477,110 +404,4 @@ fn telemetry_does_not_perturb_the_fault_schedule() {
         });
         assert!(!series.is_empty(), "{label}: blocks were cut, so windows must exist");
     }
-}
-
-#[test]
-fn replicated_leader_crash_mid_height_converges() {
-    // Three orderer replicas; height 3's view-0 leader (replica (3+0)%3 =
-    // 0) dies right after its proposal hits the wire and restarts two
-    // heights later. The survivors decide (the proposal already escaped),
-    // the restarted replica catches up from the decided-batch archive,
-    // and both the peer network and the replica chains converge with no
-    // committed transaction lost.
-    for (label, config) in modes() {
-        let plan = FaultPlan::quiescent(101).with_orderer_crash(0, 3, 2, true);
-        let r = run_replicated_case(&config, plan, 3);
-        r.case.report.assert_ok();
-        assert!(r.case.stats.valid > 0, "{label}: workload must commit through the crash");
-        assert_eq!(r.heights_decided, BLOCKS, "{label}: every cut batch decided");
-        assert_eq!(r.replicas_up, 3, "{label}: the crashed replica restarted");
-        assert_replicas_converged(&r);
-    }
-}
-
-#[test]
-fn replicated_partition_during_view_change_heals() {
-    // Replica 2 is cut off (symmetrically) for the first few messages on
-    // each of its links — covering height 2, whose view-0 leader it is.
-    // Its proposal never escapes, the survivors time out into view 1 and
-    // decide under leader 0; once the window passes, replica 2 rejoins
-    // and seals the heights it missed from its own recomputed plans.
-    for (label, config) in modes() {
-        let plan = FaultPlan::quiescent(102).with_orderer_partition(vec![2], 0, 4);
-        let r = run_replicated_case(&config, plan, 3);
-        r.case.report.assert_ok();
-        assert!(
-            r.case
-                .events
-                .iter()
-                .any(|e| matches!(e, FaultEvent::Net { partition: true, .. })),
-            "{label}: consensus partition drops must appear in the schedule"
-        );
-        assert_eq!(r.replicas_up, 3, "{label}: nobody crashed, only partitioned");
-        assert_replicas_converged(&r);
-    }
-}
-
-#[test]
-fn replicated_equivocation_cannot_fork_the_chain() {
-    // Height 2's view-0 leader (replica 2) equivocates toward both
-    // followers: forged digests can never gather honest prevotes, so the
-    // view fails, view 1's honest leader re-proposes, and every replica
-    // seals the identical chain — equivocation costs a view change, not
-    // safety.
-    for (label, config) in modes() {
-        let plan = FaultPlan::quiescent(103).with_equivocation(2, 2, vec![0, 1]);
-        let r = run_replicated_case(&config, plan, 3);
-        r.case.report.assert_ok();
-        assert!(r.case.stats.valid > 0, "{label}: workload must commit despite equivocation");
-        assert_eq!(r.heights_decided, BLOCKS, "{label}: every height still decides");
-        assert_replicas_converged(&r);
-    }
-}
-
-#[test]
-fn replicated_lossy_network_converges_and_replays_from_seed() {
-    // Random drops/duplicates/delays/reorders now also hit consensus
-    // traffic. The run must converge (peers and replicas), and the same
-    // seed must replay the byte-identical fault schedule — the
-    // determinism contract extended over consensus links.
-    for (label, config) in modes() {
-        let a = run_replicated_case(&config, FaultPlan::lossy(104), 3);
-        a.case.report.assert_ok();
-        assert!(a.case.faults > 0, "{label}: faults must hit consensus traffic");
-        assert_replicas_converged(&a);
-
-        let b = run_replicated_case(&config, FaultPlan::lossy(104), 3);
-        assert_eq!(a.case.events, b.case.events, "{label}: event logs diverged");
-        assert_eq!(a.case.schedule, b.case.schedule, "{label}: schedule digests diverged");
-        assert_eq!(a.case.stats.valid, b.case.stats.valid, "{label}: outcomes diverged");
-        assert_eq!(
-            a.case.report.state_digest, b.case.report.state_digest,
-            "{label}: final states diverged"
-        );
-        // Tx ids come from a process-global counter, so raw chain hashes
-        // differ between in-process runs; the cross-run contract is the
-        // structure (same replicas at the same block number).
-        let structure =
-            |r: &ReplicatedResult| r.fingerprints.iter().map(|(id, n, _)| (*id, *n)).collect::<Vec<_>>();
-        assert_eq!(structure(&a), structure(&b), "{label}: replica chain structure diverged");
-
-        let c = run_replicated_case(&config, FaultPlan::lossy(105), 3);
-        assert_ne!(a.case.schedule, c.case.schedule, "{label}: seeds 104 and 105 collided");
-    }
-}
-
-#[test]
-fn replicated_five_replicas_survive_two_crashes() {
-    // Five replicas, majority quorum 3: two distinct replicas die at
-    // different heights (one mid-propose, one before) and both restart.
-    // Liveness holds throughout and all five chains end identical.
-    let plan = FaultPlan::quiescent(106)
-        .with_orderer_crash(1, 2, 2, true)
-        .with_orderer_crash(3, 5, 3, false);
-    let r = run_replicated_case(&PipelineConfig::fabric_pp(), plan, 5);
-    r.case.report.assert_ok();
-    assert_eq!(r.heights_decided, BLOCKS);
-    assert_eq!(r.replicas_up, 5, "both crashed replicas restarted");
-    assert_replicas_converged(&r);
 }
