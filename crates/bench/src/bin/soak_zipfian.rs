@@ -17,7 +17,6 @@
 //!   --users U        Smallbank accounts (default 1000)
 //!   --skew S         Zipfian s-value (default 0.9)
 //!   --out PATH       timeseries JSONL path (default results/soak_timeseries.jsonl)
-//!   --json[=PATH]    also write the full RunReport document (uniform flag)
 //!   --smoke          small run; assert the window invariants and record the
 //!                    gate to $SMOKE_SUMMARY
 
@@ -26,7 +25,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fabric_bench::json::{run_to_json, JsonSink};
+use fabric_bench::json::run_to_json;
 use fabric_bench::{arg_value, smoke};
 use fabric_common::PipelineConfig;
 use fabric_net::LatencyModel;
@@ -241,11 +240,6 @@ fn main() {
 
     write_record(&args, &report, fire_duration, goodput).expect("write BENCH_soak.json");
     println!("# trajectory record -> {}", args.record.display());
-
-    // Uniform --json flag on top (full report document).
-    let mut sink = JsonSink::from_args(BIN);
-    sink.push_report("soak", &report, fire_duration);
-    sink.finish().expect("write --json document");
 
     if failed {
         std::process::exit(1);

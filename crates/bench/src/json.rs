@@ -10,9 +10,8 @@
 //! `results/BENCH_<bin>.json`, or the path given as `--json=PATH`),
 //! rewritten after each run so a crashed sweep still leaves the
 //! completed points on disk. Every bench thereby contributes to the
-//! `BENCH_*.json` perf trajectory, not just the soak bin; binaries that
-//! drive the network directly (like `soak_zipfian`) use [`JsonSink`]
-//! explicitly.
+//! `BENCH_*.json` perf trajectory; `soak_zipfian`, which drives the
+//! network directly, embeds [`run_to_json`] in its own record instead.
 //!
 //! Hand-rolled like `smoke.rs` and `fabric-telemetry`'s exporters: flat
 //! objects, numeric/bool/string fields, no serde.
@@ -218,56 +217,6 @@ pub fn record_run(result: &ExperimentResult) {
     let _ = write_doc(&bin, &path, &runs);
 }
 
-/// Accumulates run reports and writes them as one JSON document when the
-/// binary was invoked with `--json`. Inert (free) otherwise.
-pub struct JsonSink {
-    bin: String,
-    path: Option<PathBuf>,
-    runs: Vec<String>,
-}
-
-impl JsonSink {
-    /// A sink honoring the command line of the current process.
-    pub fn from_args(bin: &str) -> Self {
-        JsonSink { bin: bin.to_owned(), path: json_path_from_args(bin), runs: Vec::new() }
-    }
-
-    /// A sink writing to an explicit path (used by tests and the soak
-    /// bin's internal bookkeeping).
-    pub fn to_path(bin: &str, path: PathBuf) -> Self {
-        JsonSink { bin: bin.to_owned(), path: Some(path), runs: Vec::new() }
-    }
-
-    /// Whether `--json` was requested.
-    pub fn enabled(&self) -> bool {
-        self.path.is_some()
-    }
-
-    /// Records one experiment result (no-op when disabled).
-    pub fn push(&mut self, result: &ExperimentResult) {
-        if self.enabled() {
-            self.runs.push(run_to_json(&result.label, &result.report, result.fire_duration));
-        }
-    }
-
-    /// Records one run given its pieces (for bins that track reports
-    /// without an [`ExperimentResult`]).
-    pub fn push_report(&mut self, label: &str, report: &RunReport, fire_duration: Duration) {
-        if self.enabled() {
-            self.runs.push(run_to_json(label, report, fire_duration));
-        }
-    }
-
-    /// Writes the accumulated document and prints where it went. Returns
-    /// `Ok(())` when disabled.
-    pub fn finish(self) -> std::io::Result<()> {
-        let Some(path) = self.path else { return Ok(()) };
-        write_doc(&self.bin, &path, &self.runs)?;
-        println!("# json: wrote {} run report(s) -> {}", self.runs.len(), path.display());
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,11 +316,11 @@ mod tests {
     fn sink_writes_document() {
         let dir = std::env::temp_dir().join(format!("fabric-json-sink-{}", std::process::id()));
         let path = dir.join("BENCH_test.json");
-        let mut sink = JsonSink::to_path("test_bin", path.clone());
-        assert!(sink.enabled());
-        sink.push_report("a", &sample_report(), Duration::from_secs(1));
-        sink.push_report("b", &sample_report(), Duration::from_secs(2));
-        sink.finish().unwrap();
+        let runs = [
+            run_to_json("a", &sample_report(), Duration::from_secs(1)),
+            run_to_json("b", &sample_report(), Duration::from_secs(2)),
+        ];
+        write_doc("test_bin", &path, &runs).unwrap();
         let doc = std::fs::read_to_string(&path).unwrap();
         assert!(doc.contains("\"bin\": \"test_bin\""));
         assert!(doc.contains("\"label\":\"a\""));

@@ -22,9 +22,10 @@
 //! kill a peer right before their block is cut (optionally tearing its
 //! block file mid-append, see [`ChaosOptions::block_dir`]) and restart it
 //! — through [`fabric_peer::recovery`] plus archive catch-up — a
-//! configured number of blocks later. Peers are built through the same
-//! [`PeerContext`] as the threaded runtime's and rebuilt through
-//! [`PeerContext::restore_peer`].
+//! configured number of blocks later, rebuilt through
+//! [`PeerContext::restore_peer`]. That is all the harness owns: its
+//! channel comes from [`assemble`], its proposals go through [`propose`]
+//! and its cuts through [`order_cut`], as on the threaded runtime.
 //!
 //! Because every step is driven by a plain method call on one thread, a
 //! (plan, seed, workload) triple determines the entire run: the fault
@@ -40,39 +41,24 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use fabric_common::{
-    ChannelId, ClientId, CostModel, Error, Key, LatencyRecorder, OrgId, PeerId, PhaseTimers,
-    PipelineConfig, Result, SignerRegistry, SubsystemGauges, Transaction, TransactionProposal,
-    TxCounters, TxId, TxStats, ValidationCode, Value,
+    ChannelId, ClientId, CostModel, Error, Key, PeerId, PipelineConfig, Result, Transaction,
+    TransactionProposal, TxId, TxStats, Value,
 };
 use fabric_ledger::ledger::tear_block_file;
 use fabric_ledger::{Block, Ledger};
 use fabric_ordering::{CutReason, OrdererStats, OrdererStatsSnapshot, OrderingService};
-use fabric_peer::chaincode::{Chaincode, ChaincodeRegistry, SimulationError};
-use fabric_peer::peer::{genesis_block, Peer};
+use fabric_peer::chaincode::Chaincode;
+use fabric_peer::peer::Peer;
 use fabric_peer::validation_pool::ValidationPool;
-use fabric_peer::validator::EndorsementPolicy;
-use fabric_statedb::{LsmConfig, LsmStateDb, MemStateDb, StateStore};
-use fabric_telemetry::{TelemetryConfig, TelemetryHub, TelemetrySeries};
-use fabric_trace::{EventKind, TraceSink};
-use fabricpp::channel::{order_cut, PeerContext};
-use fabricpp::client::assemble_transaction;
+use fabric_telemetry::{TelemetryConfig, TelemetrySeries};
+use fabric_trace::TraceSink;
+use fabricpp::channel::{assemble, order_cut, PeerContext};
+use fabricpp::client::{propose, ProposeOutcome};
 use fabricpp::StateEngine;
 
 use crate::injector::{FaultInjector, LinkId, SendFault};
 use crate::invariants::{check_invariants, InvariantReport};
 use crate::plan::FaultPlan;
-
-/// Outcome of a proposal ([`ChaosNet::propose`]).
-#[derive(Debug)]
-pub enum ProposeOutcome {
-    /// All endorsers agreed; the transaction is ready to submit.
-    Endorsed(Box<Transaction>),
-    /// Fabric++ simulation-phase early abort (stale read observed).
-    EarlyAborted(TxId),
-    /// Chaincode rejection, endorser disagreement, or an organization
-    /// with no live endorser.
-    Rejected(String),
-}
 
 struct Slot {
     peer: Arc<Peer>,
@@ -84,6 +70,12 @@ struct Slot {
     burst: Vec<Arc<Block>>,
     /// Deliveries still to absorb before the burst flushes in reverse.
     burst_remaining: u32,
+}
+
+impl Slot {
+    fn up(peer: Arc<Peer>) -> Self {
+        Slot { peer, down: false, delayed: Vec::new(), burst: Vec::new(), burst_remaining: 0 }
+    }
 }
 
 /// Non-semantic construction knobs for a [`ChaosNet`]: everything here
@@ -150,14 +142,10 @@ pub struct ChaosNet {
     /// ledger shares.
     archive: Vec<Arc<Block>>,
     injector: Arc<FaultInjector>,
-    /// Peer wiring shared with the threaded runtime: chaincodes, keys,
-    /// policy, the signature-check pool (sized by
-    /// `PipelineConfig::validation_workers`), and the reporting peer's
-    /// counters, sink, gauges and telemetry hub, all re-attached on
-    /// restart.
+    /// Peer wiring shared with the threaded runtime, re-attached to every
+    /// restarted peer.
     ctx: PeerContext,
     channel: ChannelId,
-    orgs: usize,
     block_dir: Option<PathBuf>,
 }
 
@@ -199,93 +187,35 @@ impl ChaosNet {
         if block_dir.is_none() && plan.crashes.iter().any(|c| c.tear_bytes > 0) {
             return Err(Error::Config("a torn crash point needs a block_dir".into()));
         }
+        // Peer ids run 1..=peers: a plan naming any other id would never fire.
+        let peers = (orgs * peers_per_org) as u64;
+        let named = plan.crashes.iter().map(|c| c.peer);
+        let mut named = named.chain(plan.partitions.iter().flat_map(|p| p.peers.iter().copied()));
+        if let Some(id) = named.find(|id| !(1..=peers).contains(id)) {
+            return Err(Error::Config(format!("the plan names peer {id}; the net has 1..={peers}")));
+        }
         if let Some(dir) = &block_dir {
             std::fs::create_dir_all(dir)?;
         }
         let injector = FaultInjector::new_traced(plan, sink.clone())?;
-        let mut cc_registry = ChaincodeRegistry::new();
-        for cc in &chaincodes {
-            cc_registry.deploy(cc.name().to_owned(), Arc::clone(cc));
-        }
         // One signature-check pool shared across all peers (checking is
         // stateless); worker count is a non-semantic knob — validation
         // outcomes are identical at any setting.
-        let gauges = SubsystemGauges::new();
         let pool = if config.validation_workers > 1 {
             ValidationPool::threaded(config.validation_workers)
         } else {
             ValidationPool::sequential()
         };
-        let pool = Arc::new(pool.with_gauges(gauges.clone()));
-        gauges.set_validation_workers(pool.workers() as u64);
-        let ctx = PeerContext {
-            chaincodes: cc_registry,
-            registry: SignerRegistry::new(),
-            policy: EndorsementPolicy::require_orgs((1..=orgs as u64).map(OrgId).collect()),
-            concurrency: config.concurrency,
-            early_abort_simulation: config.early_abort_simulation,
-            cost: CostModel::raw(),
-            key_seed: 1,
-            pool,
-            counters: TxCounters::new(),
-            latency: LatencyRecorder::new(),
-            phase_timers: PhaseTimers::new(),
-            sink,
-            gauges,
-            telemetry: match &telemetry {
-                Some(cfg) => TelemetryHub::with_config(*cfg),
-                None => TelemetryHub::disabled(),
-            },
+        let cost = CostModel::raw();
+        let ctx = PeerContext::new(config, orgs, &chaincodes, cost, 1, pool, sink, telemetry);
+        let ledger = |id| match &block_dir {
+            Some(dir) => Ok(Arc::new(Ledger::open(Self::ledger_path(dir, id))?.0)),
+            None => Ok(Arc::default()),
         };
-
-        // One genesis block, shared by every peer.
-        let genesis = genesis_block(genesis);
-        let mut slots = Vec::new();
-        for org in 1..=orgs as u64 {
-            for _ in 0..peers_per_org {
-                let peer_id = PeerId(slots.len() as u64 + 1);
-                let store: Arc<dyn StateStore> = match &engine {
-                    StateEngine::Memory => match retained_versions {
-                        Some(n) => Arc::new(MemStateDb::with_retained_versions(n)),
-                        None => Arc::new(MemStateDb::new()),
-                    },
-                    StateEngine::Lsm(dir) => {
-                        let peer_dir = dir.join(format!("peer-{}", peer_id.raw()));
-                        let cfg = match retained_versions {
-                            Some(n) => {
-                                LsmConfig { retained_versions: n, ..LsmConfig::default() }
-                            }
-                            None => LsmConfig::default(),
-                        };
-                        Arc::new(LsmStateDb::open(peer_dir, cfg)?)
-                    }
-                };
-                let ledger = match &block_dir {
-                    Some(dir) => Arc::new(Ledger::open(Self::ledger_path(dir, peer_id))?.0),
-                    None => Arc::default(),
-                };
-                let peer = ctx.new_peer(slots.len(), peer_id, OrgId(org), store, ledger);
-                peer.install_genesis_block(Arc::clone(&genesis))?;
-                slots.push(Slot {
-                    peer: Arc::new(peer),
-                    down: false,
-                    delayed: Vec::new(),
-                    burst: Vec::new(),
-                    burst_remaining: 0,
-                });
-            }
-        }
-        let genesis_hash = slots[0].peer.ledger().tip_hash();
-        let orderer = OrderingService::new(config)
-            .with_counters(ctx.counters.clone())
-            .with_trace(ctx.sink.clone())
-            .resume_at(1, genesis_hash);
-        ctx.telemetry.connect(
-            ctx.counters.clone(),
-            ctx.latency.clone(),
-            vec![slots[0].peer.store().counters()],
-            ctx.gauges.clone(),
-        );
+        let (peers, orderer) =
+            assemble(&ctx, config, peers_per_org, 1, &engine, retained_versions, genesis, ledger)?;
+        ctx.connect_telemetry(vec![peers[0].store().counters()]);
+        let slots = peers.into_iter().map(Slot::up).collect();
         Ok(ChaosNet {
             slots,
             orderer,
@@ -295,7 +225,6 @@ impl ChaosNet {
             injector,
             ctx,
             channel: ChannelId(0),
-            orgs,
             block_dir,
         })
     }
@@ -323,8 +252,13 @@ impl ChaosNet {
         dir.join(format!("peer-{}.blocks", id.raw()))
     }
 
-    fn slot_of(&self, peer: u64) -> Option<usize> {
-        self.slots.iter().position(|s| s.peer.id().raw() == peer)
+    /// Slot `idx`, or a config error naming it when the net has no such
+    /// slot.
+    fn slot_mut(&mut self, idx: usize) -> Result<&mut Slot> {
+        let n = self.slots.len();
+        self.slots
+            .get_mut(idx)
+            .ok_or_else(|| Error::Config(format!("no peer slot {idx}: the net has {n} slots")))
     }
 
     /// Simulation phase on the first live peer of each org.
@@ -352,36 +286,13 @@ impl ChaosNet {
     }
 
     fn propose_proposal(&self, proposal: TransactionProposal) -> ProposeOutcome {
-        self.ctx.counters.record_submitted();
-        if self.ctx.sink.is_enabled() {
-            self.ctx.sink.emit(EventKind::TxSubmitted {
-                tx: proposal.id,
-                channel: self.channel,
-                client: proposal.client,
-            });
-        }
-        let per_org = self.slots.len() / self.orgs;
-        let mut responses = Vec::new();
-        for o in 0..self.orgs {
-            let Some(endorser) = (o * per_org..(o + 1) * per_org)
-                .find(|&i| !self.slots[i].down)
-                .map(|i| &self.slots[i].peer)
-            else {
-                return ProposeOutcome::Rejected(format!("org {} has no live endorser", o + 1));
-            };
-            match endorser.endorse(&proposal) {
-                Ok(r) => responses.push(r),
-                Err(SimulationError::StaleRead { .. }) => {
-                    self.ctx.counters.record_outcome(ValidationCode::EarlyAbortSimulation);
-                    return ProposeOutcome::EarlyAborted(proposal.id);
-                }
-                Err(e) => return ProposeOutcome::Rejected(e.to_string()),
-            }
-        }
-        match assemble_transaction(&proposal, responses) {
-            Ok(tx) => ProposeOutcome::Endorsed(Box::new(tx)),
-            Err(e) => ProposeOutcome::Rejected(e),
-        }
+        let per_org = self.slots.len() / self.ctx.policy.required_orgs().len();
+        propose(&proposal, &self.ctx.counters, &self.ctx.sink, || {
+            self.slots.chunks(per_org).map(|org| {
+                let endorser = org.iter().find(|s| !s.down)?;
+                Some(endorser.peer.endorse(&proposal))
+            })
+        })
     }
 
     /// Hands an endorsed transaction to the orderer's buffer.
@@ -419,7 +330,7 @@ impl ChaosNet {
             return None;
         };
         let id = tx.id;
-        self.submit(*tx);
+        self.submit(tx);
         Some(id)
     }
 
@@ -457,16 +368,15 @@ impl ChaosNet {
 
         // Scheduled crashes fire before delivery: the peer misses this
         // block entirely, like a process that died between cuts.
+        // A plan's peer ids are checked at construction: peer `id` is slot
+        // `id - 1`.
         let crashes: Vec<_> = self.injector.plan().crashes.to_vec();
-        for c in &crashes {
-            if c.at_block == num {
-                if let Some(idx) = self.slot_of(c.peer) {
-                    if !self.slots[idx].down {
-                        self.crash(idx)?;
-                        if c.tear_bytes > 0 {
-                            self.tear_block_log(idx, c.tear_bytes)?;
-                        }
-                    }
+        for c in crashes.iter().filter(|c| c.at_block == num) {
+            let idx = c.peer as usize - 1;
+            if !self.slots[idx].down {
+                self.crash(idx)?;
+                if c.tear_bytes > 0 {
+                    self.tear_block_log(idx, c.tear_bytes)?;
                 }
             }
         }
@@ -479,12 +389,9 @@ impl ChaosNet {
         // with `restart_after_blocks = r` misses exactly blocks `b..b+r`
         // before recovery and catch-up bring it back level.
         for c in &crashes {
-            if c.restart_after_blocks > 0 && c.at_block + c.restart_after_blocks == num + 1 {
-                if let Some(idx) = self.slot_of(c.peer) {
-                    if self.slots[idx].down {
-                        self.restart(idx)?;
-                    }
-                }
+            let due = c.restart_after_blocks > 0 && c.at_block + c.restart_after_blocks == num + 1;
+            if due && self.slots[c.peer as usize - 1].down {
+                self.restart(c.peer as usize - 1)?;
             }
         }
         Ok(Some(num))
@@ -574,7 +481,7 @@ impl ChaosNet {
     /// deliveries (delayed blocks, open bursts) are lost with the process.
     /// Its block file, if it keeps one, survives like a disk.
     pub fn crash(&mut self, idx: usize) -> Result<()> {
-        let slot = &mut self.slots[idx];
+        let slot = self.slot_mut(idx)?;
         if slot.down {
             return Err(Error::Config(format!("peer slot {idx} is already down")));
         }
@@ -589,14 +496,16 @@ impl ChaosNet {
     /// simulating a crash that tore the last append mid-write (requires
     /// [`ChaosOptions::block_dir`]).
     pub fn tear_block_log(&mut self, idx: usize, bytes: u64) -> Result<()> {
-        if !self.slots[idx].down {
+        let slot = self.slot_mut(idx)?;
+        if !slot.down {
             return Err(Error::Config("tear_block_log requires a crashed peer".into()));
         }
+        let id = slot.peer.id();
         let dir = self
             .block_dir
             .as_ref()
             .ok_or_else(|| Error::Config("block files are not enabled".into()))?;
-        tear_block_file(&Self::ledger_path(dir, self.slots[idx].peer.id()), bytes)
+        tear_block_file(&Self::ledger_path(dir, id), bytes)
     }
 
     /// Restarts a crashed peer through [`PeerContext::restore_peer`] plus
@@ -606,10 +515,11 @@ impl ChaosNet {
     /// otherwise from its crashed incarnation's own ledger, shared after
     /// a full audit.
     pub fn restart(&mut self, idx: usize) -> Result<u64> {
-        if !self.slots[idx].down {
+        let slot = self.slot_mut(idx)?;
+        if !slot.down {
             return Err(Error::Config("restart requires a crashed peer".into()));
         }
-        let old = Arc::clone(&self.slots[idx].peer);
+        let old = Arc::clone(&slot.peer);
         let ledger = match &self.block_dir {
             Some(dir) => Arc::new(Ledger::open(Self::ledger_path(dir, old.id()))?.0),
             None => {
@@ -697,6 +607,7 @@ impl ChaosNet {
 mod tests {
     use super::*;
     use crate::injector::FaultEvent;
+    use fabric_common::ValidationCode;
     use fabric_ledger::CommittedBlock;
     use fabricpp::chaincode_fn;
 
@@ -768,7 +679,7 @@ mod tests {
 
     fn endorsed(outcome: ProposeOutcome) -> Transaction {
         match outcome {
-            ProposeOutcome::Endorsed(tx) => *tx,
+            ProposeOutcome::Endorsed(tx) => tx,
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -1070,6 +981,30 @@ mod tests {
             Err(Error::Config(msg)) => assert!(msg.contains("block_dir"), "{msg}"),
             Err(e) => panic!("expected a config error, got {e}"),
             Ok(_) => panic!("a torn crash point without a block file was accepted"),
+        }
+    }
+
+    #[test]
+    fn out_of_range_slots_are_config_errors() {
+        let mut net = quiet(PipelineConfig::fabric_pp(), 2, 2, 4);
+        assert!(matches!(net.crash(99), Err(Error::Config(_))));
+        assert!(matches!(net.restart(4), Err(Error::Config(_))));
+        assert!(matches!(net.tear_block_log(99, 1), Err(Error::Config(_))));
+    }
+
+    #[test]
+    fn plan_naming_a_missing_peer_is_rejected_up_front() {
+        for plan in [
+            FaultPlan::quiescent(4).with_crash(9, 2, 1),
+            FaultPlan::quiescent(4).with_crash(0, 2, 1),
+            FaultPlan::quiescent(4).with_partition(vec![3, 5], 0, 2),
+        ] {
+            let cc = vec![transfer_chaincode()];
+            match ChaosNet::new(&PipelineConfig::fabric_pp(), 2, 2, cc, &genesis(8), plan) {
+                Err(Error::Config(msg)) => assert!(msg.contains("names peer"), "{msg}"),
+                Err(e) => panic!("expected a config error, got {e}"),
+                Ok(_) => panic!("a plan naming a peer the net lacks was accepted"),
+            }
         }
     }
 

@@ -22,9 +22,9 @@
 //!   or the crashed peer's own ledger, state replayed by
 //!   `fabric_peer::recovery` — and archive catch-up. Under
 //!   [`plan::FaultPlan::quiescent`] it is the scripted-scenario harness
-//!   the paper's worked examples run on. Its one ordering service orders
-//!   each cut batch through `fabricpp::channel::order_cut`, the function
-//!   the threaded runtime's orderer thread calls.
+//!   the paper's worked examples run on. It is a scheduler only: channel
+//!   assembly, proposals and cuts go through the `fabricpp` functions the
+//!   threaded runtime calls.
 //!
 //! `ChaosNet` is the repository's only fault and crash driver. The
 //! threaded runtime ([`fabricpp::NetworkBuilder`]) is fault-free by
@@ -37,7 +37,8 @@ pub mod invariants;
 pub mod plan;
 pub mod rng;
 
-pub use harness::{ChaosNet, ChaosOptions, ProposeOutcome};
+pub use fabricpp::client::ProposeOutcome;
+pub use harness::{ChaosNet, ChaosOptions};
 pub use injector::{FaultEvent, FaultInjector, LinkId, SendFault};
 pub use invariants::{check_invariants, state_digest, InvariantReport};
 pub use plan::{CrashPoint, FaultPlan, Partition, WalFault};

@@ -1,5 +1,7 @@
-//! One channel's runtime: an ordering-service thread and one
-//! validation/commit thread per peer, wired over the simulated network.
+//! One channel: its assembly ([`PeerContext::new`], [`assemble`]) and
+//! order step ([`order_cut`]), shared with `fabric_chaos::ChaosNet`, and
+//! the threaded runtime's scheduler ([`ChannelRuntime`]); `ChaosNet` is
+//! the other scheduler.
 //!
 //! ```text
 //!  clients ──(endorsed txs)──► orderer thread ──(blocks)──► peer threads
@@ -11,9 +13,7 @@
 //! a FIFO [`fabric_net::link`], so every peer receives the same blocks in
 //! the same order (paper Appendix A.2). A block arriving out of turn is a
 //! bug, and the peer thread panics on it rather than healing it. Injected
-//! faults, crashes and restarts are tested on the deterministic driver,
-//! `fabric_chaos::ChaosNet`, which builds its peers through the same
-//! [`PeerContext`].
+//! faults, crashes and restarts are tested on `ChaosNet`.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -22,30 +22,29 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::RecvTimeoutError;
 
 use fabric_common::{
-    ChannelId, ConcurrencyMode, CostModel, Digest, LatencyRecorder, OrgId, PeerId, Phase,
-    PhaseTimers, PipelineConfig, Result, SignerRegistry, SigningKey, SubsystemGauges, Transaction,
-    TxCounters,
+    ChannelId, ConcurrencyMode, CostModel, Key, LatencyRecorder, OrgId, PeerId, Phase,
+    PhaseTimers, PipelineConfig, Result, SignerRegistry, SigningKey, StoreCounters,
+    SubsystemGauges, Transaction, TxCounters, Value,
 };
-use fabric_telemetry::TelemetryHub;
+use fabric_telemetry::{TelemetryConfig, TelemetryHub};
 use fabric_ledger::{Block, Ledger};
 use fabric_net::{link, Broadcaster, DelayedSender, LatencyModel, NetStats};
 use fabric_ordering::{BatchCutter, CutReason, OrderingService, OrdererStats};
-use fabric_peer::chaincode::ChaincodeRegistry;
-use fabric_peer::peer::{PendingBlock, Peer};
+use fabric_peer::chaincode::{Chaincode, ChaincodeRegistry};
+use fabric_peer::peer::{genesis_block, PendingBlock, Peer};
 use fabric_peer::recovery;
 use fabric_peer::validation_pool::ValidationPool;
 use fabric_peer::validator::EndorsementPolicy;
-use fabric_statedb::StateStore;
+use fabric_statedb::{LsmConfig, LsmStateDb, MemStateDb, StateStore};
 use fabric_trace::{EventKind, TraceSink};
+
+use crate::network::StateEngine;
 
 /// The channel-wide half of every peer's wiring: the pieces of
 /// [`Peer::new`]'s signature that are not per-peer, the shared validation
-/// pool, and the observers the reporting peer (slot 0) carries. Both
-/// drivers build their peers through [`PeerContext::new_peer`]: the
-/// threaded runtime and the deterministic chaos harness. Only the chaos
-/// harness crashes peers, and it rebuilds them through
+/// pool, and the observers the reporting peer (slot 0) carries. Only the
+/// chaos harness crashes peers, and it rebuilds them through
 /// [`PeerContext::restore_peer`].
-#[derive(Clone)]
 pub struct PeerContext {
     /// Deployed chaincodes.
     pub chaincodes: ChaincodeRegistry,
@@ -88,32 +87,58 @@ pub struct PeerContext {
 }
 
 impl PeerContext {
-    /// Builds the peer for channel slot `slot` around a fresh `store` and
-    /// an empty `ledger` (anonymous, or durable at the peer's block-file
-    /// path): derives and registers its signing key, shares the validation
-    /// pool, and — on slot 0, the reporting peer — attaches the counters,
-    /// phase timers, sink, gauges and telemetry hub. Genesis is not
-    /// installed.
-    pub fn new_peer(
-        &self,
-        slot: usize,
-        id: PeerId,
-        org: OrgId,
-        store: Arc<dyn StateStore>,
-        ledger: Arc<Ledger>,
-    ) -> Peer {
-        let key = SigningKey::for_peer(id, self.key_seed);
-        self.registry.register(id, key.clone());
-        self.attach(slot, self.build(id, org, key, store, ledger))
+    /// A context for `orgs` organizations, each required by the policy,
+    /// with `chaincodes` deployed, `pool` reporting to fresh gauges, fresh
+    /// counters and recorders, and a telemetry hub when `telemetry` is set.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        config: &PipelineConfig,
+        orgs: usize,
+        chaincodes: &[Arc<dyn Chaincode>],
+        cost: CostModel,
+        key_seed: u64,
+        pool: ValidationPool,
+        sink: TraceSink,
+        telemetry: Option<TelemetryConfig>,
+    ) -> Self {
+        let mut registry = ChaincodeRegistry::new();
+        for cc in chaincodes {
+            registry.deploy(cc.name().to_owned(), Arc::clone(cc));
+        }
+        let gauges = SubsystemGauges::new();
+        let pool = pool.with_gauges(gauges.clone());
+        gauges.set_validation_workers(pool.workers() as u64);
+        PeerContext {
+            chaincodes: registry,
+            registry: SignerRegistry::new(),
+            policy: EndorsementPolicy::require_orgs((1..=orgs as u64).map(OrgId).collect()),
+            concurrency: config.concurrency,
+            early_abort_simulation: config.early_abort_simulation,
+            cost,
+            key_seed,
+            pool: Arc::new(pool),
+            counters: TxCounters::new(),
+            latency: LatencyRecorder::new(),
+            phase_timers: PhaseTimers::new(),
+            sink,
+            gauges,
+            telemetry: telemetry.map_or_else(TelemetryHub::disabled, TelemetryHub::with_config),
+        }
+    }
+
+    /// Connects the telemetry hub to the reporting peers' `stores` once all
+    /// channels exist, so its windows sum exactly to the run's totals.
+    pub fn connect_telemetry(&self, stores: Vec<StoreCounters>) {
+        let (counters, latency) = (self.counters.clone(), self.latency.clone());
+        self.telemetry.connect(counters, latency, stores, self.gauges.clone());
     }
 
     /// Rebuilds the crashed peer `old` of slot `slot` around `ledger` —
     /// its block file reopened, or its own ledger when it kept no file —
     /// with the state [`fabric_peer::recovery::replay`] derives from it
-    /// under full flag re-checking, and wires it exactly like
-    /// [`PeerContext::new_peer`]. The caller catches it up. The chaos
-    /// harness is the one caller: the threaded runtime never crashes a
-    /// peer.
+    /// under full flag re-checking, and wires it like [`assemble`] does.
+    /// The caller catches it up. The chaos harness is the one caller: the
+    /// threaded runtime never crashes a peer.
     pub fn restore_peer(&self, slot: usize, old: &Peer, ledger: Arc<Ledger>) -> Result<Peer> {
         let state = recovery::replay(&ledger, true)?;
         let key = SigningKey::for_peer(old.id(), self.key_seed);
@@ -154,6 +179,56 @@ impl PeerContext {
             .with_gauges(self.gauges.clone())
             .with_telemetry(self.telemetry.clone())
     }
+}
+
+/// Builds one channel: `peers_per_org` peers per organization of the
+/// policy, ids from `first_id` in slot order (slot 0 reports). Each peer
+/// gets a fresh `engine` store (an LSM one under `dir/peer-<id>`), the
+/// empty ledger `ledger(id)` returns, a registered signing key, the shared
+/// pool and — slot 0 only — the context's observers; all install one
+/// shared genesis block. The ordering service resumes at their tip.
+#[allow(clippy::too_many_arguments)]
+pub fn assemble(
+    ctx: &PeerContext,
+    config: &PipelineConfig,
+    peers_per_org: usize,
+    first_id: u64,
+    engine: &StateEngine,
+    retained_versions: Option<usize>,
+    genesis: &[(Key, Value)],
+    mut ledger: impl FnMut(PeerId) -> Result<Arc<Ledger>>,
+) -> Result<(Vec<Arc<Peer>>, OrderingService)> {
+    let genesis = genesis_block(genesis);
+    let orgs = ctx.policy.required_orgs();
+    let mut peers = Vec::with_capacity(orgs.len() * peers_per_org);
+    for &org in orgs {
+        for _ in 0..peers_per_org {
+            let id = PeerId(first_id + peers.len() as u64);
+            let store: Arc<dyn StateStore> = match engine {
+                StateEngine::Memory => Arc::new(match retained_versions {
+                    Some(n) => MemStateDb::with_retained_versions(n),
+                    None => MemStateDb::new(),
+                }),
+                StateEngine::Lsm(dir) => {
+                    let cfg = match retained_versions {
+                        Some(n) => LsmConfig { retained_versions: n, ..LsmConfig::default() },
+                        None => LsmConfig::default(),
+                    };
+                    Arc::new(LsmStateDb::open(dir.join(id.to_string()), cfg)?)
+                }
+            };
+            let key = SigningKey::for_peer(id, ctx.key_seed);
+            ctx.registry.register(id, key.clone());
+            let peer = ctx.attach(peers.len(), ctx.build(id, org, key, store, ledger(id)?));
+            peer.install_genesis_block(Arc::clone(&genesis))?;
+            peers.push(Arc::new(peer));
+        }
+    }
+    let orderer = OrderingService::new(config)
+        .with_counters(ctx.counters.clone())
+        .with_trace(ctx.sink.clone())
+        .resume_at(1, peers[0].ledger().tip_hash());
+    Ok((peers, orderer))
 }
 
 /// Orders one cut batch on the calling thread; both drivers order every
@@ -204,16 +279,15 @@ pub struct ChannelRuntime {
 }
 
 impl ChannelRuntime {
-    /// Spawns the channel's orderer and peer threads.
-    ///
-    /// `peers` must already have genesis installed; `genesis_hash` is their
-    /// common chain tip (the orderer chains block 1 to it).
+    /// Spawns the channel's orderer and peer threads over the `peers` and
+    /// ordering `service` that [`assemble`] returned; `cutter` cuts the
+    /// orderer's batches.
     #[allow(clippy::too_many_arguments)]
     pub fn spawn(
         id: ChannelId,
-        config: &PipelineConfig,
         peers: Vec<Arc<Peer>>,
-        genesis_hash: Digest,
+        mut service: OrderingService,
+        mut cutter: BatchCutter,
         latency: LatencyModel,
         net_stats: NetStats,
         orderer_stats: OrdererStats,
@@ -267,11 +341,6 @@ impl ChannelRuntime {
         }
         let broadcaster = Broadcaster::new(direct, gossip);
 
-        let mut service = OrderingService::new(config)
-            .with_counters(ctx.counters.clone())
-            .with_trace(ctx.sink.clone())
-            .resume_at(1, genesis_hash);
-        let mut cutter = BatchCutter::new(config.cutting.clone());
         let cut_sink = ctx.sink.clone();
         let cut_gauges = ctx.gauges.clone();
         let phase_timers = ctx.phase_timers.clone();

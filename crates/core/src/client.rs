@@ -5,6 +5,10 @@
 //! compares the returned read/write sets, assembles the transaction with
 //! all signatures, and passes it to the ordering service.
 //!
+//! Every proposal takes this one step, [`propose`]; callers differ only in
+//! the endorse walk they pass it: [`ClientHandle::submit`] fans out on
+//! scoped threads, `fabric_chaos::ChaosNet` walks live peers in turn.
+//!
 //! Fabric++ addition: when an endorser early-aborts the simulation because
 //! of a stale read, the client is "directly notif\[ied\] about the abort,
 //! such that it can resubmit the proposal without delay" (paper §5.2.1) —
@@ -14,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fabric_common::{
-    ChannelId, ClientId, Endorsement, Transaction, TransactionProposal, TxCounters,
+    ChannelId, ClientId, Endorsement, Transaction, TransactionProposal, TxCounters, TxId,
     ValidationCode,
 };
 use fabric_net::{DelayedSender, LatencyModel};
@@ -41,6 +45,59 @@ impl SubmitOutcome {
     /// Whether the transaction entered the ordering pipeline.
     pub fn is_submitted(&self) -> bool {
         matches!(self, SubmitOutcome::Submitted(_))
+    }
+}
+
+/// Outcome of one proposal step ([`propose`]).
+#[derive(Debug)]
+pub enum ProposeOutcome {
+    /// All endorsers agreed; the transaction is ready to submit.
+    Endorsed(Transaction),
+    /// Fabric++ simulation-phase early abort (stale read observed).
+    EarlyAborted(TxId),
+    /// Chaincode rejection, endorser disagreement, or an organization
+    /// with no endorser to ask.
+    Rejected(String),
+}
+
+/// The proposal step: counts and traces the submission (before anything
+/// else), then runs `endorse`, a walk yielding per organization `Some`
+/// endorsement result or `None` (no endorser to ask). The first failure
+/// ends the walk: a stale read is a counted simulation-phase early abort,
+/// anything else a rejection. The responses go to [`assemble_transaction`].
+pub fn propose<I>(
+    proposal: &TransactionProposal,
+    counters: &TxCounters,
+    sink: &TraceSink,
+    endorse: impl FnOnce() -> I,
+) -> ProposeOutcome
+where
+    I: IntoIterator<Item = Option<Result<EndorsementResponse, SimulationError>>>,
+{
+    counters.record_submitted();
+    if sink.is_enabled() {
+        sink.emit(EventKind::TxSubmitted {
+            tx: proposal.id,
+            channel: proposal.channel,
+            client: proposal.client,
+        });
+    }
+    let walk = endorse().into_iter();
+    let mut responses = Vec::with_capacity(walk.size_hint().0);
+    for (i, endorsed) in walk.enumerate() {
+        match endorsed {
+            Some(Ok(resp)) => responses.push(resp),
+            Some(Err(SimulationError::StaleRead { .. })) => {
+                counters.record_outcome(ValidationCode::EarlyAbortSimulation);
+                return ProposeOutcome::EarlyAborted(proposal.id);
+            }
+            Some(Err(e)) => return ProposeOutcome::Rejected(e.to_string()),
+            None => return ProposeOutcome::Rejected(format!("org {} has no live endorser", i + 1)),
+        }
+    }
+    match assemble_transaction(proposal, responses) {
+        Ok(tx) => ProposeOutcome::Endorsed(tx),
+        Err(e) => ProposeOutcome::Rejected(e),
     }
 }
 
@@ -137,60 +194,40 @@ impl ClientHandle {
     /// Fires one transaction proposal end-to-end through endorsement and
     /// hands the endorsed transaction to the ordering service.
     pub fn submit(&self, chaincode: &str, args: Vec<u8>) -> SubmitOutcome {
-        self.counters.record_submitted();
         let proposal =
             TransactionProposal::new(self.channel, self.client, chaincode, args);
-        if self.sink.is_enabled() {
-            self.sink.emit(EventKind::TxSubmitted {
-                tx: proposal.id,
-                channel: self.channel,
-                client: self.client,
-            });
-        }
+        let outcome = propose(&proposal, &self.counters, &self.sink, || {
+            // Client → endorsers hop (proposals travel in parallel; one hop
+            // of latency covers the fan-out).
+            self.net_sleep(64 + proposal.args.len());
 
-        // Client → endorsers hop (proposals travel in parallel; one hop of
-        // latency covers the fan-out).
-        let proposal_size = 64 + proposal.args.len();
-        self.net_sleep(proposal_size);
+            // "The endorsers now simulate the transaction proposal against
+            // a local copy of the current state in parallel" (paper §2.2.1).
+            let results: Vec<Result<EndorsementResponse, SimulationError>> =
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = self
+                        .endorsers
+                        .iter()
+                        .map(|peer| {
+                            let proposal = &proposal;
+                            scope.spawn(move || peer.endorse(proposal))
+                        })
+                        .collect();
+                    handles.into_iter().map(|h| h.join().expect("endorser panicked")).collect()
+                });
 
-        // "The endorsers now simulate the transaction proposal against a
-        // local copy of the current state in parallel" (paper §2.2.1).
-        let results: Vec<Result<EndorsementResponse, SimulationError>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .endorsers
-                    .iter()
-                    .map(|peer| {
-                        let proposal = &proposal;
-                        scope.spawn(move || peer.endorse(proposal))
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("endorser panicked")).collect()
-            });
-        let mut responses = Vec::with_capacity(results.len());
-        for r in results {
-            match r {
-                Ok(resp) => responses.push(resp),
-                Err(SimulationError::StaleRead { .. }) => {
-                    // Fabric++ simulation-phase early abort: the client is
-                    // notified immediately.
-                    self.counters.record_outcome(ValidationCode::EarlyAbortSimulation);
-                    return SubmitOutcome::EarlyAborted(proposal.id);
-                }
-                Err(e) => return SubmitOutcome::Rejected(e.to_string()),
+            // Endorsers → client hop (responses carry the read/write sets),
+            // taken only when every endorser succeeded.
+            let all_ok = results.iter().all(Result::is_ok);
+            if let Some(Ok(first)) = results.first().filter(|_| all_ok) {
+                self.net_sleep(first.rwset.byte_size() + 40);
             }
-        }
-
-        // Endorsers → client hop (responses carry the read/write sets).
-        let resp_size = responses
-            .first()
-            .map(|r| r.rwset.byte_size() + 40)
-            .unwrap_or(64);
-        self.net_sleep(resp_size);
-
-        let tx = match assemble_transaction(&proposal, responses) {
-            Ok(tx) => tx,
-            Err(e) => return SubmitOutcome::Rejected(e),
+            results.into_iter().map(Some)
+        });
+        let tx = match outcome {
+            ProposeOutcome::Endorsed(tx) => tx,
+            ProposeOutcome::EarlyAborted(id) => return SubmitOutcome::EarlyAborted(id),
+            ProposeOutcome::Rejected(e) => return SubmitOutcome::Rejected(e),
         };
 
         let size = tx.byte_size();
@@ -250,8 +287,10 @@ impl std::fmt::Debug for ClientHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::{assemble, PeerContext};
     use fabric_common::rwset::rwset_from_keys;
-    use fabric_common::{Key, OrgId, PeerId, Signature, Value, Version};
+    use fabric_common::{CostModel, Key, OrgId, PeerId, PipelineConfig, Signature, Value, Version};
+    use fabric_peer::validation_pool::ValidationPool;
 
     fn response(v: i64) -> EndorsementResponse {
         EndorsementResponse {
@@ -302,6 +341,63 @@ mod tests {
     #[test]
     fn assemble_rejects_empty() {
         assert!(assemble_transaction(&proposal(), vec![]).is_err());
+    }
+
+    #[test]
+    fn stale_read_at_the_second_org_early_aborts_and_ends_the_walk() {
+        let (p, counters) = (proposal(), TxCounters::new());
+        let stale = SimulationError::StaleRead {
+            key: Key::from("a"),
+            snapshot_block: 0,
+            observed: Version::GENESIS,
+        };
+        let mut asked = 0;
+        let walk = [Ok(response(1)), Err(stale), Ok(response(1))].into_iter().map(|r| {
+            asked += 1;
+            Some(r)
+        });
+        match propose(&p, &counters, &TraceSink::disabled(), || walk) {
+            ProposeOutcome::EarlyAborted(id) => assert_eq!(id, p.id),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(asked, 2, "no org after the stale read is asked");
+        let s = counters.snapshot();
+        assert_eq!((s.submitted, s.early_abort_simulation, s.finished()), (1, 1, 1));
+    }
+
+    #[test]
+    fn chaincode_errors_differing_sets_and_missing_orgs_reject() {
+        let refused = Err(SimulationError::ChaincodeError("no funds".into()));
+        for (second, text) in [
+            (Some(refused), "chaincode error: no funds"),
+            (Some(Ok(response(2))), "endorsers returned mismatching read/write sets"),
+            (None, "org 2 has no live endorser"),
+        ] {
+            let counters = TxCounters::new();
+            let walk = || [Some(Ok(response(1))), second];
+            match propose(&proposal(), &counters, &TraceSink::disabled(), walk) {
+                ProposeOutcome::Rejected(e) => assert_eq!(e, text),
+                other => panic!("unexpected {other:?}"),
+            }
+            assert_eq!((counters.snapshot().submitted, counters.snapshot().finished()), (1, 0));
+        }
+    }
+
+    #[test]
+    fn submission_is_traced_before_the_endorsers_events() {
+        let (cfg, sink) = (PipelineConfig::fabric_pp(), TraceSink::bounded(64));
+        let (cc, pool) = (crate::chaincode_fn("noop", |_, _| Ok(())), ValidationPool::sequential());
+        let ctx = PeerContext::new(&cfg, 2, &[cc], CostModel::raw(), 1, pool, sink.clone(), None);
+        let anonymous = |_| Ok(Arc::default());
+        let (peers, _) =
+            assemble(&ctx, &cfg, 1, 1, &crate::StateEngine::Memory, None, &[], anonymous).unwrap();
+        let p = TransactionProposal::new(ChannelId(0), ClientId(0), "noop", vec![]);
+        let walk = || peers.iter().map(|peer| Some(peer.endorse(&p)));
+        assert!(matches!(propose(&p, &ctx.counters, &sink, walk), ProposeOutcome::Endorsed(_)));
+        let kinds: Vec<EventKind> = sink.report().events.into_iter().map(|e| e.kind).collect();
+        assert!(matches!(kinds[0], EventKind::TxSubmitted { tx, .. } if tx == p.id), "{kinds:?}");
+        assert!(matches!(kinds[1], EventKind::TxEndorsed { tx, .. } if tx == p.id), "{kinds:?}");
+        assert_eq!(kinds.len(), 2, "only the reporting peer traces: {kinds:?}");
     }
 
     #[test]

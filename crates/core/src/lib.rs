@@ -43,18 +43,19 @@
 //! ## Modules
 //!
 //! * [`client`] — the client side of the protocol: proposal →
-//!   endorsement collection → read/write-set comparison → submission.
-//! * [`channel`] — one channel's runtime: an ordering-service thread plus
-//!   one validation thread per peer, wired over the simulated network;
-//!   and [`channel::PeerContext`], the one place a peer is built or
-//!   rebuilt after a crash.
+//!   endorsement collection → read/write-set comparison → submission;
+//!   [`client::propose`] is the one proposal step.
+//! * [`channel`] — one channel: its assembly ([`channel::PeerContext`],
+//!   [`channel::assemble`]), its order step ([`channel::order_cut`]), and
+//!   the threaded runtime — an ordering-service thread plus one
+//!   validation thread per peer, wired over the simulated network.
 //! * [`network`] — [`NetworkBuilder`] / [`FabricNetwork`]: organizations,
 //!   peers, channels, chaincode deployment, genesis state, reporting.
 //!
-//! The single-threaded, fully deterministic driver over the same
-//! components — used to script exact scenarios such as the paper's
-//! Appendix A running example — is `fabric_chaos::ChaosNet` under a
-//! quiescent fault plan.
+//! The single-threaded, fully deterministic pipeline — used to script
+//! exact scenarios such as the paper's Appendix A running example — is
+//! `fabric_chaos::ChaosNet` under a quiescent fault plan: a second
+//! scheduler over the same assembly, proposal and order steps.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

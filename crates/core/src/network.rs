@@ -6,21 +6,18 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fabric_common::{
-    ChannelId, ClientId, CostModel, Error, Key, LatencyRecorder, LatencySummary, OrgId, PeerId,
-    PhaseSummary, PhaseTimers, PipelineConfig, Result, SignerRegistry, StoreStats,
-    SubsystemGauges, TxCounters, TxStats, Value,
+    ChannelId, ClientId, CostModel, Error, Key, LatencySummary, PhaseSummary, PipelineConfig,
+    Result, StoreStats, TxStats, Value,
 };
 use fabric_net::{LatencyModel, NetStats};
-use fabric_ordering::{OrdererStats, OrdererStatsSnapshot};
-use fabric_peer::chaincode::{Chaincode, ChaincodeRegistry};
-use fabric_peer::peer::{genesis_block, Peer};
+use fabric_ordering::{BatchCutter, OrdererStats, OrdererStatsSnapshot};
+use fabric_peer::chaincode::Chaincode;
+use fabric_peer::peer::Peer;
 use fabric_peer::validation_pool::ValidationPool;
-use fabric_peer::validator::EndorsementPolicy;
-use fabric_statedb::{LsmConfig, LsmStateDb, MemStateDb, StateStore};
-use fabric_telemetry::{TelemetryConfig, TelemetryHub, TelemetrySeries};
+use fabric_telemetry::{TelemetryConfig, TelemetrySeries};
 use fabric_trace::{TraceReport, TraceSink};
 
-use crate::channel::{ChannelRuntime, PeerContext};
+use crate::channel::{self, ChannelRuntime, PeerContext};
 use crate::client::ClientHandle;
 
 /// Which state-database engine each peer uses.
@@ -29,7 +26,7 @@ pub enum StateEngine {
     /// Sharded in-memory store (default; benchmarks).
     Memory,
     /// From-scratch LSM engine rooted under the given directory (one
-    /// subdirectory per channel and peer).
+    /// subdirectory per peer, `peer-<id>`).
     Lsm(PathBuf),
 }
 
@@ -168,107 +165,63 @@ impl NetworkBuilder {
             ));
         }
 
-        let counters = TxCounters::new();
-        let latency_rec = LatencyRecorder::new();
-        let net_stats = NetStats::new();
-        let orderer_stats = OrdererStats::new();
-        let phase_timers = PhaseTimers::new();
         let sink = match self.trace_capacity {
             Some(capacity) => TraceSink::bounded(capacity),
             None => TraceSink::disabled(),
         };
-        let gauges = SubsystemGauges::new();
-        let hub = match &self.telemetry {
-            Some(cfg) => TelemetryHub::with_config(*cfg),
-            None => TelemetryHub::disabled(),
-        };
         // One network-wide pool: endorsement-signature checking is
         // stateless, so every peer of every channel shares the workers.
-        let pool = Arc::new(
-            ValidationPool::threaded(self.pipeline.validation_workers)
-                .with_gauges(gauges.clone()),
-        );
-        gauges.set_validation_workers(pool.workers() as u64);
-
-        let mut chaincodes = ChaincodeRegistry::new();
-        for cc in &self.chaincodes {
-            chaincodes.deploy(cc.name().to_owned(), Arc::clone(cc));
-        }
-        let ctx = PeerContext {
-            chaincodes,
-            registry: SignerRegistry::new(),
-            policy: EndorsementPolicy::require_orgs((1..=self.orgs as u64).map(OrgId).collect()),
-            concurrency: self.pipeline.concurrency,
-            early_abort_simulation: self.pipeline.early_abort_simulation,
-            cost: self.cost,
-            key_seed: self.seed,
+        let pool = ValidationPool::threaded(self.pipeline.validation_workers);
+        let ctx = PeerContext::new(
+            &self.pipeline,
+            self.orgs,
+            &self.chaincodes,
+            self.cost,
+            self.seed,
             pool,
-            counters: counters.clone(),
-            latency: latency_rec.clone(),
-            phase_timers: phase_timers.clone(),
-            sink: sink.clone(),
-            gauges: gauges.clone(),
-            telemetry: hub.clone(),
-        };
+            sink,
+            self.telemetry,
+        );
+        let net_stats = NetStats::new();
+        let orderer_stats = OrdererStats::new();
 
         let mut channels = Vec::with_capacity(self.channels);
         let mut reporting_stores = Vec::with_capacity(self.channels);
-        let mut next_peer_id = 1u64;
         for ch in 0..self.channels {
-            // One genesis block per channel, shared by all of its peers.
-            let genesis = genesis_block(&self.genesis);
-            let mut peers = Vec::new();
-            for org in 1..=self.orgs as u64 {
-                for _ in 0..self.peers_per_org {
-                    let pid = PeerId(next_peer_id);
-                    next_peer_id += 1;
-                    let store: Arc<dyn StateStore> = match &self.engine {
-                        StateEngine::Memory => Arc::new(MemStateDb::new()),
-                        StateEngine::Lsm(base) => {
-                            let dir = base.join(format!("ch{ch}-peer{}", pid.raw()));
-                            Arc::new(LsmStateDb::open(dir, LsmConfig::default())?)
-                        }
-                    };
-                    // Slot 0 of each channel is its reporting peer.
-                    let peer = ctx.new_peer(peers.len(), pid, OrgId(org), store, Arc::default());
-                    if peers.is_empty() {
-                        reporting_stores.push(peer.store().counters());
-                    }
-                    peer.install_genesis_block(Arc::clone(&genesis))?;
-                    peers.push(Arc::new(peer));
-                }
-            }
-            let genesis_hash = peers[0].ledger().tip_hash();
+            // Peer ids run on across channels: 1, 2, … network-wide.
+            let first_id = (ch * self.orgs * self.peers_per_org) as u64 + 1;
+            let (peers, orderer) = channel::assemble(
+                &ctx,
+                &self.pipeline,
+                self.peers_per_org,
+                first_id,
+                &self.engine,
+                None,
+                &self.genesis,
+                |_| Ok(Arc::default()),
+            )?;
+            reporting_stores.push(peers[0].store().counters());
             channels.push(ChannelRuntime::spawn(
                 ChannelId(ch as u64),
-                &self.pipeline,
                 peers,
-                genesis_hash,
+                orderer,
+                BatchCutter::new(self.pipeline.cutting.clone()),
                 self.latency.clone(),
                 net_stats.clone(),
                 orderer_stats.clone(),
                 &ctx,
             ));
         }
-
-        // Connect the hub last, once every reporting store exists: window
-        // deltas telescope from these baselines, so the sum of windows
-        // equals the run's final totals exactly.
-        hub.connect(counters.clone(), latency_rec.clone(), reporting_stores, gauges.clone());
+        ctx.connect_telemetry(reporting_stores);
 
         Ok(FabricNetwork {
             channels,
-            counters,
-            latency_rec,
+            ctx,
             net_stats,
             orderer_stats,
-            phase_timers,
             latency_model: self.latency,
             started: Instant::now(),
             next_client: AtomicU64::new(0),
-            orgs: self.orgs,
-            sink,
-            hub,
         })
     }
 }
@@ -276,17 +229,13 @@ impl NetworkBuilder {
 /// A running network: channels, peers, and shared metric sinks.
 pub struct FabricNetwork {
     channels: Vec<ChannelRuntime>,
-    counters: TxCounters,
-    latency_rec: LatencyRecorder,
+    /// The run's counters, recorders, sink and telemetry hub.
+    ctx: PeerContext,
     net_stats: NetStats,
     orderer_stats: OrdererStats,
-    phase_timers: PhaseTimers,
     latency_model: LatencyModel,
     started: Instant,
     next_client: AtomicU64,
-    orgs: usize,
-    sink: TraceSink,
-    hub: TelemetryHub,
 }
 
 impl FabricNetwork {
@@ -295,9 +244,8 @@ impl FabricNetwork {
     pub fn client(&self, channel_idx: usize) -> ClientHandle {
         let channel = &self.channels[channel_idx];
         let peers = channel.peers();
-        let per_org = peers.len() / self.orgs;
-        let endorsers: Vec<Arc<Peer>> =
-            (0..self.orgs).map(|o| Arc::clone(&peers[o * per_org])).collect();
+        let per_org = peers.len() / self.ctx.policy.required_orgs().len();
+        let endorsers: Vec<Arc<Peer>> = peers.iter().step_by(per_org).cloned().collect();
         let id = ClientId(self.next_client.fetch_add(1, Ordering::Relaxed));
         ClientHandle::new(
             channel.id(),
@@ -305,8 +253,8 @@ impl FabricNetwork {
             endorsers,
             channel.orderer_sender(),
             self.latency_model.clone(),
-            self.counters.clone(),
-            self.sink.clone(),
+            self.ctx.counters.clone(),
+            self.ctx.sink.clone(),
         )
     }
 
@@ -325,12 +273,12 @@ impl FabricNetwork {
 
     /// Live snapshot of the outcome counters.
     pub fn stats(&self) -> TxStats {
-        self.counters.snapshot()
+        self.ctx.counters.snapshot()
     }
 
     /// Live latency summary (valid transactions, end-to-end).
     pub fn latency(&self) -> LatencySummary {
-        self.latency_rec.summary()
+        self.ctx.latency.summary()
     }
 
     /// Shuts everything down, drains the pipeline, audits every ledger,
@@ -354,16 +302,16 @@ impl FabricNetwork {
         }
         RunReport {
             elapsed,
-            stats: self.counters.snapshot(),
-            latency: self.latency_rec.summary(),
+            stats: self.ctx.counters.snapshot(),
+            latency: self.ctx.latency.summary(),
             net_messages: self.net_stats.messages(),
             net_bytes: self.net_stats.bytes(),
             orderer: self.orderer_stats.snapshot(),
-            phases: self.phase_timers.summary(),
+            phases: self.ctx.phase_timers.summary(),
             block_heights,
             store,
-            trace: self.sink.is_enabled().then(|| self.sink.report()),
-            timeseries: self.hub.finish(),
+            trace: self.ctx.sink.is_enabled().then(|| self.ctx.sink.report()),
+            timeseries: self.ctx.telemetry.finish(),
         }
     }
 }

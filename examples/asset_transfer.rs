@@ -35,7 +35,7 @@ fn main() {
 
     // T7: the honest transfer of 30.
     let t7 = match net.propose(1, "transfer", 30i64.to_le_bytes().to_vec()) {
-        ProposeOutcome::Endorsed(tx) => *tx,
+        ProposeOutcome::Endorsed(tx) => tx,
         other => panic!("unexpected: {other:?}"),
     };
     println!(
@@ -48,7 +48,7 @@ fn main() {
     // T8: the malicious client swaps in a tampered write set after
     // endorsement (BalA should have decreased!).
     let mut t8 = match net.propose(2, "transfer", 20i64.to_le_bytes().to_vec()) {
-        ProposeOutcome::Endorsed(tx) => *tx,
+        ProposeOutcome::Endorsed(tx) => tx,
         other => panic!("unexpected: {other:?}"),
     };
     t8.rwset = fabric_common::rwset::rwset_from_keys(
@@ -61,7 +61,7 @@ fn main() {
 
     // T9: another transfer, simulated against the same pre-T7 state.
     let t9 = match net.propose(3, "transfer", 50i64.to_le_bytes().to_vec()) {
-        ProposeOutcome::Endorsed(tx) => *tx,
+        ProposeOutcome::Endorsed(tx) => tx,
         other => panic!("unexpected: {other:?}"),
     };
     println!("T9 endorsed against the same (soon stale) state");

@@ -56,11 +56,11 @@ fn main() {
     // serialize — Fabric++ early-aborts one at ORDER time instead of
     // shipping it to every peer only to fail validation.
     let t7 = match net.propose(1, "transfer", 30i64.to_le_bytes().to_vec()) {
-        ProposeOutcome::Endorsed(tx) => *tx,
+        ProposeOutcome::Endorsed(tx) => tx,
         other => panic!("unexpected {other:?}"),
     };
     let t9 = match net.propose(3, "transfer", 50i64.to_le_bytes().to_vec()) {
-        ProposeOutcome::Endorsed(tx) => *tx,
+        ProposeOutcome::Endorsed(tx) => tx,
         other => panic!("unexpected {other:?}"),
     };
     let (t7_id, t9_id) = (t7.id, t9.id);
@@ -70,7 +70,7 @@ fn main() {
 
     // A second, conflict-free block so the trace shows a clean commit too.
     let t10 = match net.propose(2, "transfer", 5i64.to_le_bytes().to_vec()) {
-        ProposeOutcome::Endorsed(tx) => *tx,
+        ProposeOutcome::Endorsed(tx) => tx,
         other => panic!("unexpected {other:?}"),
     };
     let t10_id = t10.id;

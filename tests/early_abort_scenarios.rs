@@ -153,7 +153,7 @@ fn ordering_phase_version_mismatch_drops_older_reader() {
 
     // T_old reads `hot` at genesis.
     let t_old = match net.propose(0, "reader", b"out-old".to_vec()) {
-        ProposeOutcome::Endorsed(tx) => *tx,
+        ProposeOutcome::Endorsed(tx) => tx,
         other => panic!("unexpected {other:?}"),
     };
     // A bump commits, advancing `hot` to block 1.
@@ -161,7 +161,7 @@ fn ordering_phase_version_mismatch_drops_older_reader() {
     net.cut_block().unwrap();
     // T_new reads `hot` at block 1.
     let t_new = match net.propose(2, "reader", b"out-new".to_vec()) {
-        ProposeOutcome::Endorsed(tx) => *tx,
+        ProposeOutcome::Endorsed(tx) => tx,
         other => panic!("unexpected {other:?}"),
     };
 

@@ -35,7 +35,7 @@ fn key_history_tracks_the_full_lifecycle() {
     net.cut_block().unwrap();
     // Block 2: one valid set 20 plus one STALE set 99 (endorsed earlier).
     let stale = match net.propose(1, "set", 99i64.to_le_bytes().to_vec()) {
-        ProposeOutcome::Endorsed(tx) => *tx,
+        ProposeOutcome::Endorsed(tx) => tx,
         other => panic!("unexpected {other:?}"),
     };
     // Commit an intervening write so `stale` really is stale.

@@ -71,7 +71,7 @@ fn committed_change_to_scanned_entry_invalidates_reader() {
 
     // Endorse the range scan against the genesis state, but hold it back.
     let scan_tx = match net.propose(0, "sum_range", vec![]) {
-        ProposeOutcome::Endorsed(tx) => *tx,
+        ProposeOutcome::Endorsed(tx) => tx,
         other => panic!("unexpected {other:?}"),
     };
     assert_eq!(scan_tx.rwset.reads.len(), 5, "every scanned key recorded");
@@ -104,7 +104,7 @@ fn fabricpp_orderer_drops_stale_range_reader_early() {
     )
     .unwrap();
     let stale_scan = match net.propose(0, "sum_range", vec![]) {
-        ProposeOutcome::Endorsed(tx) => *tx,
+        ProposeOutcome::Endorsed(tx) => tx,
         other => panic!("unexpected {other:?}"),
     };
     net.propose_and_submit(1, "deposit", Key::composite("acct", 2).as_bytes().to_vec())
@@ -112,7 +112,7 @@ fn fabricpp_orderer_drops_stale_range_reader_early() {
     net.cut_block().unwrap();
     // Fresh scan after the deposit.
     let fresh_scan = match net.propose(2, "sum_range", vec![]) {
-        ProposeOutcome::Endorsed(tx) => *tx,
+        ProposeOutcome::Endorsed(tx) => tx,
         other => panic!("unexpected {other:?}"),
     };
     net.submit(stale_scan);

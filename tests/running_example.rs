@@ -61,7 +61,7 @@ fn appendix_a_validation_and_commit() {
 
     // T7: the honest transfer of 30 (steps 1–4).
     let t7 = match net.propose(1, "transfer", 30i64.to_le_bytes().to_vec()) {
-        ProposeOutcome::Endorsed(tx) => *tx,
+        ProposeOutcome::Endorsed(tx) => tx,
         other => panic!("T7 must endorse, got {other:?}"),
     };
     assert_eq!(
@@ -73,7 +73,7 @@ fn appendix_a_validation_and_commit() {
     // T8: the malicious client uses the write set from its collaborator
     // instead of the endorsed one (WS = {BalA=100, BalB=120}).
     let mut t8 = match net.propose(2, "transfer", 20i64.to_le_bytes().to_vec()) {
-        ProposeOutcome::Endorsed(tx) => *tx,
+        ProposeOutcome::Endorsed(tx) => tx,
         other => panic!("T8 must endorse, got {other:?}"),
     };
     t8.rwset = fabric_common::rwset::rwset_from_keys(
@@ -85,7 +85,7 @@ fn appendix_a_validation_and_commit() {
 
     // T9: simulated against the same (pre-T7) state as T7.
     let t9 = match net.propose(3, "transfer", 50i64.to_le_bytes().to_vec()) {
-        ProposeOutcome::Endorsed(tx) => *tx,
+        ProposeOutcome::Endorsed(tx) => tx,
         other => panic!("T9 must endorse, got {other:?}"),
     };
 
@@ -150,11 +150,11 @@ fn appendix_a_under_fabricpp_reordering_rescues_t9() {
     .unwrap();
 
     let t7 = match net.propose(1, "transfer", 30i64.to_le_bytes().to_vec()) {
-        ProposeOutcome::Endorsed(tx) => *tx,
+        ProposeOutcome::Endorsed(tx) => tx,
         other => panic!("unexpected {other:?}"),
     };
     let t9 = match net.propose(3, "transfer", 50i64.to_le_bytes().to_vec()) {
-        ProposeOutcome::Endorsed(tx) => *tx,
+        ProposeOutcome::Endorsed(tx) => tx,
         other => panic!("unexpected {other:?}"),
     };
 

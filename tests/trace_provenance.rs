@@ -65,7 +65,7 @@ fn traced_net(
 
 fn endorse(net: &ChaosNet, client: u64, cc: &str) -> fabric_common::Transaction {
     match net.propose(client, cc, vec![]) {
-        ProposeOutcome::Endorsed(tx) => *tx,
+        ProposeOutcome::Endorsed(tx) => tx,
         other => panic!("{cc} must endorse, got {other:?}"),
     }
 }
@@ -236,13 +236,13 @@ fn version_mismatch_event_names_key_versions_and_witness() {
     // T_old reads `hot` at genesis; a committed bump advances it to block
     // 1; T_new reads the bumped version. Both then batch together.
     let t_old = match net.propose(0, "reader", b"out-old".to_vec()) {
-        ProposeOutcome::Endorsed(tx) => *tx,
+        ProposeOutcome::Endorsed(tx) => tx,
         other => panic!("unexpected {other:?}"),
     };
     net.propose_and_submit(1, "bump", vec![]).unwrap();
     net.cut_block().unwrap();
     let t_new = match net.propose(2, "reader", b"out-new".to_vec()) {
-        ProposeOutcome::Endorsed(tx) => *tx,
+        ProposeOutcome::Endorsed(tx) => tx,
         other => panic!("unexpected {other:?}"),
     };
 
@@ -304,11 +304,11 @@ fn cycle_abort_event_names_scc_and_size() {
     );
 
     let ta = match net.propose(0, "swap", vec![0]) {
-        ProposeOutcome::Endorsed(tx) => *tx,
+        ProposeOutcome::Endorsed(tx) => tx,
         other => panic!("unexpected {other:?}"),
     };
     let tb = match net.propose(1, "swap", vec![1]) {
-        ProposeOutcome::Endorsed(tx) => *tx,
+        ProposeOutcome::Endorsed(tx) => tx,
         other => panic!("unexpected {other:?}"),
     };
     let (a_id, b_id) = (ta.id, tb.id);
