@@ -6,8 +6,10 @@
 //! all signatures, and passes it to the ordering service.
 //!
 //! Every proposal takes this one step, [`propose`]; callers differ only in
-//! the endorse walk they pass it: [`ClientHandle::submit`] fans out on
-//! scoped threads, `fabric_chaos::ChaosNet` walks live peers in turn.
+//! the endorse walk they pass it: [`ClientHandle::submit`] simulates at
+//! every organization at once — the last on the caller's own thread, each
+//! other on a scoped thread — and `fabric_chaos::ChaosNet` walks live peers
+//! in turn.
 //!
 //! Fabric++ addition: when an endorser early-aborts the simulation because
 //! of a stale read, the client is "directly notif\[ied\] about the abort,
@@ -202,18 +204,22 @@ impl ClientHandle {
             self.net_sleep(64 + proposal.args.len());
 
             // "The endorsers now simulate the transaction proposal against
-            // a local copy of the current state in parallel" (paper §2.2.1).
+            // a local copy of the current state in parallel" (paper §2.2.1):
+            // every organization but the last on a scoped thread, the last
+            // on this one, so a proposal pays n − 1 spawns, not n.
             let results: Vec<Result<EndorsementResponse, SimulationError>> =
                 std::thread::scope(|scope| {
-                    let handles: Vec<_> = self
-                        .endorsers
+                    let Some((last, others)) = self.endorsers.split_last() else {
+                        return Vec::new();
+                    };
+                    let proposal = &proposal;
+                    let handles: Vec<_> = others
                         .iter()
-                        .map(|peer| {
-                            let proposal = &proposal;
-                            scope.spawn(move || peer.endorse(proposal))
-                        })
+                        .map(|peer| scope.spawn(move || peer.endorse(proposal)))
                         .collect();
-                    handles.into_iter().map(|h| h.join().expect("endorser panicked")).collect()
+                    let own = last.endorse(proposal);
+                    let joined = handles.into_iter().map(|h| h.join().expect("endorser panicked"));
+                    joined.chain([own]).collect()
                 });
 
             // Endorsers → client hop (responses carry the read/write sets),
@@ -291,6 +297,8 @@ mod tests {
     use fabric_common::rwset::rwset_from_keys;
     use fabric_common::{CostModel, Key, OrgId, PeerId, PipelineConfig, Signature, Value, Version};
     use fabric_peer::validation_pool::ValidationPool;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
 
     fn response(v: i64) -> EndorsementResponse {
         EndorsementResponse {
@@ -398,6 +406,80 @@ mod tests {
         assert!(matches!(kinds[0], EventKind::TxSubmitted { tx, .. } if tx == p.id), "{kinds:?}");
         assert!(matches!(kinds[1], EventKind::TxEndorsed { tx, .. } if tx == p.id), "{kinds:?}");
         assert_eq!(kinds.len(), 2, "only the reporting peer traces: {kinds:?}");
+    }
+
+    /// A network of `orgs` organizations whose one chaincode, "where",
+    /// logs the thread of every simulation.
+    fn thread_logging_net(orgs: usize) -> (crate::FabricNetwork, Arc<Mutex<Vec<ThreadId>>>) {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&log);
+        let cc = crate::chaincode_fn("where", move |ctx, _| {
+            seen.lock().unwrap().push(std::thread::current().id());
+            ctx.put_i64(Key::from("k"), 1);
+            Ok(())
+        });
+        let net = crate::NetworkBuilder::new()
+            .orgs(orgs)
+            .cost(CostModel::raw())
+            .latency(LatencyModel::zero())
+            .deploy(cc)
+            .build()
+            .unwrap();
+        (net, log)
+    }
+
+    #[test]
+    fn submit_endorses_one_org_on_the_callers_thread() {
+        for orgs in [1, 2] {
+            let (net, log) = thread_logging_net(orgs);
+            let client = net.client(0);
+            for _ in 0..8 {
+                log.lock().unwrap().clear();
+                assert!(client.submit("where", vec![]).is_submitted());
+                let threads = std::mem::take(&mut *log.lock().unwrap());
+                assert_eq!(threads.len(), orgs, "one simulation per organization");
+                let here = threads.iter().filter(|&&t| t == std::thread::current().id()).count();
+                assert_eq!(here, 1, "{orgs} org(s): exactly one simulation on the caller's thread");
+            }
+            drop(client);
+            net.finish();
+        }
+    }
+
+    #[test]
+    fn submit_keeps_endorsements_in_organization_order() {
+        let (net, _) = thread_logging_net(3);
+        let reporting = net.channel_peers(0).swap_remove(0);
+        let client = net.client(0);
+        let SubmitOutcome::Submitted(id) = client.submit("where", vec![]) else {
+            panic!("not submitted")
+        };
+        drop(client);
+        net.finish();
+        let (n, code) = reporting.ledger().find_tx(id).expect("committed");
+        assert!(code.is_valid());
+        let block = reporting.ledger().get(n).unwrap();
+        let (tx, _) = block.iter().find(|(tx, _)| tx.id == id).unwrap();
+        let orgs: Vec<u64> = tx.endorsements.iter().map(|e| e.org.raw()).collect();
+        assert_eq!(orgs, [1, 2, 3]);
+    }
+
+    #[test]
+    fn submit_with_no_endorsers_rejects_and_counts() {
+        let (orderer, _rx) = fabric_net::link(LatencyModel::zero(), fabric_net::NetStats::new());
+        let counters = TxCounters::new();
+        let client = ClientHandle::new(
+            ChannelId(0),
+            ClientId(0),
+            Vec::new(),
+            orderer,
+            LatencyModel::zero(),
+            counters.clone(),
+            TraceSink::disabled(),
+        );
+        let rejected = SubmitOutcome::Rejected("no endorsements collected".into());
+        assert_eq!(client.submit("cc", vec![]), rejected);
+        assert_eq!((counters.snapshot().submitted, counters.snapshot().finished()), (1, 0));
     }
 
     #[test]
