@@ -36,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod chain;
 pub mod lsm;
 pub mod memdb;
 pub mod pin;

@@ -1,47 +1,66 @@
 //! The LSM engine: WAL + memtable + sorted runs + compaction, implementing
 //! [`StateStore`].
 //!
+//! The memtable is the version-chain map the in-memory engine is made of
+//! (`chain.rs`): every write since the last flush, as each key's trimmed
+//! newest-first chain. A flush writes those chains to a new run; a
+//! compaction merges every run's chains per key and trims them like any
+//! chain. The memtable holds only facts newer than every run, and a newer
+//! run only facts newer than an older one, so a read at height `h` walks
+//! the memtable's chain and then each run's, newest first: the first fact
+//! found is the newest, and the first at or below `h` answers the read.
+//!
 //! Durability protocol per block commit:
 //!
 //! 1. append the block's writes to the WAL (crc-framed, flushed),
-//! 2. install them in the memtable,
+//! 2. install them in the memtable under its per-shard locks,
 //! 3. publish the block as last-committed (same visibility contract as the
 //!    in-memory engine),
-//! 4. if the memtable is full, flush it to a new SSTable, persist a new
-//!    MANIFEST, rotate the WAL, and compact when too many runs accumulate.
+//! 4. if the memtable's byte count reached the threshold, flush it to a new
+//!    SSTable (compacting when too many runs accumulate), persist a new
+//!    MANIFEST and rotate the WAL. The runs are built under the commit lock
+//!    only; readers are held off just while the new run list is swapped in
+//!    and the memtable cleared.
 //!
 //! On reopen the engine loads the MANIFEST, opens the listed runs, replays
-//! any WAL records newer than the last flushed block, and resumes exactly
-//! where it left off — including after a crash mid-flush (the MANIFEST is
-//! replaced atomically via rename, so either the old or the new table list
-//! is in effect, and the WAL covers the difference).
+//! any WAL records newer than the last flushed block through the commit
+//! path's install, and resumes exactly where it left off — including after
+//! a crash mid-flush (the MANIFEST is replaced atomically via rename, so
+//! either the old or the new table list is in effect, and the WAL covers
+//! the difference).
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use fabric_common::{BlockNum, Error, Key, Result, StoreCounters, Value, Version};
+use fabric_common::{BlockNum, Error, Key, Result, StoreCounters, Version};
 use fabric_trace::{EventKind, TraceSink};
 
-use super::memtable::{MemEntry, Memtable};
 use super::record::DiskEntry;
 use super::sstable::{write_sstable, SsTableOptions, SsTableReader};
 use super::wal::{replay, WalFaultPolicy, WalRecord, WalWriter};
-use crate::pin::{PinRegistry, StateSnapshot};
-use crate::store::{SnapshotGet, StateStore, VersionedValue, WriteBatch};
+use crate::chain::{
+    newest_values, resolve_chain, trim_chain, Chain, ChainMap, Installed, ShardGroups, Watermark,
+    DEFAULT_SHARDS,
+};
+use crate::pin::StateSnapshot;
+use crate::store::{SnapshotGet, StateStore, VersionedValue, WriteBatch, WriteRef};
 
-const NO_BLOCK: u64 = u64::MAX;
 const MANIFEST: &str = "MANIFEST";
 const WAL_FILE: &str = "wal.log";
 
 /// Tuning knobs for the LSM engine.
 #[derive(Clone)]
 pub struct LsmConfig {
-    /// Flush the memtable to an SSTable once it holds this many bytes.
+    /// Flush the memtable once its running byte count reaches this. The
+    /// count is not the memtable's footprint: every write adds its key,
+    /// its value and 24 bytes, and a write that replaces a key's unflushed
+    /// newest fact gives back only that fact's value and 24 bytes — so each
+    /// rewrite of a buffered key adds its key length again, and the count
+    /// grows with the writes since the last flush, not with the keys held.
     pub memtable_max_bytes: usize,
     /// Merge all runs into one once this many have accumulated.
     pub compaction_threshold: usize,
@@ -83,74 +102,25 @@ impl Default for LsmConfig {
     }
 }
 
+/// The run list. Readers hold it for a whole read, so the memtable and
+/// the runs they see are of one moment: a flush clears the memtable only
+/// while holding it for writing.
 struct Inner {
-    memtable: Memtable,
     /// Sorted runs, newest first.
     tables: Vec<Arc<SsTableReader>>,
     next_file_id: u64,
     /// Highest block already covered by the runs (WAL records at or below
     /// this are stale).
     flushed_block: Option<BlockNum>,
-    /// Superseded version history: facts displaced from the memtable (by a
-    /// newer write to the same key) or from the runs (by compaction),
-    /// newest-first per key. Never holds a key's newest *live* value —
-    /// only what snapshot reads-at-height may still need. In-memory only:
-    /// pins do not survive a crash, and recovery rebuilds chains from the
-    /// WAL and the ledger as blocks replay.
-    history: BTreeMap<Key, Vec<MemEntry>>,
 }
 
-/// Trims one history chain (newest-first): keep everything down to the
-/// first entry at or below `pin_floor` (a live pin may resolve through
-/// it), and up to `retain_extra` entries regardless. `pin_floor: None`
-/// (no live pins, quiescent sweep) keeps only the retention budget — the
-/// newest fact at any committed height is never history-only, so nothing
-/// a watermark read needs can be lost. Returns the number dropped.
-fn trim_history_chain(
-    chain: &mut Vec<MemEntry>,
-    pin_floor: Option<BlockNum>,
-    retain_extra: usize,
-) -> usize {
-    let needed = match pin_floor {
-        Some(f) => match chain.iter().position(|e| e.version.block <= f) {
-            Some(i) => i + 1,
-            None => chain.len(),
-        },
-        None => 0,
-    };
-    let keep = retain_extra.min(chain.len()).max(needed);
-    let dropped = chain.len() - keep;
-    chain.truncate(keep);
-    dropped
-}
-
-/// Accumulator for at-height resolution across memtable, history overlay,
-/// and runs: tracks the max-version fact overall and the max-version fact
-/// at or below the height, in whatever order facts arrive.
+/// What only the committer touches; holding it is the commit ticket.
 #[derive(Default)]
-struct ResolveAcc {
-    newest: Option<(Version, Option<Value>)>,
-    at_h: Option<(Version, Option<Value>)>,
-}
-
-impl ResolveAcc {
-    fn consider(&mut self, version: Version, value: &Option<Value>, height: BlockNum) {
-        if self.newest.as_ref().is_none_or(|(v, _)| version > *v) {
-            self.newest = Some((version, value.clone()));
-        }
-        if version.block <= height && self.at_h.as_ref().is_none_or(|(v, _)| version > *v) {
-            self.at_h = Some((version, value.clone()));
-        }
-    }
-
-    fn finish(self) -> SnapshotGet {
-        SnapshotGet {
-            at_height: self
-                .at_h
-                .and_then(|(ver, val)| val.map(|v| VersionedValue::new(v, ver))),
-            newest: self.newest,
-        }
-    }
+struct CommitState {
+    groups: ShardGroups,
+    /// The flush trigger's running count (see
+    /// [`LsmConfig::memtable_max_bytes`]).
+    memtable_bytes: usize,
 }
 
 /// Persistent LSM-backed state database.
@@ -158,28 +128,16 @@ pub struct LsmStateDb {
     dir: PathBuf,
     cfg: LsmConfig,
     inner: RwLock<Inner>,
+    /// Every write since the last flush, as trimmed version chains.
+    memtable: ChainMap,
+    watermark: Watermark,
     wal: Mutex<WalWriter>,
-    last_block: AtomicU64,
-    commit_lock: Mutex<()>,
-    read_scratch: Mutex<ReadScratch>,
-    /// Live snapshot pins: history trimming never drops below the oldest.
-    pins: Arc<PinRegistry>,
+    commit_lock: Mutex<CommitState>,
+    /// Reusable list of the batched reads the memtable did not answer, so
+    /// a warm engine batch-reads without allocating (see `take_pending`).
+    read_scratch: Mutex<Vec<u32>>,
     counters: StoreCounters,
     sink: TraceSink,
-}
-
-/// Reusable index scratch for the batched version-read path: probe order
-/// plus the shrinking sets of still-unresolved keys. Reused across calls so
-/// a warm engine batch-reads without allocating.
-#[derive(Default)]
-struct ReadScratch {
-    /// Probe indices sorted by key — tables are consulted in key order so
-    /// sparse-index lookups walk forward instead of seeking randomly.
-    order: Vec<u32>,
-    /// Indices not yet resolved by the memtable / previous runs.
-    pending: Vec<u32>,
-    /// Double-buffer for `pending` while probing a run.
-    still_pending: Vec<u32>,
 }
 
 impl LsmStateDb {
@@ -189,49 +147,39 @@ impl LsmStateDb {
         std::fs::create_dir_all(&dir)?;
 
         let (tables, next_file_id, flushed_block) = Self::load_manifest(&dir)?;
-
-        // Replay WAL records newer than the flushed watermark. Facts a
-        // replayed write supersedes go straight to the history overlay, so
-        // the reopened engine resolves at-height reads exactly like the
-        // one that crashed (modulo the pins, which died with it).
-        let mut memtable = Memtable::new();
-        let mut history: BTreeMap<Key, Vec<MemEntry>> = BTreeMap::new();
-        let mut last = flushed_block;
-        for rec in replay(&dir.join(WAL_FILE))? {
-            if flushed_block.is_some_and(|fb| rec.block <= fb) {
-                continue;
-            }
-            for e in rec.entries {
-                let key = e.key.clone();
-                if let Some(old) = memtable.insert(e.key, e.value, e.version) {
-                    history.entry(key).or_default().insert(0, old);
-                }
-            }
-            last = Some(match last {
-                Some(l) => l.max(rec.block),
-                None => rec.block,
-            });
-        }
-        let retain_extra = cfg.retained_versions.max(1) - 1;
-        history.retain(|_, chain| {
-            trim_history_chain(chain, None, retain_extra);
-            !chain.is_empty()
-        });
-
+        let records = replay(&dir.join(WAL_FILE))?;
         let mut wal = WalWriter::open(dir.join(WAL_FILE), cfg.sync_writes)?;
         wal.set_fault_policy(cfg.wal_faults.clone());
-        Ok(LsmStateDb {
+        let db = LsmStateDb {
+            memtable: ChainMap::new(DEFAULT_SHARDS, cfg.retained_versions, true),
             dir,
             cfg,
-            inner: RwLock::new(Inner { memtable, tables, next_file_id, flushed_block, history }),
+            inner: RwLock::new(Inner { tables, next_file_id, flushed_block }),
+            watermark: Watermark::new(flushed_block),
             wal: Mutex::new(wal),
-            last_block: AtomicU64::new(last.unwrap_or(NO_BLOCK)),
-            commit_lock: Mutex::new(()),
-            read_scratch: Mutex::new(ReadScratch::default()),
-            pins: Arc::new(PinRegistry::new()),
+            commit_lock: Mutex::new(CommitState::default()),
+            read_scratch: Mutex::new(Vec::new()),
             counters: StoreCounters::new(),
             sink: TraceSink::disabled(),
-        })
+        };
+
+        // Replay WAL records newer than the flushed watermark through the
+        // commit path's install, so the reopened engine resolves at-height
+        // reads exactly like the one that crashed (modulo the pins, which
+        // died with it).
+        {
+            let mut commit = db.commit_lock.lock();
+            for rec in records.iter().filter(|r| flushed_block.is_none_or(|fb| r.block > fb)) {
+                let writes = rec
+                    .entries
+                    .iter()
+                    .map(|e| WriteRef { key: &e.key, value: e.value.as_ref(), tx: e.version.tx })
+                    .collect();
+                db.install_locked(&mut commit, &WriteBatch { block: rec.block, writes });
+                db.watermark.publish(rec.block);
+            }
+        }
+        Ok(db)
     }
 
     /// Attaches a flight-recorder sink; every group-commit WAL record
@@ -300,152 +248,215 @@ impl LsmStateDb {
         Ok(())
     }
 
+    /// Installs `batch` into the memtable, trimming against the
+    /// pre-publication floor (see `Watermark::gc_floor`), and moves the
+    /// flush trigger's count. Caller holds the commit lock.
+    fn install_locked(&self, commit: &mut CommitState, batch: &WriteBatch<'_>) -> Installed {
+        let done = self.memtable.install(&mut commit.groups, batch, self.watermark.gc_floor());
+        commit.memtable_bytes = commit.memtable_bytes + done.bytes_added - done.bytes_replaced;
+        done
+    }
+
+    /// The current runs (newest first) and the next file id.
+    fn runs(&self) -> (Vec<Arc<SsTableReader>>, u64) {
+        let inner = self.inner.read();
+        (inner.tables.clone(), inner.next_file_id)
+    }
+
+    /// Writes `entries` as run `next_id` and opens it.
+    fn write_run(&self, next_id: &mut u64, entries: &[DiskEntry]) -> Result<Arc<SsTableReader>> {
+        let path = self.dir.join(format!("sst-{:06}.sst", *next_id));
+        *next_id += 1;
+        write_sstable(&path, entries, &self.cfg.sstable)?;
+        Ok(Arc::new(SsTableReader::open(&path)?))
+    }
+
     /// Flushes the memtable (if non-empty) and compacts if needed.
-    /// Caller must hold the commit lock.
-    fn flush_locked(&self, current_block: BlockNum) -> Result<()> {
-        let mut inner = self.inner.write();
-        if inner.memtable.is_empty() {
+    /// Caller holds the commit lock.
+    fn flush_locked(&self, commit: &mut CommitState, current_block: BlockNum) -> Result<()> {
+        if self.memtable.len() == 0 {
             return Ok(());
         }
-        let entries = inner.memtable.drain_sorted();
-        let id = inner.next_file_id;
-        inner.next_file_id += 1;
-        let name = format!("sst-{id:06}.sst");
-        let path = self.dir.join(&name);
-        write_sstable(&path, &entries, &self.cfg.sstable)?;
-        inner.tables.insert(0, Arc::new(SsTableReader::open(&path)?));
-        inner.flushed_block = Some(current_block);
-
-        let mut obsolete: Vec<PathBuf> = Vec::new();
-        if inner.tables.len() > self.cfg.compaction_threshold {
-            obsolete = self.compact_locked(&mut inner)?;
+        let mut entries: Vec<DiskEntry> = Vec::new();
+        self.memtable.for_each(|key, chain| {
+            entries.extend(chain.iter().map(|e| DiskEntry {
+                key: key.clone(),
+                value: e.value.clone(),
+                version: e.version,
+            }));
+        });
+        // A stable sort: each chain keeps its newest-first order.
+        entries.sort_by(|a, b| a.key.cmp(&b.key));
+        let (mut tables, mut next_id) = self.runs();
+        tables.insert(0, self.write_run(&mut next_id, &entries)?);
+        let mut obsolete = Vec::new();
+        if tables.len() > self.cfg.compaction_threshold {
+            obsolete = tables.iter().map(|t| t.path().to_path_buf()).collect();
+            tables = vec![self.compact(&tables, &mut next_id)?];
         }
-
-        Self::write_manifest(&self.dir, &inner)?;
+        self.swap_runs(tables, next_id, Some(current_block), obsolete)?;
+        commit.memtable_bytes = 0;
 
         // Rotate the WAL: everything it held is now in runs.
-        {
-            let mut wal = self.wal.lock();
-            let wal_path = wal.path().to_path_buf();
-            // Replace the writer with a fresh one over a truncated file.
-            std::fs::write(&wal_path, b"")?;
-            *wal = WalWriter::open(&wal_path, self.cfg.sync_writes)?;
-            wal.set_fault_policy(self.cfg.wal_faults.clone());
-        }
+        let mut wal = self.wal.lock();
+        let wal_path = wal.path().to_path_buf();
+        // Replace the writer with a fresh one over a truncated file.
+        std::fs::write(&wal_path, b"")?;
+        *wal = WalWriter::open(&wal_path, self.cfg.sync_writes)?;
+        wal.set_fault_policy(self.cfg.wal_faults.clone());
+        Ok(())
+    }
 
-        // Old runs are unreachable from the new manifest; delete them.
+    /// Full-merge compaction of `tables` (newest first) into one new run:
+    /// each key's chains are merged, a newer run's in front of an older
+    /// one's, and trimmed like any chain against the current floor. A full
+    /// merge is the bottom level, so a chain whose newest fact is a
+    /// tombstone no pin can see goes entirely.
+    fn compact(
+        &self,
+        tables: &[Arc<SsTableReader>],
+        next_id: &mut u64,
+    ) -> Result<Arc<SsTableReader>> {
+        let mut merged: BTreeMap<Key, Chain> = BTreeMap::new();
+        for table in tables {
+            for (key, chain) in table.scan_chains()? {
+                merged.entry(key).or_default().extend(chain);
+            }
+        }
+        let floor = self.watermark.gc_floor();
+        let mut trimmed = 0usize;
+        let mut entries: Vec<DiskEntry> = Vec::with_capacity(merged.len());
+        for (key, mut chain) in merged {
+            let (dropped, dead) = trim_chain(&mut chain, floor, self.memtable.retained(), false);
+            trimmed += dropped;
+            if !dead {
+                entries.extend(chain.into_iter().map(|e| DiskEntry {
+                    key: key.clone(),
+                    value: e.value,
+                    version: e.version,
+                }));
+            }
+        }
+        if trimmed > 0 {
+            self.counters.record_gc_trimmed(trimmed as u64);
+        }
+        self.write_run(next_id, &entries)
+    }
+
+    /// Swaps in the run list `tables` — and, for a flush of the memtable up
+    /// to block `flushed`, clears the memtable in the same step — then
+    /// persists the MANIFEST and deletes the `obsolete` run files, which it
+    /// no longer lists.
+    fn swap_runs(
+        &self,
+        tables: Vec<Arc<SsTableReader>>,
+        next_file_id: u64,
+        flushed: Option<BlockNum>,
+        obsolete: Vec<PathBuf>,
+    ) -> Result<()> {
+        {
+            let mut inner = self.inner.write();
+            inner.tables = tables;
+            inner.next_file_id = next_file_id;
+            if flushed.is_some() {
+                inner.flushed_block = flushed;
+                self.memtable.clear();
+            }
+        }
+        Self::write_manifest(&self.dir, &self.inner.read())?;
         for p in obsolete {
             let _ = std::fs::remove_file(p);
         }
         Ok(())
     }
 
-    /// Full-merge compaction: all runs into one, newest value per key wins,
-    /// tombstones dropped (a full merge is the bottom level). Facts the
-    /// merge displaces — shadowed older versions and the dropped
-    /// tombstones — move to the in-memory history overlay instead of
-    /// vanishing, trimmed to what live pins and the retention budget still
-    /// need, so snapshot reads-at-height survive compaction. Returns paths
-    /// of the now-obsolete run files.
-    fn compact_locked(&self, inner: &mut Inner) -> Result<Vec<PathBuf>> {
-        let mut merged: BTreeMap<Key, DiskEntry> = BTreeMap::new();
-        let mut displaced: Vec<(Key, MemEntry)> = Vec::new();
-        // Oldest first so newer runs overwrite.
-        for table in inner.tables.iter().rev() {
-            for e in table.scan_all()? {
-                if let Some(old) = merged.insert(e.key.clone(), e) {
-                    displaced
-                        .push((old.key, MemEntry { value: old.value, version: old.version }));
-                }
-            }
-        }
-        let mut survivors: Vec<DiskEntry> = Vec::with_capacity(merged.len());
-        for (_, e) in merged {
-            if e.value.is_some() {
-                survivors.push(e);
-            } else {
-                displaced.push((e.key, MemEntry { value: None, version: e.version }));
-            }
-        }
-
-        let pin_floor = self.pin_floor();
-        let retain_extra = self.cfg.retained_versions.max(1) - 1;
-        let mut touched: std::collections::BTreeSet<Key> = std::collections::BTreeSet::new();
-        for (key, entry) in displaced {
-            inner.history.entry(key.clone()).or_default().push(entry);
-            touched.insert(key);
-        }
-        let mut trimmed = 0usize;
-        for key in touched {
-            let empty = {
-                let chain = inner.history.get_mut(&key).expect("chain just touched");
-                // Displaced run facts interleave with memtable-displaced
-                // ones by version; restore newest-first order before
-                // trimming.
-                chain.sort_by_key(|e| std::cmp::Reverse(e.version));
-                trimmed += trim_history_chain(chain, pin_floor, retain_extra);
-                chain.is_empty()
-            };
-            if empty {
-                inner.history.remove(&key);
-            }
-        }
-        if trimmed > 0 {
-            self.counters.record_gc_trimmed(trimmed as u64);
-        }
-
-        let id = inner.next_file_id;
-        inner.next_file_id += 1;
-        let name = format!("sst-{id:06}.sst");
-        let path = self.dir.join(&name);
-        write_sstable(&path, &survivors, &self.cfg.sstable)?;
-
-        let obsolete = inner.tables.iter().map(|t| t.path().to_path_buf()).collect();
-        inner.tables = vec![Arc::new(SsTableReader::open(&path)?)];
-        Ok(obsolete)
+    /// The cleared pending-read list, taken out of its slot so batched
+    /// readers do not hold each other up while they probe the runs (put it
+    /// back afterwards; a reader that finds the slot taken starts a new
+    /// list).
+    fn take_pending(&self) -> Vec<u32> {
+        let mut pending = std::mem::take(&mut *self.read_scratch.lock());
+        pending.clear();
+        pending
     }
 
-    /// Floor for history trimming: the oldest live pin, clamped by the
-    /// already-published watermark (same race argument as the in-memory
-    /// engine's `gc_floor`). `None` when no pins are live.
-    fn pin_floor(&self) -> Option<BlockNum> {
-        self.pins.oldest().map(|p| p.min(self.last_committed_block()))
+    /// Reads `key` at `height` (`BlockNum::MAX`: its newest fact): its
+    /// memtable chain, then its run chains until one answers.
+    fn resolve(&self, key: &Key, height: BlockNum) -> Result<SnapshotGet> {
+        let inner = self.inner.read();
+        let mut got = SnapshotGet::default();
+        if !self.memtable.read(key, |c| c.is_some_and(|c| resolve_chain(c, height, &mut got))) {
+            self.resolve_in_runs(&inner, key, height, &mut got)?;
+        }
+        Ok(got)
     }
 
-    /// Resolves `key` at `height` across memtable, history overlay, and
-    /// runs (newest-first, stopping at the first run fact old enough to
-    /// answer — older runs hold only older facts for a key). Caller holds
-    /// the inner lock.
-    fn resolve_at_locked(&self, inner: &Inner, key: &Key, height: BlockNum) -> Result<SnapshotGet> {
-        let mut acc = ResolveAcc::default();
-        if let Some(e) = inner.memtable.get(key) {
-            acc.consider(e.version, &e.value, height);
-        }
-        if let Some(chain) = inner.history.get(key) {
-            for e in chain {
-                acc.consider(e.version, &e.value, height);
-            }
-        }
+    /// Feeds `key`'s run chains, newest run first, into a read at `height`
+    /// until one answers it. Caller holds the inner lock.
+    fn resolve_in_runs(
+        &self,
+        inner: &Inner,
+        key: &Key,
+        height: BlockNum,
+        out: &mut SnapshotGet,
+    ) -> Result<()> {
         for table in &inner.tables {
-            if let Some(e) = table.get(key)? {
-                let old_enough = e.version.block <= height;
-                acc.consider(e.version, &e.value, height);
-                if old_enough {
-                    break;
+            if resolve_chain(&table.chain(key)?, height, out) {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Every key in `[start, end)` (`end: None` is unbounded) with a value
+    /// live at `height`, sorted by key: each key's memtable chain and then
+    /// its run chains, newest run first, are fed into one read per key.
+    fn scan_at(
+        &self,
+        start: &Key,
+        end: Option<&Key>,
+        height: BlockNum,
+    ) -> Result<Vec<(Key, SnapshotGet)>> {
+        let in_range = |k: &Key| k >= start && end.is_none_or(|e| k < e);
+        let inner = self.inner.read();
+        let mut reads: BTreeMap<Key, (SnapshotGet, bool)> = BTreeMap::new();
+        self.memtable.for_each(|k, chain| {
+            if in_range(k) {
+                let (got, answered) = reads.entry(k.clone()).or_default();
+                *answered = resolve_chain(chain, height, got);
+            }
+        });
+        for table in &inner.tables {
+            for (k, chain) in table.scan_chains()? {
+                if in_range(&k) {
+                    let (got, answered) = reads.entry(k).or_default();
+                    if !*answered {
+                        *answered = resolve_chain(&chain, height, got);
+                    }
                 }
             }
         }
-        Ok(acc.finish())
+        Ok(reads
+            .into_iter()
+            .filter_map(|(k, (got, _))| got.at_height.is_some().then_some((k, got)))
+            .collect())
     }
 
-    /// Length of `key`'s history-overlay chain (diagnostics for GC tests).
-    pub fn history_len(&self, key: &Key) -> usize {
-        self.inner.read().history.get(key).map_or(0, Vec::len)
+    /// Length of `key`'s version chain in the memtable (diagnostics for GC
+    /// tests; 0 when the memtable holds no write of the key).
+    pub fn version_chain_len(&self, key: &Key) -> usize {
+        self.memtable.chain_len(key)
+    }
+
+    /// Slots allocated for `key`'s memtable chain (0 when it has none).
+    #[cfg(test)]
+    pub(crate) fn version_chain_capacity(&self, key: &Key) -> usize {
+        self.memtable.chain_capacity(key)
     }
 
     /// Number of live snapshot pins (diagnostics).
     pub fn live_pins(&self) -> usize {
-        self.pins.live_pins()
+        self.watermark.live_pins()
     }
 
     /// Number of sorted runs currently on disk (diagnostics).
@@ -455,47 +466,30 @@ impl LsmStateDb {
 
     /// Forces a memtable flush (testing/maintenance).
     pub fn force_flush(&self) -> Result<()> {
-        let _c = self.commit_lock.lock();
+        let mut commit = self.commit_lock.lock();
         self.counters.record_commit_ticket();
-        let current = self.last_block.load(Ordering::Acquire);
-        if current == NO_BLOCK {
-            return Ok(());
+        match self.watermark.committed() {
+            Some(current) => self.flush_locked(&mut commit, current),
+            None => Ok(()),
         }
-        self.flush_locked(current)
     }
 }
 
 impl StateStore for LsmStateDb {
     fn get(&self, key: &Key) -> Result<Option<VersionedValue>> {
         self.counters.record_point_get();
-        let inner = self.inner.read();
-        if let Some(e) = inner.memtable.get(key) {
-            return Ok(e
-                .value
-                .clone()
-                .map(|v| VersionedValue::new(v, e.version)));
-        }
-        for table in &inner.tables {
-            if let Some(e) = table.get(key)? {
-                return Ok(e.value.map(|v| VersionedValue::new(v, e.version)));
-            }
-        }
-        Ok(None)
+        Ok(self.resolve(key, BlockNum::MAX)?.at_height)
     }
 
     fn apply_write_batch(&self, batch: &WriteBatch<'_>) -> Result<()> {
-        let _c = self.commit_lock.lock();
+        let mut commit = self.commit_lock.lock();
         self.counters.record_commit_ticket();
-        let last = self.last_block.load(Ordering::Acquire);
-        let expected = if last == NO_BLOCK { 0 } else { last + 1 };
-        if batch.block != expected {
-            return Err(Error::InvalidState(format!(
-                "apply_block({}) out of order: expected block {expected}",
-                batch.block
-            )));
-        }
+        self.watermark.check_next(batch.block)?;
 
-        let entries: Vec<DiskEntry> = batch
+        // 1. Durable intent: the whole block as ONE group-commit WAL record
+        //    — a single frame write and a single flush (plus one fsync when
+        //    `sync_writes`), regardless of how many writes the block holds.
+        let entries = batch
             .writes
             .iter()
             .map(|w| DiskEntry {
@@ -504,12 +498,7 @@ impl StateStore for LsmStateDb {
                 version: Version::new(batch.block, w.tx),
             })
             .collect();
-
-        // 1. Durable intent: the whole block as ONE group-commit WAL record
-        //    — a single frame write and a single flush (plus one fsync when
-        //    `sync_writes`), regardless of how many writes the block holds.
-        let mut record = WalRecord { block: batch.block, entries };
-        self.wal.lock().append(&record)?;
+        self.wal.lock().append(&WalRecord { block: batch.block, entries })?;
         self.counters.record_wal_record(self.cfg.sync_writes);
         if self.sink.is_enabled() {
             self.sink.emit(EventKind::WalRecord {
@@ -518,47 +507,25 @@ impl StateStore for LsmStateDb {
             });
         }
 
-        // 2. Visible state: the WAL frame was encoded from borrows, so the
-        //    entries can move straight into the memtable (no second clone).
-        //    Superseded memtable facts migrate to the history overlay so
-        //    pinned snapshots keep resolving at their height; the trim floor
-        //    is computed *before* publication, which closes the race with a
-        //    concurrent `pin_snapshot` (see `MemStateDb::gc_floor`).
-        let watermark = self.last_committed_block();
-        let floor = self.pins.oldest().map_or(watermark, |p| p.min(watermark));
-        let retain_extra = self.cfg.retained_versions.max(1) - 1;
-        let needs_flush = {
-            let mut inner = self.inner.write();
-            let inner = &mut *inner;
-            let mut trimmed = 0usize;
-            for e in record.entries.drain(..) {
-                let key = e.key.clone();
-                if let Some(old) = inner.memtable.insert(e.key, e.value, e.version) {
-                    let chain = inner.history.entry(key).or_default();
-                    chain.insert(0, old);
-                    trimmed += trim_history_chain(chain, Some(floor), retain_extra);
-                }
-            }
-            if trimmed > 0 {
-                self.counters.record_gc_trimmed(trimmed as u64);
-            }
-            inner.memtable.approx_bytes() >= self.cfg.memtable_max_bytes
-        };
+        // 2. Visible state, under the memtable's per-shard locks.
+        let done = self.install_locked(&mut commit, batch);
+        if done.trimmed > 0 {
+            self.counters.record_gc_trimmed(done.trimmed);
+        }
         self.counters.record_block_applied(1);
 
         // 3. Publish.
-        self.last_block.store(batch.block, Ordering::Release);
+        self.watermark.publish(batch.block);
 
         // 4. Maintenance.
-        if needs_flush {
-            self.flush_locked(batch.block)?;
+        if commit.memtable_bytes >= self.cfg.memtable_max_bytes {
+            self.flush_locked(&mut commit, batch.block)?;
         }
 
-        // Telemetry gauges, refreshed once per applied block: memtable
-        // occupancy (post-flush), GC floor, live pins.
-        self.counters.set_memtable_bytes(self.inner.read().memtable.approx_bytes() as u64);
-        self.counters.set_gc_floor(self.pin_floor().unwrap_or(batch.block));
-        self.counters.set_live_pins(self.pins.live_pins() as u64);
+        // Telemetry gauges, refreshed once per applied block: the flush
+        // trigger's count (post-flush), GC floor, live pins.
+        self.counters.set_memtable_bytes(commit.memtable_bytes as u64);
+        self.watermark.refresh_gauges(&self.counters);
         Ok(())
     }
 
@@ -569,73 +536,46 @@ impl StateStore for LsmStateDb {
     ) -> Result<()> {
         out.clear();
         out.resize(keys.len(), None);
-        let scratch = &mut *self.read_scratch.lock();
-        scratch.order.clear();
-        scratch.order.extend(0..keys.len() as u32);
-        scratch
-            .order
-            .sort_unstable_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
-
+        let mut pending = self.take_pending();
         let inner = self.inner.read();
-        // Memtable pass. A hit resolves the key even when it is a tombstone
-        // (the newest fact about the key is "absent"); only true misses fall
-        // through to the runs.
-        scratch.pending.clear();
-        for &i in &scratch.order {
-            match inner.memtable.get(&keys[i as usize]) {
-                Some(e) => out[i as usize] = e.value.as_ref().map(|_| e.version),
-                None => scratch.pending.push(i),
-            }
-        }
-        // Probe the runs newest-first, each seeing the still-unresolved keys
-        // in sorted order: one bloom consult per key per run, forward-moving
-        // sparse-index walks.
-        for table in &inner.tables {
-            if scratch.pending.is_empty() {
-                break;
-            }
-            scratch.still_pending.clear();
-            for &i in &scratch.pending {
-                match table.get(&keys[i as usize])? {
-                    Some(e) => out[i as usize] = e.value.as_ref().map(|_| e.version),
-                    None => scratch.still_pending.push(i),
+        // A memtable chain answers even when its head is a tombstone (the
+        // newest fact about the key is "absent"); only keys the memtable
+        // does not hold fall through to the runs.
+        self.memtable.read_many(keys, |i, chain| match chain {
+            Some(c) => out[i] = c[0].value.as_ref().map(|_| c[0].version),
+            None => pending.push(i as u32),
+        });
+        // The runs see the rest in key order: forward-moving sparse-index
+        // walks.
+        pending.sort_unstable_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
+        for &i in pending.iter() {
+            for table in &inner.tables {
+                if let Some(e) = table.get(&keys[i as usize])? {
+                    out[i as usize] = e.value.map(|_| e.version);
+                    break;
                 }
             }
-            std::mem::swap(&mut scratch.pending, &mut scratch.still_pending);
         }
+        *self.read_scratch.lock() = pending;
         self.counters.record_multi_get(keys.len() as u64);
         Ok(())
     }
 
     fn retained_versions(&self) -> usize {
-        self.cfg.retained_versions.max(1)
+        self.memtable.retained()
     }
 
     fn pin_snapshot(&self) -> StateSnapshot {
-        // Register-then-recheck: if a commit published between reading the
-        // watermark and registering the pin, retry — guarantees any trim
-        // that could hurt this height starts after the pin is visible.
-        loop {
-            let h = self.last_committed_block();
-            self.pins.pin(h);
-            if self.last_committed_block() == h {
-                self.counters.record_snapshot_pin();
-                return StateSnapshot::registered(h, Arc::clone(&self.pins));
-            }
-            self.pins.unpin(h);
-        }
+        self.watermark.pin(&self.counters)
     }
 
     fn pin_snapshot_at(&self, height: BlockNum) -> StateSnapshot {
-        self.pins.pin(height);
-        self.counters.record_snapshot_pin();
-        StateSnapshot::registered(height, Arc::clone(&self.pins))
+        self.watermark.pin_at(height, &self.counters)
     }
 
     fn get_at(&self, key: &Key, height: BlockNum) -> Result<SnapshotGet> {
         self.counters.record_snapshot_read(1);
-        let inner = self.inner.read();
-        self.resolve_at_locked(&inner, key, height)
+        self.resolve(key, height)
     }
 
     fn multi_get_at_into(
@@ -645,10 +585,20 @@ impl StateStore for LsmStateDb {
         out: &mut Vec<SnapshotGet>,
     ) -> Result<()> {
         out.clear();
+        out.resize(keys.len(), SnapshotGet::default());
+        let mut pending = self.take_pending();
         let inner = self.inner.read();
-        for key in keys {
-            out.push(self.resolve_at_locked(&inner, key, height)?);
+        self.memtable.read_many(keys, |i, chain| {
+            if !chain.is_some_and(|c| resolve_chain(c, height, &mut out[i])) {
+                pending.push(i as u32);
+            }
+        });
+        pending.sort_unstable_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
+        for &i in pending.iter() {
+            let i = i as usize;
+            self.resolve_in_runs(&inner, &keys[i], height, &mut out[i])?;
         }
+        *self.read_scratch.lock() = pending;
         self.counters.record_snapshot_read(keys.len() as u64);
         Ok(())
     }
@@ -659,50 +609,27 @@ impl StateStore for LsmStateDb {
         end: &Key,
         height: BlockNum,
     ) -> Result<Vec<(Key, SnapshotGet)>> {
-        let inner = self.inner.read();
-        let mut acc: BTreeMap<Key, ResolveAcc> = BTreeMap::new();
-        for table in &inner.tables {
-            for e in table.scan_all()? {
-                if &e.key >= start && &e.key < end {
-                    acc.entry(e.key).or_default().consider(e.version, &e.value, height);
-                }
-            }
-        }
-        for (k, chain) in inner.history.range(start.clone()..end.clone()) {
-            let slot = acc.entry(k.clone()).or_default();
-            for e in chain {
-                slot.consider(e.version, &e.value, height);
-            }
-        }
-        for (k, e) in inner.memtable.iter() {
-            if k >= start && k < end {
-                acc.entry(k.clone()).or_default().consider(e.version, &e.value, height);
-            }
-        }
-        let out: Vec<(Key, SnapshotGet)> = acc
-            .into_iter()
-            .filter_map(|(k, a)| {
-                let got = a.finish();
-                got.at_height.is_some().then_some((k, got))
-            })
-            .collect();
+        let out = self.scan_at(start, Some(end), height)?;
         self.counters.record_snapshot_read(out.len() as u64);
         Ok(out)
     }
 
     fn collect_garbage(&self) -> Result<usize> {
-        let _c = self.commit_lock.lock();
+        // Trims the memtable's chains in place, and the runs' by compacting
+        // them into one.
+        let _commit = self.commit_lock.lock();
         self.counters.record_commit_ticket();
-        let pin_floor = self.pin_floor();
-        let retain_extra = self.cfg.retained_versions.max(1) - 1;
-        let mut trimmed = 0usize;
-        let mut inner = self.inner.write();
-        inner.history.retain(|_, chain| {
-            trimmed += trim_history_chain(chain, pin_floor, retain_extra);
-            !chain.is_empty()
-        });
+        let mut trimmed = self.memtable.sweep(self.watermark.gc_floor());
         if trimmed > 0 {
             self.counters.record_gc_trimmed(trimmed as u64);
+        }
+        let (tables, mut next_id) = self.runs();
+        if !tables.is_empty() {
+            let before = self.counters.snapshot().gc_trimmed_versions;
+            let merged = self.compact(&tables, &mut next_id)?;
+            trimmed += (self.counters.snapshot().gc_trimmed_versions - before) as usize;
+            let obsolete = tables.iter().map(|t| t.path().to_path_buf()).collect();
+            self.swap_runs(vec![merged], next_id, None, obsolete)?;
         }
         Ok(trimmed)
     }
@@ -712,70 +639,20 @@ impl StateStore for LsmStateDb {
     }
 
     fn last_committed_block(&self) -> BlockNum {
-        let v = self.last_block.load(Ordering::Acquire);
-        if v == NO_BLOCK {
-            0
-        } else {
-            v
-        }
+        self.watermark.last_committed_block()
     }
 
     fn approximate_len(&self) -> usize {
         let inner = self.inner.read();
-        inner.memtable.len()
-            + inner.tables.iter().map(|t| t.entry_count() as usize).sum::<usize>()
+        self.memtable.len() + inner.tables.iter().map(|t| t.entry_count() as usize).sum::<usize>()
     }
 
     fn scan_range(&self, start: &Key, end: &Key) -> Result<Vec<(Key, VersionedValue)>> {
-        // Merge all runs oldest-first so newer entries (and tombstones)
-        // shadow older ones, then overlay the memtable.
-        let inner = self.inner.read();
-        let mut merged: BTreeMap<Key, Option<VersionedValue>> = BTreeMap::new();
-        for table in inner.tables.iter().rev() {
-            for e in table.scan_all()? {
-                if &e.key >= start && &e.key < end {
-                    merged.insert(
-                        e.key,
-                        e.value.map(|v| VersionedValue::new(v, e.version)),
-                    );
-                }
-            }
-        }
-        for (k, e) in inner.memtable.iter() {
-            if k >= start && k < end {
-                merged.insert(
-                    k.clone(),
-                    e.value.clone().map(|v| VersionedValue::new(v, e.version)),
-                );
-            }
-        }
-        Ok(merged
-            .into_iter()
-            .filter_map(|(k, vv)| vv.map(|vv| (k, vv)))
-            .collect())
+        Ok(newest_values(self.scan_at(start, Some(end), BlockNum::MAX)?))
     }
 
     fn scan_all(&self) -> Result<Vec<(Key, VersionedValue)>> {
-        // Unbounded variant of `scan_range`: merge all runs oldest-first so
-        // newer entries (and tombstones) shadow older ones, then overlay
-        // the memtable.
-        let inner = self.inner.read();
-        let mut merged: BTreeMap<Key, Option<VersionedValue>> = BTreeMap::new();
-        for table in inner.tables.iter().rev() {
-            for e in table.scan_all()? {
-                merged.insert(e.key, e.value.map(|v| VersionedValue::new(v, e.version)));
-            }
-        }
-        for (k, e) in inner.memtable.iter() {
-            merged.insert(
-                k.clone(),
-                e.value.clone().map(|v| VersionedValue::new(v, e.version)),
-            );
-        }
-        Ok(merged
-            .into_iter()
-            .filter_map(|(k, vv)| vv.map(|vv| (k, vv)))
-            .collect())
+        Ok(newest_values(self.scan_at(&Key::from(""), None, BlockNum::MAX)?))
     }
 }
 
@@ -1171,8 +1048,8 @@ mod tests {
         assert_eq!(db.live_pins(), 0);
         let trimmed = db.collect_garbage().unwrap();
         assert!(trimmed > 0, "quiescent sweep reclaims history");
-        assert_eq!(db.history_len(&k(1)), 0);
-        assert_eq!(db.history_len(&k(2)), 0);
+        assert_eq!(db.version_chain_len(&k(1)), 0);
+        assert_eq!(db.version_chain_len(&k(2)), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1188,7 +1065,144 @@ mod tests {
         let snap = db.pin_snapshot_at(0);
         let at0 = db.get_at(&k(1), snap.height()).unwrap();
         assert_eq!(at0.at_height.unwrap().value, v(10), "history rebuilt from WAL");
-        assert_eq!(db.history_len(&k(1)), 1);
+        assert_eq!(db.version_chain_len(&k(1)), 2, "both facts in one chain");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn pins_resolve_exactly_across_three_flushes_and_a_compaction() {
+        // Threshold 2: the third flush leaves three runs and compacts them.
+        let dir = tmpdir("at-stages");
+        let cfg = LsmConfig { compaction_threshold: 2, retained_versions: 1, ..tiny_cfg() };
+        let db = LsmStateDb::open(&dir, cfg).unwrap();
+        let hot = k(1);
+        let mut block = 0u64;
+        let mut write_hot = |db: &LsmStateDb| {
+            db.apply_block(block, &[CommitWrite::put(hot.clone(), v(block as i64), 0)]).unwrap();
+            block += 1;
+        };
+        let check = |db: &LsmStateDb, pins: &[StateSnapshot], step: &str| {
+            for snap in pins {
+                let h = snap.height();
+                let got = db.get_at(&hot, h).unwrap();
+                assert_eq!(
+                    got.at_height,
+                    Some(VersionedValue::new(v(h as i64), Version::new(h, 0))),
+                    "pin {h} after {step}"
+                );
+                let newest = got.newest.as_ref().unwrap().0.block;
+                assert_eq!(newest, db.last_committed_block(), "{step}");
+                let mut many = Vec::new();
+                db.multi_get_at_into(std::slice::from_ref(&hot), h, &mut many).unwrap();
+                assert_eq!(many[0], got, "batched read of pin {h} after {step}");
+                let scan = db.scan_range_at(&hot, &k(2), h).unwrap();
+                assert_eq!(scan, vec![(hot.clone(), got)], "scan of pin {h} after {step}");
+            }
+        };
+        let mut pins = Vec::new();
+        for stage in 1..=3 {
+            for _ in 0..3 {
+                write_hot(&db);
+            }
+            pins.push(db.pin_snapshot());
+            write_hot(&db);
+            check(&db, &pins, &format!("stage {stage}'s writes"));
+            db.force_flush().unwrap();
+            check(&db, &pins, &format!("flush {stage}"));
+        }
+        assert_eq!(db.run_count(), 1, "the third flush compacted");
+        write_hot(&db);
+        check(&db, &pins, "a write after the compaction");
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn unpinned_compaction_keeps_at_most_retained_facts_per_key() {
+        let dir = tmpdir("compact-trim");
+        let retained = 2;
+        let cfg = LsmConfig { compaction_threshold: 1, retained_versions: retained, ..tiny_cfg() };
+        let db = LsmStateDb::open(&dir, cfg).unwrap();
+        for b in 0..12u64 {
+            let mut writes = vec![CommitWrite::put(k(1), v(b as i64), 0)];
+            writes.push(if b == 5 {
+                CommitWrite::delete(k(2), 1)
+            } else {
+                CommitWrite::put(k(2), v(b as i64), 1)
+            });
+            db.apply_block(b, &writes).unwrap();
+            if b % 3 == 2 {
+                db.force_flush().unwrap();
+            }
+        }
+        db.apply_block(12, &[CommitWrite::delete(k(2), 0)]).unwrap();
+        db.force_flush().unwrap();
+        assert_eq!(db.run_count(), 1);
+        let run = Arc::clone(&db.inner.read().tables[0]);
+        let hot = run.chain(&k(1)).unwrap();
+        assert!(!hot.is_empty() && hot.len() <= retained, "run holds {} facts", hot.len());
+        assert_eq!(hot[0].version, Version::new(11, 0));
+        assert!(run.chain(&k(2)).unwrap().is_empty(), "a dead tombstone chain leaves the run");
+        assert!(db.get(&k(2)).unwrap().is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn flush_writes_sorted_chains_and_resets_the_memtable() {
+        let dir = tmpdir("flush-chains");
+        let db = LsmStateDb::open(&dir, LsmConfig::default()).unwrap();
+        for b in 0..3u64 {
+            let writes: Vec<CommitWrite> =
+                [9, 3, 6].iter().map(|&i| CommitWrite::put(k(i), v(b as i64), i as u32)).collect();
+            db.apply_block(b, &writes).unwrap();
+        }
+        assert!(db.commit_lock.lock().memtable_bytes > 0);
+        db.force_flush().unwrap();
+        assert_eq!(db.memtable.len(), 0);
+        assert_eq!(db.commit_lock.lock().memtable_bytes, 0);
+        let run = Arc::clone(&db.inner.read().tables[0]);
+        let order: Vec<(Key, BlockNum)> =
+            run.scan_all().unwrap().into_iter().map(|e| (e.key, e.version.block)).collect();
+        let want: Vec<(Key, BlockNum)> =
+            [3, 6, 9].iter().flat_map(|&i| (0..3).rev().map(move |b| (k(i), b))).collect();
+        assert_eq!(order, want, "key ascending, each chain newest first");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn flush_cadence_matches_the_byte_count_of_every_write() {
+        // The flush trigger counts key + value + 24 bytes per write and
+        // gives back a replaced unflushed head's value + 24. The blocks at
+        // which this fixed sequence changes the run count were recorded
+        // from the one-fact-per-key memtable, whose count this keeps.
+        let dir = tmpdir("cadence");
+        let cfg =
+            LsmConfig { memtable_max_bytes: 1024, compaction_threshold: 3, ..LsmConfig::default() };
+        let db = LsmStateDb::open(&dir, cfg).unwrap();
+        let mut changes = Vec::new();
+        let mut runs = db.run_count();
+        let mut x: u64 = 7;
+        for b in 0..120u64 {
+            let n = 1 + (b % 5) as usize;
+            let writes: Vec<CommitWrite> = (0..n)
+                .map(|i| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    let key = Key::from(format!("key-{:03}", (x >> 33) % 24));
+                    if (x >> 20).is_multiple_of(7) {
+                        CommitWrite::delete(key, i as u32)
+                    } else {
+                        let len = ((x >> 40) % 13) as usize;
+                        CommitWrite::put(key, Value::new(vec![b as u8; len]), i as u32)
+                    }
+                })
+                .collect();
+            db.apply_block(b, &writes).unwrap();
+            if db.run_count() != runs {
+                runs = db.run_count();
+                changes.push((b, runs));
+            }
+        }
+        assert_eq!(changes, [(18, 1), (37, 2), (58, 3), (79, 1), (101, 2), (118, 3)]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -6,14 +6,15 @@
 //! Architecture (write path left to right):
 //!
 //! ```text
-//!  apply_block ──► WAL (crc-framed, fsync) ──► memtable (BTreeMap)
+//!  apply_block ──► WAL (crc-framed, fsync) ──► memtable: the shared
+//!                                              version-chain map
 //!                                                   │ full
 //!                                                   ▼
-//!                                       SSTable (sorted run, sparse
-//!                                        index + bloom filter)
+//!                                       SSTable (sorted run of trimmed
+//!                                        chains, sparse index + bloom)
 //!                                                   │ too many runs
 //!                                                   ▼
-//!                                          full merge compaction
+//!                                     full merge compaction (the trim)
 //! ```
 //!
 //! * [`record`] — the shared on-disk entry encoding (key, tombstone tag,
@@ -23,14 +24,14 @@
 //! * [`bloom`] — per-table bloom filters to skip runs on point reads.
 //! * [`wal`] — the write-ahead log; one crc-framed record per block commit,
 //!   torn tails tolerated on recovery.
-//! * [`memtable`] — the in-memory sorted buffer.
-//! * [`sstable`] — immutable sorted-run files with a sparse index.
-//! * [`engine`] — [`engine::LsmStateDb`]: ties it together, implements
+//! * [`sstable`] — immutable sorted-run files of version chains with a
+//!   sparse index.
+//! * [`engine`] — [`engine::LsmStateDb`]: ties it together around the
+//!   memtable — the version-chain map `MemStateDb` is made of — implements
 //!   [`crate::StateStore`], recovers from crashes on reopen.
 
 pub mod bloom;
 pub mod engine;
-pub mod memtable;
 pub mod record;
 pub mod sstable;
 pub mod wal;

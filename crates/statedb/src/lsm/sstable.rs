@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────┐
-//! │ entries region: DiskEntry stream, sorted by key          │
+//! │ entries region: DiskEntry stream, key ↑ then version ↓   │
 //! │ index region:  u32 count, {u32 klen, key, u64 offset}*   │
 //! │ bloom region:  BloomFilter encoding                      │
 //! │ footer (32B):  u64 index_off, u64 bloom_off,             │
@@ -13,11 +13,16 @@
 //! └──────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! The sparse index records every `interval`-th entry's key and byte
-//! offset; a point read binary-searches it for the greatest indexed key ≤
-//! the target, then scans at most one interval of entries. The footer crc
-//! covers the footer fields so a truncated or damaged file is rejected at
-//! open time.
+//! A run stores version chains: a key may repeat, its entries newest
+//! first, so its whole chain sits in one place. A run with one entry per
+//! key (every run an older writer made) is a run of one-fact chains.
+//!
+//! The sparse index records a key's first entry and byte offset roughly
+//! every `interval` entries — never in the middle of a chain; a point read
+//! binary-searches it for the greatest indexed key ≤ the target, then
+//! scans one interval of entries, which holds the key's whole chain. The
+//! footer crc covers the footer fields so a truncated or damaged file is
+//! rejected at open time.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -31,6 +36,7 @@ use fabric_common::{Error, Key, Result};
 use super::bloom::BloomFilter;
 use fabric_common::crc32;
 use super::record::DiskEntry;
+use crate::chain::{Chain, ChainEntry};
 
 #[allow(clippy::unusual_byte_groupings)] // grouped to read "fabric code sstable"
 const MAGIC: u64 = 0xFAB_0C0DE_55_7AB1E;
@@ -53,14 +59,16 @@ impl Default for SsTableOptions {
 
 /// Writes a sorted run of entries to `path`.
 ///
-/// `entries` must be strictly ascending by key; this is asserted because a
-/// mis-sorted run would corrupt reads silently.
+/// `entries` must ascend by key and, within a key, descend by version
+/// (newest first); this is asserted because a mis-sorted run would corrupt
+/// reads silently.
 pub fn write_sstable(path: &Path, entries: &[DiskEntry], opts: &SsTableOptions) -> Result<()> {
     for pair in entries.windows(2) {
-        if pair[0].key >= pair[1].key {
+        let (a, b) = (&pair[0], &pair[1]);
+        if a.key > b.key || (a.key == b.key && a.version < b.version) {
             return Err(Error::InvalidState(format!(
-                "sstable entries not strictly sorted: {:?} then {:?}",
-                pair[0].key, pair[1].key
+                "sstable entries out of (key ↑, version ↓) order: {:?}@{:?} then {:?}@{:?}",
+                a.key, a.version, b.key, b.version
             )));
         }
     }
@@ -70,11 +78,15 @@ pub fn write_sstable(path: &Path, entries: &[DiskEntry], opts: &SsTableOptions) 
     let mut index: Vec<(Key, u64)> = Vec::new();
     let interval = opts.index_interval.max(1);
 
+    let mut next_indexed = 0;
     for (i, e) in entries.iter().enumerate() {
-        if i % interval == 0 {
-            index.push((e.key.clone(), body.len() as u64));
+        if i == 0 || entries[i - 1].key != e.key {
+            if i >= next_indexed {
+                index.push((e.key.clone(), body.len() as u64));
+                next_indexed = i + interval;
+            }
+            bloom.insert(e.key.as_bytes());
         }
-        bloom.insert(e.key.as_bytes());
         e.encode(&mut body);
     }
 
@@ -185,16 +197,28 @@ impl SsTableReader {
         })
     }
 
-    /// Point lookup. `Ok(None)` means "this run has no entry for the key"
-    /// (a tombstone is `Some(entry)` with `value: None`).
+    /// Point lookup of `key`'s newest fact. `Ok(None)` means "this run has
+    /// no entry for the key" (a tombstone is `Some(entry)` with `value:
+    /// None`).
     pub fn get(&self, key: &Key) -> Result<Option<DiskEntry>> {
+        Ok(self.chain(key)?.into_iter().next().map(|e| DiskEntry {
+            key: key.clone(),
+            value: e.value,
+            version: e.version,
+        }))
+    }
+
+    /// `key`'s whole chain in this run, newest first (empty when the run
+    /// has no entry for the key).
+    pub(crate) fn chain(&self, key: &Key) -> Result<Chain> {
+        let mut chain = Chain::new();
         if self.entry_count == 0 || !self.bloom.may_contain(key.as_bytes()) {
-            return Ok(None);
+            return Ok(chain);
         }
         // Greatest indexed key <= target.
         let slot = match self.index.binary_search_by(|(k, _)| k.cmp(key)) {
             Ok(i) => i,
-            Err(0) => return Ok(None), // target below the smallest key
+            Err(0) => return Ok(chain), // target below the smallest key
             Err(i) => i - 1,
         };
         let start = self.index[slot].1;
@@ -210,12 +234,14 @@ impl SsTableReader {
         while dec.remaining() > 0 {
             let e = DiskEntry::decode(&mut dec)?;
             match e.key.cmp(key) {
-                std::cmp::Ordering::Equal => return Ok(Some(e)),
-                std::cmp::Ordering::Greater => return Ok(None),
+                std::cmp::Ordering::Equal => {
+                    chain.push(ChainEntry { value: e.value, version: e.version })
+                }
+                std::cmp::Ordering::Greater => break,
                 std::cmp::Ordering::Less => continue,
             }
         }
-        Ok(None)
+        Ok(chain)
     }
 
     /// Reads every entry in key order (compaction input / verification).
@@ -234,7 +260,20 @@ impl SsTableReader {
         Ok(out)
     }
 
-    /// Number of entries in the run.
+    /// Every key's chain, in key order (compaction input, scans).
+    pub(crate) fn scan_chains(&self) -> Result<Vec<(Key, Chain)>> {
+        let mut out: Vec<(Key, Chain)> = Vec::new();
+        for e in self.scan_all()? {
+            let fact = ChainEntry { value: e.value, version: e.version };
+            match out.last_mut() {
+                Some((k, chain)) if *k == e.key => chain.push(fact),
+                _ => out.push((e.key, vec![fact])),
+            }
+        }
+        Ok(out)
+    }
+
+    /// Number of entries (facts) in the run.
     pub fn entry_count(&self) -> u32 {
         self.entry_count
     }
@@ -341,10 +380,106 @@ mod tests {
         let mut es = entries(10);
         es.swap(2, 7);
         assert!(write_sstable(&path, &es, &SsTableOptions::default()).is_err());
-        // Duplicate keys also rejected.
+        // A repeated key whose versions ascend is rejected too.
         let mut es = entries(5);
         es[1].key = es[0].key.clone();
         assert!(write_sstable(&path, &es, &SsTableOptions::default()).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `n` keys; key `i` holds a chain of `1 + i % 4` facts, newest first,
+    /// some of them tombstones.
+    fn chains(n: u64) -> Vec<DiskEntry> {
+        let mut out = Vec::new();
+        for i in 0..n {
+            for f in (0..1 + i % 4).rev() {
+                out.push(DiskEntry {
+                    key: Key::from(format!("key-{i:08}")),
+                    value: (f != 1 || i % 5 != 0).then(|| Value::from_i64((i * 10 + f) as i64)),
+                    version: Version::new(f, i as u32),
+                });
+            }
+        }
+        out
+    }
+
+    fn facts(chain: &[ChainEntry]) -> Vec<(Option<Value>, Version)> {
+        chain.iter().map(|e| (e.value.clone(), e.version)).collect()
+    }
+
+    #[test]
+    fn chains_straddling_index_intervals_read_back_whole() {
+        // Interval 3 against chains of 1–4 facts: most chains cross an
+        // interval boundary, so an index point landing mid-chain would cut
+        // them.
+        let dir = tmpdir("chains");
+        let path = dir.join("t.sst");
+        let es = chains(60);
+        write_sstable(&path, &es, &SsTableOptions { index_interval: 3, bloom_bits_per_key: 10 })
+            .unwrap();
+        let r = SsTableReader::open(&path).unwrap();
+        assert_eq!(r.entry_count() as usize, es.len());
+        let by_key = r.scan_chains().unwrap();
+        assert_eq!(by_key.len(), 60);
+        for (i, (key, chain)) in by_key.iter().enumerate() {
+            let want: Vec<(Option<Value>, Version)> = es
+                .iter()
+                .filter(|e| &e.key == key)
+                .map(|e| (e.value.clone(), e.version))
+                .collect();
+            assert_eq!(want.len() as u64, 1 + i as u64 % 4);
+            assert_eq!(facts(chain), want, "scan of {key}");
+            assert_eq!(facts(&r.chain(key).unwrap()), want, "chain of {key}");
+            let newest = r.get(key).unwrap().unwrap();
+            assert_eq!((newest.value, newest.version), want[0].clone(), "get of {key}");
+        }
+        assert!(r.chain(&Key::from("key-00000060")).unwrap().is_empty());
+        assert!(r.chain(&Key::from("aaaa")).unwrap().is_empty());
+        assert_eq!(r.scan_all().unwrap(), es);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn write_rejects_entries_out_of_key_then_version_order() {
+        let dir = tmpdir("order");
+        let path = dir.join("t.sst");
+        let es = chains(6);
+        write_sstable(&path, &es, &SsTableOptions::default()).unwrap();
+        // Key 1's two facts oldest first.
+        let mut oldest_first = es.clone();
+        assert_eq!(oldest_first[1].key, oldest_first[2].key);
+        oldest_first.swap(1, 2);
+        assert!(write_sstable(&path, &oldest_first, &SsTableOptions::default()).is_err());
+        // Key 2's chain ahead of key 1's.
+        let mut keys_descend = es.clone();
+        keys_descend[1..6].rotate_left(2);
+        assert!(write_sstable(&path, &keys_descend, &SsTableOptions::default()).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn parent_format_run_reads_back_unchanged() {
+        // One entry per key, as every run was before runs held chains: the
+        // writer still produces that format byte for byte (the digest of
+        // the one-entry-per-key writer's file for these entries), and each
+        // entry reads back as a one-fact chain.
+        let dir = tmpdir("parent-format");
+        let path = dir.join("t.sst");
+        let es = entries(50);
+        write_sstable(&path, &es, &SsTableOptions { index_interval: 4, bloom_bits_per_key: 10 })
+            .unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.len(), 2394);
+        assert_eq!(
+            fabric_common::hash::sha256(&bytes).to_hex(),
+            "d671def7daa0ea31fd3fec0466fcc170dc979a1f56f96896d454afd0aa4882f8"
+        );
+        let r = SsTableReader::open(&path).unwrap();
+        for e in &es {
+            assert_eq!(facts(&r.chain(&e.key).unwrap()), vec![(e.value.clone(), e.version)]);
+            assert_eq!(&r.get(&e.key).unwrap().unwrap(), e);
+        }
+        assert_eq!(r.scan_chains().unwrap().len(), es.len());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

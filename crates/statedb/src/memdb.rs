@@ -1,31 +1,23 @@
 //! Sharded in-memory multi-version state database.
 //!
-//! The default engine for benchmarks: per-shard `RwLock`s keep point reads
-//! and the per-key atomic updates of a block commit cheap and concurrent,
-//! and an `AtomicU64` publishes the last committed block *after* all of a
-//! block's writes are installed — the ordering the Fabric++ lock-free
-//! early-abort check relies on (see the [`StateStore`] commit protocol).
-//!
-//! Each shard entry holds a small inline **version chain** (newest-first)
-//! rather than a single versioned value: up to `retained_versions` recent
+//! The default engine for benchmarks. It is the version-chain core the two
+//! engines share (`chain.rs`) and nothing more: a sharded map from key to
+//! newest-first version chain, a commit lock, and the commit watermark,
+//! published *after* all of a block's writes are installed — the ordering
+//! the Fabric++ lock-free early-abort check relies on (see the
+//! [`StateStore`] commit protocol). Up to `retained_versions` recent
 //! versions per key stay resolvable, so snapshot reads-at-height
 //! ([`StateStore::get_at`] and friends) serve a consistent point-in-time
-//! view without touching the commit ticket. An epoch GC — driven by the
-//! commit watermark and the [`PinRegistry`] of live snapshot pins — trims
-//! chains on every commit so memory stays bounded under sustained load.
+//! view without touching the commit ticket; the epoch GC — driven by the
+//! commit watermark and the [`crate::PinRegistry`] of live snapshot pins —
+//! trims chains on every commit so memory stays bounded under sustained
+//! load.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use fabric_common::{BlockNum, Key, Result, StoreCounters, Value, Version};
 
-use parking_lot::RwLock;
-
-use fabric_common::{BlockNum, Error, Key, Result, StoreCounters, Value, Version};
-
-use crate::pin::{PinRegistry, StateSnapshot};
+use crate::chain::{newest_values, resolve_chain, ChainMap, ShardGroups, Watermark, DEFAULT_SHARDS};
+use crate::pin::StateSnapshot;
 use crate::store::{CommitWrite, SnapshotGet, StateStore, VersionedValue, WriteBatch};
-
-const DEFAULT_SHARDS: usize = 64;
 
 /// Default number of recent versions retained per key. Enough that a
 /// simulation pinned a few blocks behind a fast committer still resolves
@@ -34,158 +26,15 @@ const DEFAULT_SHARDS: usize = 64;
 /// entries.
 const DEFAULT_RETAINED: usize = 4;
 
-/// Blocks with at least this many writes fan their shard groups out over
-/// scoped threads; smaller blocks install sequentially — thread spawn would
-/// dominate, and the sequential path is allocation-free in the steady state
-/// (asserted by `tests/batched_alloc.rs` and `tests/snapshot_alloc.rs`).
-const PARALLEL_APPLY_MIN_WRITES: usize = 4096;
-
-/// One committed fact in a key's version chain: the value written (or
-/// `None` for a tombstone) and the version that wrote it.
-#[derive(Debug, Clone)]
-struct ChainEntry {
-    value: Option<Value>,
-    version: Version,
-}
-
-/// Newest-first chain of committed facts for one key. Invariant: never
-/// empty (a chain with nothing left to say is removed from the shard map),
-/// strictly decreasing versions.
-type Chain = Vec<ChainEntry>;
-
 /// Sharded in-memory versioned key-value store with per-key version chains.
 pub struct MemStateDb {
-    shards: Vec<RwLock<HashMap<Key, Chain>>>,
-    /// Highest fully-visible block; `u64::MAX` encodes "nothing committed".
-    last_block: AtomicU64,
+    chains: ChainMap,
+    watermark: Watermark,
     /// Serializes committers (one block at a time), independent of readers.
-    /// Doubles as the batched commit path's reusable shard-grouping
-    /// scratch: holding it *is* the commit ticket.
+    /// Doubles as the commit path's reusable shard-grouping scratch:
+    /// holding it *is* the commit ticket.
     commit_lock: parking_lot::Mutex<ShardGroups>,
-    /// Reusable shard-grouping scratch for batched version reads.
-    read_scratch: parking_lot::Mutex<ShardGroups>,
-    /// Live snapshot pins: the epoch GC never trims below the oldest.
-    pins: Arc<PinRegistry>,
-    /// Versions retained per key beyond what live pins require (≥ 1).
-    retained: usize,
     counters: StoreCounters,
-}
-
-/// Installs one write into a shard map: push the entry at the head of the
-/// key's chain, trim what the floor and retention budget no longer need,
-/// drop chains with nothing left to say. Returns the entries trimmed.
-///
-/// A full chain grows exactly to the slots an unpinned key needs, so an
-/// unpinned key never holds more; only a live pin that keeps older facts
-/// grows it further, by doubling, and `trim_chain` gives that back once
-/// the pin is gone.
-fn install_entry(
-    shard: &mut HashMap<Key, Chain>,
-    key: &Key,
-    entry: ChainEntry,
-    floor: BlockNum,
-    retain: usize,
-) -> u64 {
-    let (trimmed, remove) = if let Some(chain) = shard.get_mut(key) {
-        if chain.len() == chain.capacity() {
-            let slots = unpinned_slots(retain);
-            if chain.len() < slots {
-                chain.reserve_exact(slots - chain.len());
-            } else {
-                chain.reserve(1);
-            }
-        }
-        chain.insert(0, entry);
-        let (dropped, dead) = trim_chain(chain, floor, retain);
-        (dropped as u64, dead)
-    } else {
-        // A delete of a key with no retained facts has nothing to say: no
-        // chain is created for it.
-        if entry.value.is_some() {
-            shard.insert(key.clone(), vec![entry]);
-        }
-        (0, false)
-    };
-    if remove {
-        shard.remove(key);
-    }
-    trimmed
-}
-
-/// Per-shard index lists, reused across batches so a warm store groups
-/// without allocating.
-#[derive(Default)]
-struct ShardGroups {
-    groups: Vec<Vec<u32>>,
-}
-
-impl ShardGroups {
-    /// Clears every group (keeping capacity) and ensures one group per
-    /// shard exists.
-    fn reset(&mut self, shards: usize) {
-        if self.groups.len() < shards {
-            self.groups.resize_with(shards, Vec::new);
-        }
-        for g in &mut self.groups {
-            g.clear();
-        }
-    }
-}
-
-const NO_BLOCK: u64 = u64::MAX;
-
-/// Trims `chain` (newest-first) to what the retention floor and the
-/// per-key retention budget require: every entry down to the first one at
-/// or below `floor` must stay (some live pin may resolve through it), and
-/// up to `retain` recent entries stay regardless. Returns
-/// `(entries dropped, whole chain dead)` — the chain is dead when its
-/// newest fact is a tombstone no pin can still see, at which point the key
-/// leaves the map entirely.
-fn trim_chain(chain: &mut Chain, floor: BlockNum, retain: usize) -> (usize, bool) {
-    let newest = &chain[0];
-    if newest.value.is_none() && newest.version.block <= floor {
-        return (chain.len(), true);
-    }
-    let keep = match chain.iter().position(|e| e.version.block <= floor) {
-        Some(i) => retain.min(chain.len()).max(i + 1),
-        // Every retained fact postdates the floor: all of them are the
-        // first-at-or-below answer for some pinnable height.
-        None => chain.len(),
-    };
-    let dropped = chain.len() - keep;
-    chain.truncate(keep);
-    // Give back what a pin grew: once the chain fits the unpinned budget
-    // with room for the next fact, it needs no more than that budget. A
-    // chain still at the budget keeps its slack, so a short pin does not
-    // make every commit reallocate. Copied into a fresh buffer rather than
-    // shrunk in place, like every long-lived buffer (DESIGN §6).
-    let slots = unpinned_slots(retain);
-    if keep < slots && chain.capacity() > slots {
-        let mut exact = Vec::with_capacity(slots);
-        exact.append(chain);
-        *chain = exact;
-    }
-    (dropped, false)
-}
-
-/// Slots an unpinned chain needs: the facts `trim_chain` keeps plus the
-/// incoming one — `retain` facts, but never fewer than two, because the
-/// unpinned floor trails the committing block by one and the fact at the
-/// floor must stay.
-fn unpinned_slots(retain: usize) -> usize {
-    retain.max(2) + 1
-}
-
-/// Resolves a chain into a [`SnapshotGet`] at `height`: the newest
-/// committed fact plus the value live as of `height` (first entry at or
-/// below the height; tombstones resolve to "absent").
-fn resolve_chain(chain: &Chain, height: BlockNum) -> SnapshotGet {
-    let newest = chain.first().map(|e| (e.version, e.value.clone()));
-    let at_height = chain
-        .iter()
-        .find(|e| e.version.block <= height)
-        .and_then(|e| e.value.clone().map(|v| VersionedValue::new(v, e.version)));
-    SnapshotGet { at_height, newest }
 }
 
 impl Default for MemStateDb {
@@ -214,14 +63,10 @@ impl MemStateDb {
     /// Creates an empty store with explicit shard count and per-key
     /// version retention.
     pub fn with_config(shards: usize, retained: usize) -> Self {
-        let shards = shards.next_power_of_two().max(1);
         MemStateDb {
-            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
-            last_block: AtomicU64::new(NO_BLOCK),
+            chains: ChainMap::new(shards, retained, false),
+            watermark: Watermark::new(None),
             commit_lock: parking_lot::Mutex::new(ShardGroups::default()),
-            read_scratch: parking_lot::Mutex::new(ShardGroups::default()),
-            pins: Arc::new(PinRegistry::new()),
-            retained: retained.max(1),
             counters: StoreCounters::new(),
         }
     }
@@ -250,158 +95,44 @@ impl MemStateDb {
     /// Length of `key`'s version chain (diagnostics for GC tests; 0 when
     /// the key holds no retained facts).
     pub fn version_chain_len(&self, key: &Key) -> usize {
-        self.shard_of(key).read().get(key).map_or(0, Vec::len)
+        self.chains.chain_len(key)
     }
 
     /// Slots allocated for `key`'s version chain (0 when it has none).
     #[cfg(test)]
-    fn version_chain_capacity(&self, key: &Key) -> usize {
-        self.shard_of(key).read().get(key).map_or(0, Vec::capacity)
+    pub(crate) fn version_chain_capacity(&self, key: &Key) -> usize {
+        self.chains.chain_capacity(key)
     }
 
     /// Number of live snapshot pins (diagnostics).
     pub fn live_pins(&self) -> usize {
-        self.pins.live_pins()
-    }
-
-    fn shard_index(&self, key: &Key) -> usize {
-        // FNV-1a over the key bytes; shard count is a power of two.
-        let mut h: u64 = 0xcbf29ce484222325;
-        for &b in key.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        (h as usize) & (self.shards.len() - 1)
-    }
-
-    fn shard_of(&self, key: &Key) -> &RwLock<HashMap<Key, Chain>> {
-        &self.shards[self.shard_index(key)]
-    }
-
-    /// The epoch-GC trim floor: the oldest height any live snapshot pins,
-    /// clamped by the already-published watermark. Heights at or above the
-    /// floor stay exactly resolvable; history below it may be trimmed.
-    ///
-    /// Clamping by the *pre-publication* watermark (not the committing
-    /// block) closes the pin race: a reader that loads the watermark,
-    /// registers its pin, and re-checks the watermark either sees it
-    /// unchanged — in which case every commit that trims with a higher
-    /// floor starts after the pin is visible — or retries at the new
-    /// height.
-    fn gc_floor(&self) -> BlockNum {
-        let watermark = self.last_committed_block();
-        self.pins.oldest().map_or(watermark, |p| p.min(watermark))
-    }
-
-    /// Refreshes the telemetry gauge cells (GC floor, live pins) after a
-    /// block apply. Block granularity is all the windowed time-series
-    /// layer samples at, so per-pin refreshes would be wasted stores.
-    fn refresh_gauges(&self) {
-        self.counters.set_gc_floor(self.gc_floor());
-        self.counters.set_live_pins(self.pins.live_pins() as u64);
-    }
-
-    /// Installs the shard groups `start, start+stride, …` of `batch`. Each
-    /// non-empty shard's write lock is taken exactly once, and distinct
-    /// `(start, stride)` lanes touch disjoint shards, so lanes may run on
-    /// separate threads under the commit lock's publication ordering.
-    /// Newly superseded chain entries beyond what `floor` and the
-    /// retention budget need are trimmed in the same pass; returns the
-    /// number trimmed.
-    fn install_shard_lane(
-        &self,
-        groups: &[Vec<u32>],
-        batch: &WriteBatch<'_>,
-        start: usize,
-        stride: usize,
-        floor: BlockNum,
-    ) -> u64 {
-        let mut trimmed = 0u64;
-        for si in (start..groups.len()).step_by(stride) {
-            let group = &groups[si];
-            if group.is_empty() {
-                continue;
-            }
-            let mut shard = self.shards[si].write();
-            for &i in group {
-                let w = &batch.writes[i as usize];
-                let entry = ChainEntry {
-                    value: w.value.cloned(),
-                    version: Version::new(batch.block, w.tx),
-                };
-                trimmed += install_entry(&mut shard, w.key, entry, floor, self.retained);
-            }
-        }
-        trimmed
+        self.watermark.live_pins()
     }
 }
 
 impl StateStore for MemStateDb {
     fn get(&self, key: &Key) -> Result<Option<VersionedValue>> {
         self.counters.record_point_get();
-        Ok(self.shard_of(key).read().get(key).and_then(|chain| {
-            let e = chain.first()?;
+        Ok(self.chains.read(key, |chain| {
+            let e = chain?.first()?;
             Some(VersionedValue::new(e.value.clone()?, e.version))
         }))
     }
 
     fn apply_write_batch(&self, batch: &WriteBatch<'_>) -> Result<()> {
-        let mut scratch = self.commit_lock.lock();
+        let mut groups = self.commit_lock.lock();
         self.counters.record_commit_ticket();
-        let last = self.last_block.load(Ordering::Acquire);
-        let expected = if last == NO_BLOCK { 0 } else { last + 1 };
-        if batch.block != expected {
-            return Err(Error::InvalidState(format!(
-                "apply_block({}) out of order: expected block {expected}",
-                batch.block
-            )));
-        }
+        self.watermark.check_next(batch.block)?;
         // The trim floor is computed before publication, so heights up to
         // the previous watermark that a racing reader may still pin stay
-        // resolvable through this commit (see `gc_floor`).
-        let floor = self.gc_floor();
-
-        let nshards = self.shards.len();
-        scratch.reset(nshards);
-        for (i, w) in batch.writes.iter().enumerate() {
-            scratch.groups[self.shard_index(w.key)].push(i as u32);
+        // resolvable through this commit (see `Watermark::gc_floor`).
+        let done = self.chains.install(&mut groups, batch, self.watermark.gc_floor());
+        self.counters.record_block_applied(done.shards);
+        if done.trimmed > 0 {
+            self.counters.record_gc_trimmed(done.trimmed);
         }
-        let groups = &scratch.groups[..nshards];
-        let nonempty = groups.iter().filter(|g| !g.is_empty()).count();
-
-        // Install each shard's group under a single write-lock acquisition;
-        // large blocks spread independent shards over scoped threads.
-        let threads = if batch.writes.len() >= PARALLEL_APPLY_MIN_WRITES {
-            std::thread::available_parallelism().map_or(1, |n| n.get()).min(nonempty).min(8)
-        } else {
-            1
-        };
-        let trimmed = if threads > 1 {
-            let total = AtomicU64::new(0);
-            std::thread::scope(|s| {
-                for t in 1..threads {
-                    let total = &total;
-                    s.spawn(move || {
-                        let n = self.install_shard_lane(groups, batch, t, threads, floor);
-                        total.fetch_add(n, Ordering::Relaxed);
-                    });
-                }
-                let n = self.install_shard_lane(groups, batch, 0, threads, floor);
-                total.fetch_add(n, Ordering::Relaxed);
-            });
-            total.into_inner()
-        } else {
-            self.install_shard_lane(groups, batch, 0, 1, floor)
-        };
-        self.counters.record_block_applied(nonempty as u64);
-        if trimmed > 0 {
-            self.counters.record_gc_trimmed(trimmed);
-        }
-
-        // Publish only after every write is visible (release pairs with the
-        // acquire in last_committed_block / snapshot pinning).
-        self.last_block.store(batch.block, Ordering::Release);
-        self.refresh_gauges();
+        self.watermark.publish(batch.block);
+        self.watermark.refresh_gauges(&self.counters);
         Ok(())
     }
 
@@ -412,26 +143,11 @@ impl StateStore for MemStateDb {
     ) -> Result<()> {
         out.clear();
         out.resize(keys.len(), None);
-        let nshards = self.shards.len();
-        let mut scratch = self.read_scratch.lock();
-        scratch.reset(nshards);
-        for (i, key) in keys.iter().enumerate() {
-            scratch.groups[self.shard_index(key)].push(i as u32);
-        }
-        // One read-lock acquisition per touched shard, results in input
-        // order.
-        for (si, group) in scratch.groups[..nshards].iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let shard = self.shards[si].read();
-            for &i in group {
-                out[i as usize] = shard
-                    .get(&keys[i as usize])
-                    .and_then(|chain| chain.first())
-                    .and_then(|e| e.value.is_some().then_some(e.version));
-            }
-        }
+        self.chains.read_many(keys, |i, chain| {
+            out[i] = chain
+                .and_then(|c| c.first())
+                .and_then(|e| e.value.is_some().then_some(e.version));
+        });
         self.counters.record_multi_get(keys.len() as u64);
         Ok(())
     }
@@ -441,37 +157,22 @@ impl StateStore for MemStateDb {
     }
 
     fn retained_versions(&self) -> usize {
-        self.retained
+        self.chains.retained()
     }
 
     fn pin_snapshot(&self) -> StateSnapshot {
-        loop {
-            let h = self.last_committed_block();
-            self.pins.pin(h);
-            // Re-check after the pin is visible to committers: if the
-            // watermark moved, a commit may already have trimmed with a
-            // floor above `h` — retry at the new height.
-            if self.last_committed_block() == h {
-                self.counters.record_snapshot_pin();
-                return StateSnapshot::registered(h, Arc::clone(&self.pins));
-            }
-            self.pins.unpin(h);
-        }
+        self.watermark.pin(&self.counters)
     }
 
     fn pin_snapshot_at(&self, height: BlockNum) -> StateSnapshot {
-        self.pins.pin(height);
-        self.counters.record_snapshot_pin();
-        StateSnapshot::registered(height, Arc::clone(&self.pins))
+        self.watermark.pin_at(height, &self.counters)
     }
 
     fn get_at(&self, key: &Key, height: BlockNum) -> Result<SnapshotGet> {
         self.counters.record_snapshot_read(1);
-        Ok(self
-            .shard_of(key)
-            .read()
-            .get(key)
-            .map_or_else(SnapshotGet::default, |chain| resolve_chain(chain, height)))
+        let mut got = SnapshotGet::default();
+        self.chains.read(key, |chain| chain.map(|c| resolve_chain(c, height, &mut got)));
+        Ok(got)
     }
 
     fn multi_get_at_into(
@@ -482,23 +183,11 @@ impl StateStore for MemStateDb {
     ) -> Result<()> {
         out.clear();
         out.resize(keys.len(), SnapshotGet::default());
-        let nshards = self.shards.len();
-        let mut scratch = self.read_scratch.lock();
-        scratch.reset(nshards);
-        for (i, key) in keys.iter().enumerate() {
-            scratch.groups[self.shard_index(key)].push(i as u32);
-        }
-        for (si, group) in scratch.groups[..nshards].iter().enumerate() {
-            if group.is_empty() {
-                continue;
+        self.chains.read_many(keys, |i, chain| {
+            if let Some(c) = chain {
+                resolve_chain(c, height, &mut out[i]);
             }
-            let shard = self.shards[si].read();
-            for &i in group {
-                if let Some(chain) = shard.get(&keys[i as usize]) {
-                    out[i as usize] = resolve_chain(chain, height);
-                }
-            }
-        }
+        });
         self.counters.record_snapshot_read(keys.len() as u64);
         Ok(())
     }
@@ -509,21 +198,7 @@ impl StateStore for MemStateDb {
         end: &Key,
         height: BlockNum,
     ) -> Result<Vec<(Key, SnapshotGet)>> {
-        let mut out: Vec<(Key, SnapshotGet)> = Vec::new();
-        for shard in self.shards.iter() {
-            let guard = shard.read();
-            for (k, chain) in guard.iter() {
-                if k >= start && k < end {
-                    let got = resolve_chain(chain, height);
-                    // Keys with no value at the height are invisible to the
-                    // snapshot (created later, or dead by then).
-                    if got.at_height.is_some() {
-                        out.push((k.clone(), got));
-                    }
-                }
-            }
-        }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
+        let out = self.scan_at(start, Some(end), height);
         self.counters.record_snapshot_read(out.len() as u64);
         Ok(out)
     }
@@ -533,16 +208,7 @@ impl StateStore for MemStateDb {
         // mid-sweep (this is commit-side maintenance, not a read).
         let _ticket = self.commit_lock.lock();
         self.counters.record_commit_ticket();
-        let floor = self.gc_floor();
-        let mut trimmed = 0usize;
-        for shard in self.shards.iter() {
-            let mut guard = shard.write();
-            guard.retain(|_, chain| {
-                let (dropped, dead) = trim_chain(chain, floor, self.retained);
-                trimmed += dropped;
-                !dead
-            });
-        }
+        let trimmed = self.chains.sweep(self.watermark.gc_floor());
         if trimmed > 0 {
             self.counters.record_gc_trimmed(trimmed as u64);
         }
@@ -550,63 +216,51 @@ impl StateStore for MemStateDb {
     }
 
     fn last_committed_block(&self) -> BlockNum {
-        let v = self.last_block.load(Ordering::Acquire);
-        if v == NO_BLOCK {
-            0
-        } else {
-            v
-        }
+        self.watermark.last_committed_block()
     }
 
     fn approximate_len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .values()
-                    .filter(|c| c.first().is_some_and(|e| e.value.is_some()))
-                    .count()
-            })
-            .sum()
+        let mut live = 0;
+        self.chains.for_each(|_, c| live += usize::from(c[0].value.is_some()));
+        live
     }
 
     fn scan_range(&self, start: &Key, end: &Key) -> Result<Vec<(Key, VersionedValue)>> {
-        // Hash sharding has no key order; collect matches then sort.
-        let mut out: Vec<(Key, VersionedValue)> = Vec::new();
-        for shard in self.shards.iter() {
-            let guard = shard.read();
-            for (k, chain) in guard.iter() {
-                if k >= start && k < end {
-                    if let Some(e) = chain.first() {
-                        if let Some(v) = &e.value {
-                            out.push((k.clone(), VersionedValue::new(v.clone(), e.version)));
-                        }
-                    }
-                }
-            }
-        }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(out)
+        Ok(newest_values(self.scan_at(start, Some(end), BlockNum::MAX)))
     }
 
     fn scan_all(&self) -> Result<Vec<(Key, VersionedValue)>> {
-        let mut out: Vec<(Key, VersionedValue)> = Vec::new();
-        for shard in self.shards.iter() {
-            let guard = shard.read();
-            out.extend(guard.iter().filter_map(|(k, chain)| {
-                let e = chain.first()?;
-                let v = e.value.as_ref()?;
-                Some((k.clone(), VersionedValue::new(v.clone(), e.version)))
-            }));
-        }
+        Ok(newest_values(self.scan_at(&Key::from(""), None, BlockNum::MAX)))
+    }
+}
+
+impl MemStateDb {
+    /// Every key in `[start, end)` (`end: None` is unbounded) with a value
+    /// live at `height`, sorted by key. Keys with no value at the height
+    /// are invisible to the snapshot (created later, or dead by then).
+    fn scan_at(&self, start: &Key, end: Option<&Key>, height: BlockNum) -> Vec<(Key, SnapshotGet)> {
+        // Hash sharding has no key order; collect matches then sort.
+        let mut out: Vec<(Key, SnapshotGet)> = Vec::new();
+        self.chains.for_each(|k, chain| {
+            if k >= start && end.is_none_or(|e| k < e) {
+                let mut got = SnapshotGet::default();
+                resolve_chain(chain, height, &mut got);
+                if got.at_height.is_some() {
+                    out.push((k.clone(), got));
+                }
+            }
+        });
         out.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(out)
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LsmConfig, LsmStateDb};
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
 
     fn k(s: &str) -> Key {
         Key::from(s)
@@ -761,9 +415,9 @@ mod tests {
     #[test]
     fn shard_count_rounds_to_power_of_two() {
         let db = MemStateDb::with_shards(5);
-        assert_eq!(db.shards.len(), 8);
+        assert_eq!(db.chains.shard_count(), 8);
         let db = MemStateDb::with_shards(0);
-        assert_eq!(db.shards.len(), 1);
+        assert_eq!(db.chains.shard_count(), 1);
     }
 
     #[test]
@@ -815,23 +469,71 @@ mod tests {
         assert!(db.counters().snapshot().gc_trimmed_versions > 0);
     }
 
+    /// What the chain tests read of either engine.
+    trait Chains: StateStore {
+        fn chain_len(&self, key: &Key) -> usize;
+        fn chain_capacity(&self, key: &Key) -> usize;
+    }
+
+    impl Chains for MemStateDb {
+        fn chain_len(&self, key: &Key) -> usize {
+            self.version_chain_len(key)
+        }
+        fn chain_capacity(&self, key: &Key) -> usize {
+            self.version_chain_capacity(key)
+        }
+    }
+
+    impl Chains for LsmStateDb {
+        fn chain_len(&self, key: &Key) -> usize {
+            self.version_chain_len(key)
+        }
+        fn chain_capacity(&self, key: &Key) -> usize {
+            self.version_chain_capacity(key)
+        }
+    }
+
+    /// Runs `body` on both engines, each retaining `retained` versions per
+    /// key with `a = 0` committed as block 0: the in-memory store, and an
+    /// LSM store whose memtable never flushes, so every chain stays in the
+    /// shared chain map.
+    fn on_both_engines(test: &str, retained: usize, body: impl Fn(&str, &dyn Chains)) {
+        body("mem", &MemStateDb::with_genesis_retained([(k("a"), v(0))], retained));
+        let dir = std::env::temp_dir()
+            .join(format!("fabric-chains-{test}-{retained}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = LsmConfig {
+            memtable_max_bytes: usize::MAX,
+            retained_versions: retained,
+            ..LsmConfig::default()
+        };
+        let lsm = LsmStateDb::open(&dir, cfg).unwrap();
+        lsm.apply_block(0, &[CommitWrite::put(k("a"), v(0), 0)]).unwrap();
+        body("lsm", &lsm);
+        assert_eq!(lsm.run_count(), 0, "the memtable never flushed");
+        drop(lsm);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn unpinned_chain_capacity_stays_within_retention_plus_one() {
         for retained in [2, DEFAULT_RETAINED, 7] {
-            let db = MemStateDb::with_genesis_retained([(k("a"), v(0))], retained);
-            for b in 1..=50u64 {
-                db.apply_block(b, &[CommitWrite::put(k("a"), v(b as i64), 0)]).unwrap();
-                assert!(db.version_chain_capacity(&k("a")) <= retained + 1, "block {b}");
-            }
-            assert_eq!(db.version_chain_len(&k("a")), retained);
+            on_both_engines("unpinned", retained, |engine, db| {
+                for b in 1..=50u64 {
+                    db.apply_block(b, &[CommitWrite::put(k("a"), v(b as i64), 0)]).unwrap();
+                    assert!(db.chain_capacity(&k("a")) <= retained + 1, "{engine} block {b}");
+                }
+                assert_eq!(db.chain_len(&k("a")), retained, "{engine}");
+            });
         }
         // One retained version still keeps the fact at the floor as well.
-        let db = MemStateDb::with_genesis_retained([(k("a"), v(0))], 1);
-        for b in 1..=50u64 {
-            db.apply_block(b, &[CommitWrite::put(k("a"), v(b as i64), 0)]).unwrap();
-        }
-        assert_eq!(db.version_chain_len(&k("a")), 2);
-        assert_eq!(db.version_chain_capacity(&k("a")), 3);
+        on_both_engines("unpinned", 1, |engine, db| {
+            for b in 1..=50u64 {
+                db.apply_block(b, &[CommitWrite::put(k("a"), v(b as i64), 0)]).unwrap();
+            }
+            assert_eq!(db.chain_len(&k("a")), 2, "{engine}");
+            assert_eq!(db.chain_capacity(&k("a")), 3, "{engine}");
+        });
     }
 
     #[test]
@@ -857,20 +559,21 @@ mod tests {
     #[test]
     fn pin_grown_chain_gives_back_its_capacity_when_trimmed() {
         // Retention 1: an unpinned chain needs max(1, 2) + 1 = 3 slots.
-        let db = MemStateDb::with_genesis_retained([(k("a"), v(0))], 1);
-        let snap = db.pin_snapshot();
-        for b in 1..20u64 {
-            db.apply_block(b, &[CommitWrite::put(k("a"), v(b as i64), 0)]).unwrap();
-        }
-        assert!(db.version_chain_capacity(&k("a")) >= 20, "the pin grew the chain");
-        drop(snap);
-        db.collect_garbage().unwrap();
-        assert!(db.version_chain_capacity(&k("a")) <= 3, "GC keeps the pinned-era capacity");
-        for b in 20..40u64 {
-            db.apply_block(b, &[CommitWrite::put(k("a"), v(b as i64), 0)]).unwrap();
-            assert!(db.version_chain_capacity(&k("a")) <= 3, "block {b}");
-        }
-        assert_eq!(db.get(&k("a")).unwrap().unwrap().value, v(39));
+        on_both_engines("give-back", 1, |engine, db| {
+            let snap = db.pin_snapshot();
+            for b in 1..20u64 {
+                db.apply_block(b, &[CommitWrite::put(k("a"), v(b as i64), 0)]).unwrap();
+            }
+            assert!(db.chain_capacity(&k("a")) >= 20, "{engine}: the pin grew the chain");
+            drop(snap);
+            db.collect_garbage().unwrap();
+            assert!(db.chain_capacity(&k("a")) <= 3, "{engine}: GC keeps the pinned-era capacity");
+            for b in 20..40u64 {
+                db.apply_block(b, &[CommitWrite::put(k("a"), v(b as i64), 0)]).unwrap();
+                assert!(db.chain_capacity(&k("a")) <= 3, "{engine} block {b}");
+            }
+            assert_eq!(db.get(&k("a")).unwrap().unwrap().value, v(39), "{engine}");
+        });
     }
 
     #[test]

@@ -131,7 +131,7 @@ pub struct SnapshotGet {
     pub at_height: Option<VersionedValue>,
     /// The newest committed fact: `(version, value)`, value `None` when
     /// the newest write is a delete. `None` when the key has never been
-    /// written (within retained history).
+    /// written (within the retained versions).
     pub newest: Option<(Version, Option<Value>)>,
 }
 

@@ -2,7 +2,11 @@
 //! version chains have warmed up, repeat pin → versioned-read → unpin
 //! cycles on `MemStateDb` perform **zero heap allocations** (release
 //! builds; debug builds get a small bound for the standard library's debug
-//! machinery) — even with commits interleaved between the reads.
+//! machinery) — even with commits interleaved between the reads. The same
+//! read cycle on an `LsmStateDb` whose keys all sit in its memtable (the
+//! chain map `MemStateDb` is made of) is held to the same bound; there the
+//! commits themselves (a WAL record each) stay outside the measured
+//! windows.
 //!
 //! This is the property the lockless-endorsement design rests on: an
 //! endorser resolving a declared read set at a pinned height touches the
@@ -18,7 +22,8 @@ use std::sync::Arc;
 
 use fabric_common::{Key, Value};
 use fabric_statedb::{
-    CommitWrite, MemStateDb, SnapshotGet, SnapshotRead, SnapshotView, StateStore, WriteBatch,
+    CommitWrite, LsmConfig, LsmStateDb, MemStateDb, SnapshotGet, SnapshotRead, SnapshotView,
+    StateStore, WriteBatch,
 };
 
 struct CountingAlloc;
@@ -177,4 +182,72 @@ fn steady_state_snapshot_view_classification_does_not_allocate() {
     assert_eq!(totals, (MEASURED_BLOCKS * KEYS, MEASURED_BLOCKS * KEYS));
     assert_eq!(db.last_committed_block(), (WARM_BLOCKS + MEASURED_BLOCKS) as u64);
     assert_steady_state(allocated, "snapshot-view classification under commits");
+}
+
+#[test]
+fn steady_state_lsm_memtable_reads_do_not_allocate() {
+    let dir = std::env::temp_dir().join(format!("fabric-snapalloc-lsm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // The memtable never flushes: every read is answered by its chains.
+    let cfg = LsmConfig { memtable_max_bytes: usize::MAX, ..LsmConfig::default() };
+    let db = Arc::new(LsmStateDb::open(&dir, cfg).unwrap());
+    let store: Arc<dyn StateStore> = db.clone();
+    let keys: Vec<Key> = (0..KEYS).map(|i| Key::composite("K", i as u64)).collect();
+    let blocks = build_blocks(&keys);
+
+    db.apply_block(0, &blocks[0]).unwrap();
+    let batches: Vec<WriteBatch<'_>> = blocks[1..]
+        .iter()
+        .enumerate()
+        .map(|(j, writes)| WriteBatch::from_writes((j + 1) as u64, writes))
+        .collect();
+
+    let mut out: Vec<SnapshotGet> = Vec::new();
+    let mut reads: Vec<SnapshotRead> = Vec::new();
+    // One cycle: commit (unmeasured); pin, batch-read and point-read at
+    // the pinned height, classify through a view (measured); commit under
+    // the live view (unmeasured); classify again and unpin (measured).
+    // Returns (allocations, fresh reads, stale reads).
+    let mut cycle = |batch: &WriteBatch<'_>, next: &WriteBatch<'_>| -> (u64, usize, usize) {
+        db.apply_write_batch(batch).unwrap();
+        let before = allocations();
+        let snap = db.pin_snapshot();
+        db.multi_get_at_into(&keys, snap.height(), &mut out).unwrap();
+        assert!(out.iter().all(|g| g.at_height.is_some()));
+        for key in keys.iter().step_by(64) {
+            assert!(db.get_at(key, snap.height()).unwrap().at_height.is_some());
+        }
+        drop(snap);
+        let view = SnapshotView::pin(Arc::clone(&store));
+        view.read_many_into(&keys, &mut out, &mut reads).unwrap();
+        let fresh = reads.iter().filter(|r| matches!(r, SnapshotRead::Fresh(_))).count();
+        let mut allocated = allocations() - before;
+        db.apply_write_batch(next).unwrap();
+        let before = allocations();
+        view.read_many_into(&keys, &mut out, &mut reads).unwrap();
+        let stale = reads.iter().filter(|r| r.is_stale()).count();
+        drop(view);
+        allocated += allocations() - before;
+        (allocated, fresh, stale)
+    };
+
+    let pairs: Vec<(&WriteBatch<'_>, &WriteBatch<'_>)> =
+        batches.iter().step_by(2).zip(batches.iter().skip(1).step_by(2)).collect();
+    let (warm, measured) = pairs.split_at(WARM_BLOCKS / 2);
+    for (batch, next) in warm {
+        cycle(batch, next);
+    }
+    let mut total = (0, 0, 0);
+    for (batch, next) in measured {
+        let (a, f, s) = cycle(batch, next);
+        total = (total.0 + a, total.1 + f, total.2 + s);
+    }
+
+    assert_eq!(db.run_count(), 0, "every key stayed in the memtable");
+    assert_eq!(db.last_committed_block(), (WARM_BLOCKS + MEASURED_BLOCKS) as u64);
+    assert_eq!((total.1, total.2), (measured.len() * KEYS, measured.len() * KEYS));
+    drop(db);
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_steady_state(total.0, "LSM memtable pin + versioned reads + classification");
 }

@@ -341,9 +341,9 @@ fn gc_trims_to_oldest_live_pin_and_never_collects_it() {
         mem.version_chain_len(&hot)
     );
     assert!(
-        lsm.history_len(&hot) <= retained + 1,
-        "unpinned lsm history blew the budget: {}",
-        lsm.history_len(&hot)
+        lsm.version_chain_len(&hot) <= retained + 1,
+        "unpinned lsm chain blew the budget: {}",
+        lsm.version_chain_len(&hot)
     );
 
     // Phase 2 — pin at 50, then 50 more commits.
@@ -372,9 +372,9 @@ fn gc_trims_to_oldest_live_pin_and_never_collects_it() {
             mem.version_chain_len(&hot)
         );
         assert!(
-            lsm.history_len(&hot) <= commits_since_pin + retained,
-            "lsm history kept pre-pin history: {} at block {b}",
-            lsm.history_len(&hot)
+            lsm.version_chain_len(&hot) <= commits_since_pin + retained,
+            "lsm chain kept pre-pin history: {} at block {b}",
+            lsm.version_chain_len(&hot)
         );
     }
 
@@ -386,7 +386,7 @@ fn gc_trims_to_oldest_live_pin_and_never_collects_it() {
     mem.collect_garbage().unwrap();
     lsm.collect_garbage().unwrap();
     assert!(mem.version_chain_len(&hot) <= retained);
-    assert!(lsm.history_len(&hot) < retained, "newest lives outside history");
+    assert!(lsm.version_chain_len(&hot) <= retained);
     // The current value is untouched by GC.
     assert_eq!(mem.get(&hot).unwrap().unwrap().value.as_i64(), Some(100));
     assert_eq!(lsm.get(&hot).unwrap().unwrap().value.as_i64(), Some(100));
