@@ -2,7 +2,7 @@
 //!
 //! Runs every conformance fixture across its non-semantic knob matrix
 //! (validation workers 1/2/4, trace sink on/off, memory vs LSM state
-//! engine, version retention, telemetry) and requires every replica's
+//! engine, telemetry) and requires every replica's
 //! artifacts — serialized block stream, state digest, chain fingerprint,
 //! fault-schedule digest, outcome counters — to match the baseline
 //! **byte for byte**. Then proves the harness

@@ -92,7 +92,7 @@ fn differential_against_full_copy(store: &dyn StateStore, blocks: u64) -> usize 
     let mut balances: HashMap<u64, i64> = HashMap::new();
     // Pin every height as it commits — the way a fleet of in-flight
     // endorsements would — and hold the pins across the whole workload, so
-    // the epoch GC must keep all of it resolvable despite retention 2.
+    // the epoch GC must keep all of it resolvable: pins decide what stays.
     let mut pinned: Vec<(fabric_statedb::StateSnapshot, FullCopy)> = Vec::new();
 
     let genesis = genesis_writes();
@@ -148,13 +148,13 @@ fn differential_against_full_copy(store: &dyn StateStore, blocks: u64) -> usize 
 fn smoke_differential() {
     let blocks = 48u64;
 
-    let mem = MemStateDb::with_config(8, 2);
+    let mem = MemStateDb::with_shards(8);
     let checked = differential_against_full_copy(&mem, blocks);
     smoke::record(
         "endorse_under_commit",
         "snapshot-vs-full-copy-mem",
         true,
-        &format!("{checked} point reads + {} range scans byte-identical at retention 2", blocks + 1),
+        &format!("{checked} point reads + {} range scans byte-identical under live pins", blocks + 1),
     );
 
     let dir = std::env::temp_dir()
@@ -163,7 +163,6 @@ fn smoke_differential() {
     let cfg = LsmConfig {
         memtable_max_bytes: 1 << 10, // force flushes + compactions mid-workload
         compaction_threshold: 2,
-        retained_versions: 2,
         ..LsmConfig::default()
     };
     let lsm = LsmStateDb::open(&dir, cfg).unwrap();

@@ -97,11 +97,6 @@ pub struct ChaosOptions {
     /// rebuild into memory (recovery replays the ledger), which is
     /// observationally identical: state digests are engine-independent.
     pub engine: StateEngine,
-    /// `Some(n)`: every peer's store retains up to `n` committed versions
-    /// per key for snapshot reads. `None`: engine default. Retention is
-    /// non-semantic — it bounds how far back a pinned snapshot can live,
-    /// never what a run computes.
-    pub retained_versions: Option<usize>,
     /// `Some(cfg)`: attach the windowed time-series telemetry hub
     /// (logical-time windows over the run's counters and gauges; see
     /// `fabric-telemetry`). Observation only, like `sink`: a run with
@@ -122,7 +117,6 @@ impl Default for ChaosOptions {
         ChaosOptions {
             sink: TraceSink::disabled(),
             engine: StateEngine::Memory,
-            retained_versions: None,
             telemetry: None,
             block_dir: None,
         }
@@ -179,7 +173,7 @@ impl ChaosNet {
         plan: FaultPlan,
         opts: ChaosOptions,
     ) -> Result<Self> {
-        let ChaosOptions { sink, engine, retained_versions, telemetry, block_dir } = opts;
+        let ChaosOptions { sink, engine, telemetry, block_dir } = opts;
         config.validate()?;
         if orgs == 0 || peers_per_org == 0 {
             return Err(Error::Config("need at least one org and one peer".into()));
@@ -213,7 +207,7 @@ impl ChaosNet {
             None => Ok(Arc::default()),
         };
         let (peers, orderer) =
-            assemble(&ctx, config, peers_per_org, 1, &engine, retained_versions, genesis, ledger)?;
+            assemble(&ctx, config, peers_per_org, 1, &engine, genesis, ledger)?;
         ctx.connect_telemetry(vec![peers[0].store().counters()]);
         let slots = peers.into_iter().map(Slot::up).collect();
         Ok(ChaosNet {

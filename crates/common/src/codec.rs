@@ -77,6 +77,15 @@ impl Encoder {
     }
 }
 
+/// An encoder appending to `buf` after what it already holds, so one
+/// buffer's capacity can serve encoding after encoding
+/// ([`Encoder::into_bytes`] hands it back).
+impl From<Vec<u8>> for Encoder {
+    fn from(buf: Vec<u8>) -> Self {
+        Encoder { buf }
+    }
+}
+
 /// Cursor-based decoder over a byte slice.
 #[derive(Debug)]
 pub struct Decoder<'a> {

@@ -161,8 +161,6 @@ impl Fixture {
             ReplicaSpec::workers("vw4", 4),
             ReplicaSpec::traced(),
             ReplicaSpec::lsm(),
-            ReplicaSpec::retained("mv-n1", 1),
-            ReplicaSpec::retained("mv-n8", 8),
             // Windowed time-series telemetry attached: observation only,
             // so every artifact must match the baseline byte-for-byte.
             ReplicaSpec::telemetry(),

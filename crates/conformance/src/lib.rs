@@ -13,8 +13,8 @@
 //!    byte-comparable blocks;
 //! 2. [`replica`] runs one full pipeline (a [`fabric_chaos::ChaosNet`])
 //!    per [`replica::ReplicaSpec`], varying only non-semantic knobs —
-//!    validation workers, trace sink on/off, storage engine, version
-//!    retention, telemetry — and collects the replicated
+//!    validation workers, trace sink on/off, storage engine, telemetry —
+//!    and collects the replicated
 //!    [`artifacts`]: serialized block stream, state digest, chain
 //!    fingerprint, fault-schedule digest, and outcome counters;
 //! 3. [`runner`] compares every replica against the baseline and, on

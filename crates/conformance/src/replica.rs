@@ -39,10 +39,6 @@ pub struct ReplicaSpec {
     pub traced: bool,
     /// Storage engine.
     pub engine: EngineKind,
-    /// `Some(n)`: every peer store retains up to `n` committed versions
-    /// per key (multi-version snapshot depth); `None`: engine default.
-    /// Retention is non-semantic, so any two settings must replicate.
-    pub retained_versions: Option<usize>,
     /// Whether the windowed time-series telemetry hub is attached.
     /// Telemetry is observation only, so a telemetry-on cell must
     /// replicate the baseline byte-for-byte — this is the proof obligation
@@ -59,7 +55,6 @@ impl ReplicaSpec {
             validation_workers: 1,
             traced: false,
             engine: EngineKind::Memory,
-            retained_versions: None,
             telemetry: false,
         }
     }
@@ -77,11 +72,6 @@ impl ReplicaSpec {
     /// Baseline on the LSM engine.
     pub fn lsm() -> Self {
         ReplicaSpec { label: "lsm", engine: EngineKind::Lsm, ..Self::baseline() }
-    }
-
-    /// Baseline with a fixed per-key version-retention depth.
-    pub fn retained(label: &'static str, n: usize) -> Self {
-        ReplicaSpec { label, retained_versions: Some(n), ..Self::baseline() }
     }
 
     /// Baseline with the windowed telemetry hub attached: proves telemetry
@@ -125,7 +115,6 @@ pub fn run_replica(fixture: &Fixture, spec: &ReplicaSpec) -> Result<ReplicaArtif
     let opts = ChaosOptions {
         sink: sink.clone(),
         engine,
-        retained_versions: spec.retained_versions,
         telemetry: spec
             .telemetry
             .then(|| TelemetryConfig { window_blocks: 2, ..TelemetryConfig::default() }),

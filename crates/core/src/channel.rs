@@ -187,14 +187,12 @@ impl PeerContext {
 /// empty ledger `ledger(id)` returns, a registered signing key, the shared
 /// pool and — slot 0 only — the context's observers; all install one
 /// shared genesis block. The ordering service resumes at their tip.
-#[allow(clippy::too_many_arguments)]
 pub fn assemble(
     ctx: &PeerContext,
     config: &PipelineConfig,
     peers_per_org: usize,
     first_id: u64,
     engine: &StateEngine,
-    retained_versions: Option<usize>,
     genesis: &[(Key, Value)],
     mut ledger: impl FnMut(PeerId) -> Result<Arc<Ledger>>,
 ) -> Result<(Vec<Arc<Peer>>, OrderingService)> {
@@ -205,16 +203,9 @@ pub fn assemble(
         for _ in 0..peers_per_org {
             let id = PeerId(first_id + peers.len() as u64);
             let store: Arc<dyn StateStore> = match engine {
-                StateEngine::Memory => Arc::new(match retained_versions {
-                    Some(n) => MemStateDb::with_retained_versions(n),
-                    None => MemStateDb::new(),
-                }),
+                StateEngine::Memory => Arc::new(MemStateDb::new()),
                 StateEngine::Lsm(dir) => {
-                    let cfg = match retained_versions {
-                        Some(n) => LsmConfig { retained_versions: n, ..LsmConfig::default() },
-                        None => LsmConfig::default(),
-                    };
-                    Arc::new(LsmStateDb::open(dir.join(id.to_string()), cfg)?)
+                    Arc::new(LsmStateDb::open(dir.join(id.to_string()), LsmConfig::default())?)
                 }
             };
             let key = SigningKey::for_peer(id, ctx.key_seed);

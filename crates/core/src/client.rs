@@ -398,7 +398,7 @@ mod tests {
         let ctx = PeerContext::new(&cfg, 2, &[cc], CostModel::raw(), 1, pool, sink.clone(), None);
         let anonymous = |_| Ok(Arc::default());
         let (peers, _) =
-            assemble(&ctx, &cfg, 1, 1, &crate::StateEngine::Memory, None, &[], anonymous).unwrap();
+            assemble(&ctx, &cfg, 1, 1, &crate::StateEngine::Memory, &[], anonymous).unwrap();
         let p = TransactionProposal::new(ChannelId(0), ClientId(0), "noop", vec![]);
         let walk = || peers.iter().map(|peer| Some(peer.endorse(&p)));
         assert!(matches!(propose(&p, &ctx.counters, &sink, walk), ProposeOutcome::Endorsed(_)));

@@ -196,7 +196,6 @@ impl NetworkBuilder {
                 self.peers_per_org,
                 first_id,
                 &self.engine,
-                None,
                 &self.genesis,
                 |_| Ok(Arc::default()),
             )?;

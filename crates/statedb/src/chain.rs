@@ -1,9 +1,11 @@
 //! The version-chain core both engines share.
 //!
-//! A key's committed facts live in a newest-first **version chain**. Up to
-//! `retained_versions` recent facts per key stay resolvable, and every fact a
-//! live snapshot pin may still read stays too: the epoch GC trims below the
-//! oldest pin, clamped by the commit watermark ([`Watermark::gc_floor`]).
+//! A key's committed facts live in a newest-first **version chain**. Pins
+//! decide what stays: every fact a live snapshot pin may still read, and
+//! nothing else. The epoch GC trims below the oldest pin, clamped by the
+//! commit watermark ([`Watermark::gc_floor`]), so an unpinned chain holds
+//! its newest fact and the fact at the floor, in two slots; a pin grows a
+//! chain as far back as its height needs, until the pin is dropped.
 //!
 //! [`ChainMap`] is the sharded `HashMap<Key, Chain>` that holds the chains.
 //! It is the whole state of [`crate::MemStateDb`] and the memtable of
@@ -48,53 +50,54 @@ pub(crate) struct ChainEntry {
 /// non-increasing versions.
 pub(crate) type Chain = Vec<ChainEntry>;
 
-/// Trims `chain` (newest-first) to what the retention floor and the
-/// per-key retention budget require: every entry down to the first one at
-/// or below `floor` must stay (some live pin may resolve through it), and
-/// up to `retain` recent entries stay regardless. Returns
-/// `(entries dropped, whole chain dead)` — the chain is dead when its
-/// newest fact is a tombstone no pin can still see, at which point the key
-/// leaves the map entirely. A chain that `shadows` older layers (an LSM
-/// memtable chain above the runs) is never dead: its tombstone must keep
-/// hiding the runs' facts until a compaction drops them together.
-pub(crate) fn trim_chain(
-    chain: &mut Chain,
-    floor: BlockNum,
-    retain: usize,
-    shadows: bool,
-) -> (usize, bool) {
-    let newest = &chain[0];
-    if !shadows && newest.value.is_none() && newest.version.block <= floor {
-        return (chain.len(), true);
-    }
-    let keep = match chain.iter().position(|e| e.version.block <= floor) {
-        Some(i) => retain.min(chain.len()).max(i + 1),
-        // Every retained fact postdates the floor: all of them are the
-        // first-at-or-below answer for some pinnable height.
-        None => chain.len(),
-    };
+/// Slots an unpinned chain holds: its newest fact and the fact at the GC
+/// floor. The unpinned floor trails the committing block by one, so the
+/// fact at the floor is the one a reader pinned at the last published
+/// block resolves through.
+const UNPINNED_SLOTS: usize = 2;
+
+/// How many of `chain`'s newest-first facts a read at or above `floor` can
+/// still need: every fact above the floor, and the first at or below it.
+fn needed(chain: &[ChainEntry], floor: BlockNum) -> usize {
+    chain.iter().position(|e| e.version.block <= floor).map_or(chain.len(), |i| i + 1)
+}
+
+/// Whether a chain whose newest fact is `newest` has nothing left to say
+/// at or above `floor`: a tombstone no pin can see past. A chain that
+/// `shadows` older layers (an LSM memtable chain above the runs) is never
+/// dead: its tombstone must keep hiding the runs' facts until a
+/// compaction drops them together.
+fn is_dead(newest: &ChainEntry, floor: BlockNum, shadows: bool) -> bool {
+    !shadows && newest.value.is_none() && newest.version.block <= floor
+}
+
+/// Truncates `chain` to its `keep` newest facts and returns how many it
+/// dropped. Gives back what a pin grew: a chain left with room for the
+/// next fact within [`UNPINNED_SLOTS`] needs no more than that. A chain
+/// that still fills them keeps its slack, so a short pin does not make
+/// every commit reallocate. Copied into a fresh buffer rather than shrunk
+/// in place, like every long-lived buffer (DESIGN §6).
+fn truncate_to(chain: &mut Chain, keep: usize) -> usize {
     let dropped = chain.len() - keep;
     chain.truncate(keep);
-    // Give back what a pin grew: once the chain fits the unpinned budget
-    // with room for the next fact, it needs no more than that budget. A
-    // chain still at the budget keeps its slack, so a short pin does not
-    // make every commit reallocate. Copied into a fresh buffer rather than
-    // shrunk in place, like every long-lived buffer (DESIGN §6).
-    let slots = unpinned_slots(retain);
-    if keep < slots && chain.capacity() > slots {
-        let mut exact = Vec::with_capacity(slots);
+    if keep < UNPINNED_SLOTS && chain.capacity() > UNPINNED_SLOTS {
+        let mut exact = Vec::with_capacity(UNPINNED_SLOTS);
         exact.append(chain);
         *chain = exact;
     }
-    (dropped, false)
+    dropped
 }
 
-/// Slots an unpinned chain needs: the facts `trim_chain` keeps plus the
-/// incoming one — `retain` facts, but never fewer than two, because the
-/// unpinned floor trails the committing block by one and the fact at the
-/// floor must stay.
-fn unpinned_slots(retain: usize) -> usize {
-    retain.max(2) + 1
+/// Trims `chain` (newest-first) to what live pins can still read: every
+/// entry down to the first one at or below `floor` stays (some pin may
+/// resolve through it), nothing older does. Returns `(entries dropped,
+/// whole chain dead)`; a dead chain (see [`is_dead`]) leaves the map
+/// entirely.
+pub(crate) fn trim_chain(chain: &mut Chain, floor: BlockNum, shadows: bool) -> (usize, bool) {
+    if is_dead(&chain[0], floor, shadows) {
+        return (chain.len(), true);
+    }
+    (truncate_to(chain, needed(chain, floor)), false)
 }
 
 /// Feeds one newest-first chain into a read at `height`. Chains are fed
@@ -153,27 +156,19 @@ pub(crate) struct ChainMap {
     shards: Vec<RwLock<HashMap<Key, Chain>>>,
     /// Reusable shard-grouping scratch for batched reads.
     read_scratch: Mutex<ShardGroups>,
-    /// Versions retained per key beyond what live pins require (≥ 1).
-    retained: usize,
     /// Whether the chains shadow older layers (see [`trim_chain`]).
     shadows: bool,
 }
 
 impl ChainMap {
-    /// An empty map with `shards` shards (rounded up to a power of two)
-    /// retaining `retained` versions per key (clamped to ≥ 1).
-    pub(crate) fn new(shards: usize, retained: usize, shadows: bool) -> Self {
+    /// An empty map with `shards` shards (rounded up to a power of two).
+    pub(crate) fn new(shards: usize, shadows: bool) -> Self {
         let shards = shards.next_power_of_two().max(1);
         ChainMap {
             shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
             read_scratch: Mutex::new(ShardGroups::default()),
-            retained: retained.max(1),
             shadows,
         }
-    }
-
-    pub(crate) fn retained(&self) -> usize {
-        self.retained
     }
 
     #[cfg(test)]
@@ -306,15 +301,16 @@ impl ChainMap {
         done
     }
 
-    /// Installs one write into a shard map: push the entry at the head of
-    /// the key's chain, trim what the floor and retention budget no longer
-    /// need, drop chains with nothing left to say. Returns the entries
-    /// trimmed and the bytes of the head it replaced.
+    /// Installs one write into a shard map: trim what the incoming head
+    /// makes unneeded, push it at the head of the key's chain, drop chains
+    /// with nothing left to say. Returns the entries trimmed and the bytes
+    /// of the head it replaced.
     ///
-    /// A full chain grows exactly to the slots an unpinned key needs, so an
-    /// unpinned key never holds more; only a live pin that keeps older facts
-    /// grows it further, by doubling, and `trim_chain` gives that back once
-    /// the pin is gone.
+    /// Trimming first keeps an unpinned chain in its [`UNPINNED_SLOTS`]:
+    /// the fact at the floor and the incoming one, so a steady-state
+    /// install never reallocates. Only a live pin that keeps older facts
+    /// grows a chain further, by doubling, and [`trim_chain`] gives that
+    /// back once the pin is gone.
     fn install_entry(
         &self,
         shard: &mut HashMap<Key, Chain>,
@@ -322,7 +318,6 @@ impl ChainMap {
         entry: ChainEntry,
         floor: BlockNum,
     ) -> (u64, usize) {
-        let retain = self.retained;
         let Some(chain) = shard.get_mut(key) else {
             // A delete of a key with no retained facts has nothing to say —
             // unless there are older layers for it to hide.
@@ -332,17 +327,21 @@ impl ChainMap {
             return (0, 0);
         };
         let replaced = chain[0].value.as_ref().map_or(0, Value::len) + 24;
+        // The floor trails the committing block, so the incoming head sits
+        // above it and every fact a pin needs below the head stays — except
+        // in block 0, whose floor is 0: there the head alone answers.
+        let keep = if entry.version.block > floor { needed(chain, floor) } else { 0 };
+        let mut dropped = truncate_to(chain, keep);
         if chain.len() == chain.capacity() {
-            let slots = unpinned_slots(retain);
-            if chain.len() < slots {
-                chain.reserve_exact(slots - chain.len());
+            if chain.len() < UNPINNED_SLOTS {
+                chain.reserve_exact(UNPINNED_SLOTS - chain.len());
             } else {
                 chain.reserve(1);
             }
         }
         chain.insert(0, entry);
-        let (dropped, dead) = trim_chain(chain, floor, retain, self.shadows);
-        if dead {
+        if is_dead(&chain[0], floor, self.shadows) {
+            dropped += chain.len();
             shard.remove(key);
         }
         (dropped as u64, replaced)
@@ -353,7 +352,7 @@ impl ChainMap {
         let mut trimmed = 0usize;
         for shard in &self.shards {
             shard.write().retain(|_, chain| {
-                let (dropped, dead) = trim_chain(chain, floor, self.retained, self.shadows);
+                let (dropped, dead) = trim_chain(chain, floor, self.shadows);
                 trimmed += dropped;
                 !dead
             });
@@ -513,7 +512,7 @@ mod tests {
 
     #[test]
     fn insert_and_get() {
-        let map = ChainMap::new(8, 4, true);
+        let map = ChainMap::new(8, true);
         install(&map, 0, &[CommitWrite::put(k("a"), v(1), 0)]);
         assert_eq!(head(&map, &k("a")), Some((Some(v(1)), Version::new(0, 0))));
         assert_eq!(head(&map, &k("b")), None);
@@ -522,7 +521,7 @@ mod tests {
 
     #[test]
     fn newest_write_wins() {
-        let map = ChainMap::new(8, 4, true);
+        let map = ChainMap::new(8, true);
         install(&map, 0, &[CommitWrite::put(k("a"), v(1), 0)]);
         install(&map, 1, &[CommitWrite::put(k("a"), v(2), 0)]);
         assert_eq!(head(&map, &k("a")), Some((Some(v(2)), Version::new(1, 0))));
@@ -538,14 +537,14 @@ mod tests {
     fn tombstone_is_distinct_from_absent() {
         // A map above older layers keeps a delete of a key it never held,
         // and keeps a dead tombstone at the head of its chain.
-        let layered = ChainMap::new(8, 1, true);
+        let layered = ChainMap::new(8, true);
         install(&layered, 1, &[CommitWrite::delete(k("a"), 0)]);
         assert_eq!(head(&layered, &k("a")), Some((None, Version::new(1, 0))));
         layered.sweep(5);
         assert_eq!(head(&layered, &k("a")), Some((None, Version::new(1, 0))));
         assert_eq!(head(&layered, &k("never")), None);
         // The whole state drops both.
-        let whole = ChainMap::new(8, 1, false);
+        let whole = ChainMap::new(8, false);
         install(&whole, 0, &[CommitWrite::put(k("b"), v(1), 0)]);
         install(&whole, 1, &[CommitWrite::delete(k("a"), 0), CommitWrite::delete(k("b"), 1)]);
         assert_eq!(head(&whole, &k("a")), None);
@@ -556,7 +555,7 @@ mod tests {
 
     #[test]
     fn approx_bytes_tracks_replacements() {
-        let map = ChainMap::new(8, 4, true);
+        let map = ChainMap::new(8, true);
         let big = install(&map, 0, &[CommitWrite::put(k("a"), Value::new(vec![0u8; 100]), 0)]);
         assert_eq!((big.bytes_added, big.bytes_replaced), (1 + 100 + 24, 0));
         // A rewrite adds its key, value and 24 bytes and gives back the

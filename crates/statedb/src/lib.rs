@@ -23,15 +23,16 @@
 //! block `n` can detect any value committed after it by checking
 //! `version.block > n` — the Fabric++ early-abort test (paper Figure 6).
 //!
-//! Both engines are **multi-version**: each key retains up to
-//! `retained_versions` recent committed facts, and a simulation that pins a
+//! Both engines are **multi-version**: a simulation that pins a
 //! [`StateSnapshot`] reads a consistent point-in-time view at that height
 //! ([`StateStore::get_at`], [`StateStore::multi_get_at_into`],
 //! [`StateStore::scan_range_at`]) without ever taking the commit ticket —
 //! the lockless-endorsement design of Meir et al. ("Lockless Transaction
-//! Isolation in Hyperledger Fabric"). An epoch GC driven by the commit
-//! watermark and the [`PinRegistry`] of live pins trims chains so memory
-//! stays bounded.
+//! Isolation in Hyperledger Fabric"). Pins decide what stays: an epoch GC
+//! driven by the commit watermark and the [`PinRegistry`] of live pins
+//! trims each key's chain to the facts a pin can still read, so an
+//! unpinned key holds two facts — its newest and the one at the floor —
+//! in the in-memory map, the LSM memtable and each LSM run alike.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

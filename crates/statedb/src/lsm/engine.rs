@@ -12,7 +12,8 @@
 //!
 //! Durability protocol per block commit:
 //!
-//! 1. append the block's writes to the WAL (crc-framed, flushed),
+//! 1. append the block's writes to the WAL (one crc frame, encoded straight
+//!    from the batch),
 //! 2. install them in the memtable under its per-shard locks,
 //! 3. publish the block as last-committed (same visibility contract as the
 //!    in-memory engine),
@@ -41,7 +42,7 @@ use fabric_trace::{EventKind, TraceSink};
 
 use super::record::DiskEntry;
 use super::sstable::{write_sstable, SsTableOptions, SsTableReader};
-use super::wal::{replay, WalFaultPolicy, WalRecord, WalWriter};
+use super::wal::{replay, WalFaultPolicy, WalWriter};
 use crate::chain::{
     newest_values, resolve_chain, trim_chain, Chain, ChainMap, Installed, ShardGroups, Watermark,
     DEFAULT_SHARDS,
@@ -52,7 +53,10 @@ use crate::store::{SnapshotGet, StateStore, VersionedValue, WriteBatch, WriteRef
 const MANIFEST: &str = "MANIFEST";
 const WAL_FILE: &str = "wal.log";
 
-/// Tuning knobs for the LSM engine.
+/// Tuning knobs for the LSM engine. None of them decides which versions
+/// stay: the memtable and every run keep what live snapshot pins can read
+/// (see `chain.rs`), so an unpinned key holds at most two facts in the
+/// memtable and in each run.
 #[derive(Clone)]
 pub struct LsmConfig {
     /// Flush the memtable once its running byte count reaches this. The
@@ -71,9 +75,6 @@ pub struct LsmConfig {
     /// Fault policy consulted on every WAL append (chaos testing seam);
     /// `None` disables injection.
     pub wal_faults: Option<Arc<dyn WalFaultPolicy>>,
-    /// Recent versions retained per key for snapshot reads-at-height
-    /// (clamped to ≥ 1; live pins extend retention past this regardless).
-    pub retained_versions: usize,
 }
 
 impl fmt::Debug for LsmConfig {
@@ -84,7 +85,6 @@ impl fmt::Debug for LsmConfig {
             .field("sync_writes", &self.sync_writes)
             .field("sstable", &self.sstable)
             .field("wal_faults", &self.wal_faults.as_ref().map(|_| "<policy>"))
-            .field("retained_versions", &self.retained_versions)
             .finish()
     }
 }
@@ -97,7 +97,6 @@ impl Default for LsmConfig {
             sync_writes: false,
             sstable: SsTableOptions::default(),
             wal_faults: None,
-            retained_versions: 4,
         }
     }
 }
@@ -151,7 +150,7 @@ impl LsmStateDb {
         let mut wal = WalWriter::open(dir.join(WAL_FILE), cfg.sync_writes)?;
         wal.set_fault_policy(cfg.wal_faults.clone());
         let db = LsmStateDb {
-            memtable: ChainMap::new(DEFAULT_SHARDS, cfg.retained_versions, true),
+            memtable: ChainMap::new(DEFAULT_SHARDS, true),
             dir,
             cfg,
             inner: RwLock::new(Inner { tables, next_file_id, flushed_block }),
@@ -327,7 +326,7 @@ impl LsmStateDb {
         let mut trimmed = 0usize;
         let mut entries: Vec<DiskEntry> = Vec::with_capacity(merged.len());
         for (key, mut chain) in merged {
-            let (dropped, dead) = trim_chain(&mut chain, floor, self.memtable.retained(), false);
+            let (dropped, dead) = trim_chain(&mut chain, floor, false);
             trimmed += dropped;
             if !dead {
                 entries.extend(chain.into_iter().map(|e| DiskEntry {
@@ -487,18 +486,9 @@ impl StateStore for LsmStateDb {
         self.watermark.check_next(batch.block)?;
 
         // 1. Durable intent: the whole block as ONE group-commit WAL record
-        //    — a single frame write and a single flush (plus one fsync when
-        //    `sync_writes`), regardless of how many writes the block holds.
-        let entries = batch
-            .writes
-            .iter()
-            .map(|w| DiskEntry {
-                key: w.key.clone(),
-                value: w.value.cloned(),
-                version: Version::new(batch.block, w.tx),
-            })
-            .collect();
-        self.wal.lock().append(&WalRecord { block: batch.block, entries })?;
+        //    — a single frame write (plus one fsync when `sync_writes`),
+        //    regardless of how many writes the block holds.
+        self.wal.lock().append(batch)?;
         self.counters.record_wal_record(self.cfg.sync_writes);
         if self.sink.is_enabled() {
             self.sink.emit(EventKind::WalRecord {
@@ -559,10 +549,6 @@ impl StateStore for LsmStateDb {
         *self.read_scratch.lock() = pending;
         self.counters.record_multi_get(keys.len() as u64);
         Ok(())
-    }
-
-    fn retained_versions(&self) -> usize {
-        self.memtable.retained()
     }
 
     fn pin_snapshot(&self) -> StateSnapshot {
@@ -989,10 +975,11 @@ mod tests {
         let dir = tmpdir("at-mem");
         let db = LsmStateDb::open(&dir, tiny_cfg()).unwrap();
         db.apply_block(0, &[CommitWrite::put(k(1), v(10), 0)]).unwrap();
+        let pin = db.pin_snapshot();
         db.apply_block(1, &[CommitWrite::put(k(1), v(11), 0)]).unwrap();
         db.apply_block(2, &[CommitWrite::delete(k(1), 0)]).unwrap();
 
-        let at0 = db.get_at(&k(1), 0).unwrap();
+        let at0 = db.get_at(&k(1), pin.height()).unwrap();
         assert_eq!(at0.at_height.as_ref().unwrap().value, v(10));
         assert!(at0.is_stale_at(0), "newer committed fact exists");
         let at1 = db.get_at(&k(1), 1).unwrap();
@@ -1006,8 +993,7 @@ mod tests {
     #[test]
     fn pinned_height_survives_flush_and_compaction() {
         let dir = tmpdir("at-pin");
-        let cfg =
-            LsmConfig { compaction_threshold: 1, retained_versions: 1, ..tiny_cfg() };
+        let cfg = LsmConfig { compaction_threshold: 1, ..tiny_cfg() };
         let db = LsmStateDb::open(&dir, cfg).unwrap();
         db.apply_block(
             0,
@@ -1043,7 +1029,7 @@ mod tests {
         );
 
         // Dropping the pin and collecting garbage reclaims the history
-        // (retained_versions = 1 keeps no extras).
+        // (no pin left, so nothing but the newest facts is needed).
         drop(snap);
         assert_eq!(db.live_pins(), 0);
         let trimmed = db.collect_garbage().unwrap();
@@ -1073,7 +1059,7 @@ mod tests {
     fn pins_resolve_exactly_across_three_flushes_and_a_compaction() {
         // Threshold 2: the third flush leaves three runs and compacts them.
         let dir = tmpdir("at-stages");
-        let cfg = LsmConfig { compaction_threshold: 2, retained_versions: 1, ..tiny_cfg() };
+        let cfg = LsmConfig { compaction_threshold: 2, ..tiny_cfg() };
         let db = LsmStateDb::open(&dir, cfg).unwrap();
         let hot = k(1);
         let mut block = 0u64;
@@ -1119,10 +1105,19 @@ mod tests {
 
     #[test]
     fn unpinned_compaction_keeps_at_most_retained_facts_per_key() {
+        // With no pin, a run holds at most two facts per key: the newest
+        // and the one at the floor.
         let dir = tmpdir("compact-trim");
-        let retained = 2;
-        let cfg = LsmConfig { compaction_threshold: 1, retained_versions: retained, ..tiny_cfg() };
+        let cfg = LsmConfig { compaction_threshold: 1, ..tiny_cfg() };
         let db = LsmStateDb::open(&dir, cfg).unwrap();
+        let flush = || {
+            db.force_flush().unwrap();
+            for run in &db.inner.read().tables {
+                for (key, chain) in run.scan_chains().unwrap() {
+                    assert!(chain.len() <= 2, "{key:?} holds {} facts in a run", chain.len());
+                }
+            }
+        };
         for b in 0..12u64 {
             let mut writes = vec![CommitWrite::put(k(1), v(b as i64), 0)];
             writes.push(if b == 5 {
@@ -1132,15 +1127,15 @@ mod tests {
             });
             db.apply_block(b, &writes).unwrap();
             if b % 3 == 2 {
-                db.force_flush().unwrap();
+                flush();
             }
         }
         db.apply_block(12, &[CommitWrite::delete(k(2), 0)]).unwrap();
-        db.force_flush().unwrap();
+        flush();
         assert_eq!(db.run_count(), 1);
         let run = Arc::clone(&db.inner.read().tables[0]);
         let hot = run.chain(&k(1)).unwrap();
-        assert!(!hot.is_empty() && hot.len() <= retained, "run holds {} facts", hot.len());
+        assert!(!hot.is_empty() && hot.len() <= 2, "run holds {} facts", hot.len());
         assert_eq!(hot[0].version, Version::new(11, 0));
         assert!(run.chain(&k(2)).unwrap().is_empty(), "a dead tombstone chain leaves the run");
         assert!(db.get(&k(2)).unwrap().is_none());
@@ -1163,8 +1158,9 @@ mod tests {
         let run = Arc::clone(&db.inner.read().tables[0]);
         let order: Vec<(Key, BlockNum)> =
             run.scan_all().unwrap().into_iter().map(|e| (e.key, e.version.block)).collect();
+        // Each chain holds the newest fact and the one at the floor.
         let want: Vec<(Key, BlockNum)> =
-            [3, 6, 9].iter().flat_map(|&i| (0..3).rev().map(move |b| (k(i), b))).collect();
+            [3, 6, 9].iter().flat_map(|&i| [(k(i), 2), (k(i), 1)]).collect();
         assert_eq!(order, want, "key ascending, each chain newest first");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1260,6 +1256,41 @@ mod tests {
         assert_eq!(delta.commit_ticket_acquisitions, 0, "reads are lockless");
         assert_eq!(delta.snapshot_pins, 1);
         assert_eq!(delta.snapshot_read_batches, 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn wal_bytes_of_a_fixed_sequence_are_unchanged() {
+        // Twenty blocks of puts (short values inline, long ones shared),
+        // deletes, repeated keys and empty blocks. The digest was recorded
+        // from the engine that encoded each record through a `Vec` of
+        // cloned entries and a second frame copy, so this pins the on-disk
+        // format of every WAL frame.
+        let dir = tmpdir("wal-digest");
+        let db = LsmStateDb::open(&dir, LsmConfig::default()).unwrap();
+        let mut x: u64 = 11;
+        for b in 0..20u64 {
+            let writes: Vec<CommitWrite> = (0..(b % 4) * 3)
+                .map(|i| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    let key = Key::from(format!("key-{:03}", (x >> 33) % 40));
+                    if (x >> 20).is_multiple_of(5) {
+                        CommitWrite::delete(key, i as u32)
+                    } else {
+                        let len = ((x >> 40) % 48) as usize;
+                        CommitWrite::put(key, Value::new(vec![b as u8; len]), i as u32)
+                    }
+                })
+                .collect();
+            db.apply_block(b, &writes).unwrap();
+        }
+        assert_eq!(db.run_count(), 0, "the WAL never rotated");
+        drop(db);
+        let wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
+        assert_eq!(
+            fabric_common::hash::sha256(&wal).to_hex(),
+            "0dbae9f1a3623ad229f0faea62b54465af9e891ee4a7034f5959cc861948d3a3"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -21,20 +21,26 @@ pub struct DiskEntry {
 const TAG_TOMBSTONE: u8 = 0;
 const TAG_PUT: u8 = 1;
 
+/// Encodes one entry from its parts: what [`DiskEntry::encode`] writes,
+/// for a caller holding borrowed writes rather than entries (the WAL).
+pub(crate) fn encode_entry(enc: &mut Encoder, key: &Key, value: Option<&Value>, version: Version) {
+    enc.put_bytes(key.as_bytes());
+    match value {
+        Some(v) => {
+            enc.put_u8(TAG_PUT);
+            enc.put_bytes(v.as_bytes());
+        }
+        None => {
+            enc.put_u8(TAG_TOMBSTONE);
+        }
+    }
+    enc.put_u64(version.block);
+    enc.put_u32(version.tx);
+}
+
 impl Encode for DiskEntry {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_bytes(self.key.as_bytes());
-        match &self.value {
-            Some(v) => {
-                enc.put_u8(TAG_PUT);
-                enc.put_bytes(v.as_bytes());
-            }
-            None => {
-                enc.put_u8(TAG_TOMBSTONE);
-            }
-        }
-        enc.put_u64(self.version.block);
-        enc.put_u32(self.version.tx);
+        encode_entry(enc, &self.key, self.value.as_ref(), self.version);
     }
 }
 

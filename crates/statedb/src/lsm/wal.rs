@@ -2,21 +2,26 @@
 //!
 //! Frame layout: `[u32 payload_len][u32 crc32(payload)][payload]` where the
 //! payload is `u64 block_num, u32 entry_count, entries…` using the shared
-//! [`DiskEntry`] encoding. Recovery reads frames until EOF; a torn or
-//! corrupt tail frame ends replay cleanly (the block it belonged to was
-//! never acknowledged), while corruption *before* the tail is reported as
+//! [`DiskEntry`] encoding. The writer encodes a block's borrowed writes
+//! straight into one reused frame buffer; replay decodes [`WalRecord`]s.
+//! Recovery reads frames until EOF; a torn or corrupt tail frame ends
+//! replay cleanly (the block it belonged to was never acknowledged), while
+//! corruption *before* the tail is reported as
 //! [`fabric_common::Error::Corruption`].
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use fabric_common::codec::{Decode, Decoder, Encode, Encoder};
-use fabric_common::{BlockNum, Error, Result};
+use fabric_common::codec::{Decode, Decoder, Encoder};
+use fabric_common::{crc32, BlockNum, Error, Result, Version};
 
-use fabric_common::crc32;
-use super::record::DiskEntry;
+use super::record::{encode_entry, DiskEntry};
+use crate::store::WriteBatch;
+
+/// Bytes of a frame header: payload length, then payload crc.
+const HEADER: usize = 8;
 
 /// Injected outcome for one WAL append — the chaos subsystem's seam for
 /// exercising torn-write recovery without killing the process.
@@ -54,10 +59,12 @@ pub struct WalRecord {
 
 /// Appender for the write-ahead log.
 pub struct WalWriter {
-    file: BufWriter<File>,
+    file: File,
     path: PathBuf,
     sync_writes: bool,
     faults: Option<Arc<dyn WalFaultPolicy>>,
+    /// The frame being written, reused from append to append.
+    frame: Vec<u8>,
 }
 
 impl WalWriter {
@@ -65,7 +72,7 @@ impl WalWriter {
     pub fn open(path: impl Into<PathBuf>, sync_writes: bool) -> Result<Self> {
         let path = path.into();
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(WalWriter { file: BufWriter::new(file), path, sync_writes, faults: None })
+        Ok(WalWriter { file, path, sync_writes, faults: None, frame: Vec::new() })
     }
 
     /// Installs (or clears) the fault policy consulted on every append.
@@ -73,48 +80,56 @@ impl WalWriter {
         self.faults = faults;
     }
 
-    /// Appends one block record, flushing (and optionally fsyncing) so the
-    /// record is durable before the commit is acknowledged.
-    pub fn append(&mut self, record: &WalRecord) -> Result<()> {
-        let mut enc = Encoder::with_capacity(64 * record.entries.len() + 16);
-        enc.put_u64(record.block);
-        enc.put_u32(record.entries.len() as u32);
-        for e in &record.entries {
-            e.encode(&mut enc);
+    /// Appends `batch` as one block record, written (and optionally
+    /// fsynced) so the record is durable before the commit is
+    /// acknowledged. The record is encoded straight into the reused frame
+    /// buffer: the header's 8 bytes are reserved first and filled in once
+    /// the payload is there.
+    pub fn append(&mut self, batch: &WriteBatch<'_>) -> Result<()> {
+        let mut frame = std::mem::take(&mut self.frame);
+        frame.clear();
+        frame.resize(HEADER, 0);
+        let mut enc = Encoder::from(frame);
+        enc.put_u64(batch.block);
+        enc.put_u32(batch.writes.len() as u32);
+        for w in &batch.writes {
+            encode_entry(&mut enc, w.key, w.value, Version::new(batch.block, w.tx));
         }
-        let payload = enc.into_bytes();
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let mut frame = enc.into_bytes();
+        let len = (frame.len() - HEADER) as u32;
+        let crc = crc32(&frame[HEADER..]);
+        frame[..4].copy_from_slice(&len.to_le_bytes());
+        frame[4..HEADER].copy_from_slice(&crc.to_le_bytes());
+        let written = self.write_frame(batch.block, &frame);
+        self.frame = frame;
+        written
+    }
 
-        match self.faults.as_ref().map_or(WalIoFault::None, |f| f.on_append(record.block)) {
+    /// Writes one whole frame of `block`, or what the fault policy lets
+    /// through of it.
+    fn write_frame(&mut self, block: BlockNum, frame: &[u8]) -> Result<()> {
+        match self.faults.as_ref().map_or(WalIoFault::None, |f| f.on_append(block)) {
             WalIoFault::None => {}
             WalIoFault::TornWrite { keep } => {
                 let keep = keep.min(frame.len());
                 self.file.write_all(&frame[..keep])?;
-                self.file.flush()?;
                 if self.sync_writes {
-                    self.file.get_ref().sync_data()?;
+                    self.file.sync_data()?;
                 }
                 return Err(Error::Io(std::io::Error::other(format!(
-                    "injected torn write: {keep}/{} bytes of block {} frame persisted",
-                    frame.len(),
-                    record.block
+                    "injected torn write: {keep}/{} bytes of block {block} frame persisted",
+                    frame.len()
                 ))));
             }
             WalIoFault::ErrorBeforeWrite => {
                 return Err(Error::Io(std::io::Error::other(format!(
-                    "injected wal error before writing block {}",
-                    record.block
+                    "injected wal error before writing block {block}"
                 ))));
             }
         }
-
-        self.file.write_all(&frame)?;
-        self.file.flush()?;
+        self.file.write_all(frame)?;
         if self.sync_writes {
-            self.file.get_ref().sync_data()?;
+            self.file.sync_data()?;
         }
         Ok(())
     }
@@ -143,13 +158,13 @@ pub fn replay(path: &Path) -> Result<Vec<WalRecord>> {
     let mut records = Vec::new();
     let mut pos = 0usize;
     while pos < buf.len() {
-        if pos + 8 > buf.len() {
+        if pos + HEADER > buf.len() {
             // Torn frame header at the tail.
             break;
         }
         let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
         let expect_crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
-        let body_start = pos + 8;
+        let body_start = pos + HEADER;
         if body_start + len > buf.len() {
             // Torn payload at the tail.
             break;
@@ -181,14 +196,25 @@ pub fn replay(path: &Path) -> Result<Vec<WalRecord>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fabric_common::{Key, Value, Version};
+    use crate::store::CommitWrite;
+    use fabric_common::{Key, Value};
 
-    fn entry(i: u64) -> DiskEntry {
+    /// What a block's write of id `i` replays as.
+    fn entry(block: BlockNum, i: u64) -> DiskEntry {
         DiskEntry {
             key: Key::composite("k", i),
             value: Some(Value::from_i64(i as i64)),
-            version: Version::new(i, 0),
+            version: Version::new(block, i as u32),
         }
+    }
+
+    /// Appends a block writing ids `ids`, the write of id `i` at position `i`.
+    fn append(w: &mut WalWriter, block: BlockNum, ids: &[u64]) -> Result<()> {
+        let writes: Vec<CommitWrite> = ids
+            .iter()
+            .map(|&i| CommitWrite::put(Key::composite("k", i), Value::from_i64(i as i64), i as u32))
+            .collect();
+        w.append(&WriteBatch::from_writes(block, &writes))
     }
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -204,15 +230,15 @@ mod tests {
         let path = dir.join("wal");
         {
             let mut w = WalWriter::open(&path, false).unwrap();
-            w.append(&WalRecord { block: 0, entries: vec![entry(1), entry(2)] }).unwrap();
-            w.append(&WalRecord { block: 1, entries: vec![entry(3)] }).unwrap();
+            append(&mut w, 0, &[1, 2]).unwrap();
+            append(&mut w, 1, &[3]).unwrap();
         }
         let records = replay(&path).unwrap();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].block, 0);
         assert_eq!(records[0].entries.len(), 2);
         assert_eq!(records[1].block, 1);
-        assert_eq!(records[1].entries[0], entry(3));
+        assert_eq!(records[1].entries[0], entry(1, 3));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -229,8 +255,8 @@ mod tests {
         let path = dir.join("wal");
         {
             let mut w = WalWriter::open(&path, false).unwrap();
-            w.append(&WalRecord { block: 0, entries: vec![entry(1)] }).unwrap();
-            w.append(&WalRecord { block: 1, entries: vec![entry(2)] }).unwrap();
+            append(&mut w, 0, &[1]).unwrap();
+            append(&mut w, 1, &[2]).unwrap();
         }
         // Truncate mid-way through the second frame.
         let full = std::fs::read(&path).unwrap();
@@ -247,8 +273,8 @@ mod tests {
         let path = dir.join("wal");
         {
             let mut w = WalWriter::open(&path, false).unwrap();
-            w.append(&WalRecord { block: 0, entries: vec![entry(1)] }).unwrap();
-            w.append(&WalRecord { block: 1, entries: vec![entry(2)] }).unwrap();
+            append(&mut w, 0, &[1]).unwrap();
+            append(&mut w, 1, &[2]).unwrap();
         }
         let mut full = std::fs::read(&path).unwrap();
         let n = full.len();
@@ -265,8 +291,8 @@ mod tests {
         let path = dir.join("wal");
         {
             let mut w = WalWriter::open(&path, false).unwrap();
-            w.append(&WalRecord { block: 0, entries: vec![entry(1)] }).unwrap();
-            w.append(&WalRecord { block: 1, entries: vec![entry(2)] }).unwrap();
+            append(&mut w, 0, &[1]).unwrap();
+            append(&mut w, 1, &[2]).unwrap();
         }
         let mut full = std::fs::read(&path).unwrap();
         full[10] ^= 0xFF; // corrupt the first frame's payload
@@ -281,11 +307,11 @@ mod tests {
         let path = dir.join("wal");
         {
             let mut w = WalWriter::open(&path, false).unwrap();
-            w.append(&WalRecord { block: 0, entries: vec![] }).unwrap();
+            append(&mut w, 0, &[]).unwrap();
         }
         {
             let mut w = WalWriter::open(&path, false).unwrap();
-            w.append(&WalRecord { block: 1, entries: vec![entry(9)] }).unwrap();
+            append(&mut w, 1, &[9]).unwrap();
         }
         let records = replay(&path).unwrap();
         assert_eq!(records.len(), 2);
@@ -316,8 +342,8 @@ mod tests {
         {
             let mut w = WalWriter::open(&path, false).unwrap();
             w.set_fault_policy(Some(Arc::new(TearBlock { block: 1, keep: 7 })));
-            w.append(&WalRecord { block: 0, entries: vec![entry(1)] }).unwrap();
-            let err = w.append(&WalRecord { block: 1, entries: vec![entry(2)] }).unwrap_err();
+            append(&mut w, 0, &[1]).unwrap();
+            let err = append(&mut w, 1, &[2]).unwrap_err();
             assert!(matches!(err, Error::Io(_)), "torn write surfaces as I/O error: {err}");
         }
         // The partial frame is on disk but replay stops cleanly before it.
@@ -339,11 +365,11 @@ mod tests {
         }
         {
             let mut w = WalWriter::open(&path, false).unwrap();
-            w.append(&WalRecord { block: 0, entries: vec![entry(1)] }).unwrap();
+            append(&mut w, 0, &[1]).unwrap();
             w.set_fault_policy(Some(Arc::new(FailAll)));
-            assert!(w.append(&WalRecord { block: 1, entries: vec![entry(2)] }).is_err());
+            assert!(append(&mut w, 1, &[2]).is_err());
             w.set_fault_policy(None);
-            w.append(&WalRecord { block: 1, entries: vec![entry(2)] }).unwrap();
+            append(&mut w, 1, &[2]).unwrap();
         }
         // Nothing was written for the failed attempt: the log is two clean
         // frames.
@@ -359,7 +385,7 @@ mod tests {
         let path = dir.join("wal");
         {
             let mut w = WalWriter::open(&path, true).unwrap();
-            w.append(&WalRecord { block: 0, entries: vec![] }).unwrap();
+            append(&mut w, 0, &[]).unwrap();
         }
         let records = replay(&path).unwrap();
         assert_eq!(records, vec![WalRecord { block: 0, entries: vec![] }]);

@@ -5,26 +5,19 @@
 //! newest-first version chain, a commit lock, and the commit watermark,
 //! published *after* all of a block's writes are installed — the ordering
 //! the Fabric++ lock-free early-abort check relies on (see the
-//! [`StateStore`] commit protocol). Up to `retained_versions` recent
-//! versions per key stay resolvable, so snapshot reads-at-height
+//! [`StateStore`] commit protocol). Snapshot reads-at-height
 //! ([`StateStore::get_at`] and friends) serve a consistent point-in-time
-//! view without touching the commit ticket; the epoch GC — driven by the
-//! commit watermark and the [`crate::PinRegistry`] of live snapshot pins —
-//! trims chains on every commit so memory stays bounded under sustained
-//! load.
+//! view at any pinned height without touching the commit ticket. Pins
+//! decide what stays: the epoch GC — driven by the commit watermark and
+//! the [`crate::PinRegistry`] of live snapshot pins — trims every touched
+//! chain on each commit to what a pin can still read, so an unpinned key
+//! holds two facts in two slots under sustained load.
 
 use fabric_common::{BlockNum, Key, Result, StoreCounters, Value, Version};
 
 use crate::chain::{newest_values, resolve_chain, ChainMap, ShardGroups, Watermark, DEFAULT_SHARDS};
 use crate::pin::StateSnapshot;
 use crate::store::{CommitWrite, SnapshotGet, StateStore, VersionedValue, WriteBatch};
-
-/// Default number of recent versions retained per key. Enough that a
-/// simulation pinned a few blocks behind a fast committer still resolves
-/// without relying on its pin having been registered before the trims;
-/// small enough that chain scans stay in one cache line's worth of
-/// entries.
-const DEFAULT_RETAINED: usize = 4;
 
 /// Sharded in-memory versioned key-value store with per-key version chains.
 pub struct MemStateDb {
@@ -44,27 +37,15 @@ impl Default for MemStateDb {
 }
 
 impl MemStateDb {
-    /// Creates an empty store with the default shard count and retention.
+    /// Creates an empty store with the default shard count.
     pub fn new() -> Self {
-        Self::with_config(DEFAULT_SHARDS, DEFAULT_RETAINED)
+        Self::with_shards(DEFAULT_SHARDS)
     }
 
     /// Creates an empty store with `shards` shards (power of two enforced).
     pub fn with_shards(shards: usize) -> Self {
-        Self::with_config(shards, DEFAULT_RETAINED)
-    }
-
-    /// Creates an empty store retaining up to `retained` versions per key
-    /// (clamped to ≥ 1; live pins extend retention past this regardless).
-    pub fn with_retained_versions(retained: usize) -> Self {
-        Self::with_config(DEFAULT_SHARDS, retained)
-    }
-
-    /// Creates an empty store with explicit shard count and per-key
-    /// version retention.
-    pub fn with_config(shards: usize, retained: usize) -> Self {
         MemStateDb {
-            chains: ChainMap::new(shards, retained, false),
+            chains: ChainMap::new(shards, false),
             watermark: Watermark::new(None),
             commit_lock: parking_lot::Mutex::new(ShardGroups::default()),
             counters: StoreCounters::new(),
@@ -74,16 +55,7 @@ impl MemStateDb {
     /// Convenience: creates a store and commits `initial` as genesis
     /// (block 0), with all values at [`Version::GENESIS`].
     pub fn with_genesis(initial: impl IntoIterator<Item = (Key, Value)>) -> Self {
-        Self::with_genesis_retained(initial, DEFAULT_RETAINED)
-    }
-
-    /// [`MemStateDb::with_genesis`] with an explicit per-key version
-    /// retention budget.
-    pub fn with_genesis_retained(
-        initial: impl IntoIterator<Item = (Key, Value)>,
-        retained: usize,
-    ) -> Self {
-        let db = Self::with_config(DEFAULT_SHARDS, retained);
+        let db = Self::new();
         let writes: Vec<CommitWrite> = initial
             .into_iter()
             .map(|(key, value)| CommitWrite::put(key, value, 0))
@@ -154,10 +126,6 @@ impl StateStore for MemStateDb {
 
     fn counters(&self) -> StoreCounters {
         self.counters.clone()
-    }
-
-    fn retained_versions(&self) -> usize {
-        self.chains.retained()
     }
 
     fn pin_snapshot(&self) -> StateSnapshot {
@@ -422,7 +390,8 @@ mod tests {
 
     #[test]
     fn get_at_resolves_historical_versions() {
-        let db = MemStateDb::with_genesis_retained([(k("a"), v(10))], 8);
+        let db = MemStateDb::with_genesis([(k("a"), v(10))]);
+        let pin = db.pin_snapshot();
         db.apply_block(1, &[CommitWrite::put(k("a"), v(20), 0)]).unwrap();
         db.apply_block(2, &[CommitWrite::put(k("a"), v(30), 1)]).unwrap();
 
@@ -438,11 +407,12 @@ mod tests {
         let g2 = db.get_at(&k("a"), 2).unwrap();
         assert_eq!(g2.at_height.as_ref().unwrap().value, v(30));
         assert!(!g2.is_stale_at(2));
+        drop(pin);
     }
 
     #[test]
     fn get_at_sees_through_later_deletes_and_creates() {
-        let db = MemStateDb::with_genesis_retained([(k("a"), v(1))], 8);
+        let db = MemStateDb::with_genesis([(k("a"), v(1))]);
         db.apply_block(1, &[CommitWrite::delete(k("a"), 0), CommitWrite::put(k("b"), v(2), 1)])
             .unwrap();
 
@@ -461,11 +431,11 @@ mod tests {
 
     #[test]
     fn unpinned_chains_trim_to_retention_budget() {
-        let db = MemStateDb::with_genesis_retained([(k("a"), v(0))], 2);
+        let db = MemStateDb::with_genesis([(k("a"), v(0))]);
         for b in 1..10u64 {
             db.apply_block(b, &[CommitWrite::put(k("a"), v(b as i64), 0)]).unwrap();
         }
-        assert!(db.version_chain_len(&k("a")) <= 2);
+        assert_eq!(db.version_chain_len(&k("a")), 2);
         assert!(db.counters().snapshot().gc_trimmed_versions > 0);
     }
 
@@ -493,20 +463,15 @@ mod tests {
         }
     }
 
-    /// Runs `body` on both engines, each retaining `retained` versions per
-    /// key with `a = 0` committed as block 0: the in-memory store, and an
-    /// LSM store whose memtable never flushes, so every chain stays in the
-    /// shared chain map.
-    fn on_both_engines(test: &str, retained: usize, body: impl Fn(&str, &dyn Chains)) {
-        body("mem", &MemStateDb::with_genesis_retained([(k("a"), v(0))], retained));
-        let dir = std::env::temp_dir()
-            .join(format!("fabric-chains-{test}-{retained}-{}", std::process::id()));
+    /// Runs `body` on both engines, each with `a = 0` committed as block
+    /// 0: the in-memory store, and an LSM store whose memtable never
+    /// flushes, so every chain stays in the shared chain map.
+    fn on_both_engines(test: &str, body: impl Fn(&str, &dyn Chains)) {
+        body("mem", &MemStateDb::with_genesis([(k("a"), v(0))]));
+        let dir =
+            std::env::temp_dir().join(format!("fabric-chains-{test}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cfg = LsmConfig {
-            memtable_max_bytes: usize::MAX,
-            retained_versions: retained,
-            ..LsmConfig::default()
-        };
+        let cfg = LsmConfig { memtable_max_bytes: usize::MAX, ..LsmConfig::default() };
         let lsm = LsmStateDb::open(&dir, cfg).unwrap();
         lsm.apply_block(0, &[CommitWrite::put(k("a"), v(0), 0)]).unwrap();
         body("lsm", &lsm);
@@ -517,28 +482,25 @@ mod tests {
 
     #[test]
     fn unpinned_chain_capacity_stays_within_retention_plus_one() {
-        for retained in [2, DEFAULT_RETAINED, 7] {
-            on_both_engines("unpinned", retained, |engine, db| {
-                for b in 1..=50u64 {
-                    db.apply_block(b, &[CommitWrite::put(k("a"), v(b as i64), 0)]).unwrap();
-                    assert!(db.chain_capacity(&k("a")) <= retained + 1, "{engine} block {b}");
-                }
-                assert_eq!(db.chain_len(&k("a")), retained, "{engine}");
-            });
-        }
-        // One retained version still keeps the fact at the floor as well.
-        on_both_engines("unpinned", 1, |engine, db| {
+        // With no pin, a chain keeps its newest fact and the fact at the
+        // floor, which trails the committing block by one: two facts in
+        // two slots, from the first rewrite on.
+        on_both_engines("unpinned", |engine, db| {
             for b in 1..=50u64 {
                 db.apply_block(b, &[CommitWrite::put(k("a"), v(b as i64), 0)]).unwrap();
+                assert_eq!(db.chain_len(&k("a")), 2, "{engine} block {b}");
+                assert_eq!(db.chain_capacity(&k("a")), 2, "{engine} block {b}");
             }
-            assert_eq!(db.chain_len(&k("a")), 2, "{engine}");
-            assert_eq!(db.chain_capacity(&k("a")), 3, "{engine}");
+            // The fact at the floor is the one a reader pinned at the last
+            // published block resolves through.
+            let g = db.get_at(&k("a"), 49).unwrap();
+            assert_eq!(g.at_height.unwrap().value, v(49), "{engine}");
         });
     }
 
     #[test]
     fn pinned_height_survives_gc_and_trim_resumes_after_drop() {
-        let db = MemStateDb::with_genesis_retained([(k("a"), v(0))], 1);
+        let db = MemStateDb::with_genesis([(k("a"), v(0))]);
         let snap = db.pin_snapshot();
         assert_eq!(snap.height(), 0);
         for b in 1..20u64 {
@@ -558,8 +520,9 @@ mod tests {
 
     #[test]
     fn pin_grown_chain_gives_back_its_capacity_when_trimmed() {
-        // Retention 1: an unpinned chain needs max(1, 2) + 1 = 3 slots.
-        on_both_engines("give-back", 1, |engine, db| {
+        // An unpinned chain needs two slots: the fact at the floor and the
+        // incoming one.
+        on_both_engines("give-back", |engine, db| {
             let snap = db.pin_snapshot();
             for b in 1..20u64 {
                 db.apply_block(b, &[CommitWrite::put(k("a"), v(b as i64), 0)]).unwrap();
@@ -567,18 +530,42 @@ mod tests {
             assert!(db.chain_capacity(&k("a")) >= 20, "{engine}: the pin grew the chain");
             drop(snap);
             db.collect_garbage().unwrap();
-            assert!(db.chain_capacity(&k("a")) <= 3, "{engine}: GC keeps the pinned-era capacity");
+            assert_eq!(db.chain_len(&k("a")), 1, "{engine}");
+            assert_eq!(db.chain_capacity(&k("a")), 2, "{engine}: GC keeps the pinned-era capacity");
             for b in 20..40u64 {
                 db.apply_block(b, &[CommitWrite::put(k("a"), v(b as i64), 0)]).unwrap();
-                assert!(db.chain_capacity(&k("a")) <= 3, "{engine} block {b}");
+                assert_eq!(db.chain_len(&k("a")), 2, "{engine} block {b}");
+                assert_eq!(db.chain_capacity(&k("a")), 2, "{engine} block {b}");
             }
             assert_eq!(db.get(&k("a")).unwrap().unwrap().value, v(39), "{engine}");
         });
     }
 
     #[test]
+    fn pin_at_below_the_gc_floor_reads_unrewritten_keys_and_flags_rewritten_ones() {
+        on_both_engines("pin-at", |engine, db| {
+            db.apply_block(1, &[CommitWrite::put(k("b"), v(1), 0)]).unwrap();
+            for b in 2..=10u64 {
+                db.apply_block(b, &[CommitWrite::put(k("a"), v(b as i64), 0)]).unwrap();
+            }
+            // Height 1 is below the floor: no pin held it while `a` was
+            // rewritten, so its facts at 1 are gone.
+            let snap = db.pin_snapshot_at(1);
+            // A key not rewritten since the height reads exactly.
+            let b = db.get_at(&k("b"), snap.height()).unwrap();
+            let exact = VersionedValue::new(v(1), Version::new(1, 0));
+            assert_eq!(b.at_height, Some(exact), "{engine}");
+            assert!(!b.is_stale_at(1), "{engine}");
+            // A key rewritten after it reports a newer fact: stale.
+            let a = db.get_at(&k("a"), snap.height()).unwrap();
+            assert_eq!(a.newest, Some((Version::new(10, 0), Some(v(10)))), "{engine}");
+            assert!(a.is_stale_at(1), "{engine}");
+        });
+    }
+
+    #[test]
     fn dead_tombstone_chains_leave_the_map() {
-        let db = MemStateDb::with_genesis_retained([(k("a"), v(1))], 4);
+        let db = MemStateDb::with_genesis([(k("a"), v(1))]);
         db.apply_block(1, &[CommitWrite::delete(k("a"), 0)]).unwrap();
         // The tombstone is retained while the watermark floor allows pins
         // at height 0...

@@ -81,8 +81,13 @@ impl SnapshotView {
         SnapshotView { store, snapshot }
     }
 
-    /// Pins a snapshot at an explicit block (used by tests and by the
-    /// synchronous pipeline driver).
+    /// Pins a snapshot at an explicit block. A block below the store's GC
+    /// floor reads as [`StateStore::pin_snapshot_at`] says: a key not
+    /// rewritten since `last_block` reads exactly; a key rewritten after it
+    /// classifies as [`SnapshotRead::Stale`], unless the rewrite was a
+    /// delete and its facts at `last_block` are gone; that key, and a
+    /// deleted key whose tombstone chain has died, classify as
+    /// [`SnapshotRead::Absent`].
     pub fn pin_at(store: Arc<dyn StateStore>, last_block: BlockNum) -> Self {
         let snapshot = store.pin_snapshot_at(last_block);
         SnapshotView { store, snapshot }

@@ -131,7 +131,7 @@ pub struct SnapshotGet {
     pub at_height: Option<VersionedValue>,
     /// The newest committed fact: `(version, value)`, value `None` when
     /// the newest write is a delete. `None` when the key has never been
-    /// written (within the retained versions).
+    /// written, or its tombstone chain has died.
     pub newest: Option<(Version, Option<Value>)>,
 }
 
@@ -222,10 +222,9 @@ pub trait StateStore: Send + Sync {
         StoreCounters::new()
     }
 
-    /// How many recent versions per key the engine retains for snapshot
-    /// reads (the `N` of the multi-version contract). `1` means
-    /// current-state only: reads-at-height degrade to the single-version
-    /// defaults below, except at heights kept live by a pin.
+    /// How many versions per key the engine keeps beyond what live pins
+    /// need: none, on every engine — pins alone decide what a chain holds.
+    /// Always `1`; kept because the benchmark reports it.
     fn retained_versions(&self) -> usize {
         1
     }
@@ -233,7 +232,7 @@ pub trait StateStore: Send + Sync {
     /// Pins a snapshot at the current commit watermark and returns the
     /// RAII guard. While the guard lives, reads at its height are exact:
     /// the epoch GC will not trim any chain entry the height resolves
-    /// through, regardless of [`StateStore::retained_versions`].
+    /// through.
     ///
     /// This is the lockless-endorsement entry point: pinning takes no
     /// commit ticket and never blocks a committer (Meir et al.,
@@ -243,8 +242,17 @@ pub trait StateStore: Send + Sync {
     }
 
     /// Pins a snapshot at an explicit `height` (which must not exceed the
-    /// current watermark). Reads at heights below the retention floor and
-    /// not covered by this pin at registration time are best-effort.
+    /// current watermark). From registration on, the GC keeps what a read
+    /// at `height` resolves through. A height already below the GC floor
+    /// (the oldest live pin, else the watermark) may have lost facts
+    /// before the pin arrived; a read there still says:
+    ///
+    /// * for a key not rewritten since `height`: its exact value (its
+    ///   newest fact is at or below `height`, and a chain always keeps its
+    ///   newest fact);
+    /// * for a key rewritten after `height`: a `newest` above `height`,
+    ///   so [`SnapshotGet::is_stale_at`] holds, whatever `at_height` says;
+    /// * for a deleted key whose tombstone chain has died: absent.
     fn pin_snapshot_at(&self, height: BlockNum) -> StateSnapshot {
         StateSnapshot::unregistered(height)
     }
@@ -252,8 +260,8 @@ pub trait StateStore: Send + Sync {
     /// Versioned point read: the key's value as of `height` plus its
     /// newest committed fact, in one chain resolution (see
     /// [`SnapshotGet`]). `height` should come from a live
-    /// [`StateSnapshot`]; unpinned historical heights below the retention
-    /// floor resolve best-effort.
+    /// [`StateSnapshot`]; an unpinned height below the GC floor resolves
+    /// as [`StateStore::pin_snapshot_at`] describes.
     ///
     /// The single-version default serves the current value: exact whenever
     /// the newest write predates `height` (the common quiescent case), and
@@ -316,9 +324,8 @@ pub trait StateStore: Send + Sync {
     }
 
     /// Epoch-GC sweep: trims every version chain down to what the current
-    /// retention floor (oldest live pin, else the commit watermark) and
-    /// [`StateStore::retained_versions`] require, returning the number of
-    /// superseded versions dropped. Engines also trim incrementally on
+    /// GC floor (oldest live pin, else the commit watermark) requires,
+    /// returning the number of superseded versions dropped. Engines also trim incrementally on
     /// every commit (touched chains only); this full sweep exists for
     /// tests and for reclaiming after a burst of pins is released.
     fn collect_garbage(&self) -> Result<usize> {

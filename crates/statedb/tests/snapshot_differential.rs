@@ -158,11 +158,10 @@ fn check_read(
     Ok(())
 }
 
-fn tiny_cfg(retained: usize) -> LsmConfig {
+fn tiny_cfg() -> LsmConfig {
     LsmConfig {
         memtable_max_bytes: 256, // flush constantly
         compaction_threshold: 2, // compact constantly
-        retained_versions: retained,
         sstable: SsTableOptions { index_interval: 4, bloom_bits_per_key: 8 },
         ..LsmConfig::default()
     }
@@ -173,17 +172,16 @@ proptest! {
     #[test]
     fn snapshot_reads_match_full_copy_oracle(
         steps in proptest::collection::vec(step_strategy(), 1..50),
-        retained in 1usize..5,
     ) {
         let dir = std::env::temp_dir().join(format!(
             "fabric-snapdiff-{}-{:x}",
             std::process::id(),
-            suffix(&steps, retained),
+            suffix(&steps),
         ));
         let _ = std::fs::remove_dir_all(&dir);
 
-        let mem = MemStateDb::with_retained_versions(retained);
-        let lsm = LsmStateDb::open(&dir, tiny_cfg(retained)).unwrap();
+        let mem = MemStateDb::new();
+        let lsm = LsmStateDb::open(&dir, tiny_cfg()).unwrap();
         let mut oracle = Oracle::default();
         // Block 0 exists on every path: `last_committed_block` reports 0
         // both before and after it, so pinning is only meaningful once it
@@ -293,8 +291,8 @@ fn pick(pins: &[(StateSnapshot, StateSnapshot)], i: u8) -> Option<&(StateSnapsho
 }
 
 /// Stable per-case directory suffix derived from the inputs.
-fn suffix(steps: &[Step], retained: usize) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325 ^ retained as u64;
+fn suffix(steps: &[Step]) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
     for s in steps {
         let b = match s {
             Step::Commit(ops) => 1 + ops.len() as u64,
@@ -312,37 +310,35 @@ fn suffix(steps: &[Step], retained: usize) -> u64 {
     h
 }
 
-/// GC pressure: a hot key rewritten every block, in three phases.
-/// Unpinned, chains stay at the retention budget; with a live pin, facts
-/// *below* the oldest pin are trimmed while the pinned height stays
-/// exactly readable (facts above the floor are retained — the cost of an
-/// old snapshot scales with commits since the pin, as in any MVCC
-/// system); after the pin drops, a sweep reclaims the pinned-era history.
+/// GC pressure: a hot key rewritten every block, in three phases. Pins
+/// decide what a chain holds. Unpinned, it holds the newest fact and the
+/// one at the floor; with a live pin, facts *below* the oldest pin are
+/// trimmed while the pinned height stays exactly readable (facts above the
+/// floor stay — the cost of an old snapshot scales with commits since the
+/// pin, as in any MVCC system); after the pin drops, a sweep reclaims the
+/// pinned-era history.
 #[test]
 fn gc_trims_to_oldest_live_pin_and_never_collects_it() {
     let dir = std::env::temp_dir()
         .join(format!("fabric-snapdiff-gc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let retained = 2;
-    let mem = MemStateDb::with_retained_versions(retained);
-    let lsm = LsmStateDb::open(&dir, tiny_cfg(retained)).unwrap();
+    let mem = MemStateDb::new();
+    let lsm = LsmStateDb::open(&dir, tiny_cfg()).unwrap();
     let hot = key(0);
 
-    // Phase 1 — no pins: blocks 0..=50, chains hold the budget only.
+    // Phase 1 — no pins: blocks 0..=50, chains hold the newest fact and
+    // the one at the floor (the LSM memtable, which flushes constantly,
+    // at most that).
     for b in 0..=50u64 {
         let writes = [CommitWrite::put(hot.clone(), Value::from_i64(b as i64), 0)];
         mem.apply_block(b, &writes).unwrap();
         lsm.apply_block(b, &writes).unwrap();
     }
+    assert_eq!(mem.version_chain_len(&hot), 2, "unpinned mem chain");
     assert!(
-        mem.version_chain_len(&hot) <= retained + 1,
-        "unpinned mem chain blew the budget: {}",
-        mem.version_chain_len(&hot)
-    );
-    assert!(
-        lsm.version_chain_len(&hot) <= retained + 1,
-        "unpinned lsm chain blew the budget: {}",
+        lsm.version_chain_len(&hot) <= 2,
+        "unpinned lsm chain kept more than the pin rule needs: {}",
         lsm.version_chain_len(&hot)
     );
 
@@ -363,16 +359,13 @@ fn gc_trims_to_oldest_live_pin_and_never_collects_it() {
             assert_eq!(vv.value.as_i64(), Some(50), "{engine} at block {b}");
             assert_eq!(vv.version, Version::new(50, 0), "{engine} at block {b}");
         }
-        // ...and the chain holds the facts the pin can still see plus a
-        // trimmed tail below the floor — never the phase-1 history.
-        let commits_since_pin = (b - 50) as usize;
+        // ...and the chain holds exactly the facts the pin can still see:
+        // the one at the pin and every later one, never the phase-1
+        // history.
+        let visible = (b - 50) as usize + 1;
+        assert_eq!(mem.version_chain_len(&hot), visible, "mem chain at block {b}");
         assert!(
-            mem.version_chain_len(&hot) <= commits_since_pin + retained,
-            "mem chain kept pre-pin history: {} at block {b}",
-            mem.version_chain_len(&hot)
-        );
-        assert!(
-            lsm.version_chain_len(&hot) <= commits_since_pin + retained,
+            lsm.version_chain_len(&hot) <= visible,
             "lsm chain kept pre-pin history: {} at block {b}",
             lsm.version_chain_len(&hot)
         );
@@ -385,8 +378,8 @@ fn gc_trims_to_oldest_live_pin_and_never_collects_it() {
     assert_eq!(lsm.live_pins(), 0);
     mem.collect_garbage().unwrap();
     lsm.collect_garbage().unwrap();
-    assert!(mem.version_chain_len(&hot) <= retained);
-    assert!(lsm.version_chain_len(&hot) <= retained);
+    assert_eq!(mem.version_chain_len(&hot), 1);
+    assert!(lsm.version_chain_len(&hot) <= 1);
     // The current value is untouched by GC.
     assert_eq!(mem.get(&hot).unwrap().unwrap().value.as_i64(), Some(100));
     assert_eq!(lsm.get(&hot).unwrap().unwrap().value.as_i64(), Some(100));
@@ -401,7 +394,7 @@ fn gc_trims_to_oldest_live_pin_and_never_collects_it() {
 /// batch read is internally consistent with its pinned height.
 #[test]
 fn snapshot_reads_are_lockless_and_untorn_under_concurrent_commits() {
-    let db = Arc::new(MemStateDb::with_retained_versions(4));
+    let db = Arc::new(MemStateDb::new());
     // Two keys whose sum is invariant under every block (a transfer).
     let a = key(0);
     let b = key(1);
