@@ -1,31 +1,37 @@
 //! `ChaosNet`: the single-threaded, fully deterministic pipeline driver.
 //!
 //! Every phase is an explicit method call — [`ChaosNet::propose`]
-//! (simulation), [`ChaosNet::submit`] (hand to the orderer's buffer),
-//! [`ChaosNet::cut_block`] (ordering, delivery, validation and commit on
-//! every peer) — so tests can script exact interleavings, e.g. "commit a
-//! block between these two simulations", which the threaded runtime cannot
+//! (simulation), [`ChaosNet::submit`] (hand to the orderer's cutter),
+//! [`ChaosNet::cut_block`] (delivery, validation and commit on every peer)
+//! — so tests can script exact interleavings, e.g. "commit a block
+//! between these two simulations", which the threaded runtime cannot
 //! guarantee. Under [`FaultPlan::quiescent`] nothing is injected; the
 //! paper's scripted scenarios (Appendix A, Tables 1 and 2, the §5.1 and
 //! §5.2.2 early aborts) run that way.
 //!
-//! Under any other plan block delivery runs through a [`FaultInjector`]:
-//! each cut block is offered to every peer individually and the injector's
-//! verdict decides whether that copy is delivered, dropped, duplicated,
-//! deferred one round (a logical latency spike), or absorbed into a
-//! reorder burst and released in reverse order. Peers heal duplicates and
-//! gaps: a block below the chain height is ignored, a block above it
-//! triggers catch-up from the orderer's block archive. (The threaded
-//! runtime has no such healing: its FIFO links cannot produce either.)
+//! The net drives the threaded runtime's orderer and commit steps and
+//! keeps only its own clock and transport. Its clock is the explicit
+//! `cut_block`: submissions go through the same [`OrderingService`]
+//! cutter, so a batch the spine's count, byte or unique-key thresholds cut
+//! is sealed at once, and `cut_block` delivers it and then flushes the
+//! rest; batch timeouts never fire. Its transport is a [`FaultInjector`]:
+//! under any plan but the quiescent one each block is offered to every
+//! peer individually and the injector's verdict decides whether that copy
+//! is delivered, dropped, duplicated, deferred one round (a logical
+//! latency spike), or absorbed into a reorder burst and released in
+//! reverse order. [`Peer::process_block`] refuses a block out of turn, and
+//! the net heals the refusal: a duplicate is ignored, a gap triggers
+//! catch-up from the orderer's block archive. (The threaded runtime
+//! panics instead: its FIFO links cannot produce either.)
 //!
 //! Scheduled faults from the plan are orchestrated here too: crash points
-//! kill a peer right before their block is cut (optionally tearing its
-//! block file mid-append, see [`ChaosOptions::block_dir`]) and restart it
-//! — through [`fabric_peer::recovery`] plus archive catch-up — a
+//! kill a peer right before their block is delivered (optionally tearing
+//! its block file mid-append, see [`ChaosOptions::block_dir`]) and restart
+//! it — through [`fabric_peer::recovery`] plus archive catch-up — a
 //! configured number of blocks later, rebuilt through
 //! [`PeerContext::restore_peer`]. That is all the harness owns: its
-//! channel comes from [`assemble`], its proposals go through [`propose`]
-//! and its cuts through [`order_cut`], as on the threaded runtime.
+//! channel comes from [`assemble`] and its proposals go through
+//! [`propose`], as on the threaded runtime.
 //!
 //! Because every step is driven by a plain method call on one thread, a
 //! (plan, seed, workload) triple determines the entire run: the fault
@@ -39,6 +45,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
 use fabric_common::{
     ChannelId, ClientId, CostModel, Error, Key, PeerId, PipelineConfig, Result, Transaction,
@@ -46,13 +53,13 @@ use fabric_common::{
 };
 use fabric_ledger::ledger::tear_block_file;
 use fabric_ledger::{Block, Ledger};
-use fabric_ordering::{CutReason, OrdererStats, OrdererStatsSnapshot, OrderingService};
+use fabric_ordering::{OrdererStatsSnapshot, OrderingService};
 use fabric_peer::chaincode::Chaincode;
 use fabric_peer::peer::Peer;
 use fabric_peer::validation_pool::ValidationPool;
 use fabric_telemetry::{TelemetryConfig, TelemetrySeries};
 use fabric_trace::TraceSink;
-use fabricpp::channel::{assemble, order_cut, PeerContext};
+use fabricpp::channel::{assemble, PeerContext};
 use fabricpp::client::{propose, ProposeOutcome};
 use fabricpp::StateEngine;
 
@@ -126,12 +133,12 @@ impl Default for ChaosOptions {
 /// Deterministic (optionally fault-injecting) Fabric/Fabric++ instance.
 pub struct ChaosNet {
     slots: Vec<Slot>,
-    /// The one ordering service: each cut batch is ordered through
-    /// [`order_cut`], as on the threaded runtime's orderer thread.
+    /// The orderer step the threaded runtime's orderer thread drives too.
     orderer: OrderingService,
-    orderer_stats: OrdererStats,
-    pending: Vec<Transaction>,
-    /// Every ordered block, in order (block `n` at index `n - 1`). Each is
+    /// Blocks the cutter's thresholds sealed at submit time, in order;
+    /// the next [`ChaosNet::cut_block`] delivers them.
+    sealed: Vec<Arc<Block>>,
+    /// Every delivered block, in order (block `n` at index `n - 1`). Each is
     /// sealed into one `Arc` that every delivery, duplicate and peer
     /// ledger shares.
     archive: Vec<Arc<Block>>,
@@ -213,8 +220,7 @@ impl ChaosNet {
         Ok(ChaosNet {
             slots,
             orderer,
-            orderer_stats: OrdererStats::new(),
-            pending: Vec::new(),
+            sealed: Vec::new(),
             archive: Vec::new(),
             injector,
             ctx,
@@ -236,10 +242,12 @@ impl ChaosNet {
         &self.injector
     }
 
-    /// The ordering service's counters: one flush cut per block, plus
-    /// the batches early abort emptied.
+    /// The ordering service's counters: one threshold cut per batch the
+    /// cutter's thresholds cut, one flush cut per [`ChaosNet::cut_block`]
+    /// that found transactions pending, and the batches early abort
+    /// emptied.
     pub fn orderer_stats(&self) -> OrdererStatsSnapshot {
-        self.orderer_stats.snapshot()
+        self.ctx.orderer_stats.snapshot()
     }
 
     fn ledger_path(dir: &Path, id: PeerId) -> PathBuf {
@@ -289,9 +297,13 @@ impl ChaosNet {
         })
     }
 
-    /// Hands an endorsed transaction to the orderer's buffer.
+    /// Hands an endorsed transaction to the orderer's cutter. A batch the
+    /// cutter's thresholds cut is sealed at once; the next
+    /// [`ChaosNet::cut_block`] delivers it. The cutter never times out:
+    /// the net polls no timeout.
     pub fn submit(&mut self, tx: Transaction) {
-        self.pending.push(tx);
+        let sealed = self.orderer.push(tx, Instant::now());
+        self.sealed.extend(sealed);
     }
 
     /// Propose and, if endorsed, submit. Returns the tx id if it entered
@@ -328,67 +340,55 @@ impl ChaosNet {
         Some(id)
     }
 
-    /// Ordering + delivery: cuts everything pending into one block,
-    /// archives it, fires any crash points scheduled for it, offers it to
-    /// every peer through the injector, and finally fires due restarts.
-    /// Returns the cut block's number — read the committed block from a
-    /// peer's ledger (`reporting_peer().ledger().get(n)`) — or `Ok(None)`
-    /// when the cut was suppressed (empty pending buffer, which never
-    /// reaches the orderer, or fully early-aborted batch): no block is
-    /// delivered, no block number is consumed, no crash/restart points
-    /// fire, and the fault schedule stays deterministic per seed.
+    /// Delivery: flushes whatever the orderer still has pending into one
+    /// last block, then delivers every block sealed since the last call,
+    /// in order — each archived, its scheduled crash points fired, offered
+    /// to every peer through the injector, and due restarts fired.
+    /// Returns the number of the last block delivered — read the committed
+    /// block from a peer's ledger (`reporting_peer().ledger().get(n)`) —
+    /// or `Ok(None)` when no block was sealed (nothing pending, which
+    /// never reaches the orderer, or every batch fully early-aborted): no
+    /// block is delivered, no block number is consumed, no crash/restart
+    /// points fire, and the fault schedule stays deterministic per seed.
     pub fn cut_block(&mut self) -> Result<Option<u64>> {
-        // Queue depth at the cut: the deterministic harness's analogue of
-        // the threaded runtime's cutter queue (observation only).
-        self.ctx.gauges.set_cutter_queue(self.pending.len() as u64);
-        if self.pending.is_empty() {
-            return Ok(None);
-        }
-        let batch = std::mem::take(&mut self.pending);
-        // The harness cuts on demand, which maps to the explicit flush
-        // condition rather than a threshold.
-        let Some(block) = order_cut(
-            &mut self.orderer,
-            batch,
-            CutReason::Flush,
-            &self.orderer_stats,
-            &self.ctx.phase_timers,
-            &self.ctx.sink,
-        ) else {
-            return Ok(None);
-        };
-        let num = block.header.number;
-        self.archive.push(Arc::clone(&block));
-
-        // Scheduled crashes fire before delivery: the peer misses this
-        // block entirely, like a process that died between cuts.
-        // A plan's peer ids are checked at construction: peer `id` is slot
-        // `id - 1`.
+        self.sealed.extend(self.orderer.flush());
         let crashes: Vec<_> = self.injector.plan().crashes.to_vec();
-        for c in crashes.iter().filter(|c| c.at_block == num) {
-            let idx = c.peer as usize - 1;
-            if !self.slots[idx].down {
-                self.crash(idx)?;
-                if c.tear_bytes > 0 {
-                    self.tear_block_log(idx, c.tear_bytes)?;
+        let mut last = None;
+        for block in std::mem::take(&mut self.sealed) {
+            let num = block.header.number;
+            self.archive.push(Arc::clone(&block));
+            last = Some(num);
+
+            // Scheduled crashes fire before delivery: the peer misses this
+            // block entirely, like a process that died between cuts. A
+            // plan's peer ids are checked at construction: peer `id` is
+            // slot `id - 1`.
+            for c in crashes.iter().filter(|c| c.at_block == num) {
+                let idx = c.peer as usize - 1;
+                if !self.slots[idx].down {
+                    self.crash(idx)?;
+                    if c.tear_bytes > 0 {
+                        self.tear_block_log(idx, c.tear_bytes)?;
+                    }
+                }
+            }
+
+            for idx in 0..self.slots.len() {
+                self.deliver(idx, Arc::clone(&block))?;
+            }
+
+            // Scheduled restarts fire after delivery, so a crash at block
+            // `b` with `restart_after_blocks = r` misses exactly blocks
+            // `b..b+r` before recovery and catch-up bring it back level.
+            for c in &crashes {
+                let due =
+                    c.restart_after_blocks > 0 && c.at_block + c.restart_after_blocks == num + 1;
+                if due && self.slots[c.peer as usize - 1].down {
+                    self.restart(c.peer as usize - 1)?;
                 }
             }
         }
-
-        for idx in 0..self.slots.len() {
-            self.deliver(idx, Arc::clone(&block))?;
-        }
-
-        // Scheduled restarts fire after delivery, so a crash at block `b`
-        // with `restart_after_blocks = r` misses exactly blocks `b..b+r`
-        // before recovery and catch-up bring it back level.
-        for c in &crashes {
-            let due = c.restart_after_blocks > 0 && c.at_block + c.restart_after_blocks == num + 1;
-            if due && self.slots[c.peer as usize - 1].down {
-                self.restart(c.peer as usize - 1)?;
-            }
-        }
-        Ok(Some(num))
+        Ok(last)
     }
 
     /// Offers `block` to peer `idx` through the injector.
@@ -397,25 +397,19 @@ impl ChaosNet {
             return Ok(()); // messages to a dead process vanish
         }
         // Last round's delayed blocks arrive first: their spike is over.
-        let delayed = std::mem::take(&mut self.slots[idx].delayed);
-        for b in delayed {
-            self.apply(idx, b)?;
-        }
+        self.release(idx, false)?;
         // An open reorder burst absorbs deliveries without consulting the
         // injector, then flushes in reverse.
-        if self.slots[idx].burst_remaining > 0 {
-            self.slots[idx].burst.push(block);
-            self.slots[idx].burst_remaining -= 1;
-            if self.slots[idx].burst_remaining == 0 {
-                let mut burst = std::mem::take(&mut self.slots[idx].burst);
-                burst.reverse();
-                for b in burst {
-                    self.apply(idx, b)?;
-                }
+        let slot = &mut self.slots[idx];
+        if slot.burst_remaining > 0 {
+            slot.burst.push(block);
+            slot.burst_remaining -= 1;
+            if slot.burst_remaining == 0 {
+                self.release(idx, true)?;
             }
             return Ok(());
         }
-        let link = LinkId::from_orderer(self.slots[idx].peer.id().raw() as u32);
+        let link = LinkId::from_orderer(slot.peer.id().raw() as u32);
         match self.injector.on_send(link) {
             SendFault::Deliver => self.apply(idx, block),
             SendFault::Drop => Ok(()),
@@ -440,22 +434,34 @@ impl ChaosNet {
         }
     }
 
-    /// Commits `block` on peer `idx`, healing duplicates (already on the
-    /// chain → ignored) and gaps (future block → archive catch-up).
-    fn apply(&mut self, idx: usize, block: Arc<Block>) -> Result<()> {
-        let height = self.slots[idx].peer.ledger().height();
-        let num = block.header.number;
-        if num < height {
-            return Ok(()); // duplicate of a committed block
+    /// Applies peer `idx`'s delayed blocks, then — with `close_burst` —
+    /// closes its reorder burst and applies the absorbed blocks in
+    /// reverse.
+    fn release(&mut self, idx: usize, close_burst: bool) -> Result<()> {
+        let slot = &mut self.slots[idx];
+        let mut blocks = std::mem::take(&mut slot.delayed);
+        if close_burst {
+            slot.burst_remaining = 0;
+            blocks.extend(std::mem::take(&mut slot.burst).into_iter().rev());
         }
-        if num > height {
-            // Gap: an earlier block was dropped/delayed past us. The
-            // archive holds everything up to and including this block.
-            self.catch_up(idx)?;
-            return Ok(());
+        for b in blocks {
+            self.apply(idx, b)?;
         }
-        self.slots[idx].peer.process_block(block)?;
         Ok(())
+    }
+
+    /// Commits `block` on peer `idx`, healing the peer's refusal of a
+    /// block out of turn: a duplicate of a committed block is ignored, and
+    /// a gap (an earlier block dropped or delayed past this one) is caught
+    /// up from the archive, which holds everything up to this block.
+    fn apply(&mut self, idx: usize, block: Arc<Block>) -> Result<()> {
+        match self.slots[idx].peer.process_block(block) {
+            Err(Error::BlockOutOfTurn { expected, received }) if received > expected => {
+                self.catch_up(idx).map(drop)
+            }
+            Err(Error::BlockOutOfTurn { .. }) => Ok(()),
+            other => other.map(drop),
+        }
     }
 
     /// Replays archived blocks until peer `idx` is level with the orderer.
@@ -532,20 +538,10 @@ impl ChaosNet {
     /// network's drain-on-shutdown.
     pub fn settle(&mut self) -> Result<()> {
         for idx in 0..self.slots.len() {
-            if self.slots[idx].down {
-                continue;
+            if !self.slots[idx].down {
+                self.release(idx, true)?;
+                self.catch_up(idx)?;
             }
-            let delayed = std::mem::take(&mut self.slots[idx].delayed);
-            for b in delayed {
-                self.apply(idx, b)?;
-            }
-            let mut burst = std::mem::take(&mut self.slots[idx].burst);
-            self.slots[idx].burst_remaining = 0;
-            burst.reverse();
-            for b in burst {
-                self.apply(idx, b)?;
-            }
-            self.catch_up(idx)?;
         }
         Ok(())
     }
@@ -581,12 +577,12 @@ impl ChaosNet {
         self.slots[idx].down
     }
 
-    /// Number of transactions waiting for the next block.
+    /// Number of submitted transactions the orderer has not cut yet.
     pub fn pending_count(&self) -> usize {
-        self.pending.len()
+        self.orderer.cutter().len()
     }
 
-    /// Blocks ordered so far (excluding genesis).
+    /// Blocks delivered so far (excluding genesis).
     pub fn blocks_cut(&self) -> u64 {
         self.archive.len() as u64
     }
@@ -907,6 +903,45 @@ mod tests {
         assert_eq!(s.cut_flush, net.blocks_cut());
         assert_eq!(s.txs_ordered, 18, "every submitted transfer reached the orderer");
         assert_eq!(s.empty_suppressed, 0, "an empty buffer never reaches the orderer");
+    }
+
+    /// Ten disjoint transfers, then one `cut_block`, under `cfg`: every
+    /// peer's blocks since genesis, as transaction counts.
+    fn cut_ten(cfg: PipelineConfig) -> (ChaosNet, Vec<Vec<usize>>) {
+        let mut net = quiet(cfg, 2, 2, 20);
+        for i in 0..10 {
+            net.propose_and_submit(i, "transfer", args(i, i + 10, 1)).unwrap();
+        }
+        assert_eq!(net.cut_block().unwrap(), Some(3), "the last block delivered");
+        assert_eq!(net.pending_count(), 0);
+        let sizes = net
+            .peers()
+            .iter()
+            .map(|p| {
+                let ledger = p.ledger();
+                (1..ledger.height()).map(|n| ledger.get(n).unwrap().block.txs.len()).collect()
+            })
+            .collect();
+        (net, sizes)
+    }
+
+    #[test]
+    fn cuts_where_the_spine_cuts() {
+        // The spine's cutter thresholds hold here too: a full batch is
+        // sealed at submit time, `cut_block` delivers it and flushes the
+        // rest — by count, and by unique keys (each transfer touches 2).
+        let (net, sizes) = cut_ten(PipelineConfig::fabric_pp().with_block_size(4));
+        assert_eq!(sizes, vec![vec![4, 4, 2]; 4]);
+        let s = net.orderer_stats();
+        assert_eq!((s.cut_tx_count, s.cut_unique_keys, s.cut_flush, s.blocks), (2, 0, 1, 3));
+
+        let mut cfg = PipelineConfig::fabric_pp();
+        cfg.cutting.max_unique_keys = Some(8);
+        let (net, sizes) = cut_ten(cfg);
+        assert_eq!(sizes, vec![vec![4, 4, 2]; 4]);
+        let s = net.orderer_stats();
+        assert_eq!((s.cut_tx_count, s.cut_unique_keys, s.cut_flush, s.blocks), (0, 2, 1, 3));
+        assert_eq!(net.stats().valid, 10, "disjoint transfers all commit");
     }
 
     #[test]

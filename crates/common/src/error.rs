@@ -18,6 +18,16 @@ pub enum Error {
     /// A component was used in a way its state does not allow
     /// (e.g. committing block `n+2` before block `n+1`).
     InvalidState(String),
+    /// A peer was handed block `received` while its ledger height — the
+    /// one number it can commit next — is `expected`. Refused before any
+    /// validation work starts; a driver with faults heals it (duplicate or
+    /// gap), a fault-free one treats it as a bug.
+    BlockOutOfTurn {
+        /// The ledger height: the number of the next block to commit.
+        expected: u64,
+        /// The number of the block that arrived.
+        received: u64,
+    },
     /// Configuration rejected at construction time.
     Config(String),
     /// A channel/component shut down while work was still queued.
@@ -31,6 +41,9 @@ impl fmt::Display for Error {
             Error::Io(e) => write!(f, "i/o error: {e}"),
             Error::Corruption(msg) => write!(f, "corruption detected: {msg}"),
             Error::InvalidState(msg) => write!(f, "invalid state: {msg}"),
+            Error::BlockOutOfTurn { expected, received } => {
+                write!(f, "block {received} arrived out of turn: the next block is {expected}")
+            }
             Error::Config(msg) => write!(f, "invalid configuration: {msg}"),
             Error::Shutdown(msg) => write!(f, "component shut down: {msg}"),
         }
@@ -62,6 +75,8 @@ mod tests {
         assert_eq!(Error::Codec("bad".into()).to_string(), "codec error: bad");
         assert!(Error::Corruption("x".into()).to_string().contains("corruption"));
         assert!(Error::InvalidState("y".into()).to_string().contains("invalid state"));
+        let turn = Error::BlockOutOfTurn { expected: 3, received: 5 }.to_string();
+        assert_eq!(turn, "block 5 arrived out of turn: the next block is 3");
         assert!(Error::Config("z".into()).to_string().contains("configuration"));
         assert!(Error::Shutdown("w".into()).to_string().contains("shut down"));
     }

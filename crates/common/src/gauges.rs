@@ -57,8 +57,9 @@ impl SubsystemGauges {
     }
 
     /// Sets the batch cutter's current queue depth (transactions buffered
-    /// and not yet cut). The orderer loop stores this after every push /
-    /// timeout poll, so a window close reads the most recent depth.
+    /// and not yet cut). The ordering service stores this after every
+    /// push, timeout cut and flush, so a window close reads the most
+    /// recent depth.
     pub fn set_cutter_queue(&self, txs: u64) {
         self.inner.cutter_queue_txs.store(txs, Ordering::Relaxed);
     }

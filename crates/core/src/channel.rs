@@ -1,7 +1,10 @@
-//! One channel: its assembly ([`PeerContext::new`], [`assemble`]) and
-//! order step ([`order_cut`]), shared with `fabric_chaos::ChaosNet`, and
-//! the threaded runtime's scheduler ([`ChannelRuntime`]); `ChaosNet` is
-//! the other scheduler.
+//! One channel: its assembly ([`PeerContext::new`], [`assemble`]), shared
+//! with `fabric_chaos::ChaosNet`, and the threaded runtime's scheduler
+//! ([`ChannelRuntime`]); `ChaosNet` is the other scheduler. Both drive the
+//! same orderer step ([`OrderingService`]: cut, prepare, seal, and the
+//! cut's books) and the same commit step ([`Peer::process_block`], which
+//! refuses a block out of turn); each keeps only its clock and its
+//! transport.
 //!
 //! ```text
 //!  clients ──(endorsed txs)──► orderer thread ──(blocks)──► peer threads
@@ -11,9 +14,10 @@
 //!
 //! The runtime is fault-free by construction: every orderer → peer link is
 //! a FIFO [`fabric_net::link`], so every peer receives the same blocks in
-//! the same order (paper Appendix A.2). A block arriving out of turn is a
-//! bug, and the peer thread panics on it rather than healing it. Injected
-//! faults, crashes and restarts are tested on `ChaosNet`.
+//! the same order (paper Appendix A.2), and the orderer's clock is the
+//! cutter's batch timeout. A block arriving out of turn is a bug, and the
+//! peer thread panics on the peer's refusal rather than healing it.
+//! Injected faults, crashes and restarts are tested on `ChaosNet`.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -22,21 +26,21 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::RecvTimeoutError;
 
 use fabric_common::{
-    ChannelId, ConcurrencyMode, CostModel, Key, LatencyRecorder, OrgId, PeerId, Phase,
-    PhaseTimers, PipelineConfig, Result, SignerRegistry, SigningKey, StoreCounters,
-    SubsystemGauges, Transaction, TxCounters, Value,
+    ChannelId, ConcurrencyMode, CostModel, Key, LatencyRecorder, OrgId, PeerId, PhaseTimers,
+    PipelineConfig, Result, SignerRegistry, SigningKey, StoreCounters, SubsystemGauges,
+    Transaction, TxCounters, Value,
 };
 use fabric_telemetry::{TelemetryConfig, TelemetryHub};
 use fabric_ledger::{Block, Ledger};
 use fabric_net::{link, Broadcaster, DelayedSender, LatencyModel, NetStats};
-use fabric_ordering::{BatchCutter, CutReason, OrderingService, OrdererStats};
+use fabric_ordering::{OrderingService, OrdererStats};
 use fabric_peer::chaincode::{Chaincode, ChaincodeRegistry};
 use fabric_peer::peer::{genesis_block, PendingBlock, Peer};
 use fabric_peer::recovery;
 use fabric_peer::validation_pool::ValidationPool;
 use fabric_peer::validator::EndorsementPolicy;
 use fabric_statedb::{LsmConfig, LsmStateDb, MemStateDb, StateStore};
-use fabric_trace::{EventKind, TraceSink};
+use fabric_trace::TraceSink;
 
 use crate::network::StateEngine;
 
@@ -72,11 +76,13 @@ pub struct PeerContext {
     pub latency: LatencyRecorder,
     /// Per-phase timers of the reporting peer (and the orderer).
     pub phase_timers: PhaseTimers,
+    /// Cut counters every channel's ordering service records on.
+    pub orderer_stats: OrdererStats,
     /// Flight-recorder sink (disabled unless tracing was enabled); the
     /// orderer emits cut/seal events and a restarted reporting peer is
     /// re-attached to it.
     pub sink: TraceSink,
-    /// Shared telemetry gauge cells: the orderer refreshes the cutter
+    /// Shared telemetry gauge cells: the orderer publishes the cutter
     /// queue depth through them, and restarted peers are re-attached so
     /// their endorsements keep counting.
     pub gauges: SubsystemGauges,
@@ -120,6 +126,7 @@ impl PeerContext {
             counters: TxCounters::new(),
             latency: LatencyRecorder::new(),
             phase_timers: PhaseTimers::new(),
+            orderer_stats: OrdererStats::new(),
             sink,
             gauges,
             telemetry: telemetry.map_or_else(TelemetryHub::disabled, TelemetryHub::with_config),
@@ -153,12 +160,11 @@ impl PeerContext {
         store: Arc<dyn StateStore>,
         ledger: Arc<Ledger>,
     ) -> Peer {
-        Peer::restore(
+        Peer::new(
             id,
             org,
             key,
             store,
-            ledger,
             self.chaincodes.clone(),
             self.registry.clone(),
             self.policy.clone(),
@@ -166,6 +172,7 @@ impl PeerContext {
             self.early_abort_simulation,
             self.cost,
         )
+        .with_ledger(ledger)
     }
 
     fn attach(&self, slot: usize, peer: Peer) -> Peer {
@@ -186,7 +193,9 @@ impl PeerContext {
 /// gets a fresh `engine` store (an LSM one under `dir/peer-<id>`), the
 /// empty ledger `ledger(id)` returns, a registered signing key, the shared
 /// pool and — slot 0 only — the context's observers; all install one
-/// shared genesis block. The ordering service resumes at their tip.
+/// shared genesis block. The ordering service cuts at `config`'s
+/// thresholds, records on the context's observers, and resumes at their
+/// tip.
 pub fn assemble(
     ctx: &PeerContext,
     config: &PipelineConfig,
@@ -217,46 +226,12 @@ pub fn assemble(
     }
     let orderer = OrderingService::new(config)
         .with_counters(ctx.counters.clone())
+        .with_stats(ctx.orderer_stats.clone())
+        .with_phase_timers(ctx.phase_timers.clone())
+        .with_gauges(ctx.gauges.clone())
         .with_trace(ctx.sink.clone())
         .resume_at(1, peers[0].ledger().tip_hash());
     Ok((peers, orderer))
-}
-
-/// Orders one cut batch on the calling thread; both drivers order every
-/// batch through here (the threaded runtime's orderer thread and
-/// `fabric_chaos::ChaosNet::cut_block`). Emits [`EventKind::BlockCut`],
-/// prepares and seals the batch through `service`, records
-/// [`Phase::Reorder`] and [`Phase::Order`] on `timers` and the cut (or
-/// its suppression) on `stats`, and returns the sealed block — or `None`
-/// when early abort emptied the batch (its aborts are already on the
-/// service's counters).
-pub fn order_cut(
-    service: &mut OrderingService,
-    batch: Vec<Transaction>,
-    reason: CutReason,
-    stats: &OrdererStats,
-    timers: &PhaseTimers,
-    sink: &TraceSink,
-) -> Option<Arc<Block>> {
-    if sink.is_enabled() {
-        sink.emit(EventKind::BlockCut { reason: reason.trace_kind(), txs: batch.len() as u32 });
-    }
-    let batch_len = batch.len();
-    let t0 = Instant::now();
-    let ordered = service.order_batch(batch);
-    let elapsed = t0.elapsed();
-    let (reorder_elapsed, reorder_stats) = service.last_reorder();
-    timers.record(Phase::Reorder, reorder_elapsed);
-    stats.record_reorder(reorder_elapsed, &reorder_stats);
-    let Some(ob) = ordered else {
-        stats.record_empty_suppressed();
-        return None;
-    };
-    timers.record(Phase::Order, elapsed.saturating_sub(reorder_elapsed));
-    stats.record_cut(reason, batch_len);
-    // Sealed once: from here on every delivery and every peer's ledger
-    // share this one allocation.
-    Some(Arc::new(ob.block))
 }
 
 /// A running channel: handles to its threads and its client-facing sender.
@@ -271,18 +246,13 @@ pub struct ChannelRuntime {
 
 impl ChannelRuntime {
     /// Spawns the channel's orderer and peer threads over the `peers` and
-    /// ordering `service` that [`assemble`] returned; `cutter` cuts the
-    /// orderer's batches.
-    #[allow(clippy::too_many_arguments)]
+    /// ordering `service` that [`assemble`] returned.
     pub fn spawn(
         id: ChannelId,
         peers: Vec<Arc<Peer>>,
         mut service: OrderingService,
-        mut cutter: BatchCutter,
         latency: LatencyModel,
         net_stats: NetStats,
-        orderer_stats: OrdererStats,
-        ctx: &PeerContext,
     ) -> Self {
         // Client → orderer link.
         let (orderer_tx, orderer_rx) = link::<Transaction>(latency.clone(), net_stats.clone());
@@ -319,64 +289,37 @@ impl ChannelRuntime {
                         staged = Some(peer.begin_block_validation(next));
                     }
                     // The FIFO link delivers every block once and in order,
-                    // so a block out of turn is a bug, not a fault to heal.
-                    let (num, height) = (pending.number(), peer.ledger().height());
-                    assert_eq!(
-                        num, height,
-                        "block {num} arrived at height {height}: orderer/peer protocol violated"
-                    );
-                    peer.commit_validated(pending)
-                        .expect("block processing failed: orderer/peer protocol violated");
+                    // so the peer's refusal of a block out of turn
+                    // (`Error::BlockOutOfTurn`) is a bug, not a fault to heal.
+                    if let Err(e) = peer.commit_validated(pending) {
+                        panic!("peer {}: {e}: orderer/peer protocol violated", peer.id());
+                    }
                 }
             }));
         }
         let broadcaster = Broadcaster::new(direct, gossip);
 
-        let cut_sink = ctx.sink.clone();
-        let cut_gauges = ctx.gauges.clone();
-        let phase_timers = ctx.phase_timers.clone();
-
         let orderer_thread = std::thread::spawn(move || {
             let poll = Duration::from_millis(10);
             // Each cut batch is prepared (early abort + reorder) and sealed
-            // right here, before the next transaction is read: the
+            // inside the service, before the next transaction is read: the
             // unique-keys cut keeps that to milliseconds, far below the
             // time between cuts.
-            let mut order = |batch: Vec<Transaction>, reason: CutReason| {
-                let sealed = order_cut(
-                    &mut service,
-                    batch,
-                    reason,
-                    &orderer_stats,
-                    &phase_timers,
-                    &cut_sink,
-                );
-                if let Some(block) = sealed {
-                    broadcaster.broadcast(&block, block.byte_size());
-                }
+            let send = |block: Arc<Block>| {
+                broadcaster.broadcast(&block, block.byte_size());
             };
             loop {
-                let wait = cutter
+                let wait = service
+                    .cutter()
                     .time_to_timeout(Instant::now())
                     .map_or(poll, |t| t.min(poll).max(Duration::from_micros(100)));
                 match orderer_rx.recv_timeout(wait) {
-                    Ok(tx) => {
-                        for (batch, reason) in cutter.push(tx, Instant::now()) {
-                            order(batch, reason);
-                        }
-                        cut_gauges.set_cutter_queue(cutter.len() as u64);
-                    }
+                    Ok(tx) => service.push(tx, Instant::now()).into_iter().for_each(&send),
                     Err(RecvTimeoutError::Timeout) => {
-                        if let Some((batch, reason)) = cutter.poll_timeout(Instant::now()) {
-                            order(batch, reason);
-                            cut_gauges.set_cutter_queue(cutter.len() as u64);
-                        }
+                        service.poll_timeout(Instant::now()).into_iter().for_each(&send)
                     }
                     Err(RecvTimeoutError::Disconnected) => {
-                        if let Some((batch, reason)) = cutter.flush() {
-                            order(batch, reason);
-                        }
-                        cut_gauges.set_cutter_queue(0);
+                        service.flush().into_iter().for_each(&send);
                         // Returning drops the broadcaster, which disconnects
                         // the peers once they have drained their links.
                         break;

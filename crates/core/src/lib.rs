@@ -46,16 +46,15 @@
 //!   endorsement collection → read/write-set comparison → submission;
 //!   [`client::propose`] is the one proposal step.
 //! * [`channel`] — one channel: its assembly ([`channel::PeerContext`],
-//!   [`channel::assemble`]), its order step ([`channel::order_cut`]), and
-//!   the threaded runtime — an ordering-service thread plus one
-//!   validation thread per peer, wired over the simulated network.
+//!   [`channel::assemble`]) and the threaded runtime — an orderer thread
+//!   plus one validation thread per peer, wired over the simulated network.
 //! * [`network`] — [`NetworkBuilder`] / [`FabricNetwork`]: organizations,
 //!   peers, channels, chaincode deployment, genesis state, reporting.
 //!
 //! The single-threaded, fully deterministic pipeline — used to script
 //! exact scenarios such as the paper's Appendix A running example — is
 //! `fabric_chaos::ChaosNet` under a quiescent fault plan: a second
-//! scheduler over the same assembly, proposal and order steps.
+//! scheduler over the same assembly, proposal, orderer and commit steps.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,7 +10,7 @@ use fabric_common::{
     Result, StoreStats, TxStats, Value,
 };
 use fabric_net::{LatencyModel, NetStats};
-use fabric_ordering::{BatchCutter, OrdererStats, OrdererStatsSnapshot};
+use fabric_ordering::OrdererStatsSnapshot;
 use fabric_peer::chaincode::Chaincode;
 use fabric_peer::peer::Peer;
 use fabric_peer::validation_pool::ValidationPool;
@@ -183,7 +183,6 @@ impl NetworkBuilder {
             self.telemetry,
         );
         let net_stats = NetStats::new();
-        let orderer_stats = OrdererStats::new();
 
         let mut channels = Vec::with_capacity(self.channels);
         let mut reporting_stores = Vec::with_capacity(self.channels);
@@ -204,11 +203,8 @@ impl NetworkBuilder {
                 ChannelId(ch as u64),
                 peers,
                 orderer,
-                BatchCutter::new(self.pipeline.cutting.clone()),
                 self.latency.clone(),
                 net_stats.clone(),
-                orderer_stats.clone(),
-                &ctx,
             ));
         }
         ctx.connect_telemetry(reporting_stores);
@@ -217,7 +213,6 @@ impl NetworkBuilder {
             channels,
             ctx,
             net_stats,
-            orderer_stats,
             latency_model: self.latency,
             started: Instant::now(),
             next_client: AtomicU64::new(0),
@@ -228,10 +223,10 @@ impl NetworkBuilder {
 /// A running network: channels, peers, and shared metric sinks.
 pub struct FabricNetwork {
     channels: Vec<ChannelRuntime>,
-    /// The run's counters, recorders, sink and telemetry hub.
+    /// The run's counters, recorders (the orderers' cut counters among
+    /// them), sink and telemetry hub.
     ctx: PeerContext,
     net_stats: NetStats,
-    orderer_stats: OrdererStats,
     latency_model: LatencyModel,
     started: Instant,
     next_client: AtomicU64,
@@ -305,7 +300,7 @@ impl FabricNetwork {
             latency: self.ctx.latency.summary(),
             net_messages: self.net_stats.messages(),
             net_bytes: self.net_stats.bytes(),
-            orderer: self.orderer_stats.snapshot(),
+            orderer: self.ctx.orderer_stats.snapshot(),
             phases: self.ctx.phase_timers.summary(),
             block_heights,
             store,

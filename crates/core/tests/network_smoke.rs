@@ -103,6 +103,25 @@ fn channels_are_isolated() {
     );
 }
 
+#[test]
+fn orderer_telemetry_sums_every_channel() {
+    // Each channel's ordering service records on the run's one set of cut
+    // counters, so the report counts both channels' cuts.
+    let net = fast_builder().channels(2).build().unwrap();
+    for (ch, txs) in [(0, 3u64), (1, 4)] {
+        let client = net.client(ch);
+        for i in 0..txs {
+            client.submit("count", Key::composite("k", i).as_bytes().to_vec());
+        }
+    }
+    let report = net.finish();
+    let ord = report.orderer;
+    assert_eq!(ord.txs_ordered, 7);
+    let blocks: u64 = report.block_heights.iter().map(|h| h - 1).sum();
+    assert!(report.block_heights.iter().all(|&h| h > 1), "both channels advanced");
+    assert_eq!(ord.blocks, blocks, "every channel's blocks are counted");
+}
+
 /// Waits until every peer's ledger stands at one common height of at
 /// least `min`, and returns it.
 fn await_level(peers: &[Arc<fabric_peer::Peer>], min: u64) -> u64 {

@@ -12,12 +12,13 @@
 //!   versions cannot both commit; the one holding the older version is
 //!   dropped before the block ships (paper §5.2.2 with the published
 //!   correction).
-//! * [`orderer`] — the [`orderer::OrderingService`]: applies the configured
-//!   policy (arrival order vs. reordering), performs the order-phase early
-//!   aborts, and emits hash-chained [`fabric_ledger::Block`]s. Each cut
-//!   batch is prepared ([`orderer::BatchPrep`]) and sealed on the thread
-//!   that cut it: the unique-keys cut keeps the reorder step to a few
-//!   milliseconds per block, far below the time between cuts.
+//! * [`orderer`] — the [`orderer::OrderingService`], the orderer step both
+//!   drivers run: it cuts, applies the configured policy (arrival order vs.
+//!   reordering), performs the order-phase early aborts, emits hash-chained
+//!   [`fabric_ledger::Block`]s and keeps each cut's books. Each cut batch
+//!   is prepared ([`orderer::BatchPrep`]) and sealed on the thread that cut
+//!   it: the unique-keys cut keeps the reorder step to a few milliseconds
+//!   per block, far below the time between cuts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

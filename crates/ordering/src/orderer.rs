@@ -1,13 +1,15 @@
-//! The ordering service proper: policy application and block formation.
+//! The ordering service proper — the one orderer step every driver
+//! runs: batch cutting, policy application and block formation.
 //!
-//! Takes cut batches from the [`crate::BatchCutter`], optionally performs
-//! the Fabric++ ordering-phase early abort and the reordering, then forms
-//! a hash-chained [`Block`]. "It treats the transactions in a black box
+//! The service cuts with its own [`BatchCutter`], optionally performs the
+//! Fabric++ ordering-phase early abort and the reordering, then forms a
+//! hash-chained [`Block`]. "It treats the transactions in a black box
 //! fashion and does not inspect the transaction semantics" in vanilla mode
 //! (paper Appendix A.2); in Fabric++ mode it does exactly the opposite —
 //! that inspection is the point.
 //!
-//! Each batch goes through two steps, on the thread that cut it:
+//! Each batch its cutter cuts goes through two steps, on the calling
+//! thread, and comes back sealed in an `Arc<Block>`:
 //!
 //! * [`BatchPrep::prepare`] — pure per-batch work (early abort, reordering,
 //!   schedule application). Stateless across batches; the service runs it
@@ -15,22 +17,24 @@
 //! * [`OrderingService::seal`] — the chain step: abort counters,
 //!   empty-block suppression, block numbering and hash chaining.
 //!
-//! [`OrderingService::order_batch`] is the prepare step on the service's
-//! own scratch followed by `seal`; both drivers order every batch through
-//! it. The two steps stay public so a caller can time them apart (the
-//! staged benchmark).
+//! The two steps stay public so a caller can time them apart (the staged
+//! benchmark).
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fabric_common::rwset::ReadWriteSet;
 use fabric_common::{
-    Digest, OrderingPolicy, PipelineConfig, Transaction, TxCounters, ValidationCode,
+    Digest, OrderingPolicy, Phase, PhaseTimers, PipelineConfig, SubsystemGauges, Transaction,
+    TxCounters, ValidationCode,
 };
 use fabric_ledger::Block;
 use fabric_reorder::{reorder_with, ReorderConfig, ReorderResult, ReorderScratch, ReorderStats};
 use fabric_trace::{EventKind, TraceSink};
 
+use crate::cutter::{BatchCutter, CutReason};
 use crate::early_abort::{split_version_mismatches_traced, EarlyAbortScratch};
+use crate::stats::OrdererStats;
 
 /// A block ready for distribution plus the transactions the orderer
 /// removed from the pipeline (Fabric++ early aborts).
@@ -65,8 +69,6 @@ pub struct BatchPlan {
     pub stats: ReorderStats,
     /// Time spent inside the reorderer proper.
     pub reorder_elapsed: Duration,
-    /// Time spent in the rest of the stage (early abort, partitioning).
-    pub prepare_elapsed: Duration,
 }
 
 /// The stateless per-batch stage of the ordering service: early abort and
@@ -110,7 +112,7 @@ impl BatchPrep {
     }
 
     /// Runs the per-batch stage on a reusable `scratch` (the hot path of
-    /// [`OrderingService::order_batch`]): within-block version-mismatch
+    /// every cut an [`OrderingService`] orders): within-block version-mismatch
     /// aborts if enabled, then — under [`OrderingPolicy::Reorder`] —
     /// conflict-cycle aborts plus serializable reordering.
     ///
@@ -121,7 +123,6 @@ impl BatchPrep {
         batch: Vec<Transaction>,
         scratch: &mut PrepScratch,
     ) -> BatchPlan {
-        let t_start = Instant::now();
         let mut early_aborted: Vec<(Transaction, ValidationCode)> = Vec::new();
 
         let survivors = if self.early_abort_ordering {
@@ -175,35 +176,40 @@ impl BatchPrep {
             early_aborted,
             stats,
             reorder_elapsed,
-            prepare_elapsed: t_start.elapsed().saturating_sub(reorder_elapsed),
         }
     }
 }
 
-/// Stateful ordering service for one channel: consumes batches, emits
-/// chained blocks.
+/// Stateful ordering service for one channel: cuts transactions into
+/// batches, emits chained blocks.
 pub struct OrderingService {
+    cutter: BatchCutter,
     prep: BatchPrep,
     scratch: Box<PrepScratch>,
     next_block: u64,
     prev_hash: Digest,
     counters: Option<TxCounters>,
+    stats: OrdererStats,
+    timers: Option<PhaseTimers>,
+    gauges: SubsystemGauges,
     sink: TraceSink,
-    last_reorder: (Duration, ReorderStats),
 }
 
 impl OrderingService {
     /// Creates the service for a fresh chain (next block = 0, the genesis
-    /// block of the channel's transaction chain).
+    /// block of the channel's transaction chain) cutting at `cfg.cutting`.
     pub fn new(cfg: &PipelineConfig) -> Self {
         OrderingService {
+            cutter: BatchCutter::new(cfg.cutting.clone()),
             prep: BatchPrep::new(cfg),
             scratch: Box::default(),
             next_block: 0,
             prev_hash: Digest::ZERO,
             counters: None,
+            stats: OrdererStats::new(),
+            timers: None,
+            gauges: SubsystemGauges::new(),
             sink: TraceSink::disabled(),
-            last_reorder: (Duration::ZERO, ReorderStats::default()),
         }
     }
 
@@ -213,10 +219,31 @@ impl OrderingService {
         self
     }
 
-    /// Attaches a flight-recorder sink: sealed blocks emit
-    /// [`EventKind::BlockSealed`] here, and the per-batch stage (and every
-    /// clone taken via [`batch_prep`](Self::batch_prep) afterwards) emits
-    /// order-phase abort provenance.
+    /// Shares `stats` as this service's cut counters (every channel of a
+    /// run records on one set).
+    pub fn with_stats(mut self, stats: OrdererStats) -> Self {
+        self.stats = stats;
+        self
+    }
+
+    /// Attaches phase timers: each cut records [`Phase::Reorder`] and,
+    /// when it forms a block, [`Phase::Order`].
+    pub fn with_phase_timers(mut self, timers: PhaseTimers) -> Self {
+        self.timers = Some(timers);
+        self
+    }
+
+    /// Shares `gauges`: the cutter's queue depth is published there after
+    /// every push, timeout cut and flush.
+    pub fn with_gauges(mut self, gauges: SubsystemGauges) -> Self {
+        self.gauges = gauges;
+        self
+    }
+
+    /// Attaches a flight-recorder sink: cuts and sealed blocks emit
+    /// [`EventKind::BlockCut`] and [`EventKind::BlockSealed`] here, and the
+    /// per-batch stage (and every clone taken via [`batch_prep`](Self::batch_prep)
+    /// afterwards) emits order-phase abort provenance.
     pub fn with_trace(mut self, sink: TraceSink) -> Self {
         self.prep = self.prep.with_trace(sink.clone());
         self.sink = sink;
@@ -236,6 +263,69 @@ impl OrderingService {
         self.next_block
     }
 
+    /// The cutter holding the transactions not yet cut.
+    pub fn cutter(&self) -> &BatchCutter {
+        &self.cutter
+    }
+
+    /// Hands `tx` to the cutter at time `now` and returns the blocks
+    /// sealed from the batches that cut (none, one, or two after a byte
+    /// pre-cut; see [`BatchCutter::push`]), oldest first.
+    pub fn push(&mut self, tx: Transaction, now: Instant) -> Vec<Arc<Block>> {
+        let cuts = self.cutter.push(tx, now);
+        let blocks = cuts.into_iter().filter_map(|(batch, why)| self.order(batch, why)).collect();
+        self.gauges.set_cutter_queue(self.cutter.len() as u64);
+        blocks
+    }
+
+    /// Cuts the pending batch if it is older than the batch timeout, and
+    /// returns its sealed block.
+    pub fn poll_timeout(&mut self, now: Instant) -> Option<Arc<Block>> {
+        let (batch, why) = self.cutter.poll_timeout(now)?;
+        let block = self.order(batch, why);
+        self.gauges.set_cutter_queue(self.cutter.len() as u64);
+        block
+    }
+
+    /// Cuts whatever is pending, whatever its size, and returns its sealed
+    /// block.
+    pub fn flush(&mut self) -> Option<Arc<Block>> {
+        let block = self.cutter.flush().and_then(|(batch, why)| self.order(batch, why));
+        self.gauges.set_cutter_queue(self.cutter.len() as u64);
+        block
+    }
+
+    /// Orders one cut batch: emits [`EventKind::BlockCut`], prepares the
+    /// batch on the service's scratch and seals it, records the phase
+    /// times and the cut (or its suppression), and returns the block —
+    /// sealed once, so every delivery and every peer's ledger share this
+    /// one allocation — or `None` when early abort emptied the batch.
+    fn order(&mut self, batch: Vec<Transaction>, reason: CutReason) -> Option<Arc<Block>> {
+        if self.sink.is_enabled() {
+            self.sink
+                .emit(EventKind::BlockCut { reason: reason.trace_kind(), txs: batch.len() as u32 });
+        }
+        let batch_len = batch.len();
+        let t0 = Instant::now();
+        let plan = self.prep.prepare_with(batch, &mut self.scratch);
+        let (reorder_elapsed, reorder_stats) = (plan.reorder_elapsed, plan.stats);
+        let sealed = self.seal(plan);
+        let elapsed = t0.elapsed();
+        if let Some(t) = &self.timers {
+            t.record(Phase::Reorder, reorder_elapsed);
+        }
+        self.stats.record_reorder(reorder_elapsed, &reorder_stats);
+        let Some(ob) = sealed else {
+            self.stats.record_empty_suppressed();
+            return None;
+        };
+        if let Some(t) = &self.timers {
+            t.record(Phase::Order, elapsed.saturating_sub(reorder_elapsed));
+        }
+        self.stats.record_cut(reason, batch_len);
+        Some(Arc::new(ob.block))
+    }
+
     /// A clone of the per-batch stage, for callers that prepare plans
     /// themselves (e.g. to time the two steps apart);
     /// [`seal`](Self::seal) then applies the plans here in cut order.
@@ -252,13 +342,11 @@ impl OrderingService {
     /// commit for nothing. Early-abort counters are still recorded; the
     /// chain position (`next_block`, `prev_hash`) is left untouched.
     ///
-    /// Sealing plans in cut order reproduces the
-    /// [`order_batch`](Self::order_batch) block stream byte for byte: the
-    /// plan is a pure function of the batch, and numbering/chaining happen
-    /// only here.
+    /// Sealing plans in cut order reproduces the service's own block
+    /// stream byte for byte: the plan is a pure function of the batch, and
+    /// numbering/chaining happen only here.
     pub fn seal(&mut self, plan: BatchPlan) -> Option<OrderedBlock> {
-        let BatchPlan { ordered, early_aborted, stats, reorder_elapsed, .. } = plan;
-        self.last_reorder = (reorder_elapsed, stats);
+        let BatchPlan { ordered, early_aborted, stats, reorder_elapsed } = plan;
         if let Some(c) = &self.counters {
             for (_, code) in &early_aborted {
                 c.record_outcome(*code);
@@ -280,25 +368,6 @@ impl OrderingService {
             });
         }
         Some(OrderedBlock { block, early_aborted, reorder_stats: stats })
-    }
-
-    /// Orders one cut batch into a block: the prepare step on the
-    /// service's own scratch, then [`seal`](Self::seal), on the calling
-    /// thread.
-    ///
-    /// Under [`OrderingPolicy::Arrival`] the batch order is preserved
-    /// verbatim. Under [`OrderingPolicy::Reorder`] the Fabric++ machinery
-    /// runs: (optionally) within-block version-mismatch aborts, then
-    /// conflict-cycle aborts plus serializable reordering.
-    pub fn order_batch(&mut self, batch: Vec<Transaction>) -> Option<OrderedBlock> {
-        let plan = self.prep.prepare_with(batch, &mut self.scratch);
-        self.seal(plan)
-    }
-
-    /// Time spent inside the reorderer, and its diagnostics, for the last
-    /// plan this service sealed — including one that formed no block.
-    pub fn last_reorder(&self) -> (Duration, ReorderStats) {
-        self.last_reorder
     }
 }
 
@@ -330,6 +399,13 @@ mod tests {
         }
     }
 
+    /// Prepares `batch` on the service's own warm scratch and seals it:
+    /// what every cut does, minus the cut's bookkeeping.
+    fn order(svc: &mut OrderingService, batch: Vec<Transaction>) -> Option<OrderedBlock> {
+        let plan = svc.prep.prepare_with(batch, &mut svc.scratch);
+        svc.seal(plan)
+    }
+
     fn g() -> Version {
         Version::GENESIS
     }
@@ -339,7 +415,7 @@ mod tests {
         let mut svc = OrderingService::new(&PipelineConfig::vanilla());
         let txs: Vec<Transaction> = (0..5).map(|i| mk_tx(&[(i, g())], &[i + 100])).collect();
         let ids: Vec<TxId> = txs.iter().map(|t| t.id).collect();
-        let ob = svc.order_batch(txs).expect("non-empty batch forms a block");
+        let ob = order(&mut svc, txs).expect("non-empty batch forms a block");
         assert_eq!(ob.block.txs.iter().map(|t| t.id).collect::<Vec<_>>(), ids);
         assert!(ob.early_aborted.is_empty());
         assert_eq!(ob.reorder_stats, ReorderStats::default());
@@ -350,7 +426,7 @@ mod tests {
         // Several conflicting batches on a resumed chain, under the
         // Fabric++ config with reordering and early abort switched off:
         // every block keeps its batch's order whether it goes through
-        // `order_batch` or through a separately prepared plan and `seal`,
+        // the service's own scratch or through a separately prepared plan and `seal`,
         // and each consumes one block number.
         let mut cfg = PipelineConfig::fabric_pp();
         cfg.ordering = OrderingPolicy::Arrival;
@@ -361,7 +437,7 @@ mod tests {
                 (0..5).map(|i| mk_tx(&[(i % 3, g())], &[(i + b) % 3, i + 100])).collect();
             let ids: Vec<TxId> = txs.iter().map(|t| t.id).collect();
             let ob = if b % 2 == 0 {
-                svc.order_batch(txs)
+                order(&mut svc, txs)
             } else {
                 let plan = svc.batch_prep().prepare(txs);
                 svc.seal(plan)
@@ -429,7 +505,7 @@ mod tests {
             let (mut blocks, mut aborted) = (0, 0);
             for (i, batch) in varied_batches(7).into_iter().enumerate() {
                 let ctx = format!("{policy:?} early_abort={early_abort} batch {i}");
-                let a = warm.order_batch(batch.clone());
+                let a = order(&mut warm, batch.clone());
                 let b = fresh.seal(fresh.batch_prep().prepare(batch));
                 let (a, b) = match (a, b) {
                     (Some(a), Some(b)) => (a, b),
@@ -464,8 +540,8 @@ mod tests {
     #[test]
     fn blocks_are_hash_chained() {
         let mut svc = OrderingService::new(&PipelineConfig::vanilla());
-        let b0 = svc.order_batch(vec![mk_tx(&[(0, g())], &[1])]).expect("block");
-        let b1 = svc.order_batch(vec![mk_tx(&[(2, g())], &[3])]).expect("block");
+        let b0 = order(&mut svc, vec![mk_tx(&[(0, g())], &[1])]).expect("block");
+        let b1 = order(&mut svc, vec![mk_tx(&[(2, g())], &[3])]).expect("block");
         assert_eq!(b0.block.header.number, 0);
         assert_eq!(b0.block.header.prev_hash, Digest::ZERO);
         assert_eq!(b1.block.header.number, 1);
@@ -483,7 +559,7 @@ mod tests {
             (0..3).map(|i| mk_tx(&[(1, g())], &[10 + i])).collect();
         let mut batch = vec![writer];
         batch.extend(readers);
-        let ob = svc.order_batch(batch).expect("non-empty batch forms a block");
+        let ob = order(&mut svc, batch).expect("non-empty batch forms a block");
         assert_eq!(ob.block.txs.len(), 4);
         assert!(ob.early_aborted.is_empty());
         // Writer must now be last.
@@ -501,7 +577,7 @@ mod tests {
         let writer = mk_tx(&[], &[5]);
         let reader = mk_tx(&[(5, g())], &[6]);
         let ob =
-            svc.order_batch(vec![t0, t1, writer, reader]).expect("survivors form a block");
+            order(&mut svc, vec![t0, t1, writer, reader]).expect("survivors form a block");
         assert_eq!(ob.block.txs.len(), 3);
         assert_eq!(ob.early_aborted.len(), 1);
         assert_eq!(ob.early_aborted[0].0.id, t0_id);
@@ -516,7 +592,7 @@ mod tests {
         let new = mk_tx(&[(5, Version::new(2, 0))], &[7]);
         let old_id = old.id;
         let new_id = new.id;
-        let ob = svc.order_batch(vec![old, new]).expect("survivors form a block");
+        let ob = order(&mut svc, vec![old, new]).expect("survivors form a block");
         assert_eq!(ob.block.txs.len(), 1);
         assert_eq!(ob.block.txs[0].id, new_id);
         assert_eq!(ob.early_aborted.len(), 1);
@@ -534,7 +610,7 @@ mod tests {
             mk_tx(&[(0, g())], &[1]),
             mk_tx(&[(1, g())], &[0]),
         ];
-        let ob = svc.order_batch(batch).expect("non-empty batch forms a block");
+        let ob = order(&mut svc, batch).expect("non-empty batch forms a block");
         assert_eq!(ob.block.txs.len(), 4);
         assert!(ob.early_aborted.is_empty());
     }
@@ -550,7 +626,7 @@ mod tests {
             mk_tx(&[(0, g())], &[1]),
             mk_tx(&[(1, g())], &[0]),
         ];
-        svc.order_batch(batch);
+        order(&mut svc, batch);
         let s = counters.snapshot();
         assert_eq!(s.early_abort_version_mismatch, 1);
         assert_eq!(s.early_abort_cycle, 1);
@@ -567,7 +643,7 @@ mod tests {
             mk_tx(&[(0, g())], &[1]), // 2-cycle with the next → cycle abort
             mk_tx(&[(1, g())], &[0]),
         ];
-        let ob = svc.order_batch(batch).expect("survivors form a block");
+        let ob = order(&mut svc, batch).expect("survivors form a block");
         let events = sink.drain();
         let labels: Vec<&str> = events.iter().map(|e| e.kind.label()).collect();
         assert!(labels.contains(&"early_abort_version"));
@@ -601,8 +677,8 @@ mod tests {
         // Same TxIds in both runs: clone the batch.
         let batch = mk_batch();
         let cloned = batch.clone();
-        let a = plain.order_batch(batch).expect("block");
-        let b = traced.order_batch(cloned).expect("block");
+        let a = order(&mut plain, batch).expect("block");
+        let b = order(&mut traced, cloned).expect("block");
         assert_eq!(a.block.header.hash(), b.block.header.hash());
         assert_eq!(
             a.early_aborted.iter().map(|(t, c)| (t.id, *c)).collect::<Vec<_>>(),
@@ -613,10 +689,10 @@ mod tests {
     #[test]
     fn empty_batch_forms_no_block() {
         let mut svc = OrderingService::new(&PipelineConfig::fabric_pp());
-        assert!(svc.order_batch(vec![]).is_none());
+        assert!(order(&mut svc, vec![]).is_none());
         assert_eq!(svc.next_block_num(), 0, "suppressed batch consumes no block number");
         // The chain continues as if the empty batch never happened.
-        let ob = svc.order_batch(vec![mk_tx(&[(0, g())], &[1])]).expect("block");
+        let ob = order(&mut svc, vec![mk_tx(&[(0, g())], &[1])]).expect("block");
         assert_eq!(ob.block.header.number, 0);
         assert_eq!(ob.block.header.prev_hash, Digest::ZERO);
     }
@@ -633,7 +709,7 @@ mod tests {
         // a stale version of the other, so the mismatch rule dooms both.
         let stale_a = mk_tx(&[(0, Version::new(2, 0)), (1, Version::new(1, 0))], &[10]);
         let stale_b = mk_tx(&[(1, Version::new(2, 0)), (0, Version::new(1, 0))], &[11]);
-        assert!(svc.order_batch(vec![stale_a, stale_b]).is_none());
+        assert!(order(&mut svc, vec![stale_a, stale_b]).is_none());
         assert_eq!(svc.next_block_num(), 0);
         let s = counters.snapshot();
         assert_eq!(s.early_abort_version_mismatch, 2, "every killed tx is still counted");
@@ -642,10 +718,10 @@ mod tests {
     #[test]
     fn resume_at_continues_chain() {
         let mut svc = OrderingService::new(&PipelineConfig::vanilla());
-        let b0 = svc.order_batch(vec![mk_tx(&[(0, g())], &[1])]).expect("block");
+        let b0 = order(&mut svc, vec![mk_tx(&[(0, g())], &[1])]).expect("block");
         let mut resumed = OrderingService::new(&PipelineConfig::vanilla())
             .resume_at(1, b0.block.header.hash());
-        let b1 = resumed.order_batch(vec![mk_tx(&[(2, g())], &[3])]).expect("block");
+        let b1 = order(&mut resumed, vec![mk_tx(&[(2, g())], &[3])]).expect("block");
         assert_eq!(b1.block.header.number, 1);
         assert_eq!(b1.block.header.prev_hash, b0.block.header.hash());
     }
@@ -655,9 +731,67 @@ mod tests {
         let mut svc = OrderingService::new(&PipelineConfig::reordering_only());
         let old = mk_tx(&[(5, Version::new(1, 0))], &[6]);
         let new = mk_tx(&[(5, Version::new(2, 0))], &[7]);
-        let ob = svc.order_batch(vec![old, new]).expect("survivors form a block");
+        let ob = order(&mut svc, vec![old, new]).expect("survivors form a block");
         // No within-block version abort in reordering-only mode.
         assert_eq!(ob.block.txs.len(), 2);
         assert!(ob.early_aborted.is_empty());
+    }
+
+    #[test]
+    fn cuts_seal_blocks_and_keep_their_books() {
+        // Count cuts at 2 with a 50 ms timeout: five pushes seal two
+        // blocks, a poll past the timeout cuts the fifth tx, and a flush
+        // of an empty cutter forms nothing. Each cut is traced, timed and
+        // counted once, and the gauge follows the cutter's queue.
+        let cfg = PipelineConfig::vanilla().with_block_size(2);
+        let (sink, timers) = (TraceSink::bounded(64), PhaseTimers::new());
+        let (stats, gauges) = (OrdererStats::new(), SubsystemGauges::new());
+        let mut svc = OrderingService::new(&cfg)
+            .with_stats(stats.clone())
+            .with_trace(sink.clone())
+            .with_phase_timers(timers.clone())
+            .with_gauges(gauges.clone())
+            .resume_at(1, Digest::ZERO);
+        let t0 = Instant::now();
+        let mut sealed = Vec::new();
+        for i in 0..5 {
+            sealed.extend(svc.push(mk_tx(&[], &[i]), t0));
+            assert_eq!(gauges.snapshot().cutter_queue_txs, (i + 1) % 2);
+        }
+        assert_eq!(svc.cutter().len(), 1);
+        assert!(svc.poll_timeout(t0).is_none(), "the batch is not yet old enough");
+        let waited = cfg.cutting.max_batch_wait;
+        assert_eq!(svc.cutter().time_to_timeout(t0), Some(waited));
+        sealed.extend(svc.poll_timeout(t0 + waited));
+        assert!(svc.flush().is_none(), "nothing left to flush");
+        assert_eq!(gauges.snapshot().cutter_queue_txs, 0);
+
+        let sizes: Vec<(u64, usize)> =
+            sealed.iter().map(|b| (b.header.number, b.txs.len())).collect();
+        assert_eq!(sizes, vec![(1, 2), (2, 2), (3, 1)]);
+        let s = stats.snapshot();
+        assert_eq!((s.cut_tx_count, s.cut_timeout, s.cut_flush, s.blocks), (2, 1, 0, 3));
+        assert_eq!(s.txs_ordered, 5);
+        assert_eq!(timers.recorder(Phase::Order).summary().count, 3);
+        assert_eq!(timers.recorder(Phase::Reorder).summary().count, 3);
+        let labels: Vec<&str> = sink.drain().iter().map(|e| e.kind.label()).collect();
+        let cut_then_sealed = ["block_cut", "block_sealed"];
+        assert_eq!(labels, cut_then_sealed.repeat(3));
+    }
+
+    #[test]
+    fn a_cut_that_early_abort_empties_is_counted_not_sealed() {
+        let (stats, timers) = (OrdererStats::new(), PhaseTimers::new());
+        let mut svc = OrderingService::new(&PipelineConfig::fabric_pp())
+            .with_stats(stats.clone())
+            .with_phase_timers(timers.clone());
+        svc.push(mk_tx(&[(0, Version::new(2, 0)), (1, Version::new(1, 0))], &[10]), Instant::now());
+        svc.push(mk_tx(&[(1, Version::new(2, 0)), (0, Version::new(1, 0))], &[11]), Instant::now());
+        assert!(svc.flush().is_none());
+        let s = stats.snapshot();
+        assert_eq!((s.empty_suppressed, s.blocks, s.cut_flush), (1, 0, 0));
+        assert_eq!(timers.recorder(Phase::Reorder).summary().count, 1);
+        assert_eq!(timers.recorder(Phase::Order).summary().count, 0);
+        assert_eq!(svc.next_block_num(), 0);
     }
 }

@@ -6,7 +6,7 @@ use std::time::Instant;
 use parking_lot::{Mutex, RwLock};
 
 use fabric_common::{
-    ConcurrencyMode, CostModel, LatencyRecorder, OrgId, PeerId, Phase, PhaseTimers, Result,
+    ConcurrencyMode, CostModel, Error, LatencyRecorder, OrgId, PeerId, Phase, PhaseTimers, Result,
     SignerRegistry, SigningKey, SubsystemGauges, TransactionProposal, TxCounters, ValidationCode,
 };
 use fabric_telemetry::TelemetryHub;
@@ -116,40 +116,13 @@ impl Peer {
         }
     }
 
-    /// Builds a peer around an existing ledger and the state replayed from
-    /// it — the restart half of a crash/restart cycle (see
-    /// [`crate::recovery`]), or a fresh peer whose ledger is a block file
-    /// at a named path. Identical to [`Peer::new`] except that the ledger
-    /// is shared as-is instead of starting empty, so a restored peer
-    /// resumes processing at its pre-crash height.
-    #[allow(clippy::too_many_arguments)]
-    pub fn restore(
-        id: PeerId,
-        org: OrgId,
-        key: SigningKey,
-        store: Arc<dyn StateStore>,
-        ledger: Arc<Ledger>,
-        chaincodes: ChaincodeRegistry,
-        registry: SignerRegistry,
-        policy: EndorsementPolicy,
-        mode: ConcurrencyMode,
-        early_abort_simulation: bool,
-        cost: CostModel,
-    ) -> Self {
-        let mut peer = Peer::new(
-            id,
-            org,
-            key,
-            store,
-            chaincodes,
-            registry,
-            policy,
-            mode,
-            early_abort_simulation,
-            cost,
-        );
-        peer.ledger = ledger;
-        peer
+    /// Replaces the empty ledger [`Peer::new`] starts with by `ledger`:
+    /// a block file opened at a named path, or — on restart, with the
+    /// state [`crate::recovery`] replayed from it — the ledger a crashed
+    /// peer left behind, so the peer resumes at that height.
+    pub fn with_ledger(mut self, ledger: Arc<Ledger>) -> Self {
+        self.ledger = ledger;
+        self
     }
 
     /// Marks this peer as the network's reporting peer: it records final
@@ -297,7 +270,9 @@ impl Peer {
 
     /// Validation + commit of one block from the ordering service.
     ///
-    /// Blocks must arrive in order (the network layer guarantees this).
+    /// Only the block numbered at the ledger height may commit: any other
+    /// is refused with [`Error::BlockOutOfTurn`] before its signature
+    /// checks start, leaving no event, timer sample or counter behind.
     ///
     /// Endorsement-signature checks (Fabric's VSCC) are pure CPU work over
     /// immutable bytes and run *before* the state gate is taken, as in
@@ -310,7 +285,20 @@ impl Peer {
     /// A shared `Arc<Block>` is appended to the ledger as is, so peers fed
     /// the same handle share one copy of the block.
     pub fn process_block(&self, block: impl Into<Arc<Block>>) -> Result<Arc<CommittedBlock>> {
+        let block = block.into();
+        self.check_turn(block.header.number)?;
         self.commit_validated(self.begin_block_validation(block))
+    }
+
+    /// The turn rule: `Ok` iff block `number` is the next one this
+    /// peer's ledger can commit.
+    fn check_turn(&self, number: u64) -> Result<()> {
+        let expected = self.ledger.height();
+        if number == expected {
+            Ok(())
+        } else {
+            Err(Error::BlockOutOfTurn { expected, received: number })
+        }
     }
 
     /// Starts phase-1 validation (endorsement signatures) of `block` on the
@@ -327,8 +315,11 @@ impl Peer {
 
     /// Completes validation of a block started with
     /// [`Peer::begin_block_validation`]: join the signature checks, run the
-    /// MVCC check under the state gate, commit.
+    /// MVCC check under the state gate, commit. A block out of turn is
+    /// refused (as by [`Peer::process_block`]) before the checks are
+    /// joined; they are abandoned.
     pub fn commit_validated(&self, pending: PendingBlock) -> Result<Arc<CommittedBlock>> {
+        self.check_turn(pending.number())?;
         let PendingBlock { block, checks, begun } = pending;
         let endorsement_ok = checks.wait();
         if let Some(t) = &self.timers {
@@ -494,12 +485,11 @@ mod tests {
         registry.register(PeerId(id), key.clone());
         let mut ccs = ChaincodeRegistry::new();
         ccs.deploy("transfer", Arc::new(Transfer));
-        Peer::restore(
+        Peer::new(
             PeerId(id),
             OrgId(org),
             key,
             store,
-            ledger,
             ccs,
             registry.clone(),
             EndorsementPolicy::require_orgs(vec![OrgId(1), OrgId(2)]),
@@ -507,6 +497,7 @@ mod tests {
             true,
             CostModel::raw(),
         )
+        .with_ledger(ledger)
     }
 
     fn genesis() -> Vec<(Key, Value)> {
@@ -762,6 +753,71 @@ mod tests {
                 seq_peer.store().get(&Key::from(key)).unwrap(),
             );
         }
+    }
+
+    /// A block out of turn is refused before anything observes it: the
+    /// reporting peer's trace and phase timers stay silent, the chain and
+    /// state stay put, and the in-turn block still commits afterwards.
+    #[test]
+    fn out_of_turn_refusal_leaves_no_trace() {
+        let registry = SignerRegistry::new();
+        let sink = TraceSink::bounded(256);
+        let timers = PhaseTimers::new();
+        let peer = mk_peer(1, 1, &registry)
+            .with_reporting(TxCounters::new(), LatencyRecorder::new())
+            .with_phase_timers(timers.clone())
+            .with_trace(sink.clone());
+        let peer_b = mk_peer(2, 2, &registry);
+        peer.install_genesis(&genesis()).unwrap();
+        peer_b.install_genesis(&genesis()).unwrap();
+        // An endorsed transfer reading `balA` at genesis: valid in block 1,
+        // an MVCC conflict anywhere later.
+        let proposal =
+            TransactionProposal::new(ChannelId(0), ClientId(0), "transfer", 5i64.to_le_bytes().to_vec());
+        let (ra, rb) = (peer.endorse(&proposal).unwrap(), peer_b.endorse(&proposal).unwrap());
+        let tx = Transaction {
+            id: proposal.id,
+            channel: proposal.channel,
+            client: proposal.client,
+            chaincode: proposal.chaincode.clone(),
+            rwset: ra.rwset,
+            endorsements: vec![ra.endorsement, rb.endorsement],
+            created_at: proposal.created_at,
+        };
+        let block1 = Arc::new(Block::build(1, peer.ledger().tip_hash(), vec![tx.clone()]));
+        peer.process_block(Arc::clone(&block1)).unwrap();
+        let block2 = Arc::new(Block::build(2, peer.ledger().tip_hash(), vec![tx.clone()]));
+        let block3 = Arc::new(Block::build(3, block2.header.hash(), vec![tx]));
+
+        sink.drain();
+        let samples = |phase| timers.recorder(phase).summary().count;
+        let before = (samples(Phase::ValidateVscc), samples(Phase::ValidateMvcc));
+        let (height, tip) = (peer.ledger().height(), peer.ledger().tip_hash());
+        let digest = peer.store().state_digest().unwrap();
+        let refused = |got: Result<Arc<CommittedBlock>>, received: u64| match got {
+            Err(Error::BlockOutOfTurn { expected: 2, received: r }) if r == received => {}
+            other => panic!("block {received}: expected a turn refusal, got {other:?}"),
+        };
+        refused(peer.process_block(Arc::clone(&block1)), 1);
+        refused(peer.process_block(Arc::clone(&block3)), 3);
+        refused(peer.commit_validated(peer.begin_block_validation(Arc::clone(&block3))), 3);
+
+        assert_eq!((peer.ledger().height(), peer.ledger().tip_hash()), (height, tip));
+        assert_eq!(peer.store().state_digest().unwrap(), digest);
+        assert_eq!((samples(Phase::ValidateVscc), samples(Phase::ValidateMvcc)), before);
+        let events = sink.drain();
+        for label in ["block_vscc", "block_mvcc", "mvcc_conflict"] {
+            assert!(
+                events.iter().all(|e| e.kind.label() != label),
+                "a refused block emitted {label}"
+            );
+        }
+
+        let committed = peer.process_block(block2).unwrap();
+        assert_eq!(committed.validity, vec![ValidationCode::MvccConflict]);
+        assert_eq!(peer.ledger().height(), 3);
+        let labels: Vec<&str> = sink.drain().iter().map(|e| e.kind.label()).collect();
+        assert!(labels.contains(&"block_vscc") && labels.contains(&"mvcc_conflict"), "{labels:?}");
     }
 
     #[test]

@@ -97,6 +97,77 @@ fn assert_oracle_green(net: &ChaosNet) {
         .unwrap_or_else(|v| panic!("serializability oracle: {v}"));
 }
 
+/// What a fault-path case must reproduce commit after commit: the
+/// injector's schedule digest, the live peers' final state digest and
+/// height, and the outcome counters (`TxStats::fields` order). Block and
+/// tip hashes are left out: they cover transaction ids, which come from a
+/// process-global counter and so differ between runs in one process.
+struct Pin {
+    schedule: &'static str,
+    state: &'static str,
+    height: u64,
+    stats: [u64; 7],
+}
+
+/// `FaultPlan::chaotic(77)` per mode: 10 cuts of 4 Smallbank proposals
+/// over drops, duplicates, delay spikes and reorder bursts.
+const CHAOTIC_77: [(&str, Pin); 2] = [
+    (
+        "fabric",
+        Pin {
+            schedule: "825ea73f0a5a384a05fc70b4bd3688baafb297237f9a0cb6f76646bcf03359c0",
+            state: "610ae1e6cd4806c5fe49093c7802463ae5170e10a7d53870e9cfe96bbc5614e7",
+            height: 10,
+            stats: [40, 29, 2, 0, 0, 0, 0],
+        },
+    ),
+    (
+        "fabric++",
+        Pin {
+            schedule: "825ea73f0a5a384a05fc70b4bd3688baafb297237f9a0cb6f76646bcf03359c0",
+            state: "882d75c3bfb99fc59914355d865727446773b55b43c1158e32ed743d15d815aa",
+            height: 10,
+            stats: [40, 29, 2, 0, 0, 0, 0],
+        },
+    ),
+];
+
+/// The crash/restart case of `crash_and_recovery_preserve_committed_txs`
+/// per mode (a quiescent plan, so its schedule digest is that of no
+/// decisions).
+const CRASH_RESTART: [(&str, Pin); 2] = [
+    (
+        "fabric",
+        Pin {
+            schedule: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            state: "da5fd20fc61ba8a9c94b9458efb1b2669bd16d5ba27c75c5bf033d9b46a975d7",
+            height: 11,
+            stats: [40, 40, 0, 0, 0, 0, 0],
+        },
+    ),
+    (
+        "fabric++",
+        Pin {
+            schedule: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            state: "e96137e5c993ba8097580014a9b3d651ea5375b2f3e988bec11dabd344ce2458",
+            height: 11,
+            stats: [40, 40, 0, 0, 0, 0, 0],
+        },
+    ),
+];
+
+fn crash_restart_plan() -> FaultPlan {
+    FaultPlan::quiescent(55).with_crash(2, 3, 3).with_torn_crash(4, 6, 2, 9)
+}
+
+fn assert_pinned(case: &str, r: &CaseResult, pin: &Pin) {
+    r.report.assert_ok();
+    assert_eq!(r.schedule.to_hex(), pin.schedule, "{case}: schedule digest");
+    assert_eq!(r.report.state_digest.to_hex(), pin.state, "{case}: state digest");
+    assert_eq!(r.report.height, pin.height, "{case}: height");
+    assert_eq!(r.stats.fields().map(|(_, v)| v), pin.stats, "{case}: outcome counts");
+}
+
 fn modes() -> [(&'static str, PipelineConfig); 2] {
     [
         ("fabric", PipelineConfig::vanilla()),
@@ -157,9 +228,7 @@ fn crash_and_recovery_preserve_committed_txs() {
     // invariant sweep (convergence + find_tx on every committed id) is the
     // no-tx-loss check.
     for (label, config) in modes() {
-        let plan = FaultPlan::quiescent(55)
-            .with_crash(2, 3, 3)
-            .with_torn_crash(4, 6, 2, 9);
+        let plan = crash_restart_plan();
         let tag = format!("crash-{}", label.replace("++", "pp"));
         let r = run_case(&config, plan, Some(&tag));
         r.report.assert_ok();
@@ -267,6 +336,20 @@ fn crash_with_live_snapshot_pins_recovers_version_chains() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn fault_paths_reproduce_their_pins() {
+    let pin = |pins: &'static [(&str, Pin); 2], label| {
+        &pins.iter().find(|(l, _)| *l == label).expect("every mode is pinned").1
+    };
+    for (label, config) in modes() {
+        let r = run_case(&config, FaultPlan::chaotic(77), None);
+        assert_pinned(&format!("{label} chaotic(77)"), &r, pin(&CHAOTIC_77, label));
+        let tag = format!("pin-{}", label.replace("++", "pp"));
+        let r = run_case(&config, crash_restart_plan(), Some(&tag));
+        assert_pinned(&format!("{label} crash/restart"), &r, pin(&CRASH_RESTART, label));
     }
 }
 
